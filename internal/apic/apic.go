@@ -31,13 +31,18 @@ type Message struct {
 // source (the sending node — what RSS-style policies hash); allowed is
 // the redirection-table candidate set, never empty. Implementations
 // must return one of the allowed cores.
+//
+// allowed is shared: it is the I/O APIC's own redirection entry, or
+// its one "every core" set, passed to every Route call. A Router must
+// not mutate it, and must not retain it past the call.
 type Router interface {
 	Route(vec Vector, hint int, flow uint64, allowed []int, now units.Time) int
 	Name() string
 }
 
-// Handler receives delivered interrupts on a core.
-type Handler func(vec Vector, now units.Time)
+// Handler receives an interrupt delivered to core, so one handler can
+// serve every local APIC of a node.
+type Handler func(core int, vec Vector, now units.Time)
 
 // LocalAPIC is one core's interrupt acceptance unit.
 type LocalAPIC struct {
@@ -48,15 +53,69 @@ type LocalAPIC struct {
 	masked   bool
 	pending  []Vector
 	accepted uint64
+
+	// inflight holds accepted vectors awaiting delivery, in acceptance
+	// order. The latency is constant, so deliveries fire in that same
+	// order and each one takes the ring's front vector.
+	inflight vectorRing
+	// deliverFn is l.deliver bound once, so Accept allocates no closure.
+	deliverFn sim.Event
 }
 
-// NewLocalAPIC builds the local APIC for a core; latency is the
+// vectorRing is a FIFO ring buffer of vectors. The capacity is zero or
+// a power of two.
+type vectorRing struct {
+	buf  []Vector
+	head int
+	n    int
+}
+
+//saisvet:allocfree
+func (r *vectorRing) push(v Vector) {
+	if r.n == len(r.buf) {
+		//lint:alloc amortized ring growth: doubles only when the in-flight depth exceeds its peak
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the front vector; the ring must not be empty.
+//
+//saisvet:allocfree
+func (r *vectorRing) pop() Vector {
+	v := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// grow doubles the ring (minimum 8 slots), unwrapping it so the front
+// vector lands at index 0.
+func (r *vectorRing) grow() {
+	buf := make([]Vector, max(8, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
+// NewLocalAPICs builds the local APICs of an n-core node, one per core
+// in core order, all on one backing array; latency is the
 // message-delivery delay before the handler runs.
-func NewLocalAPIC(eng *sim.Engine, core int, latency units.Time) *LocalAPIC {
+func NewLocalAPICs(eng *sim.Engine, n int, latency units.Time) []*LocalAPIC {
 	if latency < 0 {
 		panic("apic: negative delivery latency")
 	}
-	return &LocalAPIC{core: core, eng: eng, latency: latency}
+	block := make([]LocalAPIC, n)
+	locals := make([]*LocalAPIC, n)
+	for i := range block {
+		l := &block[i]
+		*l = LocalAPIC{core: i, eng: eng, latency: latency}
+		l.deliverFn = l.deliver
+		locals[i] = l
+	}
+	return locals
 }
 
 // Core returns the core this local APIC belongs to.
@@ -77,11 +136,12 @@ func (l *LocalAPIC) Unmask() {
 		return
 	}
 	l.masked = false
-	pend := l.pending
-	l.pending = nil
-	for _, v := range pend {
+	// Accept only schedules, so nothing can re-mask mid-flush and the
+	// pending buffer is reused for the next masked stretch.
+	for _, v := range l.pending {
 		l.Accept(v)
 	}
+	l.pending = l.pending[:0]
 }
 
 // Masked reports the mask state.
@@ -91,17 +151,27 @@ func (l *LocalAPIC) Masked() bool { return l.masked }
 func (l *LocalAPIC) PendingCount() int { return len(l.pending) }
 
 // Accept takes an interrupt message destined for this core.
+//
+//saisvet:allocfree
 func (l *LocalAPIC) Accept(vec Vector) {
 	if l.masked {
 		l.pending = append(l.pending, vec)
 		return
 	}
-	l.eng.After(l.latency, func(now units.Time) {
-		l.accepted++
-		if l.handler != nil {
-			l.handler(vec, now)
-		}
-	})
+	l.inflight.push(vec)
+	l.eng.After(l.latency, l.deliverFn)
+}
+
+// deliver hands the oldest in-flight vector to the handler.
+//
+//saisvet:allocfree
+func (l *LocalAPIC) deliver(now units.Time) {
+	vec := l.inflight.pop()
+	l.accepted++
+	if l.handler != nil {
+		//lint:alloc handler callback invocation: the handler's allocations belong to the kernel model's budget
+		l.handler(l.core, vec, now)
+	}
 }
 
 // RedirEntry is one redirection-table row: the cores allowed to handle
@@ -120,7 +190,8 @@ type IOAPICStats struct {
 type IOAPIC struct {
 	eng    *sim.Engine
 	locals []*LocalAPIC
-	redir  map[Vector]RedirEntry
+	redir  map[Vector]RedirEntry // nil until the first Program
+	all    []int                 // every core, the candidate set of unprogrammed vectors
 	router Router
 	stats  IOAPICStats
 	routed []uint64 // interrupts steered to each core
@@ -131,9 +202,13 @@ func NewIOAPIC(eng *sim.Engine, locals []*LocalAPIC) *IOAPIC {
 	if len(locals) == 0 {
 		panic("apic: IOAPIC needs at least one local APIC")
 	}
+	all := make([]int, len(locals))
+	for i := range all {
+		all[i] = i
+	}
 	return &IOAPIC{
 		eng: eng, locals: locals,
-		redir:  make(map[Vector]RedirEntry),
+		all:    all,
 		routed: make([]uint64, len(locals)),
 	}
 }
@@ -161,6 +236,9 @@ func (io *IOAPIC) Program(vec Vector, allowed []int) {
 			panic(fmt.Sprintf("apic: core %d out of range in redirection entry", c))
 		}
 	}
+	if io.redir == nil {
+		io.redir = make(map[Vector]RedirEntry)
+	}
 	io.redir[vec] = RedirEntry{Allowed: append([]int(nil), allowed...)}
 }
 
@@ -169,11 +247,7 @@ func (io *IOAPIC) allowedFor(vec Vector) []int {
 	if e, ok := io.redir[vec]; ok && len(e.Allowed) > 0 {
 		return e.Allowed
 	}
-	all := make([]int, len(io.locals))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return io.all
 }
 
 // RouteFor runs the steering decision for an interrupt without raising
@@ -182,11 +256,14 @@ func (io *IOAPIC) allowedFor(vec Vector) []int {
 // per-core routing counter advances. The hybrid workload engine uses it
 // to charge aggregated background interrupt load to the core the policy
 // would have chosen, without a per-frame Accept.
+//
+//saisvet:allocfree
 func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 	if io.router == nil {
 		panic("apic: route with no router installed")
 	}
 	allowed := io.allowedFor(vec)
+	//lint:alloc Router.Route interface call: each policy's state upkeep belongs to its own budget
 	dest := io.router.Route(vec, hint, flow, allowed, io.eng.Now())
 	ok := false
 	for _, c := range allowed {
@@ -206,6 +283,8 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 // Raise routes an interrupt with the given affinity hint (NoHint if the
 // packet carried none) and flow identity, and delivers it to the chosen
 // core's local APIC. It returns the destination core.
+//
+//saisvet:allocfree
 func (io *IOAPIC) Raise(vec Vector, hint int, flow uint64) int {
 	dest := io.RouteFor(vec, hint, flow)
 	io.stats.Raised++

@@ -561,12 +561,10 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		n.cpu.SetQuantum(cfg.TimesliceQuantum)
 	}
 
-	n.locals = make([]*apic.LocalAPIC, cfg.Cores)
-	for i := range n.locals {
-		l := apic.NewLocalAPIC(eng, i, cfg.LAPICLatency)
-		core := i
-		l.SetHandler(func(_ apic.Vector, now units.Time) { n.handleIRQ(core, now) })
-		n.locals[i] = l
+	n.locals = apic.NewLocalAPICs(eng, cfg.Cores, cfg.LAPICLatency)
+	irq := func(core int, _ apic.Vector, now units.Time) { n.handleIRQ(core, now) }
+	for _, l := range n.locals {
+		l.SetHandler(irq)
 	}
 	n.ioapic = apic.NewIOAPIC(eng, n.locals)
 	if len(cfg.AllowedIRQCores) > 0 {

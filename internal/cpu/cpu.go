@@ -63,6 +63,62 @@ type task struct {
 	done      sim.Event
 }
 
+// taskQueue is one priority's run queue: a ring-buffer deque of tasks
+// held by value, so queueing, preempting and rotating work never
+// allocates once the ring has grown to the core's peak queue depth.
+// The capacity is zero or a power of two.
+type taskQueue struct {
+	buf  []task
+	head int // index of the front task
+	n    int // number of queued tasks
+}
+
+func (q *taskQueue) len() int { return q.n }
+
+//saisvet:allocfree
+func (q *taskQueue) pushBack(t task) {
+	if q.n == len(q.buf) {
+		//lint:alloc amortized ring growth: doubles only when the queue exceeds its peak depth
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+//saisvet:allocfree
+func (q *taskQueue) pushFront(t task) {
+	if q.n == len(q.buf) {
+		//lint:alloc amortized ring growth: doubles only when the queue exceeds its peak depth
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = t
+	q.n++
+}
+
+// popFront removes and returns the head task; the queue must not be
+// empty. The vacated slot is cleared so the ring keeps no reference to
+// a finished task's completion callback.
+//
+//saisvet:allocfree
+func (q *taskQueue) popFront() task {
+	t := q.buf[q.head]
+	q.buf[q.head] = task{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return t
+}
+
+// grow doubles the ring (minimum 8 slots), unwrapping it so the front
+// task lands at index 0.
+func (q *taskQueue) grow() {
+	buf := make([]task, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
+}
+
 // CoreStats is the per-core accounting snapshot.
 type CoreStats struct {
 	Busy       units.Time // total unhalted time
@@ -90,27 +146,24 @@ type Core struct {
 	freq    units.Hertz
 	quantum units.Time // 0 = run process work to completion
 
-	queues [numPriorities][]*task
-	run    *task
+	queues  [numPriorities]taskQueue
+	run     task // the executing task, valid while running
+	running bool
 	// runRotating records whether the current slice ends in a rotation
 	// (timeslice expiry) rather than completion.
 	runRotating bool
 	runTm       sim.Timer
 	ranAt       units.Time
 
+	// sliceEndFn is c.sliceEnd bound once, so scheduling a slice end
+	// allocates no closure.
+	sliceEndFn sim.Event
+
 	// spanHook, when set, observes every completed execution span.
 	//saisvet:nilhook
 	spanHook SpanHook
 
 	stats CoreStats
-}
-
-// NewCore builds an idle core.
-func NewCore(eng *sim.Engine, id int, freq units.Hertz) *Core {
-	if freq <= 0 {
-		panic("cpu: non-positive frequency")
-	}
-	return &Core{id: id, eng: eng, freq: freq}
 }
 
 // ID returns the core index.
@@ -138,7 +191,7 @@ func (c *Core) SetSpanHook(h SpanHook) { c.spanHook = h }
 // slice of any currently running task so mid-run reads are exact.
 func (c *Core) Stats() CoreStats {
 	s := c.stats
-	if c.run != nil {
+	if c.running {
 		elapsed := c.eng.Now() - c.ranAt
 		s.Busy += elapsed
 		s.ByCategory[c.run.cat] += elapsed
@@ -148,22 +201,14 @@ func (c *Core) Stats() CoreStats {
 
 // Busy reports whether the core is executing or has queued work.
 func (c *Core) Busy() bool {
-	if c.run != nil {
-		return true
-	}
-	for _, q := range c.queues {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
+	return c.running || c.QueueLen() > 0
 }
 
 // QueueLen returns the number of waiting (not running) work items.
 func (c *Core) QueueLen() int {
 	n := 0
-	for _, q := range c.queues {
-		n += len(q)
+	for i := range c.queues {
+		n += c.queues[i].len()
 	}
 	return n
 }
@@ -171,6 +216,8 @@ func (c *Core) QueueLen() int {
 // Submit queues work of the given duration; done (optional) fires when
 // it completes. Softirq-priority work preempts process-priority work
 // immediately.
+//
+//saisvet:allocfree
 func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event) {
 	if prio < 0 || prio >= numPriorities {
 		panic(fmt.Sprintf("cpu: bad priority %d", prio))
@@ -178,8 +225,7 @@ func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event)
 	if d < 0 {
 		panic("cpu: negative duration")
 	}
-	t := &task{remaining: d, prio: prio, cat: cat, done: done}
-	c.queues[prio] = append(c.queues[prio], t)
+	c.queues[prio].pushBack(task{remaining: d, prio: prio, cat: cat, done: done})
 	c.reschedule()
 }
 
@@ -190,16 +236,18 @@ func (c *Core) SubmitCycles(prio Priority, cat Category, cy units.Cycles, done s
 
 // reschedule ensures the highest-priority waiting task is running,
 // preempting lower-priority work.
+//
+//saisvet:allocfree
 func (c *Core) reschedule() {
-	next := c.peek()
-	if next == nil {
+	next := c.nextPrio()
+	if next < 0 {
 		return
 	}
-	if c.run != nil {
-		if c.run.prio < next.prio {
+	if c.running {
+		if c.run.prio < next {
 			return // current work has strictly higher priority
 		}
-		if c.run.prio == next.prio {
+		if c.run.prio == next {
 			// Same priority never preempts, but a newly arrived process
 			// task must engage the timeslice if the current task was
 			// scheduled to run to completion.
@@ -217,118 +265,125 @@ func (c *Core) reschedule() {
 	c.start()
 }
 
-// bankAndRequeueFront charges the elapsed slice of the running task and
-// puts it back at the head of its queue.
-func (c *Core) bankAndRequeueFront() {
-	now := c.eng.Now()
+// bank charges the running task's slice [ranAt, now) to the accounting
+// and the span hook, and deducts it from the task's remaining work.
+//
+//saisvet:allocfree
+func (c *Core) bank(now units.Time) {
 	elapsed := now - c.ranAt
 	c.stats.Busy += elapsed
 	c.stats.ByCategory[c.run.cat] += elapsed
 	if c.spanHook != nil && elapsed > 0 {
+		//lint:alloc span-hook callback invocation: the tracer's allocations belong to its own budget
 		c.spanHook(c.id, c.run.cat, c.ranAt, now)
 	}
-	c.run.remaining -= elapsed
-	if c.run.remaining < 0 {
-		c.run.remaining = 0
-	}
-	c.runTm.Cancel()
-	c.queues[c.run.prio] = append([]*task{c.run}, c.queues[c.run.prio]...)
-	c.run = nil
+	c.run.remaining = max(c.run.remaining-elapsed, 0)
 }
 
-// peek returns the next waiting task without removing it.
-func (c *Core) peek() *task {
-	for p := 0; p < int(numPriorities); p++ {
-		if len(c.queues[p]) > 0 {
-			return c.queues[p][0]
+// bankAndRequeueFront charges the elapsed slice of the running task and
+// puts it back at the head of its queue.
+//
+//saisvet:allocfree
+func (c *Core) bankAndRequeueFront() {
+	c.bank(c.eng.Now())
+	c.runTm.Cancel()
+	c.queues[c.run.prio].pushFront(c.run)
+	c.running = false
+}
+
+// nextPrio returns the priority of the next waiting task, or -1 when
+// every queue is empty.
+func (c *Core) nextPrio() Priority {
+	for p := range c.queues {
+		if c.queues[p].len() > 0 {
+			return Priority(p)
 		}
 	}
-	return nil
+	return -1
 }
 
 // start pops the next task and runs it until completion, preemption, or
 // timeslice expiry.
+//
+//saisvet:allocfree
 func (c *Core) start() {
-	for p := 0; p < int(numPriorities); p++ {
-		if len(c.queues[p]) == 0 {
-			continue
-		}
-		t := c.queues[p][0]
-		c.queues[p] = c.queues[p][1:]
-		c.run = t
-		c.ranAt = c.eng.Now()
-		slice := t.remaining
-		rotate := false
-		if c.quantum > 0 && t.prio == PrioProcess &&
-			len(c.queues[PrioProcess]) > 0 && slice > c.quantum {
-			slice = c.quantum
-			rotate = true
-		}
-		c.runRotating = rotate
-		if rotate {
-			c.runTm = c.eng.After(slice, func(now units.Time) {
-				c.rotate(now)
-			})
-		} else {
-			c.runTm = c.eng.After(slice, func(now units.Time) {
-				c.finish(now)
-			})
-		}
+	p := c.nextPrio()
+	if p < 0 {
 		return
+	}
+	c.run = c.queues[p].popFront()
+	c.running = true
+	c.ranAt = c.eng.Now()
+	slice := c.run.remaining
+	c.runRotating = c.quantum > 0 && p == PrioProcess &&
+		c.queues[PrioProcess].len() > 0 && slice > c.quantum
+	if c.runRotating {
+		slice = c.quantum
+	}
+	c.runTm = c.eng.After(slice, c.sliceEndFn)
+}
+
+// sliceEnd ends the running slice: by rotation if it was a timeslice,
+// by completion otherwise.
+//
+//saisvet:allocfree
+func (c *Core) sliceEnd(now units.Time) {
+	if c.runRotating {
+		c.rotate(now)
+	} else {
+		c.finish(now)
 	}
 }
 
 // rotate expires the running task's timeslice: bank the slice, move it
 // to the back of its queue, and dispatch the next task.
+//
+//saisvet:allocfree
 func (c *Core) rotate(now units.Time) {
-	t := c.run
-	elapsed := now - c.ranAt
-	c.stats.Busy += elapsed
-	c.stats.ByCategory[t.cat] += elapsed
-	if c.spanHook != nil && elapsed > 0 {
-		c.spanHook(c.id, t.cat, c.ranAt, now)
-	}
-	t.remaining -= elapsed
-	if t.remaining < 0 {
-		t.remaining = 0
-	}
+	c.bank(now)
 	c.stats.Rotations++
-	c.run = nil
-	c.queues[t.prio] = append(c.queues[t.prio], t)
+	c.running = false
+	c.queues[c.run.prio].pushBack(c.run)
 	c.start()
 }
 
+// finish completes the running task, dispatches the next one, then
+// fires the completed task's callback.
+//
+//saisvet:allocfree
 func (c *Core) finish(now units.Time) {
-	t := c.run
-	elapsed := now - c.ranAt
-	c.stats.Busy += elapsed
-	c.stats.ByCategory[t.cat] += elapsed
-	if c.spanHook != nil && elapsed > 0 {
-		c.spanHook(c.id, t.cat, c.ranAt, now)
-	}
+	c.bank(now)
+	done := c.run.done
 	c.stats.Completed++
-	c.run = nil
+	c.running = false
+	c.run = task{}
 	c.start()
-	if t.done != nil {
-		t.done(now)
+	if done != nil {
+		//lint:alloc done-callback invocation: the callback's allocations belong to the submitter's budget
+		done(now)
 	}
 }
 
 // CPU is the full processor: a set of cores with one clock frequency.
 type CPU struct {
 	eng   *sim.Engine
-	cores []*Core
+	cores []Core
 	freq  units.Hertz
 }
 
-// New builds a CPU with n cores at freq.
+// New builds a CPU with n idle cores at freq.
 func New(eng *sim.Engine, n int, freq units.Hertz) *CPU {
 	if n <= 0 {
 		panic("cpu: need at least one core")
 	}
-	cores := make([]*Core, n)
+	if freq <= 0 {
+		panic("cpu: non-positive frequency")
+	}
+	cores := make([]Core, n)
 	for i := range cores {
-		cores[i] = NewCore(eng, i, freq)
+		c := &cores[i]
+		*c = Core{id: i, eng: eng, freq: freq}
+		c.sliceEndFn = c.sliceEnd
 	}
 	return &CPU{eng: eng, cores: cores, freq: freq}
 }
@@ -338,20 +393,20 @@ func (p *CPU) NumCores() int { return len(p.cores) }
 
 // SetQuantum applies a timeslice quantum to every core.
 func (p *CPU) SetQuantum(d units.Time) {
-	for _, c := range p.cores {
-		c.SetQuantum(d)
+	for i := range p.cores {
+		p.cores[i].SetQuantum(d)
 	}
 }
 
 // SetSpanHook installs the busy-slice observer on every core.
 func (p *CPU) SetSpanHook(h SpanHook) {
-	for _, c := range p.cores {
-		c.SetSpanHook(h)
+	for i := range p.cores {
+		p.cores[i].SetSpanHook(h)
 	}
 }
 
 // Core returns core i.
-func (p *CPU) Core(i int) *Core { return p.cores[i] }
+func (p *CPU) Core(i int) *Core { return &p.cores[i] }
 
 // Freq returns the clock frequency.
 func (p *CPU) Freq() units.Hertz { return p.freq }
@@ -359,11 +414,12 @@ func (p *CPU) Freq() units.Hertz { return p.freq }
 // TotalStats sums per-core accounting.
 func (p *CPU) TotalStats() CoreStats {
 	var s CoreStats
-	for _, c := range p.cores {
-		cs := c.Stats()
+	for i := range p.cores {
+		cs := p.cores[i].Stats()
 		s.Busy += cs.Busy
 		s.Completed += cs.Completed
 		s.Preempts += cs.Preempts
+		s.Rotations += cs.Rotations
 		for i := range cs.ByCategory {
 			s.ByCategory[i] += cs.ByCategory[i]
 		}

@@ -12,7 +12,7 @@ import (
 func newCore(t *testing.T) (*sim.Engine, *Core) {
 	t.Helper()
 	eng := sim.NewEngine()
-	return eng, NewCore(eng, 0, 2700*units.MHz)
+	return eng, New(eng, 1, 2700*units.MHz).Core(0)
 }
 
 func TestFIFOWithinPriority(t *testing.T) {
@@ -123,7 +123,7 @@ func TestZeroDurationWork(t *testing.T) {
 
 func TestSubmitCycles(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewCore(eng, 0, 1*units.GHz)
+	c := New(eng, 1, 1*units.GHz).Core(0)
 	var done units.Time
 	eng.At(0, func(units.Time) {
 		c.SubmitCycles(PrioProcess, CatCompute, 1000, func(now units.Time) { done = now })
@@ -177,22 +177,33 @@ func TestInvalidSubmits(t *testing.T) {
 func TestCPUAggregates(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, 4, 2*units.GHz)
+	// Core 2 is timesliced: two 25 ns tasks at a 10 ns quantum rotate
+	// four times (A, B, A, B) before the 5 ns tails run out.
+	p.Core(2).SetQuantum(10)
 	eng.At(0, func(units.Time) {
 		p.Core(0).Submit(PrioProcess, CatCompute, 100, nil)
 		p.Core(1).Submit(PrioProcess, CatCompute, 300, nil)
+		p.Core(2).Submit(PrioProcess, CatCompute, 25, nil)
+		p.Core(2).Submit(PrioProcess, CatCompute, 25, nil)
 	})
 	eng.RunUntilIdle()
 	total := p.TotalStats()
-	if total.Busy != 400 {
-		t.Errorf("total busy = %v, want 400", total.Busy)
+	if total.Busy != 450 {
+		t.Errorf("total busy = %v, want 450", total.Busy)
 	}
-	// Wall clock is 300; 4 cores → 1200 core-ns available, 400 busy.
-	want := 400.0 / 1200.0
+	if total.Completed != 4 {
+		t.Errorf("total completed = %d, want 4", total.Completed)
+	}
+	if r := p.Core(2).Stats().Rotations; r != 4 || total.Rotations != r {
+		t.Errorf("total rotations = %d, core 2 rotations = %d, want 4 and 4", total.Rotations, r)
+	}
+	// Wall clock is 300; 4 cores → 1200 core-ns available, 450 busy.
+	want := 450.0 / 1200.0
 	if got := p.Utilization(); got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("utilization = %v, want %v", got, want)
 	}
-	if got := p.UnhaltedCycles(); got != 800 { // 400ns at 2GHz
-		t.Errorf("unhalted = %d cycles, want 800", got)
+	if got := p.UnhaltedCycles(); got != 900 { // 450ns at 2GHz
+		t.Errorf("unhalted = %d cycles, want 900", got)
 	}
 }
 
@@ -211,7 +222,7 @@ func TestConservationOfWork(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		eng := sim.NewEngine()
-		c := NewCore(eng, 0, units.GHz)
+		c := New(eng, 1, units.GHz).Core(0)
 		if r.Bool(0.5) {
 			c.SetQuantum(units.Time(r.Intn(20) + 1))
 		}
@@ -244,7 +255,7 @@ func TestConservationOfWork(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(sim.NewEngine(), 0, units.GHz) },
-		func() { NewCore(sim.NewEngine(), 0, 0) },
+		func() { New(sim.NewEngine(), 1, 0) },
 	} {
 		func() {
 			defer func() {

@@ -1,10 +1,12 @@
 package irqsched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"sais/internal/apic"
+	"sais/internal/units"
 )
 
 func TestRegistryRoundTrip(t *testing.T) {
@@ -241,6 +243,48 @@ func TestTxSteeredTraitMatchesInterface(t *testing.T) {
 		}
 		if _, ok := r.(TxObserver); ok != d.TxSteered {
 			t.Errorf("%v: TxObserver=%v but TxSteered=%v", k, ok, d.TxSteered)
+		}
+	}
+}
+
+// TestRoutersLeaveAllowedUntouched pins the apic.Router contract the
+// I/O APIC relies on when it passes one shared candidate slice to every
+// Route call: no policy may mutate allowed (and each must pick from
+// it), whether the interrupt is hinted or not, across several flows and
+// through the transmit and flow-idle observers.
+func TestRoutersLeaveAllowedUntouched(t *testing.T) {
+	const cores = 8
+	loads := &fakeLoads{busy: make([]units.Time, cores), queue: make([]int, cores)}
+	for _, k := range Kinds() {
+		r, err := New(k, Options{Cores: cores, Loads: loads})
+		if err != nil {
+			t.Fatalf("New(%v): %v", k, err)
+		}
+		for _, want := range [][]int{allowed(cores), {1, 3, 5, 6}} {
+			shared := append([]int(nil), want...)
+			for i := 0; i < 300; i++ {
+				flow := uint64(i % 5)
+				hint := apic.NoHint
+				if i%3 != 0 {
+					hint = (i * 7) % cores
+				}
+				now := units.Time(i) * units.Millisecond
+				loads.busy[i%cores] += units.Time(i%4) * units.Microsecond
+				loads.queue[(i+3)%cores] = i % 6
+				dest := r.Route(apic.Vector(32+i%2), hint, flow, shared, now)
+				if !slices.Contains(want, dest) {
+					t.Fatalf("%v: routed to core %d outside allowed %v", k, dest, want)
+				}
+				if tx, ok := r.(TxObserver); ok && i%4 == 0 {
+					tx.NoteTransmit(flow, (i/4)%cores)
+				}
+				if fi, ok := r.(FlowIdleObserver); ok && i%9 == 0 {
+					fi.NoteFlowIdle(flow)
+				}
+			}
+			if !slices.Equal(shared, want) {
+				t.Fatalf("%v mutated the shared allowed slice: %v, want %v", k, shared, want)
+			}
 		}
 	}
 }

@@ -62,9 +62,11 @@ bench:
 bench-output:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Benchmark baseline: the event-engine hot path, the core run queue
-# (cpu) and the interrupt steer-and-deliver path (apic), plus the
-# sharded executor's 256-node scaling matrix. bench-record snapshots the
+# Benchmark baseline: the event-engine hot path and the FIFO server
+# (sim), the core run queue (cpu), the interrupt steer-and-deliver path
+# (apic), the frame datapath (netsim), the page cache and the piece
+# service stages (pfs), plus the sharded executor's 256-node scaling
+# matrix. bench-record snapshots the
 # current numbers into BENCH_sim.json (commit it); bench-check compares
 # a fresh run against the committed baseline and fails the build on a
 # regression beyond each benchmark's tolerance band (hand-editable in
@@ -74,18 +76,22 @@ BENCH_COUNT ?= 5
 SHARD_BENCH_COUNT ?= 3
 
 bench-record:
-	{ $(GO) test -run '^$$' -bench EngineHot -benchmem -count $(BENCH_COUNT) ./internal/sim ; \
+	{ $(GO) test -run '^$$' -bench 'EngineHot|ServerSubmit' -benchmem -count $(BENCH_COUNT) ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench HybridMillionUsers -benchmem -count $(BENCH_COUNT) ./internal/flowsim ; \
 	  $(GO) test -run '^$$' -bench CoreSubmit -benchmem -count $(BENCH_COUNT) ./internal/cpu ; \
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
+	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
+	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -record BENCH_sim.json
 
 bench-check:
-	{ $(GO) test -run '^$$' -bench EngineHot -benchmem -count $(BENCH_COUNT) ./internal/sim ; \
+	{ $(GO) test -run '^$$' -bench 'EngineHot|ServerSubmit' -benchmem -count $(BENCH_COUNT) ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench HybridMillionUsers -benchmem -count $(BENCH_COUNT) ./internal/flowsim ; \
 	  $(GO) test -run '^$$' -bench CoreSubmit -benchmem -count $(BENCH_COUNT) ./internal/cpu ; \
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
+	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
+	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json -strict
 

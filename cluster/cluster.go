@@ -698,7 +698,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		}
 		for i := range fabrics {
 			src := i
-			fabrics[i].SetRemote(func(fr *netsim.Frame, wire units.Bytes, sendAt, deliverAt units.Time, key netsim.FrameKey) bool {
+			fabrics[i].SetRemote(func(fr *netsim.Frame, sendAt, deliverAt units.Time, key netsim.FrameKey) bool {
 				dst, ok := nodeShard[fr.Dst]
 				if !ok {
 					return false
@@ -706,7 +706,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 				df := fabrics[dst]
 				se.Post(src, dst, shard.Msg{
 					At: deliverAt, SentAt: sendAt, Origin: key.Origin(), Seq: key.Seq,
-					Fn: func(units.Time) { df.InjectArrival(fr, wire) },
+					Fn: df.Arrival(fr),
 				})
 				return true
 			})

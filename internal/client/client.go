@@ -450,7 +450,7 @@ type Node struct {
 	reorderIssue bool
 	srvLat       map[netsim.NodeID]float64
 
-	layouts   map[pfs.FileID]pfs.Layout
+	layouts   map[pfs.FileID]pfs.CheckedLayout
 	opening   map[pfs.FileID][]pendingOpen
 	opens     map[pfs.FileID]*openState
 	openTags  map[uint64]pfs.FileID
@@ -467,8 +467,10 @@ type Node struct {
 	freeWrites []*writeOp
 	// frameq holds frames routed to each core, consumed by the local
 	// APIC handler in FIFO order.
-	frameq [][]*netsim.Frame
-	stats  Stats
+	frameq []frameQueue
+	// freeSoftirqs recycles the per-frame softirq jobs of handleIRQ.
+	freeSoftirqs []*softirqJob
+	stats        Stats
 	// latencies holds completed read-transfer latencies in nanoseconds,
 	// for percentile reporting; writeLatencies the same for writes.
 	// Abandoned operations contribute their time-to-failure so loss
@@ -541,13 +543,13 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		caches:   cache.NewSystem(cfg.Cores, cfg.CachePerCore, cfg.LineSize),
 		nic:      netsim.NewNIC(eng, cfg.Node, cfg.NIC),
 		rnd:      rng.New(cfg.Seed).Split(fmt.Sprintf("client%d", cfg.Node)),
-		layouts:  make(map[pfs.FileID]pfs.Layout),
+		layouts:  make(map[pfs.FileID]pfs.CheckedLayout),
 		opening:  make(map[pfs.FileID][]pendingOpen),
 		opens:    make(map[pfs.FileID]*openState),
 		openTags: make(map[uint64]pfs.FileID),
 		reads:    make(map[uint64]*read),
 		writes:   make(map[uint64]*writeOp),
-		frameq:   make([][]*netsim.Frame, cfg.Cores),
+		frameq:   make([]frameQueue, cfg.Cores),
 	}
 	fab.Attach(n.nic)
 	if cfg.L3PerSocket > 0 {
@@ -1089,14 +1091,16 @@ func missingPlans(plans []pfs.ServerPlan, got map[int]bool) []pfs.ServerPlan {
 // vector assignment cannot follow them.
 func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 	for _, f := range n.nic.DrainQueue(q) {
-		if !n.headerOK(f) {
+		if _, ok := n.readHeader(f); !ok {
 			n.nic.Free(f)
 			continue
 		}
 		dest := n.ioapic.Raise(DataVector+apic.Vector(q), apic.NoHint, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest] = append(n.frameq[dest], f)
-		n.tracef("apic", "msix q%d frame from node %d routed to core %d", q, f.Src, dest)
+		n.frameq[dest].push(f)
+		if n.tracer != nil {
+			n.tracef("apic", "msix q%d frame from node %d routed to core %d", q, f.Src, dest)
+		}
 	}
 }
 
@@ -1105,11 +1109,11 @@ func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 // frame is queued for that core's local-APIC delivery.
 func (n *Node) onNICInterrupt(now units.Time) {
 	for _, f := range n.nic.Drain() {
-		if !n.headerOK(f) {
+		hint, ok := n.readHeader(f)
+		if !ok {
 			n.nic.Free(f)
 			continue
 		}
-		hint := netsim.ParseHint(f)
 		h := apic.NoHint
 		if hint.Valid && hint.Core < n.cfg.Cores {
 			h = hint.Core
@@ -1125,8 +1129,10 @@ func (n *Node) onNICInterrupt(now units.Time) {
 		}
 		dest := n.ioapic.Raise(DataVector, h, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest] = append(n.frameq[dest], f)
-		n.tracef("apic", "frame from node %d (%v) routed to core %d", f.Src, hint, dest)
+		n.frameq[dest].push(f)
+		if n.tracer != nil {
+			n.tracef("apic", "frame from node %d (%v) routed to core %d", f.Src, hint, dest)
+		}
 	}
 }
 
@@ -1150,25 +1156,28 @@ func (n *Node) recordTransit(f *netsim.Frame, now units.Time, dest int) {
 	n.spans.Begin(trace.PhaseSteer, now, cl, srv, sd.Tag, sd.GlobalStrip, dest)
 }
 
-// headerOK validates the frame's IPv4 header; a corrupted header is
-// dropped at the stack entrance and counted.
-func (n *Node) headerOK(f *netsim.Frame) bool {
-	if _, _, err := netsim.UnmarshalIPv4(f.Header); err != nil {
+// readHeader validates the frame's IPv4 header and parses the hint it
+// carries (the SrcParser step) in one decode. A corrupted header is
+// dropped at the stack entrance and counted: ok is false.
+func (n *Node) readHeader(f *netsim.Frame) (hint netsim.AffHint, ok bool) {
+	hint, err := netsim.ReadHint(f)
+	if err != nil {
 		n.stats.HeaderDrops++
-		n.tracef("driver", "dropping frame from node %d: %v", f.Src, err)
-		return false
+		if n.tracer != nil {
+			n.tracef("driver", "dropping frame from node %d: %v", f.Src, err)
+		}
+		return netsim.AffHint{}, false
 	}
-	return true
+	return hint, true
 }
 
 // handleIRQ runs when a local APIC delivers the vector to a core: pop
 // one frame and process it in interrupt context on that core.
 func (n *Node) handleIRQ(core int, now units.Time) {
-	if len(n.frameq[core]) == 0 {
+	f, ok := n.frameq[core].pop()
+	if !ok {
 		return // spurious (frame dropped by ring overflow)
 	}
-	f := n.frameq[core][0]
-	n.frameq[core] = n.frameq[core][1:]
 
 	c := n.cpu.Core(core)
 	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.IRQEntry, nil)
@@ -1182,18 +1191,11 @@ func (n *Node) handleIRQ(core int, now units.Time) {
 			n.spans.Begin(trace.PhaseIRQ, now, cl, int(f.Src), body.Tag, body.GlobalStrip, core)
 		}
 		cost := units.Time(float64(f.Payload) * n.cfg.Costs.SoftirqPerByte)
-		src, seq := f.Src, f.FlowSeq // captured: the frame is freed below
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, func(now units.Time) {
-			n.stripArrived(core, src, seq, body, now)
-		})
+		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, n.newSoftirq(core, f))
 	case *pfs.WriteAck:
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, units.Microsecond, func(now units.Time) {
-			n.ackArrived(body, now)
-		})
+		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, units.Microsecond, n.newSoftirq(core, f))
 	case *pfs.LayoutReply:
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, 2*units.Microsecond, func(units.Time) {
-			n.layoutArrived(body)
-		})
+		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, 2*units.Microsecond, n.newSoftirq(core, f))
 	default:
 		// Mid-strip fragments (Fragment wire mode) and stray traffic:
 		// protocol processing proportional to the bytes carried.
@@ -1203,6 +1205,86 @@ func (n *Node) handleIRQ(core int, now units.Time) {
 	// The body pointer and payload size were captured above; the frame
 	// itself is consumed and can be recycled.
 	n.nic.Free(f)
+}
+
+// softirqJob is the protocol-processing completion of one received
+// message, run on the core that took its interrupt. Jobs are pooled per
+// node and their run event is bound once, so a frame's softirq stage
+// allocates nothing; the job captures what it needs from the frame,
+// which handleIRQ frees before the job runs.
+type softirqJob struct {
+	n     *Node
+	core  int
+	src   netsim.NodeID
+	seq   uint64 // the frame's FlowSeq
+	body  any
+	runFn sim.Event
+}
+
+// newSoftirq returns a pooled job for frame f taken on core.
+//
+//saisvet:allocfree
+func (n *Node) newSoftirq(core int, f *netsim.Frame) sim.Event {
+	var j *softirqJob
+	if k := len(n.freeSoftirqs); k > 0 {
+		j = n.freeSoftirqs[k-1]
+		n.freeSoftirqs = n.freeSoftirqs[:k-1]
+	} else {
+		//lint:alloc pool growth: one job per peak number of softirqs in flight
+		j = &softirqJob{n: n}
+		j.runFn = j.run
+	}
+	j.core, j.src, j.seq, j.body = core, f.Src, f.FlowSeq, f.Body
+	return j.runFn
+}
+
+// run dispatches the message and returns the job to the pool first, so
+// a handler that takes another interrupt may reuse it.
+func (j *softirqJob) run(now units.Time) {
+	n, core, src, seq, body := j.n, j.core, j.src, j.seq, j.body
+	j.body = nil
+	n.freeSoftirqs = append(n.freeSoftirqs, j)
+	switch body := body.(type) {
+	case *pfs.StripData:
+		n.stripArrived(core, src, seq, body, now)
+	case *pfs.WriteAck:
+		n.ackArrived(body, now)
+	case *pfs.LayoutReply:
+		n.layoutArrived(body)
+	}
+}
+
+// frameQueue is one core's FIFO of frames awaiting local-APIC
+// delivery. pop advances a head index instead of re-slicing, so the
+// backing array keeps its capacity; push reclaims the popped prefix
+// before an append would reallocate.
+type frameQueue struct {
+	buf  []*netsim.Frame
+	head int
+}
+
+//saisvet:allocfree
+func (q *frameQueue) push(f *netsim.Frame) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		k := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[k:])
+		q.buf, q.head = q.buf[:k], 0
+	}
+	q.buf = append(q.buf, f)
+}
+
+//saisvet:allocfree
+func (q *frameQueue) pop() (*netsim.Frame, bool) {
+	if q.head == len(q.buf) {
+		return nil, false
+	}
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return f, true
 }
 
 // stripArrived deposits the strip into the handling core's cache and
@@ -1308,7 +1390,11 @@ func (n *Node) layoutArrived(rep *pfs.LayoutReply) {
 		st.timer.Cancel()
 		delete(n.opens, file)
 	}
-	n.layouts[file] = rep.Layout
+	layout, err := rep.Layout.Check()
+	if err != nil {
+		panic(fmt.Sprintf("client: layout of file %d: %v", file, err))
+	}
+	n.layouts[file] = layout
 	parked := n.opening[file]
 	delete(n.opening, file)
 	for _, po := range parked {

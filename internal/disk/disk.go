@@ -86,6 +86,11 @@ type Disk struct {
 	rotSeed uint64
 	queue   []request
 	busy    bool
+	// cur is the request in service. The drive serves one at a time, so
+	// a single completion event, bound on the first dispatch, finishes
+	// every request.
+	cur        request
+	completeFn sim.Event
 	// head is the LBA after the last media access; raEnd is the end of
 	// the readahead window filled by it.
 	head  units.Bytes
@@ -153,12 +158,24 @@ func (d *Disk) dispatch() {
 		d.stats.Bytes += req.size
 	}
 	d.stats.BusyTime += cost
-	d.eng.After(cost, func(now units.Time) {
-		if req.done != nil {
-			req.done(now)
-		}
-		d.dispatch()
-	})
+	d.cur = req
+	if d.completeFn == nil {
+		d.completeFn = d.complete
+	}
+	d.eng.After(cost, d.completeFn)
+}
+
+// complete finishes the request in service and starts the next.
+//
+//saisvet:allocfree
+func (d *Disk) complete(now units.Time) {
+	done := d.cur.done
+	d.cur = request{}
+	if done != nil {
+		//lint:alloc completion-callback invocation: the callback's allocations belong to its owner's budget
+		done(now)
+	}
+	d.dispatch()
 }
 
 // pick selects the request with the shortest head movement among the

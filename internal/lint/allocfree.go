@@ -52,10 +52,17 @@ type allocSite struct {
 // the sync primitives (whose fast paths are allocation-free by
 // design).
 var allocFreeStdlib = map[string]bool{
+	"cmp":         true,
 	"math":        true,
 	"math/bits":   true,
 	"sync":        true,
 	"sync/atomic": true,
+}
+
+// allocFreeStdlibFuncs are single functions trusted not to allocate in
+// packages that are not trusted as a whole: the in-place generic sort.
+var allocFreeStdlibFuncs = map[string]bool{
+	"slices.SortFunc": true,
 }
 
 // allocFreeBuiltins are the builtin calls legal in an allocfree body.
@@ -130,7 +137,7 @@ func runAllocFree(pass *analysis.Pass) (any, error) {
 		if pkg == nil {
 			return "", true // universe scope (error methods etc.)
 		}
-		if allocFreeStdlib[pkg.Path()] {
+		if allocFreeStdlib[pkg.Path()] || allocFreeStdlibFuncs[pkg.Path()+"."+callee.Name()] {
 			return "", true
 		}
 		if fact, ok := pass.DepFunctionFact(callee); ok {

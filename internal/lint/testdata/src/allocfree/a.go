@@ -3,7 +3,11 @@
 // intra-package call-graph propagation, and the //lint:alloc hatch.
 package main
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 type ring struct {
 	buf  []int
@@ -95,6 +99,15 @@ func dynamic(fn func() int) int {
 func waived(n int) []int {
 	//lint:alloc one-time setup buffer, amortized over the run
 	return make([]int, n)
+}
+
+// sortInPlace uses the trusted in-place sort and comparison; cloning is
+// still an allocation.
+//
+//saisvet:allocfree
+func sortInPlace(xs []int) []int {
+	slices.SortFunc(xs, cmp.Compare[int])
+	return slices.Clone(xs) // want `call to slices.Clone, which is not allocation-free`
 }
 
 func main() {}

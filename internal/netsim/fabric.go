@@ -102,21 +102,41 @@ func (f *Fabric) SetLatencyScale(scale float64) {
 
 // NewFrame returns a zeroed frame from the pool (retaining recycled
 // Header capacity), allocating only when the pool is empty.
+//
+//saisvet:allocfree
 func (f *Fabric) NewFrame() *Frame {
 	if n := len(f.framePool); n > 0 {
 		fr := f.framePool[n-1]
 		f.framePool = f.framePool[:n-1]
 		return fr
 	}
-	return &Frame{}
+	//lint:alloc pool growth: a frame and its stage events, once per peak in-flight frame
+	fr := &Frame{}
+	fr.txDoneFn, fr.arriveFn, fr.rxDoneFn = fr.txDone, fr.arrive, fr.rxDone
+	return fr
 }
 
 // FreeFrame returns a frame to the pool. Only the frame's single final
 // owner may call it; the frame must not be referenced afterwards.
+//
+//saisvet:allocfree
 func (f *Fabric) FreeFrame(fr *Frame) {
-	hdr := fr.Header[:0]
-	*fr = Frame{Header: hdr}
+	*fr = Frame{
+		Header:   fr.Header[:0],
+		txDoneFn: fr.txDoneFn, arriveFn: fr.arriveFn, rxDoneFn: fr.rxDoneFn,
+	}
 	f.framePool = append(f.framePool, fr)
+}
+
+// Arrival returns fr's prebound switch-exit event, set to deliver the
+// frame through this fabric: local forwarding schedules it, and the
+// cross-shard hook schedules it on the destination shard's engine in
+// place of a per-frame closure. It must fire on this fabric's engine
+// at the frame's delivery time (the sharded executor's mailboxes
+// guarantee both).
+func (f *Fabric) Arrival(fr *Frame) sim.Event {
+	fr.fab = f
+	return fr.arriveFn
 }
 
 // FrameKey identifies one forwarded frame in a way that is invariant
@@ -140,19 +160,20 @@ func (k FrameKey) Origin() uint64 { return uint64(k.Src) + 1 }
 // engine and deliverAt the delivery time after switch latency; key is
 // the frame's identity (its Origin and Seq seed the destination
 // engine's tie-break). The hook reports whether the destination
-// exists — false drops the frame at the source.
-type RemoteForward func(fr *Frame, wire units.Bytes, sendAt, deliverAt units.Time, key FrameKey) bool
+// exists — false drops the frame at the source — and schedules the
+// delivery with the destination fabric's Arrival event.
+type RemoteForward func(fr *Frame, sendAt, deliverAt units.Time, key FrameKey) bool
 
 // SetRemote installs the cross-shard routing hook. Pass nil to restore
 // drop-on-unknown-destination behaviour.
 func (f *Fabric) SetRemote(fn RemoteForward) { f.remote = fn }
 
-// InjectArrival delivers a frame that was forwarded on another shard's
-// fabric. It must be called on this fabric's engine at the frame's
-// delivery time (the sharded executor's mailboxes guarantee both).
-// Loss and corruption were already decided at the source; only
-// destination lookup happens here.
-func (f *Fabric) InjectArrival(fr *Frame, wire units.Bytes) {
+// arrive hands a frame leaving the switch to its destination NIC. Loss
+// and corruption were already decided at the source; only destination
+// lookup happens here.
+//
+//saisvet:allocfree
+func (f *Fabric) arrive(fr *Frame) {
 	dst, ok := f.nics[fr.Dst]
 	if !ok {
 		// The partition map and the NIC set disagree — count it as a
@@ -161,22 +182,24 @@ func (f *Fabric) InjectArrival(fr *Frame, wire units.Bytes) {
 		f.FreeFrame(fr)
 		return
 	}
-	dst.receive(fr, wire)
+	dst.receive(fr)
 }
 
 // forward is called by a NIC when egress serialization of a frame
 // completes.
-func (f *Fabric) forward(fr *Frame, wire units.Bytes) {
+//
+//saisvet:allocfree
+func (f *Fabric) forward(fr *Frame) {
 	key := FrameKey{Src: fr.Src}
-	if src := f.nics[fr.Src]; src != nil {
-		src.fwdSeq++
-		key.Seq = src.fwdSeq
-	}
+	fr.tx.fwdSeq++
+	key.Seq = fr.tx.fwdSeq
+	//lint:alloc fault-injection predicate: keyed hash, installed only under a fault plan
 	if f.loss != nil && f.loss(key) {
 		f.dropped++
 		f.FreeFrame(fr)
 		return
 	}
+	//lint:alloc fault-injection predicate: keyed hash, installed only under a fault plan
 	if f.corrupt != nil && f.corrupt(fr, key) && len(fr.Header) > 12 {
 		fr.Header[12] ^= 0xff // source-address byte: checksum now fails
 		f.corrupted++
@@ -190,10 +213,10 @@ func (f *Fabric) forward(fr *Frame, wire units.Bytes) {
 		}
 		latency = units.Time(scaled)
 	}
-	dst, ok := f.nics[fr.Dst]
-	if !ok {
+	if _, ok := f.nics[fr.Dst]; !ok {
 		now := f.eng.Now()
-		if f.remote != nil && f.remote(fr, wire, now, now+latency, key) {
+		//lint:alloc cross-shard hook: its allocations belong to the composing executor
+		if f.remote != nil && f.remote(fr, now, now+latency, key) {
 			f.forwarded++
 			return
 		}
@@ -205,7 +228,5 @@ func (f *Fabric) forward(fr *Frame, wire units.Bytes) {
 	// Origin-tagged so two sources' frames colliding on one delivery
 	// instant order by source identity, not by forwarding call order —
 	// the tie-break that survives sharding (DESIGN.md §12).
-	f.eng.AtOrigin(f.eng.Now()+latency, key.Origin(), func(units.Time) {
-		dst.receive(fr, wire)
-	})
+	f.eng.AtOrigin(f.eng.Now()+latency, key.Origin(), f.Arrival(fr))
 }

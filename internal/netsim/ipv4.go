@@ -80,26 +80,42 @@ func (h *IPv4Header) MarshalAppend(buf []byte) ([]byte, error) {
 }
 
 // UnmarshalIPv4 decodes and validates a header from wire bytes,
-// returning the header and the number of bytes it occupied.
+// returning the header and the number of bytes it occupied. The
+// returned header owns its Options (they are copied out of b).
 func UnmarshalIPv4(b []byte) (*IPv4Header, int, error) {
+	h := &IPv4Header{}
+	n, err := decodeIPv4(b, h)
+	if err != nil {
+		return nil, 0, err
+	}
+	if h.Options != nil {
+		h.Options = append([]byte(nil), h.Options...)
+	}
+	return h, n, nil
+}
+
+// decodeIPv4 is UnmarshalIPv4 without allocation: it decodes into h
+// and leaves h.Options aliasing b (nil when the header has none), so h
+// is valid only while b is unchanged. On error h is unspecified.
+func decodeIPv4(b []byte, h *IPv4Header) (int, error) {
 	if len(b) < minHeaderLen {
-		return nil, 0, ErrShortHeader
+		return 0, ErrShortHeader
 	}
 	if b[0]>>4 != ipVersion {
-		return nil, 0, fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
+		return 0, fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
 	}
 	ihl := int(b[0] & 0x0f)
 	if ihl < minIHL || ihl > maxIHL {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadIHL, ihl)
+		return 0, fmt.Errorf("%w: %d", ErrBadIHL, ihl)
 	}
 	hlen := ihl * 4
 	if len(b) < hlen {
-		return nil, 0, ErrShortHeader
+		return 0, ErrShortHeader
 	}
 	if checksum(b[:hlen]) != 0 {
-		return nil, 0, ErrBadChecksum
+		return 0, ErrBadChecksum
 	}
-	h := &IPv4Header{
+	*h = IPv4Header{
 		TotalLen: binary.BigEndian.Uint16(b[2:]),
 		ID:       binary.BigEndian.Uint16(b[4:]),
 		TTL:      b[8],
@@ -108,12 +124,12 @@ func UnmarshalIPv4(b []byte) (*IPv4Header, int, error) {
 		DstIP:    binary.BigEndian.Uint32(b[16:]),
 	}
 	if int(h.TotalLen) < hlen {
-		return nil, 0, fmt.Errorf("%w: total %d < header %d", ErrLengthField, h.TotalLen, hlen)
+		return 0, fmt.Errorf("%w: total %d < header %d", ErrLengthField, h.TotalLen, hlen)
 	}
 	if hlen > minHeaderLen {
-		h.Options = append([]byte(nil), b[minHeaderLen:hlen]...)
+		h.Options = b[minHeaderLen:hlen:hlen]
 	}
-	return h, hlen, nil
+	return hlen, nil
 }
 
 // checksum computes the RFC 1071 ones-complement sum of b. Computing it

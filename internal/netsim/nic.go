@@ -35,7 +35,36 @@ type Frame struct {
 	// attached downstream.
 	SentAt      units.Time
 	DeliveredAt units.Time
+
+	// Datapath state, set as the frame moves: its wire size (fixed by
+	// the sending NIC), the sending NIC, the fabric that delivers it
+	// (the destination shard's when it crosses shards) and the
+	// receiving NIC. FreeFrame clears all four.
+	wire units.Bytes
+	tx   *NIC
+	fab  *Fabric
+	rx   *NIC
+	// The frame's stage events — egress serialization done, switch
+	// exit, ingress serialization done — bound once when the pool first
+	// allocates the frame and kept across reuse, so moving a frame
+	// through the datapath allocates nothing.
+	txDoneFn, arriveFn, rxDoneFn sim.Event
 }
+
+// txDone hands the serialized frame to the switch.
+//
+//saisvet:allocfree
+func (f *Frame) txDone(units.Time) { f.tx.fab.forward(f) }
+
+// arrive delivers the frame at the far side of the switch.
+//
+//saisvet:allocfree
+func (f *Frame) arrive(units.Time) { f.fab.arrive(f) }
+
+// rxDone lands the frame in the receiving NIC's rx ring.
+//
+//saisvet:allocfree
+func (f *Frame) rxDone(now units.Time) { f.rx.deliver(f, now) }
 
 // WireBytes returns the bytes the frame occupies on the wire given the
 // per-packet overhead and MTU of the transmitting NIC.
@@ -274,12 +303,15 @@ func (n *NIC) SetServiceScale(fn func(now units.Time) float64) { n.svcScale = fn
 // the service-scale hook when installed. The classic path (no hook)
 // stays on the fixed-cost Submit so its event pattern — and therefore
 // every byte of classic-run output — is untouched.
+//
+//saisvet:allocfree
 func (n *NIC) serialize(port *sim.Server, wire units.Bytes, done sim.Event) {
 	base := n.cfg.Rate.TimeFor(wire)
 	if n.svcScale == nil {
 		port.Submit(base, done)
 		return
 	}
+	//lint:alloc hybrid service-scale path: one cost closure per scaled transfer
 	port.SubmitFunc(func(start units.Time) units.Time {
 		return units.Time(float64(base) * n.svcScale(start))
 	}, done)
@@ -375,26 +407,28 @@ func (n *NIC) Free(f *Frame) {
 	}
 }
 
+//saisvet:allocfree
 func (n *NIC) sendFrame(f *Frame) {
-	wire := wireBytes(f.Payload, n.cfg.MTU, n.cfg.Overhead)
+	f.wire = wireBytes(f.Payload, n.cfg.MTU, n.cfg.Overhead)
+	f.tx = n
 	n.stats.TxFrames++
-	n.stats.TxWire += wire
+	n.stats.TxWire += f.wire
 	n.stats.TxPayload += f.Payload
 	port := n.pickPort(n.egress, f.Dst, &n.txNext)
-	n.serialize(port, wire, func(units.Time) {
-		n.fab.forward(f, wire)
-	})
+	n.serialize(port, f.wire, f.txDoneFn)
 }
 
 // receive is called by the fabric once the frame has crossed the switch;
 // the ingress server models this NIC's port serialization.
-func (n *NIC) receive(f *Frame, wire units.Bytes) {
+//
+//saisvet:allocfree
+func (n *NIC) receive(f *Frame) {
+	f.rx = n
 	port := n.pickPort(n.ingress, f.Src, &n.rxNext)
-	n.serialize(port, wire, func(now units.Time) {
-		n.deliver(f, now)
-	})
+	n.serialize(port, f.wire, f.rxDoneFn)
 }
 
+//saisvet:allocfree
 func (n *NIC) deliver(f *Frame, now units.Time) {
 	q := n.queueFor(f.Src)
 	if len(n.rings[q]) >= n.cfg.RingSize {
@@ -412,12 +446,14 @@ func (n *NIC) deliver(f *Frame, now units.Time) {
 		return
 	}
 	if !n.coalesceTm[q].Pending() {
+		//lint:alloc coalescing timer: armed only when CoalesceFrames > 1, once per coalesced batch
 		n.coalesceTm[q] = n.eng.After(n.cfg.CoalesceDelay, func(at units.Time) {
 			n.fire(q, at)
 		})
 	}
 }
 
+//saisvet:allocfree
 func (n *NIC) fire(q int, now units.Time) {
 	if n.pending[q] == 0 {
 		return
@@ -426,10 +462,12 @@ func (n *NIC) fire(q int, now units.Time) {
 	n.pending[q] = 0
 	n.stats.Interrupts++
 	if n.raiseQueue != nil {
+		//lint:alloc interrupt-line callback: the handler's allocations belong to its owner's budget
 		n.raiseQueue(q, now)
 		return
 	}
 	if n.raise != nil {
+		//lint:alloc interrupt-line callback: the handler's allocations belong to its owner's budget
 		n.raise(now)
 	}
 }
@@ -465,11 +503,20 @@ func (n *NIC) DrainQueue(q int) []*Frame {
 // with unparseable headers rather than failing: the driver must
 // tolerate any traffic.
 func ParseHint(f *Frame) AffHint {
-	h, _, err := UnmarshalIPv4(f.Header)
-	if err != nil {
-		return AffHint{}
+	hint, _ := ReadHint(f)
+	return hint
+}
+
+// ReadHint validates the frame's IPv4 header and recovers the affinity
+// hint from it in one decode, without allocating: the NIC driver's
+// header check and SrcParser step together. A header that fails
+// validation yields the decode error and no hint.
+func ReadHint(f *Frame) (AffHint, error) {
+	var h IPv4Header
+	if _, err := decodeIPv4(f.Header, &h); err != nil {
+		return AffHint{}, err
 	}
-	return ParseOptions(h.Options)
+	return ParseOptions(h.Options), nil
 }
 
 // IngressBusy returns the cumulative busy time of the receive-side

@@ -88,16 +88,50 @@ func (l Layout) Extents(offset, length units.Bytes) ([]ServerPlan, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
+	return l.extents(offset, length)
+}
+
+// CheckedLayout is a Layout that has passed Validate. Planning through
+// it skips the per-call validation, so a client validates a layout
+// once, when it arrives, instead of on every transfer.
+type CheckedLayout struct{ Layout }
+
+// Check validates l and returns it as a CheckedLayout.
+func (l Layout) Check() (CheckedLayout, error) {
+	if err := l.Validate(); err != nil {
+		return CheckedLayout{}, err
+	}
+	return CheckedLayout{l}, nil
+}
+
+// Extents is Layout.Extents for a layout already validated.
+func (c CheckedLayout) Extents(offset, length units.Bytes) ([]ServerPlan, error) {
+	return c.extents(offset, length)
+}
+
+// extents plans a range over a valid layout. Every server's pieces
+// share one backing array, each server's share sized in advance, so a
+// plan costs two allocations however many servers it spans.
+func (l Layout) extents(offset, length units.Bytes) ([]ServerPlan, error) {
 	if offset < 0 || length <= 0 {
 		return nil, fmt.Errorf("pfs: bad range offset=%d length=%d", offset, length)
 	}
 	ns := len(l.Servers)
-	plans := make([]ServerPlan, ns)
-	for i := range plans {
-		plans[i] = ServerPlan{ServerIdx: i, Server: l.Servers[i]}
-	}
 	end := offset + length
 	strip := int(offset / l.StripSize)
+	last := int((end - 1) / l.StripSize)
+	pieces := make([]Piece, last-strip+1)
+	plans := make([]ServerPlan, ns)
+	next := 0
+	for i := range plans {
+		// Strips strip..last held by server i: those ≡ i (mod ns).
+		k := 0
+		if s0 := strip + ((i-strip)%ns+ns)%ns; s0 <= last {
+			k = (last-s0)/ns + 1
+		}
+		plans[i] = ServerPlan{ServerIdx: i, Server: l.Servers[i], Pieces: pieces[next : next : next+k]}
+		next += k
+	}
 	for pos := offset; pos < end; {
 		stripStart := units.Bytes(strip) * l.StripSize
 		stripEnd := stripStart + l.StripSize

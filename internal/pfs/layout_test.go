@@ -208,3 +208,92 @@ func TestLocalBytes(t *testing.T) {
 		t.Error("zero size should report 0")
 	}
 }
+
+// refExtents is the per-piece-append planner the shared-backing
+// extents is checked against.
+func refExtents(l Layout, offset, length units.Bytes) []ServerPlan {
+	ns := len(l.Servers)
+	plans := make([]ServerPlan, ns)
+	for i := range plans {
+		plans[i] = ServerPlan{ServerIdx: i, Server: l.Servers[i]}
+	}
+	end := offset + length
+	strip := int(offset / l.StripSize)
+	for pos := offset; pos < end; strip++ {
+		stripStart := units.Bytes(strip) * l.StripSize
+		pieceEnd := min(stripStart+l.StripSize, end)
+		srv := strip % ns
+		plans[srv].Pieces = append(plans[srv].Pieces, Piece{
+			GlobalStrip:  strip,
+			ServerOffset: units.Bytes(strip/ns)*l.StripSize + (pos - stripStart),
+			Size:         pieceEnd - pos,
+		})
+		pos = pieceEnd
+	}
+	var out []ServerPlan
+	for _, p := range plans {
+		if len(p.Pieces) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestExtentsMatchesReference plans random (often unaligned) ranges
+// over random layouts through Layout.Extents and CheckedLayout.Extents
+// and requires the reference planner's plans, with every server's
+// pieces sized exactly, so appending to one can never overwrite
+// another's.
+func TestExtentsMatchesReference(t *testing.T) {
+	r := rng.New(rng.Derive(0xe87, 0))
+	for i := 0; i < 2000; i++ {
+		l := testLayout(1 + r.Intn(20))
+		l.StripSize = units.Bytes(1+r.Intn(8)) * 4 * units.KiB
+		offset := units.Bytes(r.Intn(int(4 * units.MiB)))
+		length := units.Bytes(1 + r.Intn(int(3*units.MiB)))
+		want := refExtents(l, offset, length)
+		checked, err := l.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []func(units.Bytes, units.Bytes) ([]ServerPlan, error){l.Extents, checked.Extents} {
+			got, err := plan(offset, length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("case %d: %d plans, want %d", i, len(got), len(want))
+			}
+			for k := range got {
+				g, w := got[k], want[k]
+				if g.ServerIdx != w.ServerIdx || g.Server != w.Server || len(g.Pieces) != len(w.Pieces) || cap(g.Pieces) != len(g.Pieces) {
+					t.Fatalf("case %d plan %d: %+v, want %+v (cap %d)", i, k, g, w, cap(g.Pieces))
+				}
+				for p := range g.Pieces {
+					if g.Pieces[p] != w.Pieces[p] {
+						t.Fatalf("case %d plan %d piece %d: %+v, want %+v", i, k, p, g.Pieces[p], w.Pieces[p])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckedLayout: Check rejects exactly what Validate rejects, and a
+// checked layout keeps rejecting bad ranges.
+func TestCheckedLayout(t *testing.T) {
+	bad := Layout{StripSize: 64 * units.KiB, Servers: []netsim.NodeID{1, 1}}
+	if _, err := bad.Check(); err == nil || err.Error() != bad.Validate().Error() {
+		t.Errorf("Check(duplicate servers) = %v, want %v", err, bad.Validate())
+	}
+	c, err := testLayout(3).Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Extents(0, 0); err == nil {
+		t.Error("zero length accepted by a checked layout")
+	}
+	if c.LocalBytes(0) != testLayout(3).LocalBytes(0) || len(c.Servers) != 3 {
+		t.Error("checked layout does not expose the layout")
+	}
+}

@@ -26,7 +26,11 @@ type PageCache struct {
 	head, tail *pageEntry
 	// inflight tracks windows being read from disk; arrivals during the
 	// read queue as waiters rather than issuing duplicate disk I/O.
-	inflight map[pageKey][]sim.Event
+	// Finished fills (with their waiter slices) and evicted entries are
+	// recycled, so a warm cache allocates nothing per lookup.
+	inflight    map[pageKey]*fill
+	freeFills   []*fill
+	freeEntries []*pageEntry
 
 	hits, misses, merged uint64
 }
@@ -41,6 +45,35 @@ type pageEntry struct {
 	prev, next *pageEntry
 }
 
+// fill is one window read in flight: the waiters to fire when its bytes
+// land, and its completion event, bound when the fill is first
+// allocated.
+type fill struct {
+	c       *PageCache
+	key     pageKey
+	waiters []sim.Event
+	doneFn  sim.Event
+}
+
+// done installs the window and fires its waiters in arrival order; the
+// fill returns to the pool only afterwards, so a waiter that misses on
+// the same window again starts a fresh fill.
+//
+//saisvet:allocfree
+func (f *fill) done(now units.Time) {
+	c := f.c
+	//lint:alloc cache growth: an entry per newly resident window until the first eviction recycles them
+	c.install(f.key)
+	delete(c.inflight, f.key)
+	for _, w := range f.waiters {
+		//lint:alloc waiter invocation: the callback's allocations belong to its owner's budget
+		w(now)
+	}
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+	c.freeFills = append(c.freeFills, f)
+}
+
 // NewPageCache builds a cache of capacity bytes with the given
 // readahead window. A zero or negative capacity disables caching
 // (every Get is a miss and nothing is stored).
@@ -53,7 +86,7 @@ func NewPageCache(eng *sim.Engine, capacity, window units.Bytes) *PageCache {
 		capacity: capacity,
 		window:   window,
 		entries:  make(map[pageKey]*pageEntry),
-		inflight: make(map[pageKey][]sim.Event),
+		inflight: make(map[pageKey]*fill),
 	}
 }
 
@@ -85,6 +118,8 @@ func (c *PageCache) WindowExtent(win int64) (offset, size units.Bytes) {
 // resident (immediately on a hit). fetch is invoked on a true miss and
 // must perform the disk read, calling the provided completion when the
 // bytes are in memory; the cache fires every queued waiter then.
+//
+//saisvet:allocfree
 func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done sim.Event)) {
 	key := pageKey{file: file, win: win}
 	if e, ok := c.entries[key]; ok {
@@ -93,21 +128,26 @@ func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done
 		c.eng.Immediately(ready)
 		return
 	}
-	if waiters, ok := c.inflight[key]; ok {
+	if f, ok := c.inflight[key]; ok {
 		c.merged++
-		c.inflight[key] = append(waiters, ready)
+		f.waiters = append(f.waiters, ready)
 		return
 	}
 	c.misses++
-	c.inflight[key] = []sim.Event{ready}
-	fetch(func(now units.Time) {
-		c.install(key)
-		waiters := c.inflight[key]
-		delete(c.inflight, key)
-		for _, w := range waiters {
-			w(now)
-		}
-	})
+	var f *fill
+	if n := len(c.freeFills); n > 0 {
+		f = c.freeFills[n-1]
+		c.freeFills = c.freeFills[:n-1]
+	} else {
+		//lint:alloc pool growth: one fill per peak number of windows in flight
+		f = &fill{c: c}
+		f.doneFn = f.done
+	}
+	f.key = key
+	f.waiters = append(f.waiters, ready)
+	c.inflight[key] = f
+	//lint:alloc miss path: the caller's disk read, once per window fetched
+	fetch(f.doneFn)
 }
 
 // Put marks window win of file resident without disk I/O — the
@@ -136,7 +176,14 @@ func (c *PageCache) install(key pageKey) {
 	if c.used+c.window > c.capacity {
 		return // window larger than the whole cache
 	}
-	e := &pageEntry{key: key}
+	var e *pageEntry
+	if n := len(c.freeEntries); n > 0 {
+		e = c.freeEntries[n-1]
+		c.freeEntries = c.freeEntries[:n-1]
+		e.key = key
+	} else {
+		e = &pageEntry{key: key}
+	}
 	c.entries[key] = e
 	c.used += c.window
 	c.pushFront(e)
@@ -146,6 +193,7 @@ func (c *PageCache) evict(e *pageEntry) {
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.used -= c.window
+	c.freeEntries = append(c.freeEntries, e)
 }
 
 func (c *PageCache) touch(e *pageEntry) {

@@ -82,6 +82,9 @@ type Server struct {
 	cpuScale func(now units.Time) float64
 	// spans, when non-nil, records the service phase of every strip.
 	spans *trace.SpanLog
+	// freeJobs recycles the jobs that carry requests and strips through
+	// their service stages.
+	freeJobs []*job
 }
 
 // NewServer builds a server on node id and attaches its NIC to fab.
@@ -144,11 +147,14 @@ func (s *Server) SetCPUScale(fn func(now units.Time) float64) { s.cpuScale = fn 
 // chargeCPU submits one unit of request-processing work, applying the
 // CPU-scale hook when installed. Without a hook the classic fixed-cost
 // Submit runs, keeping classic-run output byte-identical.
+//
+//saisvet:allocfree
 func (s *Server) chargeCPU(cost units.Time, done sim.Event) {
 	if s.cpuScale == nil {
 		s.cpu.Submit(cost, done)
 		return
 	}
+	//lint:alloc hybrid CPU-scale path: one cost closure per scaled charge
 	s.cpu.SubmitFunc(func(start units.Time) units.Time {
 		return units.Time(float64(cost) * s.cpuScale(start))
 	}, done)
@@ -185,35 +191,84 @@ func (s *Server) onInterrupt(units.Time) {
 	}
 }
 
+// job carries one request or strip through the server's service
+// stages. Its stage events are bound once, when the job is first
+// allocated, and jobs are pooled per server, so serving a strip
+// allocates no closures. A read request runs start (after the request
+// CPU charge), which spawns one job per piece; a piece job runs
+// windowReady once per page-cache window it waits on, then send after
+// the per-strip CPU charge. A write job runs written after its CPU
+// charge.
+type job struct {
+	s       *Server
+	req     *ReadRequest
+	write   *StripWrite
+	piece   Piece
+	hint    netsim.AffHint // the request's hint (request and write jobs) or its echo (piece jobs)
+	pending int            // page-cache windows the piece still waits on
+
+	startFn, windowReadyFn, sendFn, writtenFn sim.Event
+}
+
+// newJob returns a pooled (or fresh) job.
+//
+//saisvet:allocfree
+func (s *Server) newJob() *job {
+	if n := len(s.freeJobs); n > 0 {
+		j := s.freeJobs[n-1]
+		s.freeJobs = s.freeJobs[:n-1]
+		return j
+	}
+	//lint:alloc pool growth: a job and its stage events, once per peak number of jobs in flight
+	j := &job{s: s}
+	j.startFn, j.windowReadyFn, j.sendFn, j.writtenFn = j.start, j.windowReady, j.send, j.written
+	return j
+}
+
+// free returns a finished job to its server's pool.
+//
+//saisvet:allocfree
+func (j *job) free() {
+	j.req, j.write = nil, nil
+	j.s.freeJobs = append(j.s.freeJobs, j)
+}
+
 // handleWrite accepts one strip of write data: CPU to copy it into the
 // buffer cache, an immediate acknowledgement (write-back semantics),
 // and an asynchronous flush to the platter. No strip ever needs to be
 // delivered to a particular client core, which is why the paper finds
 // no interrupt-locality issue on the write path.
 func (s *Server) handleWrite(w *StripWrite, hint netsim.AffHint) {
-	s.chargeCPU(s.cfg.PerStripCPU, func(units.Time) {
-		s.stats.StripsWritten++
-		s.stats.BytesWritten += w.Size
-		echo := s.capsuler.Echo(hint)
-		s.nic.Send(w.Client, WriteAckSize, echo, &WriteAck{
-			File: w.File, Tag: w.Tag, GlobalStrip: w.GlobalStrip, Size: w.Size,
-		})
-		// The written bytes are now cache-resident: a subsequent read of
-		// this range must not touch the disk.
-		first, last := s.pages.Windows(w.ServerOffset, w.Size)
-		for win := first; win <= last; win++ {
-			s.pages.Put(w.File, win)
-		}
-		// Asynchronous write-back to the platter.
-		lba := s.placement(w.File) + w.ServerOffset
-		size := w.Size
-		if lba+size > s.cfg.Disk.Span {
-			size = s.cfg.Disk.Span - lba
-		}
-		if size > 0 {
-			s.dsk.Write(lba, size, nil)
-		}
+	j := s.newJob()
+	j.write, j.hint = w, hint
+	s.chargeCPU(s.cfg.PerStripCPU, j.writtenFn)
+}
+
+// written acknowledges the strip once its CPU charge completes.
+func (j *job) written(units.Time) {
+	s, w := j.s, j.write
+	echo := s.capsuler.Echo(j.hint)
+	j.free()
+	s.stats.StripsWritten++
+	s.stats.BytesWritten += w.Size
+	s.nic.Send(w.Client, WriteAckSize, echo, &WriteAck{
+		File: w.File, Tag: w.Tag, GlobalStrip: w.GlobalStrip, Size: w.Size,
 	})
+	// The written bytes are now cache-resident: a subsequent read of
+	// this range must not touch the disk.
+	first, last := s.pages.Windows(w.ServerOffset, w.Size)
+	for win := first; win <= last; win++ {
+		s.pages.Put(w.File, win)
+	}
+	// Asynchronous write-back to the platter.
+	lba := s.placement(w.File) + w.ServerOffset
+	size := w.Size
+	if lba+size > s.cfg.Disk.Span {
+		size = s.cfg.Disk.Span - lba
+	}
+	if size > 0 {
+		s.dsk.Write(lba, size, nil)
+	}
 }
 
 // handle services one read request: request CPU, then per-piece disk
@@ -237,49 +292,69 @@ func (s *Server) handle(req *ReadRequest, hint netsim.AffHint) {
 			s.spans.Begin(trace.PhaseService, now, int(req.Client), int(s.node), req.Tag, p.GlobalStrip, -1)
 		}
 	}
-	s.chargeCPU(s.cfg.RequestCPU+extra, func(units.Time) {
-		echo := s.capsuler.Echo(hint)
-		for _, p := range req.Pieces {
-			p := p
-			s.readPiece(req.File, p, req.LocalEOF, func(units.Time) {
-				s.chargeCPU(s.cfg.PerStripCPU, func(now units.Time) {
-					s.stats.StripsSent++
-					s.stats.BytesSent += p.Size
-					if s.spans != nil {
-						s.spans.End(trace.PhaseService, now, int(req.Client), req.Tag, p.GlobalStrip, -1)
-					}
-					s.nic.Send(req.Client, p.Size, echo, &StripData{
-						File:        req.File,
-						Tag:         req.Tag,
-						GlobalStrip: p.GlobalStrip,
-						Size:        p.Size,
-					})
-				})
-			})
-		}
+	j := s.newJob()
+	j.req, j.hint = req, hint
+	s.chargeCPU(s.cfg.RequestCPU+extra, j.startFn)
+}
+
+// start runs when the request's CPU charge completes: every piece
+// starts reading.
+func (j *job) start(units.Time) {
+	s, req := j.s, j.req
+	echo := s.capsuler.Echo(j.hint)
+	j.free()
+	for _, p := range req.Pieces {
+		pj := s.newJob()
+		pj.req, pj.piece, pj.hint = req, p, echo
+		s.readPiece(pj)
+	}
+}
+
+// windowReady counts one of the piece's windows resident; the last one
+// queues the strip's send-path CPU.
+//
+//saisvet:allocfree
+func (j *job) windowReady(units.Time) {
+	j.pending--
+	if j.pending == 0 {
+		j.s.chargeCPU(j.s.cfg.PerStripCPU, j.sendFn)
+	}
+}
+
+// send returns the strip to the client with the echoed hint.
+func (j *job) send(now units.Time) {
+	s, req, p, echo := j.s, j.req, j.piece, j.hint
+	j.free()
+	s.stats.StripsSent++
+	s.stats.BytesSent += p.Size
+	if s.spans != nil {
+		s.spans.End(trace.PhaseService, now, int(req.Client), req.Tag, p.GlobalStrip, -1)
+	}
+	s.nic.Send(req.Client, p.Size, echo, &StripData{
+		File:        req.File,
+		Tag:         req.Tag,
+		GlobalStrip: p.GlobalStrip,
+		Size:        p.Size,
 	})
 }
 
 // readPiece makes the piece's bytes memory-resident: every page-cache
 // window the piece overlaps is either already cached, being fetched (we
-// join the wait), or read from disk as a whole readahead window. ready
-// fires when all windows are resident.
-func (s *Server) readPiece(file FileID, p Piece, localEOF units.Bytes, ready sim.Event) {
-	first, last := s.pages.Windows(p.ServerOffset, p.Size)
-	pending := int(last-first) + 1
-	done := func(now units.Time) {
-		pending--
-		if pending == 0 {
-			ready(now)
-		}
-	}
+// join the wait), or read from disk as a whole readahead window. The
+// job's windowReady fires once per window.
+//
+//saisvet:allocfree
+func (s *Server) readPiece(j *job) {
+	file := j.req.File
+	first, last := s.pages.Windows(j.piece.ServerOffset, j.piece.Size)
+	j.pending = int(last-first) + 1
 	for w := first; w <= last; w++ {
-		s.fetchWindow(file, w, done)
+		s.fetchWindow(file, w, j.windowReadyFn)
 	}
 	// Asynchronous readahead: warm the windows a sequential stream will
 	// need next, without anyone waiting on them. Bounded by the local
 	// portion's EOF so the disk never reads bytes no request can want.
-	if localEOF > 0 {
+	if localEOF := j.req.LocalEOF; localEOF > 0 {
 		lastWindow := int64((localEOF - 1) / s.pages.Window())
 		for d := int64(1); d <= int64(s.cfg.PrefetchDepth); d++ {
 			if last+d > lastWindow {
@@ -292,7 +367,10 @@ func (s *Server) readPiece(file FileID, p Piece, localEOF units.Bytes, ready sim
 
 // fetchWindow makes window w of file resident via the page cache,
 // demand-reading it from disk on a miss.
+//
+//saisvet:allocfree
 func (s *Server) fetchWindow(file FileID, w int64, done sim.Event) {
+	//lint:alloc stays on the stack: Get only calls its fetch argument (TestCachedPieceAllocFree)
 	s.pages.Get(file, w, done, func(fetched sim.Event) {
 		off, size := s.pages.WindowExtent(w)
 		lba := s.placement(file) + off

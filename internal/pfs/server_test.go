@@ -306,3 +306,57 @@ func TestServerAccessors(t *testing.T) {
 		t.Error("server CPU never busy")
 	}
 }
+
+// pieceLoop serves one cached piece through a server's piece stages —
+// page-cache lookup with readahead, window-ready count, per-strip CPU —
+// up to the send stage, which the loop replaces with a counter: the
+// send's one allocation is the StripData message body, which crosses
+// nodes and is not the server's to pool.
+type pieceLoop struct {
+	eng    *sim.Engine
+	srv    *Server
+	j      *job
+	served int
+}
+
+func newPieceLoop() *pieceLoop {
+	l := &pieceLoop{eng: sim.NewEngine()}
+	fab := netsim.NewFabric(l.eng, 0)
+	l.srv = NewServer(l.eng, fab, 100, DefaultServerConfig(units.Gigabit), rng.New(1))
+	req := &ReadRequest{File: 7, Client: 1, Pieces: strips(1), LocalEOF: units.MiB}
+	// The piece's window and its readahead successor are resident.
+	l.srv.pages.Put(req.File, 0)
+	l.srv.pages.Put(req.File, 1)
+	l.j = l.srv.newJob()
+	l.j.req, l.j.piece = req, req.Pieces[0]
+	l.j.sendFn = func(units.Time) { l.served++ }
+	l.cycle() // warm the engine arena and the CPU ring
+	return l
+}
+
+func (l *pieceLoop) cycle() {
+	l.srv.readPiece(l.j)
+	l.eng.RunUntilIdle()
+}
+
+func TestCachedPieceAllocFree(t *testing.T) {
+	l := newPieceLoop()
+	if allocs := testing.AllocsPerRun(100, l.cycle); allocs != 0 {
+		t.Errorf("cached piece read allocates %v, want 0", allocs)
+	}
+	if l.served != 102 || l.srv.pages.Hits() != 2*102 || l.srv.pages.Misses() != 0 {
+		t.Fatalf("served %d pieces with %d hits, %d misses; want 102, 204, 0",
+			l.served, l.srv.pages.Hits(), l.srv.pages.Misses())
+	}
+}
+
+// BenchmarkPieceService measures one pieceLoop cycle: a cached piece
+// from page-cache lookup (plus its readahead probe) to the send stage.
+func BenchmarkPieceService(b *testing.B) {
+	l := newPieceLoop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.cycle()
+	}
+}

@@ -23,8 +23,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sais/internal/sim"
@@ -46,17 +47,20 @@ type Msg struct {
 
 // msgLess is the canonical mailbox order, mirroring the engine's
 // compound event key.
-func msgLess(a, b Msg) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func msgLess(a, b Msg) bool { return msgCmp(a, b) < 0 }
+
+// msgCmp is msgLess as a three-way comparison, for slices.SortFunc.
+func msgCmp(a, b Msg) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.SentAt != b.SentAt {
-		return a.SentAt < b.SentAt
+	if c := cmp.Compare(a.SentAt, b.SentAt); c != 0 {
+		return c
 	}
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Engine drives a set of sim.Engines as one simulation. Construct
@@ -228,8 +232,7 @@ func (s *Engine) deliver() {
 		if len(box) == 0 {
 			continue
 		}
-		//lint:alloc per-round mailbox sort: one closure per non-empty box, amortized over the round's events
-		sort.Slice(box, func(i, j int) bool { return msgLess(box[i], box[j]) })
+		slices.SortFunc(box, msgCmp)
 		eng := s.engs[dst]
 		for i := range box {
 			m := box[i]

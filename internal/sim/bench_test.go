@@ -89,3 +89,14 @@ func BenchmarkEngineHotImmediately(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkServerSubmit measures one steady-state serverLoop cycle:
+// nine FIFO submissions and their completions.
+func BenchmarkServerSubmit(b *testing.B) {
+	l := newServerLoop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.cycle()
+	}
+}

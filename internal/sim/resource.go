@@ -9,6 +9,12 @@ import "sais/internal/units"
 // The service time of each job is fixed at submission, which is the
 // right model for store-and-forward hardware; jobs whose cost depends on
 // state at dispatch should use SubmitFunc.
+//
+// Completions are FIFO: a job starts no earlier than its predecessor's
+// finish, so finish times never decrease, and equal finish times fire
+// in scheduling order (the engine's compound key). The server therefore
+// keeps its jobs' done callbacks in a ring and schedules one prebound
+// completion event per job that pops the front — no closure per job.
 type Server struct {
 	eng     *Engine
 	busyTo  units.Time
@@ -18,6 +24,10 @@ type Server struct {
 	served  uint64
 	waited  units.Time // accumulated queueing delay
 	nameTag string
+	done    eventRing // done callbacks of in-flight jobs, in finish order
+	// completeFn is s.complete, bound by the first submission so that
+	// building a server allocates no method value.
+	completeFn Event
 }
 
 // NewServer returns an idle FIFO server bound to eng. name is used only
@@ -50,8 +60,11 @@ func (s *Server) Served() uint64 { return s.served }
 
 // Submit enqueues a job taking cost time; done (optional) runs when the
 // job completes. It returns the completion time.
+//
+//saisvet:allocfree
 func (s *Server) Submit(cost units.Time, done Event) units.Time {
-	return s.SubmitFunc(func(units.Time) units.Time { return cost }, done)
+	now, start := s.admit()
+	return s.schedule(now, start, cost, done)
 }
 
 // SubmitFunc enqueues a job whose cost is computed at dispatch time by
@@ -61,16 +74,29 @@ func (s *Server) Submit(cost units.Time, done Event) units.Time {
 // returned value is the scheduled completion of this job given current
 // queue contents.
 func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
-	now := s.eng.Now()
-	start := s.busyTo
-	if start < now {
-		start = now
-	}
+	now, start := s.admit()
+	return s.schedule(now, start, costAt(start), done)
+}
+
+// admit counts a new job into the queue and returns the current time
+// and the job's start time.
+//
+//saisvet:allocfree
+func (s *Server) admit() (now, start units.Time) {
+	now = s.eng.Now()
+	start = max(s.busyTo, now)
 	s.queue++
 	if s.queue > s.maxQ {
 		s.maxQ = s.queue
 	}
-	cost := costAt(start)
+	return now, start
+}
+
+// schedule books a job of the given cost from start and schedules its
+// completion.
+//
+//saisvet:allocfree
+func (s *Server) schedule(now, start, cost units.Time, done Event) units.Time {
 	if cost < 0 {
 		cost = 0
 	}
@@ -78,14 +104,24 @@ func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) unit
 	s.busyTo = finish
 	s.busy += cost
 	s.waited += start - now
-	s.eng.At(finish, func(t units.Time) {
-		s.queue--
-		s.served++
-		if done != nil {
-			done(t)
-		}
-	})
+	if s.completeFn == nil {
+		s.completeFn = s.complete
+	}
+	s.done.push(done)
+	s.eng.At(finish, s.completeFn)
 	return finish
+}
+
+// complete retires the oldest in-flight job.
+//
+//saisvet:allocfree
+func (s *Server) complete(now units.Time) {
+	s.queue--
+	s.served++
+	if done := s.done.pop(); done != nil {
+		//lint:alloc completion-callback invocation: the callback's allocations belong to its owner's budget
+		done(now)
+	}
 }
 
 // Drain returns the time at which all currently queued work completes.
@@ -94,4 +130,45 @@ func (s *Server) Drain() units.Time {
 		return s.eng.Now()
 	}
 	return s.busyTo
+}
+
+// eventRing is a FIFO ring buffer of events. The capacity is zero or a
+// power of two.
+type eventRing struct {
+	buf  []Event
+	head int
+	n    int
+}
+
+//saisvet:allocfree
+func (r *eventRing) push(ev Event) {
+	if r.n == len(r.buf) {
+		//lint:alloc amortized ring growth: doubles only when the in-flight depth exceeds its peak
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+}
+
+// pop removes and returns the front event; the ring must not be empty.
+// The vacated slot is cleared so the ring keeps no finished callback
+// alive.
+//
+//saisvet:allocfree
+func (r *eventRing) pop() Event {
+	ev := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
+}
+
+// grow doubles the ring (minimum 4 slots), unwrapping it so the front
+// event lands at index 0.
+func (r *eventRing) grow() {
+	buf := make([]Event, max(4, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
 }

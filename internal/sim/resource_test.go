@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"sais/internal/rng"
 	"sais/internal/units"
 )
 
@@ -129,4 +132,236 @@ func TestBusy(t *testing.T) {
 		}
 	})
 	e.RunUntilIdle()
+}
+
+// refServer is the reference the ring-based Server is checked against:
+// the same FIFO accounting with a completion closure per job.
+type refServer struct {
+	eng    *Engine
+	busyTo units.Time
+	queue  int
+	maxQ   int
+	busy   units.Time
+	served uint64
+	waited units.Time
+}
+
+func (s *refServer) Submit(cost units.Time, done Event) units.Time {
+	return s.SubmitFunc(func(units.Time) units.Time { return cost }, done)
+}
+
+func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
+	now := s.eng.Now()
+	start := s.busyTo
+	if start < now {
+		start = now
+	}
+	s.queue++
+	if s.queue > s.maxQ {
+		s.maxQ = s.queue
+	}
+	cost := costAt(start)
+	if cost < 0 {
+		cost = 0
+	}
+	finish := start + cost
+	s.busyTo = finish
+	s.busy += cost
+	s.waited += start - now
+	s.eng.At(finish, func(t units.Time) {
+		s.queue--
+		s.served++
+		if done != nil {
+			done(t)
+		}
+	})
+	return finish
+}
+
+func (s *refServer) QueueLen() int        { return s.queue }
+func (s *refServer) MaxQueue() int        { return s.maxQ }
+func (s *refServer) BusyTime() units.Time { return s.busy }
+func (s *refServer) WaitTime() units.Time { return s.waited }
+func (s *refServer) Served() uint64       { return s.served }
+
+// fifoServer is the surface the differential test drives.
+type fifoServer interface {
+	Submit(cost units.Time, done Event) units.Time
+	SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time
+	QueueLen() int
+	MaxQueue() int
+	BusyTime() units.Time
+	WaitTime() units.Time
+	Served() uint64
+}
+
+// serverOp is one scripted submission: at time at, submit a job of
+// cost (through SubmitFunc when dynamic, whose cost then also depends
+// on the dispatch instant). A nil-done job logs nothing at completion;
+// otherwise its done callback logs and, when resubmit > 0, submits a
+// follow-up job of that cost from inside the callback.
+type serverOp struct {
+	at       units.Time
+	cost     units.Time
+	dynamic  bool
+	nilDone  bool
+	resubmit units.Time
+}
+
+func genServerOps(r *rng.Source) []serverOp {
+	ops := make([]serverOp, 1+r.Intn(40))
+	for i := range ops {
+		op := serverOp{at: units.Time(r.Intn(120)), dynamic: r.Bool(0.4), nilDone: r.Bool(0.2)}
+		switch {
+		case r.Bool(0.25):
+			op.cost = 0
+		case r.Bool(0.05):
+			op.cost = -units.Time(r.Intn(5) + 1) // clamped to zero
+		default:
+			op.cost = units.Time(r.Intn(30) + 1)
+		}
+		if !op.nilDone && r.Bool(0.3) {
+			op.resubmit = units.Time(r.Intn(12))
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// runServerOps plays ops against s on eng, interleaved with probe
+// events at the same instants, and returns the log of everything that
+// fired: completions, returned finish times, probes with the server's
+// counters, and the engine's final event count.
+func runServerOps(eng *Engine, s fifoServer, ops []serverOp, probes []units.Time) []string {
+	var log []string
+	snap := func(tag string, now units.Time) {
+		log = append(log, fmt.Sprintf("%s@%d q=%d max=%d busy=%d wait=%d served=%d",
+			tag, now, s.QueueLen(), s.MaxQueue(), s.BusyTime(), s.WaitTime(), s.Served()))
+	}
+	for i, op := range ops {
+		i, op := i, op
+		eng.At(op.at, func(units.Time) {
+			var done Event
+			if !op.nilDone {
+				done = func(now units.Time) {
+					snap(fmt.Sprintf("done%d", i), now)
+					if op.resubmit > 0 || op.cost == 0 {
+						fin := s.Submit(op.resubmit, func(now units.Time) { snap(fmt.Sprintf("redo%d", i), now) })
+						log = append(log, fmt.Sprintf("resubmit%d fin=%d", i, fin))
+					}
+				}
+			}
+			var fin units.Time
+			if op.dynamic {
+				fin = s.SubmitFunc(func(start units.Time) units.Time {
+					log = append(log, fmt.Sprintf("costAt%d start=%d", i, start))
+					return op.cost + start%3
+				}, done)
+			} else {
+				fin = s.Submit(op.cost, done)
+			}
+			log = append(log, fmt.Sprintf("submit%d fin=%d", i, fin))
+		})
+	}
+	for k, at := range probes {
+		k := k
+		eng.At(at, func(now units.Time) { snap(fmt.Sprintf("probe%d", k), now) })
+	}
+	eng.RunUntilIdle()
+	snap("final", eng.Now())
+	return append(log, fmt.Sprintf("fired=%d", eng.Fired()))
+}
+
+// TestServerMatchesReference runs random Submit/SubmitFunc mixes — zero
+// and negative costs, nil done callbacks, callbacks that submit again —
+// through Server and the closure-per-job reference, interleaved with
+// unrelated engine events at the same instants, and requires identical
+// logs: completion order and times, counters at every probe, and the
+// engine's firing order and event count.
+func TestServerMatchesReference(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		r := rng.New(rng.Derive(0x5e4e, uint64(i)))
+		ops := genServerOps(r)
+		probes := make([]units.Time, 10)
+		for k := range probes {
+			probes[k] = units.Time(r.Intn(200))
+		}
+		var logs [2][]string
+		for k := range logs {
+			eng := NewEngine()
+			var s fifoServer = NewServer(eng, "ring")
+			if k == 1 {
+				s = &refServer{eng: eng}
+			}
+			logs[k] = runServerOps(eng, s, ops, probes)
+		}
+		if !reflect.DeepEqual(logs[0], logs[1]) {
+			t.Fatalf("seed %d: Server diverges from reference\n got %q\nwant %q", i, logs[0], logs[1])
+		}
+	}
+}
+
+// TestEventRingFIFO checks the completion ring against a slice model
+// across growth and wrap-around.
+func TestEventRingFIFO(t *testing.T) {
+	r := rng.New(rng.Derive(0xf1f0, 0))
+	var ring eventRing
+	var model []int
+	var popped int
+	ev := make([]Event, 64)
+	for i := range ev {
+		i := i
+		ev[i] = func(units.Time) { popped = i }
+	}
+	for step := 0; step < 20000; step++ {
+		if r.Bool(0.55) {
+			v := step % len(ev)
+			ring.push(ev[v])
+			model = append(model, v)
+		} else if len(model) > 0 {
+			ring.pop()(0)
+			if popped != model[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, popped, model[0])
+			}
+			model = model[1:]
+		}
+		if ring.n != len(model) {
+			t.Fatalf("step %d: len %d, want %d", step, ring.n, len(model))
+		}
+	}
+}
+
+// serverLoop is a warmed steady-state workload on one Server: a burst
+// of queued jobs (one with a zero cost, one with no callback) drained to
+// idle.
+type serverLoop struct {
+	eng  *Engine
+	s    *Server
+	done Event
+}
+
+func newServerLoop() *serverLoop {
+	l := &serverLoop{eng: NewEngine()}
+	l.s = NewServer(l.eng, "loop")
+	l.done = func(units.Time) {}
+	l.cycle() // grow the ring and the engine arena
+	return l
+}
+
+func (l *serverLoop) cycle() {
+	for i := 0; i < 8; i++ {
+		l.s.Submit(units.Time(i%3), l.done)
+	}
+	l.s.Submit(5, nil)
+	l.eng.RunUntilIdle()
+}
+
+func TestServerSubmitAllocFree(t *testing.T) {
+	l := newServerLoop()
+	if allocs := testing.AllocsPerRun(100, l.cycle); allocs != 0 {
+		t.Errorf("Submit→complete loop allocates %v per cycle, want 0", allocs)
+	}
+	if l.s.MaxQueue() != 9 || l.s.QueueLen() != 0 {
+		t.Fatalf("loop did not queue: max %d, len %d", l.s.MaxQueue(), l.s.QueueLen())
+	}
 }

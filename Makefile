@@ -45,9 +45,9 @@ race:
 
 # Short race pass of the orchestration-critical packages (the worker
 # pool, the fault injector, their heaviest consumer, the span/trace
-# recorder they share, and the sharded executor with its cluster-level
-# differential tests under parallel workers); cheap enough to run in
-# `all`.
+# recorder, and the sharded executor with its cluster-level
+# differential tests, whose runs hold no lock and so must stay on one
+# goroutine each); cheap enough to run in `all`.
 race-short:
 	$(GO) test -race ./internal/runner ./internal/faults ./experiments ./internal/trace ./internal/shard
 	$(GO) test -race -run 'TestSharded' ./cluster
@@ -65,8 +65,8 @@ bench-output:
 # Benchmark baseline: the event-engine hot path and the FIFO server
 # (sim), the core run queue (cpu), the interrupt steer-and-deliver path
 # (apic), the frame datapath (netsim), the page cache and the piece
-# service stages (pfs), plus the sharded executor's 256-node scaling
-# matrix. bench-record snapshots the
+# service stages (pfs), the shard round (shard), plus the sharded
+# executor's 256-node scaling rows. bench-record snapshots the
 # current numbers into BENCH_sim.json (commit it); bench-check compares
 # a fresh run against the committed baseline and fails the build on a
 # regression beyond each benchmark's tolerance band (hand-editable in
@@ -82,6 +82,7 @@ bench-record:
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
+	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -record BENCH_sim.json
 
@@ -92,6 +93,7 @@ bench-check:
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
+	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json -strict
 

@@ -188,9 +188,10 @@ type Config struct {
 	// shard count; Shards > 1 requires FabricLatency > 0 (zero
 	// lookahead admits no safe horizon).
 	Shards int
-	// Workers is the number of goroutines driving the shards each
-	// round, clamped to [1, Shards]. Like Shards it never changes the
-	// result, only the wall-clock cost.
+	// Workers is kept so existing configs and scenario files still
+	// load; Validate rejects a negative value.
+	//
+	// Deprecated: ignored; shard rounds run on the calling goroutine.
 	Workers int
 
 	Seed uint64
@@ -562,7 +563,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 	cfg = cfg.normalized()
 	// Shard layout: nodes are partitioned round-robin over per-shard
 	// engines and fabrics. shards == 1 is the classic single-engine
-	// path (engines[0] drives everything, no executor, no goroutines).
+	// path (engines[0] drives everything, no executor).
 	// Component construction below is identical in both cases and in
 	// the same global order — per-component rng streams are Split off
 	// the root in construction order, so the draws every component
@@ -573,10 +574,6 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 	}
 	if max := cfg.Clients + cfg.Servers; shards > max {
 		shards = max
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
 	}
 	engines := make([]*sim.Engine, shards)
 	fabrics := make([]*netsim.Fabric, shards)
@@ -687,7 +684,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 	// migrate between per-shard pools with their ownership.
 	var se *shard.Engine
 	if shards > 1 {
-		se = shard.New(engines, cfg.FabricLatency, workers)
+		se = shard.New(engines, cfg.FabricLatency)
 		nodeShard := make(map[netsim.NodeID]int, cfg.Clients+cfg.Servers+1)
 		nodeShard[mds] = 0
 		for i := range clientIDs {

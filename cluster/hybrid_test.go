@@ -37,11 +37,9 @@ func hybridBase() cluster.Config {
 	return cfg
 }
 
-// hybridLayouts is the shard × worker matrix the hybrid differentials
-// sweep (the issue's {1,2,4} × {1,4}; the reference run is {1,1}).
-var hybridLayouts = []struct{ shards, workers int }{
-	{2, 1}, {2, 4}, {4, 1}, {4, 4},
-}
+// hybridShardCounts are the shard counts the hybrid differentials
+// sweep against the single-engine reference run.
+var hybridShardCounts = []int{2, 4}
 
 // TestHybridShardedByteIdentity: the analytic background engine must
 // not break the sharding contract — same Result bytes (including the
@@ -81,13 +79,13 @@ func TestHybridShardedByteIdentity(t *testing.T) {
 			if res.BackgroundOfferedBytes <= 0 || res.BackgroundServedBytes <= 0 {
 				t.Fatalf("no background traffic accounted: %s", ref)
 			}
-			for _, l := range hybridLayouts {
+			for _, shards := range hybridShardCounts {
 				c := cfg
-				c.Shards, c.Workers = l.shards, l.workers
+				c.Shards = shards
 				got := resultJSON(t, c)
 				if !bytes.Equal(ref, got) {
-					t.Errorf("shards=%d workers=%d diverged from single-engine run:\nref %s\ngot %s",
-						l.shards, l.workers, ref, got)
+					t.Errorf("shards=%d diverged from single-engine run:\nref %s\ngot %s",
+						shards, ref, got)
 				}
 			}
 		})
@@ -99,9 +97,9 @@ func TestHybridShardedByteIdentity(t *testing.T) {
 // layouts under hybrid load.
 func TestHybridTraceIdentity(t *testing.T) {
 	cfg := hybridBase()
-	run := func(shards, workers int) (int, uint64, []byte) {
+	run := func(shards int) (int, uint64, []byte) {
 		c := cfg
-		c.Shards, c.Workers = shards, workers
+		c.Shards = shards
 		_, log, err := cluster.RunSpanned(c)
 		if err != nil {
 			t.Fatal(err)
@@ -112,19 +110,19 @@ func TestHybridTraceIdentity(t *testing.T) {
 		}
 		return log.Len(), log.Orphans(), buf.Bytes()
 	}
-	spans, orphans, ref := run(0, 0)
+	spans, orphans, ref := run(0)
 	if spans == 0 {
 		t.Fatal("reference run produced no spans")
 	}
-	for _, l := range hybridLayouts {
-		s, o, got := run(l.shards, l.workers)
+	for _, shards := range hybridShardCounts {
+		s, o, got := run(shards)
 		if s != spans || o != orphans {
-			t.Fatalf("shards=%d workers=%d: %d spans / %d orphans, want %d / %d",
-				l.shards, l.workers, s, o, spans, orphans)
+			t.Fatalf("shards=%d: %d spans / %d orphans, want %d / %d",
+				shards, s, o, spans, orphans)
 		}
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("shards=%d workers=%d: trace export diverged (%d vs %d bytes)",
-				l.shards, l.workers, len(got), len(ref))
+			t.Fatalf("shards=%d: trace export diverged (%d vs %d bytes)",
+				shards, len(got), len(ref))
 		}
 	}
 }

@@ -41,16 +41,14 @@ func resultJSON(t *testing.T, cfg cluster.Config) []byte {
 	return b
 }
 
-// shardLayouts is the matrix every differential test sweeps. Shards=3
+// shardCounts is the set every differential test sweeps. Shards=3
 // divides 8 nodes unevenly; 8 shards on 8 nodes puts one node per
-// engine; workers=4 exercises the parallel round path.
-var shardLayouts = []struct{ shards, workers int }{
-	{2, 1}, {3, 1}, {4, 4}, {8, 1}, {8, 4},
-}
+// engine.
+var shardCounts = []int{2, 3, 4, 8}
 
 // TestShardedByteIdentity is the refactor's contract: the same
 // cluster.Result bytes — bandwidth, cache stats, strip-latency
-// percentiles, fault counters — for every shard and worker layout.
+// percentiles, fault counters — for every shard count.
 func TestShardedByteIdentity(t *testing.T) {
 	variants := []struct {
 		name string
@@ -96,13 +94,13 @@ func TestShardedByteIdentity(t *testing.T) {
 			cfg := shardedBase()
 			v.mut(&cfg)
 			ref := resultJSON(t, cfg)
-			for _, l := range shardLayouts {
+			for _, shards := range shardCounts {
 				c := cfg
-				c.Shards, c.Workers = l.shards, l.workers
+				c.Shards = shards
 				got := resultJSON(t, c)
 				if !bytes.Equal(ref, got) {
-					t.Errorf("shards=%d workers=%d diverged from single-engine run:\nref %s\ngot %s",
-						l.shards, l.workers, ref, got)
+					t.Errorf("shards=%d diverged from single-engine run:\nref %s\ngot %s",
+						shards, ref, got)
 				}
 			}
 		})
@@ -111,12 +109,12 @@ func TestShardedByteIdentity(t *testing.T) {
 
 // TestShardedTraceIdentity extends byte-identity to the full span log:
 // same span count, same orphan count, and a byte-identical Chrome
-// trace export for a sharded run under parallel workers.
+// trace export for every shard count.
 func TestShardedTraceIdentity(t *testing.T) {
 	cfg := shardedBase()
-	run := func(shards, workers int) (int, uint64, []byte) {
+	run := func(shards int) (int, uint64, []byte) {
 		c := cfg
-		c.Shards, c.Workers = shards, workers
+		c.Shards = shards
 		_, log, err := cluster.RunSpanned(c)
 		if err != nil {
 			t.Fatal(err)
@@ -127,26 +125,26 @@ func TestShardedTraceIdentity(t *testing.T) {
 		}
 		return log.Len(), log.Orphans(), buf.Bytes()
 	}
-	spans, orphans, ref := run(0, 0)
+	spans, orphans, ref := run(0)
 	if spans == 0 {
 		t.Fatal("reference run produced no spans")
 	}
-	for _, l := range shardLayouts {
-		s, o, got := run(l.shards, l.workers)
+	for _, shards := range shardCounts {
+		s, o, got := run(shards)
 		if s != spans || o != orphans {
-			t.Fatalf("shards=%d workers=%d: %d spans / %d orphans, want %d / %d",
-				l.shards, l.workers, s, o, spans, orphans)
+			t.Fatalf("shards=%d: %d spans / %d orphans, want %d / %d",
+				shards, s, o, spans, orphans)
 		}
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("shards=%d workers=%d: trace export diverged (%d vs %d bytes)",
-				l.shards, l.workers, len(got), len(ref))
+			t.Fatalf("shards=%d: trace export diverged (%d vs %d bytes)",
+				shards, len(got), len(ref))
 		}
 	}
 }
 
 // TestShardedScale1000 is the issue's scale scenario: 1000 clients and
 // 100 servers with tiny per-proc budgets, run once on a single engine
-// and once on 8 shards × 4 workers. The run must complete and produce
+// and once on 8 shards. The run must complete and produce
 // identical results — the point is that conservative synchronization
 // holds up at three orders of magnitude more nodes than the testbed.
 func TestShardedScale1000(t *testing.T) {
@@ -164,7 +162,7 @@ func TestShardedScale1000(t *testing.T) {
 	cfg.BytesPerProc = 128 * units.KiB
 	cfg.Policy = irqsched.PolicySourceAware
 	ref := resultJSON(t, cfg)
-	cfg.Shards, cfg.Workers = 8, 4
+	cfg.Shards = 8
 	got := resultJSON(t, cfg)
 	if !bytes.Equal(ref, got) {
 		t.Fatalf("1000-client run diverged:\nref %s\ngot %s", ref, got)
@@ -182,7 +180,7 @@ func TestShardedScale1000(t *testing.T) {
 // sharded runs and reports a non-decreasing global clock.
 func TestShardedProgress(t *testing.T) {
 	cfg := shardedBase()
-	cfg.Shards, cfg.Workers = 4, 1
+	cfg.Shards = 4
 	var calls int
 	var lastNow units.Time
 	var lastFired uint64
@@ -228,12 +226,17 @@ func TestShardedValidate(t *testing.T) {
 	// More shards than nodes is legal — it clamps.
 	cfg = shardedBase()
 	cfg.Shards = 500
-	cfg.Workers = 16
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("oversized shard count rejected: %v", err)
 	}
-	if _, err := cluster.Run(cfg); err != nil {
-		t.Errorf("oversized shard count failed at run time: %v", err)
+	ref := resultJSON(t, cfg)
+	// Workers is deprecated: a positive count is accepted and ignored.
+	cfg.Workers = 16
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("positive worker count rejected: %v", err)
+	}
+	if got := resultJSON(t, cfg); !bytes.Equal(ref, got) {
+		t.Errorf("worker count changed the result:\nref %s\ngot %s", ref, got)
 	}
 }
 

@@ -99,7 +99,6 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		progress   = flag.Bool("progress", false, "print a progress heartbeat to stderr while the run executes")
 		shardsN    = flag.Int("shards", 0, "partition the cluster over this many event engines (0/1 = single engine; results are identical for any value)")
-		workersN   = flag.Int("workers", 0, "goroutines driving the shards (clamped to the shard count)")
 	)
 	flag.Parse()
 
@@ -152,9 +151,6 @@ func main() {
 	cfg.Seed = *seed
 	if *shardsN > 0 {
 		cfg.Shards = *shardsN
-	}
-	if *workersN > 0 {
-		cfg.Workers = *workersN
 	}
 	// Nonzero (not just positive) passes through, so negatives reach
 	// cluster validation instead of being silently ignored.

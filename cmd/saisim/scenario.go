@@ -22,11 +22,10 @@ import (
 func runScenarioCmd(args []string) int {
 	fs := flag.NewFlagSet("saisim run", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: saisim run [-shards N] [-workers N] scenario.json...")
+		fmt.Fprintln(os.Stderr, "usage: saisim run [-shards N] scenario.json...")
 		fs.PrintDefaults()
 	}
 	shards := fs.Int("shards", -1, "override the scenario's shard count (-1 = keep)")
-	workers := fs.Int("workers", -1, "override the scenario's worker count (-1 = keep)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		fs.Usage()
@@ -45,9 +44,6 @@ func runScenarioCmd(args []string) int {
 		}
 		if *shards >= 0 {
 			s.Config.Shards = *shards
-		}
-		if *workers >= 0 {
-			s.Config.Workers = *workers
 		}
 		rep, err := scenario.Run(ctx, s)
 		if err != nil {

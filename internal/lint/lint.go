@@ -22,9 +22,10 @@
 //
 // placed in a file's header (on or above its package clause). The
 // package-level form exists for packages whose design is built around
-// a controlled instance of the hazard — internal/shard runs
-// barrier-synchronized worker goroutines, so a per-line //lint:goroutine
-// at every go statement would be noise, not an audit trail. Use it
+// a controlled instance of the hazard — a package of
+// barrier-synchronized worker goroutines, say, where a per-line
+// //lint:goroutine at every go statement would be noise, not an audit
+// trail. Use it
 // sparingly: a package waiver removes the analyzer's leverage for the
 // whole package, so the reason must argue why the invariant holds
 // globally (typically with a DESIGN.md reference).

@@ -26,9 +26,10 @@ import (
 //     interleave nondeterministically; concurrency belongs in
 //     internal/runner, above the simulator. Suppress with
 //     //lint:goroutine, or — for a package whose design is built on a
-//     controlled concurrency discipline, like internal/shard's
-//     barrier-synchronized workers — with a file-header
-//     //lint:package goroutine waiver.
+//     controlled concurrency discipline — with a file-header
+//     //lint:package goroutine waiver. No deterministic package
+//     carries one today: internal/shard runs its rounds on the
+//     calling goroutine.
 //   - map range (deterministic packages only): map iteration order is
 //     randomized per run, so any state mutation or output emitted from
 //     such a loop can differ between replays. Sort the keys or keep a

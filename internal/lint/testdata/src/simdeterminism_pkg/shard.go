@@ -1,7 +1,7 @@
 // Fixture for the package-level waiver, type-checked under a
 // deterministic package path: the header directive below waives the
-// goroutine rule for the whole package, the way internal/shard does
-// for its barrier-synchronized workers. The other strict rules must
+// goroutine rule for the whole package, the way a package of
+// barrier-synchronized workers would. The other strict rules must
 // keep firing — a waiver names exactly one directive.
 //
 //lint:package goroutine barrier-synchronized workers, joined every round

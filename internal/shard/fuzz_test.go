@@ -40,7 +40,7 @@ func FuzzMailboxOrder(f *testing.F) {
 		}
 		run := func(order func(i int) int) []string {
 			engs := mkEngines(2)
-			s := New(engs, 1, 1)
+			s := New(engs, 1)
 			var log []string
 			for i := range msgs {
 				m := msgs[order(i)]
@@ -69,7 +69,7 @@ func FuzzMailboxOrder(f *testing.F) {
 		// And the log must be sorted by the canonical key.
 		for i := 1; i < len(fwd); i++ {
 			a, b := parseKey(t, fwd[i-1]), parseKey(t, fwd[i])
-			if msgLess(b, a) {
+			if msgCmp(b, a) < 0 {
 				t.Fatalf("execution not in canonical order: %v before %v", fwd[i-1], fwd[i])
 			}
 		}

@@ -1,5 +1,5 @@
 // Package shard composes several sim.Engines into one conservatively
-// synchronized parallel simulation under a single logical clock.
+// synchronized simulation under a single logical clock.
 //
 // The executor runs barrier-synchronous rounds. Each round it (1)
 // drains every shard's mailbox — cross-shard events accumulated last
@@ -7,26 +7,19 @@
 // sim.ScheduleRemote so they land exactly where a shared engine would
 // have put them; (2) computes the global horizon, the minimum next
 // event time across all shards plus the lookahead (the fabric's
-// minimum cross-shard latency); and (3) lets every shard execute its
-// events strictly below the horizon, in parallel. Any event below the
-// horizon can only be affected by cross-shard messages sent before
+// minimum cross-shard latency); and (3) runs every shard up to the
+// horizon, in shard order, on the calling goroutine. Any event below
+// the horizon can only be affected by cross-shard messages sent before
 // (horizon - lookahead), and those were all delivered in step (1), so
-// the rounds are race-free by construction and the composed run is
-// bit-identical to the single-engine run for any shard or worker
-// count. The determinism argument is spelled out in DESIGN.md §12.
-//
-// The package sits outside internal/sim's no-goroutine lint boundary
-// on purpose: worker goroutines appear only here, between barriers,
-// and each engine is touched by exactly one goroutine per round.
-//
-//lint:package goroutine barrier-synchronized workers; one engine per goroutine per round (DESIGN.md §12)
+// the composed run is bit-identical to the single-engine run for any
+// shard count. The determinism argument is spelled out in DESIGN.md
+// §12, along with why the rounds are not spread over goroutines.
 package shard
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"sais/internal/sim"
 	"sais/internal/units"
@@ -45,11 +38,8 @@ type Msg struct {
 	Fn     sim.Event
 }
 
-// msgLess is the canonical mailbox order, mirroring the engine's
-// compound event key.
-func msgLess(a, b Msg) bool { return msgCmp(a, b) < 0 }
-
-// msgCmp is msgLess as a three-way comparison, for slices.SortFunc.
+// msgCmp is the canonical mailbox order, mirroring the engine's
+// compound event key, as a three-way comparison for slices.SortFunc.
 func msgCmp(a, b Msg) int {
 	if c := cmp.Compare(a.At, b.At); c != 0 {
 		return c
@@ -68,12 +58,10 @@ func msgCmp(a, b Msg) int {
 type Engine struct {
 	engs      []*sim.Engine
 	lookahead units.Time
-	workers   int
 
 	// out[src][dst] buffers messages posted by shard src for shard dst
-	// during the current round. Each row is written only by the worker
-	// executing shard src, so no locking is needed; the coordinator
-	// moves rows into inbox at the barrier.
+	// during the current round; collect moves the rows into inbox at
+	// the barrier.
 	//saisvet:mailbox
 	out [][][]Msg
 	// inbox[dst] holds the messages collected for shard dst at the last
@@ -90,30 +78,22 @@ type Engine struct {
 // New builds an executor over engs. lookahead is the minimum
 // simulated latency of any cross-shard message (the fabric switch
 // latency); it must be positive when more than one engine is
-// composed, because a zero lookahead admits no safe horizon. workers
-// is clamped to [1, len(engs)].
-func New(engs []*sim.Engine, lookahead units.Time, workers int) *Engine {
+// composed, because a zero lookahead admits no safe horizon.
+func New(engs []*sim.Engine, lookahead units.Time) *Engine {
 	if len(engs) == 0 {
 		panic("shard: no engines")
 	}
 	if lookahead <= 0 && len(engs) > 1 {
 		panic("shard: conservative execution needs a positive lookahead")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(engs) {
-		workers = len(engs)
-	}
 	s := &Engine{
 		engs:      engs,
 		lookahead: lookahead,
-		workers:   workers,
 		out:       make([][][]Msg, len(engs)),
 		inbox:     make([][]Msg, len(engs)),
 	}
 	for i := range s.out {
-		//lint:shardsafety constructor wiring: the engine has not been published and no worker exists yet
+		//lint:shardsafety constructor wiring: the engine has not been published yet
 		s.out[i] = make([][]Msg, len(engs))
 	}
 	return s
@@ -271,32 +251,13 @@ func (s *Engine) horizon() (units.Time, bool) {
 	return h, true
 }
 
-// round runs every shard up to (but excluding) horizon. With one
-// worker the shards run inline; otherwise shard i is executed by
-// worker i%workers, each engine touched by exactly one goroutine, and
-// the WaitGroup barrier publishes all effects before collect reads
-// the out buffers.
+// round runs every shard up to (but excluding) horizon, in shard
+// order.
 //saisvet:allocfree
 func (s *Engine) round(horizon units.Time) {
-	if s.workers == 1 {
-		for _, e := range s.engs {
-			e.RunBefore(horizon)
-		}
-		return
+	for _, e := range s.engs {
+		e.RunBefore(horizon)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		w := w
-		wg.Add(1)
-		//lint:alloc one worker goroutine per round stripe, amortized over every event below the horizon
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(s.engs); i += s.workers {
-				s.engs[i].RunBefore(horizon)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // collect moves every out-buffer row into the destination mailboxes.

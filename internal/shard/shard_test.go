@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sais/internal/sim"
@@ -23,7 +24,7 @@ func TestSingleShardRunsToIdle(t *testing.T) {
 	for _, at := range []units.Time{30, 10, 20} {
 		engs[0].At(at, func(now units.Time) { fired = append(fired, now) })
 	}
-	s := New(engs, 0, 1) // zero lookahead is legal for one shard
+	s := New(engs, 0) // zero lookahead is legal for one shard
 	end := s.Run()
 	if end != 30 || len(fired) != 3 {
 		t.Fatalf("end=%v fired=%v", end, fired)
@@ -38,7 +39,7 @@ func TestSingleShardRunsToIdle(t *testing.T) {
 func TestPingPong(t *testing.T) {
 	const lookahead = units.Time(5)
 	engs := mkEngines(2)
-	s := New(engs, lookahead, 2)
+	s := New(engs, lookahead)
 	var log []string
 	const hops = 4
 	var hop func(shard int, k int) sim.Event
@@ -74,15 +75,15 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
-// runMatrix executes one synthetic workload on a given shard/worker
-// layout and returns the global fire log. Every shard logs each event
+// runMatrix executes one synthetic workload on a given shard count
+// and returns the global fire log. Every shard logs each event
 // with its shard id and timestamp; cross-shard messages fan out in a
 // deterministic pattern derived from pure arithmetic.
-func runMatrix(t *testing.T, shards, workers int) []string {
+func runMatrix(t *testing.T, shards int) []string {
 	t.Helper()
 	const lookahead = units.Time(7)
 	engs := mkEngines(shards)
-	s := New(engs, lookahead, workers)
+	s := New(engs, lookahead)
 	var logs = make([][]string, shards)
 	var ev func(sh int, id uint64, depth int) sim.Event
 	ev = func(sh int, id uint64, depth int) sim.Event {
@@ -128,30 +129,28 @@ func runMatrix(t *testing.T, shards, workers int) []string {
 }
 
 // TestLayoutInvariance checks the same logical workload produces the
-// same multiset of (event, time) observations for every shard and
-// worker count. (Cluster-level byte-identity is asserted in package
-// cluster; here the synthetic workload's node→shard mapping moves
-// with the layout, so we compare contents.)
+// same multiset of (event, time) observations for every shard count.
+// (Cluster-level byte-identity is asserted in package cluster; here
+// the synthetic workload's node→shard mapping moves with the layout,
+// so we compare contents.)
 func TestLayoutInvariance(t *testing.T) {
-	base := runMatrix(t, 1, 1)
+	base := runMatrix(t, 1)
 	seen := map[string]int{}
 	for _, e := range base {
 		seen[e]++
 	}
 	for _, shards := range []int{2, 3, 4} {
-		for _, workers := range []int{1, 4} {
-			got := runMatrix(t, shards, workers)
-			if len(got) != len(base) {
-				t.Fatalf("shards=%d workers=%d fired %d events, want %d", shards, workers, len(got), len(base))
-			}
-			diff := map[string]int{}
-			for _, e := range got {
-				diff[e]++
-			}
-			for k, v := range seen {
-				if diff[k] != v {
-					t.Fatalf("shards=%d workers=%d event %q count %d, want %d", shards, workers, k, diff[k], v)
-				}
+		got := runMatrix(t, shards)
+		if len(got) != len(base) {
+			t.Fatalf("shards=%d fired %d events, want %d", shards, len(got), len(base))
+		}
+		diff := map[string]int{}
+		for _, e := range got {
+			diff[e]++
+		}
+		for k, v := range seen {
+			if diff[k] != v {
+				t.Fatalf("shards=%d event %q count %d, want %d", shards, k, diff[k], v)
 			}
 		}
 	}
@@ -163,7 +162,7 @@ func TestLayoutInvariance(t *testing.T) {
 func TestMailboxOrderIsCanonical(t *testing.T) {
 	run := func(perm []int) []string {
 		engs := mkEngines(2)
-		s := New(engs, 1, 1)
+		s := New(engs, 1)
 		var log []string
 		msgs := []Msg{
 			{At: 10, SentAt: 2, Origin: 3, Seq: 1},
@@ -195,7 +194,7 @@ func TestMailboxOrderIsCanonical(t *testing.T) {
 // reports it.
 func TestStopCondition(t *testing.T) {
 	engs := mkEngines(2)
-	s := New(engs, 1, 1)
+	s := New(engs, 1)
 	rounds := 0
 	s.SetStop(func() bool { rounds++; return rounds > 3 })
 	// Endless self-rescheduling tick on each shard.
@@ -214,7 +213,7 @@ func TestStopCondition(t *testing.T) {
 // TestPostGuards checks the lookahead and origin panics.
 func TestPostGuards(t *testing.T) {
 	engs := mkEngines(2)
-	s := New(engs, 10, 1)
+	s := New(engs, 10)
 	for name, m := range map[string]Msg{
 		"under lookahead": {At: 5, SentAt: 0, Origin: 1, Fn: func(units.Time) {}},
 		"zero origin":     {At: 20, SentAt: 0, Origin: 0, Fn: func(units.Time) {}},
@@ -234,6 +233,91 @@ func TestPostGuards(t *testing.T) {
 				t.Fatal("zero lookahead multi-shard: no panic")
 			}
 		}()
-		New(mkEngines(2), 0, 1)
+		New(mkEngines(2), 0)
 	}()
+}
+
+// pingLookahead is the cross-shard latency of the ping-pong rig.
+const pingLookahead = units.Time(5)
+
+// pingPong bounces one message between two shards with prebound
+// events. Every message lands exactly on the next round's horizon, so
+// each hop of a rally is one round. probe, when set, runs inside every
+// hop.
+type pingPong struct {
+	s     *Engine
+	engs  []*sim.Engine
+	hop   [2]sim.Event
+	left  int
+	seq   uint64
+	probe func()
+}
+
+func newPingPong() *pingPong {
+	p := &pingPong{engs: mkEngines(2)}
+	p.s = New(p.engs, pingLookahead)
+	for sh := range p.hop {
+		peer := 1 - sh
+		p.hop[sh] = func(now units.Time) {
+			if p.probe != nil {
+				p.probe()
+			}
+			if p.left == 0 {
+				return
+			}
+			p.left--
+			p.seq++
+			p.s.Post(sh, peer, Msg{
+				At: now + pingLookahead, SentAt: now, Origin: uint64(sh) + 1, Seq: p.seq, Fn: p.hop[peer],
+			})
+		}
+	}
+	return p
+}
+
+// rally runs n hops from the latest shard clock: n+1 events in n+1
+// rounds.
+func (p *pingPong) rally(n int) {
+	p.left = n
+	p.engs[0].At(p.s.MaxNow(), p.hop[0])
+	p.s.Run()
+}
+
+// TestRoundAllocFreeOnCaller checks a warmed round allocates nothing
+// and runs on the calling goroutine: an event firing inside Run sees
+// no goroutine the caller did not already have.
+func TestRoundAllocFreeOnCaller(t *testing.T) {
+	p := newPingPong()
+	p.rally(16) // warm the mailboxes and event arenas
+	const hops = 8
+	before := p.s.Rounds()
+	if allocs := testing.AllocsPerRun(100, func() { p.rally(hops) }); allocs != 0 {
+		t.Fatalf("warmed rally allocated %v times per run, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before its 100 counted ones.
+	if got, want := p.s.Rounds()-before, uint64(101*(hops+1)); got != want {
+		t.Fatalf("rallies ran %d rounds, want %d (one per hop)", got, want)
+	}
+	seen := -1
+	p.probe = func() {
+		if n := runtime.NumGoroutine(); n > seen {
+			seen = n
+		}
+	}
+	outside := runtime.NumGoroutine()
+	p.rally(hops)
+	if seen != outside {
+		t.Fatalf("events saw %d goroutines, caller had %d", seen, outside)
+	}
+}
+
+// BenchmarkShardRound measures one steady-state round of two shards
+// exchanging a cross-shard message: deliver, horizon, run both
+// engines, collect.
+func BenchmarkShardRound(b *testing.B) {
+	p := newPingPong()
+	p.rally(64) // warm the mailboxes and event arenas
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.rally(b.N)
 }

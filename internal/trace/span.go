@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 
 	"sais/internal/units"
 )
@@ -79,14 +78,13 @@ type spanKey struct {
 // stored by value in one growing slab; the pending map only holds the
 // handful of open spans in flight.
 //
-// One log is shared by every node of a run, so under sharded execution
-// (cluster.Config.Workers > 1) instrumentation sites on different
-// shards record concurrently: a mutex serializes the appends. The
-// recorded content is still deterministic — slab order varies with the
-// interleaving, but every exported or aggregated view sorts by a full
-// span key first (see ExportChrome), and counts are order-free.
+// One log is shared by every node of a run and touched by one
+// goroutine only: sharded runs execute their shards in turn on the
+// caller's goroutine. Slab order still depends on the shard layout,
+// which interleaves events differently from a single engine, so every
+// exported or aggregated view sorts by a full span key first (see
+// ExportChrome), and counts are order-free.
 type SpanLog struct {
-	mu      sync.Mutex
 	spans   []Span
 	cores   []CoreSpan
 	pending map[spanKey]Span
@@ -102,11 +100,9 @@ func NewSpanLog() *SpanLog {
 // A second Begin for the same strip and phase (a retry) replaces the
 // open span.
 func (l *SpanLog) Begin(p Phase, at units.Time, client, server int, tag uint64, strip, core int) {
-	l.mu.Lock()
 	l.pending[spanKey{client, tag, strip, p}] = Span{
 		Phase: p, Start: at, Client: client, Server: server, Tag: tag, Strip: strip, Core: core,
 	}
-	l.mu.Unlock()
 }
 
 // End closes the matching open span at the given time and records it.
@@ -114,8 +110,6 @@ func (l *SpanLog) Begin(p Phase, at units.Time, client, server int, tag uint64, 
 // only known at delivery). An End with no matching Begin is counted in
 // Orphans and otherwise ignored.
 func (l *SpanLog) End(p Phase, at units.Time, client int, tag uint64, strip, core int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	k := spanKey{client, tag, strip, p}
 	s, ok := l.pending[k]
 	if !ok {
@@ -133,20 +127,16 @@ func (l *SpanLog) End(p Phase, at units.Time, client int, tag uint64, strip, cor
 // Emit records an already-complete span (both endpoints known at the
 // same instrumentation site).
 func (l *SpanLog) Emit(s Span) {
-	l.mu.Lock()
 	l.spans = append(l.spans, s)
-	l.mu.Unlock()
 }
 
 // AddCoreSpan records one busy slice of a client core.
 func (l *SpanLog) AddCoreSpan(cs CoreSpan) {
-	l.mu.Lock()
 	l.cores = append(l.cores, cs)
-	l.mu.Unlock()
 }
 
 // Spans returns the completed strip spans in slab order. Call only
-// after the run drains; slab order depends on worker interleaving, so
+// after the run drains; slab order depends on the shard layout, so
 // order-sensitive consumers must sort (see ExportChrome).
 func (l *SpanLog) Spans() []Span { return l.spans }
 
@@ -155,33 +145,23 @@ func (l *SpanLog) Spans() []Span { return l.spans }
 func (l *SpanLog) CoreSpans() []CoreSpan { return l.cores }
 
 // Len returns the number of completed strip spans.
-func (l *SpanLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.spans)
-}
+func (l *SpanLog) Len() int { return len(l.spans) }
 
 // OpenCount returns the spans begun but never ended — non-zero means
 // strips died mid-flight (loss, abandon) or instrumentation is
 // incomplete.
-func (l *SpanLog) OpenCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending)
-}
+func (l *SpanLog) OpenCount() int { return len(l.pending) }
 
 // PendingSpans returns a sorted copy of the spans begun but never
 // ended — the strips that died mid-flight. The invariant checker walks
 // them to demand that every issued strip still reached a terminal
 // account (a consume span or a typed OpError). Sorted by full span key
-// so the view is deterministic under sharded execution.
+// so the view does not depend on map iteration order.
 func (l *SpanLog) PendingSpans() []Span {
-	l.mu.Lock()
 	out := make([]Span, 0, len(l.pending))
 	for _, s := range l.pending {
 		out = append(out, s)
 	}
-	l.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		switch {
@@ -200,11 +180,7 @@ func (l *SpanLog) PendingSpans() []Span {
 
 // Orphans returns the count of End calls that matched no open span
 // (late duplicates from the retry path).
-func (l *SpanLog) Orphans() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.orphans
-}
+func (l *SpanLog) Orphans() uint64 { return l.orphans }
 
 // Chrome-export track layout. Client and server node ids become
 // Chrome pids directly; the fabric gets a pid far outside the node-id
@@ -265,7 +241,7 @@ func (l *SpanLog) ExportChrome(w io.Writer) error {
 	us := func(t units.Time) float64 { return float64(t) / float64(units.Microsecond) }
 	// Slab order depends on event interleaving under sharded execution;
 	// sorted copies make the export canonical — byte-identical for any
-	// shard and worker count.
+	// shard count.
 	spans := append([]Span(nil), l.spans...)
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]

@@ -399,6 +399,7 @@ func (c Config) NodeLayout() (clients, servers []netsim.NodeID, mds netsim.NodeI
 }
 
 // Result is the roll-up of one run.
+//
 //saisvet:jsonstable sig=26de1777
 type Result struct {
 	Policy   string
@@ -495,6 +496,7 @@ type Result struct {
 
 // FaultReport is the Result section accounting for injected faults and
 // the recovery they triggered.
+//
 //saisvet:jsonstable sig=3f2fa37c
 type FaultReport struct {
 	// Wire damage: frames dropped in the fabric (loss injection or
@@ -553,10 +555,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return run(ctx, cfg, nil)
 }
 
-// run is the shared body of RunContext, RunTraced, and RunSpanned;
-// instrument (optional) sees the client nodes and servers after
-// construction, before the workload starts.
-func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs.Server)) (*Result, error) {
+// RunSpannedContext is RunContext with per-strip lifecycle tracing:
+// every client, core and server records into one SpanLog, returned for
+// Chrome-trace export (cmd/saisim -trace-out) and last-N rendering
+// (cmd/saisim -trace).
+func RunSpannedContext(ctx context.Context, cfg Config) (*Result, *trace.SpanLog, error) {
+	log := trace.NewSpanLog()
+	res, err := run(ctx, cfg, log)
+	return res, log, err
+}
+
+// run is the shared body of RunContext and RunSpannedContext; spans,
+// when non-nil, is attached to every client node, core and server
+// before the workload starts.
+func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -831,8 +843,18 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 			}
 		}
 	}
-	if instrument != nil {
-		instrument(nodes, srvs)
+	if spans != nil {
+		for _, n := range nodes {
+			n.SetSpanLog(spans)
+			id := int(n.Config().Node)
+			n.CPU().SetSpanHook(func(core int, cat cpu.Category, start, end units.Time) {
+				spans.AddCoreSpan(trace.CoreSpan{Node: id, Core: core,
+					Name: cat.String(), Start: start, End: end})
+			})
+		}
+		for _, srv := range srvs {
+			srv.SetSpanLog(spans)
+		}
 	}
 	cancellable := ctx != nil && ctx.Done() != nil
 	var stopped bool
@@ -1039,54 +1061,4 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 		res.ServerCPUBusy = cpuBusy / float64(len(srvs))
 	}
 	return res
-}
-
-// RunTraced is Run with a bounded event trace attached to the first
-// client node; it returns the trace ring alongside the result. Useful
-// for understanding a configuration's interrupt routing decisions
-// (cmd/saisim -trace).
-func RunTraced(cfg Config, traceCap int) (*Result, *trace.Ring, error) {
-	return RunTracedContext(context.Background(), cfg, traceCap)
-}
-
-// RunTracedContext is RunTraced with RunContext's cancellation
-// semantics.
-func RunTracedContext(ctx context.Context, cfg Config, traceCap int) (*Result, *trace.Ring, error) {
-	if traceCap <= 0 {
-		traceCap = 64
-	}
-	ring := trace.NewRing(traceCap)
-	res, err := run(ctx, cfg, func(nodes []*client.Node, _ []*pfs.Server) {
-		nodes[0].SetTracer(ring)
-	})
-	return res, ring, err
-}
-
-// RunSpanned is Run with full per-strip lifecycle tracing: every client
-// and server records typed spans (issue → service → fabric → ring →
-// steer → irq → consume) plus per-core busy slices into one SpanLog,
-// returned alongside the result for Chrome-trace export
-// (cmd/saisim -trace-out).
-func RunSpanned(cfg Config) (*Result, *trace.SpanLog, error) {
-	return RunSpannedContext(context.Background(), cfg)
-}
-
-// RunSpannedContext is RunSpanned with RunContext's cancellation
-// semantics.
-func RunSpannedContext(ctx context.Context, cfg Config) (*Result, *trace.SpanLog, error) {
-	log := trace.NewSpanLog()
-	res, err := run(ctx, cfg, func(nodes []*client.Node, srvs []*pfs.Server) {
-		for _, n := range nodes {
-			n.SetSpanLog(log)
-			id := int(n.Config().Node)
-			n.CPU().SetSpanHook(func(core int, cat cpu.Category, start, end units.Time) {
-				log.AddCoreSpan(trace.CoreSpan{Node: id, Core: core,
-					Name: cat.String(), Start: start, End: end})
-			})
-		}
-		for _, s := range srvs {
-			s.SetSpanLog(log)
-		}
-	})
-	return res, log, err
 }

@@ -1019,7 +1019,7 @@ func spanTestCfg() Config {
 }
 
 func TestRunSpannedRecordsFullLifecycle(t *testing.T) {
-	res, spans, err := RunSpanned(spanTestCfg())
+	res, spans, err := RunSpannedContext(context.Background(), spanTestCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1083,7 +1083,7 @@ func TestRunSpannedRecordsFullLifecycle(t *testing.T) {
 }
 
 func TestRunSpannedChromeExport(t *testing.T) {
-	_, spans, err := RunSpanned(spanTestCfg())
+	_, spans, err := RunSpannedContext(context.Background(), spanTestCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -100,7 +101,7 @@ func TestHybridTraceIdentity(t *testing.T) {
 	run := func(shards int) (int, uint64, []byte) {
 		c := cfg
 		c.Shards = shards
-		_, log, err := cluster.RunSpanned(c)
+		_, log, err := cluster.RunSpannedContext(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestHybridCalibration(t *testing.T) {
 	// Full fidelity: fg+bg real clients, every strip simulated.
 	full := base
 	full.Clients = fg + bg
-	fullRes, fullLog, err := cluster.RunSpanned(full)
+	fullRes, fullLog, err := cluster.RunSpannedContext(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestHybridCalibration(t *testing.T) {
 	hybrid.TenantMix = []flowsim.TenantShare{
 		{Name: "bg", Share: 1, PerUserRate: units.Rate(bgRate / users)},
 	}
-	_, hybridLog, err := cluster.RunSpanned(hybrid)
+	_, hybridLog, err := cluster.RunSpannedContext(context.Background(), hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestHybridCalibration(t *testing.T) {
 	// Unloaded baseline for the directional check.
 	alone := base
 	alone.Clients = fg
-	_, aloneLog, err := cluster.RunSpanned(alone)
+	_, aloneLog, err := cluster.RunSpannedContext(context.Background(), alone)
 	if err != nil {
 		t.Fatal(err)
 	}

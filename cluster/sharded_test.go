@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestShardedTraceIdentity(t *testing.T) {
 	run := func(shards int) (int, uint64, []byte) {
 		c := cfg
 		c.Shards = shards
-		_, log, err := cluster.RunSpanned(c)
+		_, log, err := cluster.RunSpannedContext(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

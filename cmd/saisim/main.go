@@ -6,7 +6,7 @@
 // Example:
 //
 //	saisim -policy sais -servers 48 -transfer 1MiB -nic 3
-//	saisim -policy irqbalance -servers 16 -procs 4 -trace
+//	saisim -policy irqbalance -servers 16 -procs 4 -trace 20
 //	saisim -timeout 30s -clients 32 -servers 48
 //	saisim -loss 0.01 -retry 20ms -max-retries 12
 //	saisim -crash 0 -crash-at 5ms -revive-at 35ms -retry 20ms -max-retries 12
@@ -14,6 +14,10 @@
 //	saisim -background-users 1000000 -foreground-clients 64
 //	saisim run scenarios/crash-recover.json
 //	saisim chaos -n 20 -seed 7
+//
+// -trace N records every strip's lifecycle spans and prints the N that
+// ended last, one line each (start, duration, phase, strip identity);
+// -trace-out writes all of them as a Chrome trace-event file.
 //
 // `saisim run` executes serializable scenario files (see
 // internal/scenario) and exits nonzero when an assertion or runtime
@@ -74,7 +78,7 @@ func main() {
 		migrate    = flag.Float64("migrate", 0, "probability a process migrates while blocked on I/O")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		verbose    = flag.Bool("v", false, "print the busy-time breakdown")
-		traceN     = flag.Int("trace", 0, "print the last N client trace events")
+		traceN     = flag.Int("trace", 0, "record per-strip lifecycle spans and print the N that ended last")
 		traceOut   = flag.String("trace-out", "", "record per-strip lifecycle spans and write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON")
 		configPath = flag.String("config", "", "load the cluster configuration from a JSON file (flags below still override)")
@@ -234,12 +238,10 @@ func main() {
 	if *traceOut != "" {
 		var spans *trace.SpanLog
 		res, spans, err = cluster.RunSpannedContext(ctx, cfg)
-		if spans != nil {
-			if werr := writeTrace(*traceOut, spans); werr != nil {
-				fatal(werr)
-			}
-			fmt.Fprintf(os.Stderr, "saisim: wrote %d spans to %s\n", spans.Len(), *traceOut)
+		if werr := writeTrace(*traceOut, spans); werr != nil {
+			fatal(werr)
 		}
+		fmt.Fprintf(os.Stderr, "saisim: wrote %d spans to %s\n", spans.Len(), *traceOut)
 	} else {
 		res, err = cluster.RunContext(ctx, cfg)
 	}
@@ -355,16 +357,19 @@ func loadTenantMix(arg string) ([]flowsim.TenantShare, error) {
 	return mix, nil
 }
 
-// printTraced runs a single-client configuration with an event trace
-// attached and prints the last N records.
+// printTraced runs cfg with span tracing on and prints the last n
+// spans to end.
 func printTraced(ctx context.Context, cfg cluster.Config, n int) {
-	res, ring, err := cluster.RunTracedContext(ctx, cfg, n)
+	res, spans, err := cluster.RunSpannedContext(ctx, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("bandwidth %.1f MB/s under %s; last %d trace events:\n",
-		float64(res.Bandwidth)/1e6, res.Policy, ring.Len())
-	fmt.Println(ring.Render())
+	last := spans.Last(n)
+	fmt.Printf("bandwidth %.1f MB/s under %s; last %d of %d spans:\n",
+		float64(res.Bandwidth)/1e6, res.Policy, len(last), spans.Len())
+	for _, s := range last {
+		fmt.Println(s)
+	}
 }
 
 // writeTrace exports the span log as Chrome trace-event JSON. The close

@@ -150,7 +150,7 @@ func Spawn(fn func()) {
 func TestFactsRoundTrip(t *testing.T) {
 	pf := &analysis.PackageFacts{
 		Functions: map[string]*analysis.FunctionFact{
-			"sais/internal/runner.Map": {Taints: map[string]string{"goroutine": "spawns a goroutine at runner.go:57:2"}},
+			"sais/internal/runner.Map":         {Taints: map[string]string{"goroutine": "spawns a goroutine at runner.go:57:2"}},
 			"(*sais/internal/sim.Engine).Step": {AllocFree: true},
 			"sais/internal/trace.ExportChrome": {AllocWhy: "map literal"},
 		},

@@ -1,6 +1,6 @@
 // Tracing: observe the simulator's interrupt routing decisions — run a
-// short SAIs configuration with the event trace attached, print the
-// last events, and export the whole trace in Chrome's trace-event JSON
+// short SAIs configuration with lifecycle spans recorded, print the
+// last spans, and export the whole run in Chrome's trace-event JSON
 // (open chrome://tracing or https://ui.perfetto.dev and load the file).
 //
 // Run with:
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,26 +25,21 @@ func main() {
 	cfg.Servers = 4
 	cfg.BytesPerProc = 2 * units.MiB
 
-	res, ring, err := cluster.RunTraced(cfg, 512)
+	res, spans, err := cluster.RunSpannedContext(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("run: %.1f MB/s under %s; %d trace events captured\n\n",
-		float64(res.Bandwidth)/1e6, res.Policy, ring.Len())
-
-	recs := ring.Records()
-	if len(recs) > 10 {
-		recs = recs[len(recs)-10:]
-	}
-	for _, r := range recs {
-		fmt.Println(r)
+	fmt.Printf("run: %.1f MB/s under %s; %d spans captured\n\n",
+		float64(res.Bandwidth)/1e6, res.Policy, spans.Len())
+	for _, s := range spans.Last(10) {
+		fmt.Println(s)
 	}
 
 	out, err := os.CreateTemp("", "sais-trace-*.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	werr := ring.ExportChromeTrace(out)
+	werr := spans.ExportChrome(out)
 	if cerr := out.Close(); werr == nil {
 		werr = cerr // a dropped close error would hide a truncated trace
 	}

@@ -9,6 +9,7 @@ package apic
 import (
 	"fmt"
 
+	"sais/internal/deque"
 	"sais/internal/sim"
 	"sais/internal/units"
 )
@@ -57,47 +58,9 @@ type LocalAPIC struct {
 	// inflight holds accepted vectors awaiting delivery, in acceptance
 	// order. The latency is constant, so deliveries fire in that same
 	// order and each one takes the ring's front vector.
-	inflight vectorRing
+	inflight deque.Deque[Vector]
 	// deliverFn is l.deliver bound once, so Accept allocates no closure.
 	deliverFn sim.Event
-}
-
-// vectorRing is a FIFO ring buffer of vectors. The capacity is zero or
-// a power of two.
-type vectorRing struct {
-	buf  []Vector
-	head int
-	n    int
-}
-
-//saisvet:allocfree
-func (r *vectorRing) push(v Vector) {
-	if r.n == len(r.buf) {
-		//lint:alloc amortized ring growth: doubles only when the in-flight depth exceeds its peak
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-// pop removes and returns the front vector; the ring must not be empty.
-//
-//saisvet:allocfree
-func (r *vectorRing) pop() Vector {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-// grow doubles the ring (minimum 8 slots), unwrapping it so the front
-// vector lands at index 0.
-func (r *vectorRing) grow() {
-	buf := make([]Vector, max(8, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = buf, 0
 }
 
 // NewLocalAPICs builds the local APICs of an n-core node, one per core
@@ -158,7 +121,7 @@ func (l *LocalAPIC) Accept(vec Vector) {
 		l.pending = append(l.pending, vec)
 		return
 	}
-	l.inflight.push(vec)
+	l.inflight.PushBack(vec)
 	l.eng.After(l.latency, l.deliverFn)
 }
 
@@ -166,7 +129,7 @@ func (l *LocalAPIC) Accept(vec Vector) {
 //
 //saisvet:allocfree
 func (l *LocalAPIC) deliver(now units.Time) {
-	vec := l.inflight.pop()
+	vec := l.inflight.PopFront()
 	l.accepted++
 	if l.handler != nil {
 		//lint:alloc handler callback invocation: the handler's allocations belong to the kernel model's budget

@@ -18,6 +18,7 @@ import (
 	"sais/internal/apic"
 	"sais/internal/cache"
 	"sais/internal/cpu"
+	"sais/internal/deque"
 	"sais/internal/irqsched"
 	"sais/internal/metrics"
 	"sais/internal/netsim"
@@ -323,6 +324,7 @@ type Stats struct {
 // is silent: each record is surfaced through Node.OpErrors (and from
 // there into the cluster Result's fault rollup), and the operation's
 // elapsed time still lands in the latency distribution.
+//
 //saisvet:jsonstable sig=e3566ab0
 type OpError struct {
 	Write bool
@@ -467,7 +469,7 @@ type Node struct {
 	freeWrites []*writeOp
 	// frameq holds frames routed to each core, consumed by the local
 	// APIC handler in FIFO order.
-	frameq []frameQueue
+	frameq []deque.Deque[*netsim.Frame]
 	// freeSoftirqs recycles the per-frame softirq jobs of handleIRQ.
 	freeSoftirqs []*softirqJob
 	stats        Stats
@@ -478,7 +480,6 @@ type Node struct {
 	latencies      []float64
 	writeLatencies []float64
 	opErrors       []OpError
-	tracer         *trace.Ring
 	// spans, when non-nil, records the full lifecycle of every strip.
 	spans *trace.SpanLog
 	// stripHist accumulates per-strip issue→arrival latency (ns); it is
@@ -497,9 +498,6 @@ func (n *Node) WriteLatencies() []float64 { return n.writeLatencies }
 // exhausted its retries.
 func (n *Node) OpErrors() []OpError { return n.opErrors }
 
-// SetTracer installs an optional event trace; nil disables tracing.
-func (n *Node) SetTracer(tr *trace.Ring) { n.tracer = tr }
-
 // SetSpanLog attaches the lifecycle span recorder; nil (the default)
 // disables span tracing entirely — no allocation on any hot path.
 func (n *Node) SetSpanLog(l *trace.SpanLog) { n.spans = l }
@@ -507,12 +505,6 @@ func (n *Node) SetSpanLog(l *trace.SpanLog) { n.spans = l }
 // StripLatencies returns the per-strip issue→arrival latency histogram
 // (nanoseconds).
 func (n *Node) StripLatencies() *metrics.Histogram { return &n.stripHist }
-
-func (n *Node) tracef(component, format string, args ...any) {
-	if n.tracer != nil {
-		n.tracer.Add(n.eng.Now(), component, format, args...)
-	}
-}
 
 // loadAdapter exposes core load to the irqbalance policy.
 type loadAdapter struct{ c *cpu.CPU }
@@ -549,7 +541,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		openTags: make(map[uint64]pfs.FileID),
 		reads:    make(map[uint64]*read),
 		writes:   make(map[uint64]*writeOp),
-		frameq:   make([]frameQueue, cfg.Cores),
+		frameq:   make([]deque.Deque[*netsim.Frame], cfg.Cores),
 	}
 	fab.Attach(n.nic)
 	if cfg.L3PerSocket > 0 {
@@ -757,7 +749,6 @@ func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 	}
 	st.retries++
 	n.stats.Retries++
-	n.tracef("client", "open file=%d retry %d: no layout reply", file, st.retries)
 	n.sendLayoutRequest(file, st.tag)
 	n.armOpenTimer(file, st)
 }
@@ -865,8 +856,6 @@ func (n *Node) retryWrite(w *writeOp) {
 func (n *Node) completePartialWrite(w *writeOp, acked units.Bytes) {
 	p := w.proc
 	missing := w.remaining
-	n.tracef("client", "write tag=%d degrading to partial: %v acked, %d strips missing after %d retries",
-		w.tag, acked, missing, w.retries)
 	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(now units.Time) {
 		n.stats.BytesWritten += acked
 		n.stats.PartialTransfers++
@@ -998,8 +987,6 @@ func (n *Node) retryRead(rd *read) {
 		n.releaseFlows(rd)
 		if n.cfg.TransferDeadline > 0 && len(rd.blocks) > 0 {
 			rd.partial = true
-			n.tracef("client", "read tag=%d degrading to partial: %v arrived, %d strips missing after %d retries",
-				rd.tag, rd.bytes, rd.remaining, rd.retries)
 			n.wake(rd, now)
 			return
 		}
@@ -1016,7 +1003,6 @@ func (n *Node) retryRead(rd *read) {
 	n.stats.Retries++
 	missing := missingPlans(rd.plans, rd.got)
 	n.countRetriedStrips(missing)
-	n.tracef("client", "read tag=%d retry %d: %d servers incomplete", rd.tag, rd.retries, len(missing))
 	n.sendReadRequests(rd, missing)
 	n.armReadTimer(rd)
 }
@@ -1054,7 +1040,6 @@ func (n *Node) abandon(e OpError) {
 	} else {
 		n.latencies = append(n.latencies, elapsed)
 	}
-	n.tracef("client", "%v", e)
 }
 
 // countRetriedStrips adds the pieces of the re-issued plans to the
@@ -1097,10 +1082,7 @@ func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 		}
 		dest := n.ioapic.Raise(DataVector+apic.Vector(q), apic.NoHint, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest].push(f)
-		if n.tracer != nil {
-			n.tracef("apic", "msix q%d frame from node %d routed to core %d", q, f.Src, dest)
-		}
+		n.frameq[dest].PushBack(f)
 	}
 }
 
@@ -1129,10 +1111,7 @@ func (n *Node) onNICInterrupt(now units.Time) {
 		}
 		dest := n.ioapic.Raise(DataVector, h, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest].push(f)
-		if n.tracer != nil {
-			n.tracef("apic", "frame from node %d (%v) routed to core %d", f.Src, hint, dest)
-		}
+		n.frameq[dest].PushBack(f)
 	}
 }
 
@@ -1163,9 +1142,6 @@ func (n *Node) readHeader(f *netsim.Frame) (hint netsim.AffHint, ok bool) {
 	hint, err := netsim.ReadHint(f)
 	if err != nil {
 		n.stats.HeaderDrops++
-		if n.tracer != nil {
-			n.tracef("driver", "dropping frame from node %d: %v", f.Src, err)
-		}
 		return netsim.AffHint{}, false
 	}
 	return hint, true
@@ -1174,10 +1150,10 @@ func (n *Node) readHeader(f *netsim.Frame) (hint netsim.AffHint, ok bool) {
 // handleIRQ runs when a local APIC delivers the vector to a core: pop
 // one frame and process it in interrupt context on that core.
 func (n *Node) handleIRQ(core int, now units.Time) {
-	f, ok := n.frameq[core].pop()
-	if !ok {
+	if n.frameq[core].Len() == 0 {
 		return // spurious (frame dropped by ring overflow)
 	}
+	f := n.frameq[core].PopFront()
 
 	c := n.cpu.Core(core)
 	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.IRQEntry, nil)
@@ -1254,39 +1230,6 @@ func (j *softirqJob) run(now units.Time) {
 	}
 }
 
-// frameQueue is one core's FIFO of frames awaiting local-APIC
-// delivery. pop advances a head index instead of re-slicing, so the
-// backing array keeps its capacity; push reclaims the popped prefix
-// before an append would reallocate.
-type frameQueue struct {
-	buf  []*netsim.Frame
-	head int
-}
-
-//saisvet:allocfree
-func (q *frameQueue) push(f *netsim.Frame) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		k := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[k:])
-		q.buf, q.head = q.buf[:k], 0
-	}
-	q.buf = append(q.buf, f)
-}
-
-//saisvet:allocfree
-func (q *frameQueue) pop() (*netsim.Frame, bool) {
-	if q.head == len(q.buf) {
-		return nil, false
-	}
-	f := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return f, true
-}
-
 // stripArrived deposits the strip into the handling core's cache and
 // completes the transfer when it was the last one. The block size is
 // the strip's declared size: in Fragment wire mode the descriptor rides
@@ -1342,8 +1285,6 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if rd.remaining == 0 {
 		delete(n.reads, sd.Tag)
 		rd.timer.Cancel()
-		n.tracef("client", "transfer tag=%d complete (%v), waking proc %d on core %d",
-			sd.Tag, rd.bytes, rd.proc.id, rd.proc.core)
 		n.wake(rd, now)
 	}
 }
@@ -1367,7 +1308,6 @@ func (n *Node) ackArrived(ack *pfs.WriteAck, _ units.Time) {
 	delete(n.writes, ack.Tag)
 	w.timer.Cancel()
 	p := w.proc
-	n.tracef("client", "write tag=%d complete (%v) on core %d", ack.Tag, w.bytes, p.core)
 	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(now units.Time) {
 		n.stats.BytesWritten += w.bytes
 		n.stats.WriteTransfers++

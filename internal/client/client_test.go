@@ -8,7 +8,6 @@ import (
 	"sais/internal/pfs"
 	"sais/internal/rng"
 	"sais/internal/sim"
-	"sais/internal/trace"
 	"sais/internal/units"
 )
 
@@ -600,7 +599,7 @@ func TestTransferBetweenValidation(t *testing.T) {
 	}
 }
 
-func TestAccessorsAndTracer(t *testing.T) {
+func TestAccessors(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 2)
 	if r.node.NIC() == nil || r.node.IOAPIC() == nil {
 		t.Error("nil accessors")
@@ -608,17 +607,12 @@ func TestAccessorsAndTracer(t *testing.T) {
 	if r.node.Config().Cores != 8 {
 		t.Errorf("config cores = %d", r.node.Config().Cores)
 	}
-	ring := trace.NewRing(16)
-	r.node.SetTracer(ring)
 	p := r.node.NewProc(7, 2)
 	if p.ID() != 7 {
 		t.Errorf("proc id = %d", p.ID())
 	}
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, 128*units.KiB, nil) })
 	r.eng.RunUntilIdle()
-	if ring.Len() == 0 {
-		t.Error("tracer recorded nothing")
-	}
 	if len(r.node.Latencies()) != 1 {
 		t.Errorf("latencies = %d", len(r.node.Latencies()))
 	}

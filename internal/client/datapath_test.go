@@ -3,6 +3,7 @@ package client
 import (
 	"testing"
 
+	"sais/internal/deque"
 	"sais/internal/irqsched"
 	"sais/internal/netsim"
 	"sais/internal/rng"
@@ -43,42 +44,38 @@ func TestReadHeaderAllocFree(t *testing.T) {
 
 // TestFrameQueueFIFO checks a core's frame queue against a slice model
 // under random push/pop traffic, and that a queue whose depth stays
-// bounded stops growing its backing array.
+// bounded stops allocating.
 func TestFrameQueueFIFO(t *testing.T) {
 	r := rng.New(rng.Derive(0xf4a3e, 0))
 	frames := make([]*netsim.Frame, 16)
 	for i := range frames {
 		frames[i] = &netsim.Frame{FlowSeq: uint64(i)}
 	}
-	var q frameQueue
+	var q deque.Deque[*netsim.Frame]
 	var model []*netsim.Frame
 	for step := 0; step < 20000; step++ {
 		if len(model) < 12 && r.Bool(0.5) {
 			f := frames[step%len(frames)]
-			q.push(f)
+			q.PushBack(f)
 			model = append(model, f)
 			continue
 		}
-		f, ok := q.pop()
-		if ok != (len(model) > 0) {
-			t.Fatalf("step %d: pop ok=%v with %d queued", step, ok, len(model))
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len %d with %d queued", step, q.Len(), len(model))
 		}
-		if ok {
-			if f != model[0] {
+		if len(model) > 0 {
+			if f := q.PopFront(); f != model[0] {
 				t.Fatalf("step %d: popped frame %d, want %d", step, f.FlowSeq, model[0].FlowSeq)
 			}
 			model = model[1:]
 		}
 	}
-	if c := cap(q.buf); c > 32 {
-		t.Errorf("backing array grew to %d for a queue never deeper than 12", c)
-	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 12; i++ {
-			q.push(frames[i])
+			q.PushBack(frames[i])
 		}
 		for i := 0; i < 12; i++ {
-			q.pop()
+			q.PopFront()
 		}
 	}); allocs != 0 {
 		t.Errorf("steady push/pop allocates %v, want 0", allocs)

@@ -15,6 +15,7 @@ package cpu
 import (
 	"fmt"
 
+	"sais/internal/deque"
 	"sais/internal/sim"
 	"sais/internal/units"
 )
@@ -63,62 +64,6 @@ type task struct {
 	done      sim.Event
 }
 
-// taskQueue is one priority's run queue: a ring-buffer deque of tasks
-// held by value, so queueing, preempting and rotating work never
-// allocates once the ring has grown to the core's peak queue depth.
-// The capacity is zero or a power of two.
-type taskQueue struct {
-	buf  []task
-	head int // index of the front task
-	n    int // number of queued tasks
-}
-
-func (q *taskQueue) len() int { return q.n }
-
-//saisvet:allocfree
-func (q *taskQueue) pushBack(t task) {
-	if q.n == len(q.buf) {
-		//lint:alloc amortized ring growth: doubles only when the queue exceeds its peak depth
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
-	q.n++
-}
-
-//saisvet:allocfree
-func (q *taskQueue) pushFront(t task) {
-	if q.n == len(q.buf) {
-		//lint:alloc amortized ring growth: doubles only when the queue exceeds its peak depth
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = t
-	q.n++
-}
-
-// popFront removes and returns the head task; the queue must not be
-// empty. The vacated slot is cleared so the ring keeps no reference to
-// a finished task's completion callback.
-//
-//saisvet:allocfree
-func (q *taskQueue) popFront() task {
-	t := q.buf[q.head]
-	q.buf[q.head] = task{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return t
-}
-
-// grow doubles the ring (minimum 8 slots), unwrapping it so the front
-// task lands at index 0.
-func (q *taskQueue) grow() {
-	buf := make([]task, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf, q.head = buf, 0
-}
-
 // CoreStats is the per-core accounting snapshot.
 type CoreStats struct {
 	Busy       units.Time // total unhalted time
@@ -146,7 +91,10 @@ type Core struct {
 	freq    units.Hertz
 	quantum units.Time // 0 = run process work to completion
 
-	queues  [numPriorities]taskQueue
+	// queues holds each priority's waiting tasks by value, so queueing,
+	// preempting and rotating work allocates nothing once a queue has
+	// grown to the core's peak depth.
+	queues  [numPriorities]deque.Deque[task]
 	run     task // the executing task, valid while running
 	running bool
 	// runRotating records whether the current slice ends in a rotation
@@ -208,7 +156,7 @@ func (c *Core) Busy() bool {
 func (c *Core) QueueLen() int {
 	n := 0
 	for i := range c.queues {
-		n += c.queues[i].len()
+		n += c.queues[i].Len()
 	}
 	return n
 }
@@ -225,7 +173,7 @@ func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event)
 	if d < 0 {
 		panic("cpu: negative duration")
 	}
-	c.queues[prio].pushBack(task{remaining: d, prio: prio, cat: cat, done: done})
+	c.queues[prio].PushBack(task{remaining: d, prio: prio, cat: cat, done: done})
 	c.reschedule()
 }
 
@@ -287,7 +235,7 @@ func (c *Core) bank(now units.Time) {
 func (c *Core) bankAndRequeueFront() {
 	c.bank(c.eng.Now())
 	c.runTm.Cancel()
-	c.queues[c.run.prio].pushFront(c.run)
+	c.queues[c.run.prio].PushFront(c.run)
 	c.running = false
 }
 
@@ -295,7 +243,7 @@ func (c *Core) bankAndRequeueFront() {
 // every queue is empty.
 func (c *Core) nextPrio() Priority {
 	for p := range c.queues {
-		if c.queues[p].len() > 0 {
+		if c.queues[p].Len() > 0 {
 			return Priority(p)
 		}
 	}
@@ -311,12 +259,12 @@ func (c *Core) start() {
 	if p < 0 {
 		return
 	}
-	c.run = c.queues[p].popFront()
+	c.run = c.queues[p].PopFront()
 	c.running = true
 	c.ranAt = c.eng.Now()
 	slice := c.run.remaining
 	c.runRotating = c.quantum > 0 && p == PrioProcess &&
-		c.queues[PrioProcess].len() > 0 && slice > c.quantum
+		c.queues[PrioProcess].Len() > 0 && slice > c.quantum
 	if c.runRotating {
 		slice = c.quantum
 	}
@@ -343,7 +291,7 @@ func (c *Core) rotate(now units.Time) {
 	c.bank(now)
 	c.stats.Rotations++
 	c.running = false
-	c.queues[c.run.prio].pushBack(c.run)
+	c.queues[c.run.prio].PushBack(c.run)
 	c.start()
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sais/internal/deque"
 	"sais/internal/rng"
 	"sais/internal/sim"
 	"sais/internal/units"
@@ -281,34 +282,34 @@ func TestRunQueueMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTaskQueueDeque checks the ring against a plain slice model under
-// random push-back/push-front/pop-front traffic, across growth and
-// wrap-around.
+// TestTaskQueueDeque checks a priority's run queue against a plain
+// slice model under random push-back/push-front/pop-front traffic,
+// across growth and wrap-around.
 func TestTaskQueueDeque(t *testing.T) {
 	r := rng.New(rng.Derive(0xdec, 0))
-	var q taskQueue
+	var q deque.Deque[task]
 	var model []units.Time
 	for step := 0; step < 20000; step++ {
 		switch x := r.Intn(5); {
 		case x < 2:
 			v := units.Time(step)
-			q.pushBack(task{remaining: v})
+			q.PushBack(task{remaining: v})
 			model = append(model, v)
 		case x < 3:
 			v := units.Time(step)
-			q.pushFront(task{remaining: v})
+			q.PushFront(task{remaining: v})
 			model = append([]units.Time{v}, model...)
 		default:
 			if len(model) == 0 {
 				continue
 			}
-			if got := q.popFront().remaining; got != model[0] {
+			if got := q.PopFront().remaining; got != model[0] {
 				t.Fatalf("step %d: popped %v, want %v", step, got, model[0])
 			}
 			model = model[1:]
 		}
-		if q.len() != len(model) {
-			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(model))
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: len %d, want %d", step, q.Len(), len(model))
 		}
 	}
 }

@@ -209,6 +209,7 @@ type Flow struct {
 // RateAt evaluates the arrival rate at simulated time t, in
 // bytes/second. Pure and branch-stable: the trajectory every station
 // integrates is a closed-form function of time.
+//
 //saisvet:allocfree
 func (f Flow) RateAt(t units.Time) float64 {
 	switch f.Shape {
@@ -227,6 +228,7 @@ func (f Flow) RateAt(t units.Time) float64 {
 
 // cyclePos returns the position inside the current cycle as a fraction
 // in [0, 1).
+//
 //saisvet:allocfree
 func cyclePos(t, period units.Time, phase float64) float64 {
 	pos := float64(t)/float64(period) + phase
@@ -311,6 +313,7 @@ const maxLoad = 0.9375
 // model: past ~94% background load the analytic queue would predict
 // unbounded delay, which the full-fidelity path would resolve by
 // backpressure the one-way coupling cannot express.
+//
 //saisvet:allocfree
 func Slowdown(u float64) float64 {
 	if u <= 0 {
@@ -360,6 +363,7 @@ func NewStation(capacity units.Rate, step units.Time, flows []Flow) *Station {
 }
 
 // Step returns the rate-update period.
+//
 //saisvet:allocfree
 func (st *Station) Step() units.Time { return st.step }
 
@@ -369,6 +373,7 @@ func (st *Station) Step() units.Time { return st.step }
 // many times, or from which event, the station was queried. now values
 // in the past are a no-op (queries arrive in whatever order the event
 // pattern produces; the trajectory only moves forward).
+//
 //saisvet:allocfree
 func (st *Station) AdvanceTo(now units.Time) {
 	for st.lastT+st.step <= now {
@@ -379,6 +384,7 @@ func (st *Station) AdvanceTo(now units.Time) {
 // Finalize integrates through now including the final partial step —
 // called once at collection time so offered/served accounting covers
 // the exact makespan. The station must not be advanced afterwards.
+//
 //saisvet:allocfree
 func (st *Station) Finalize(now units.Time) {
 	st.AdvanceTo(now)
@@ -388,6 +394,7 @@ func (st *Station) Finalize(now units.Time) {
 }
 
 // stepOnce integrates one interval of length dt starting at lastT.
+//
 //saisvet:allocfree
 func (st *Station) stepOnce(dt units.Time) {
 	sec := float64(dt) * 1e-9 // interval length in seconds
@@ -431,12 +438,14 @@ func (st *Station) stepOnce(dt units.Time) {
 // the fraction of the station's capacity the fluid consumed, pinned to
 // 1 while a backlog persists. Feed it through Slowdown to scale
 // foreground service times.
+//
 //saisvet:allocfree
 func (st *Station) Load() float64 { return st.load }
 
 // ServedLastStep returns the bytes served for flow i during the last
 // completed step — the per-tenant quantum the client wiring converts
 // into aggregated interrupt pressure.
+//
 //saisvet:allocfree
 func (st *Station) ServedLastStep(i int) float64 { return st.lastServed[i] }
 

@@ -172,7 +172,9 @@ func funcDeclsByObject(pass *analysis.Pass) map[*ast.FuncDecl]*ast.File {
 // *types.Func: a named function or a method called through a concrete
 // (non-interface) receiver. It returns nil for builtins, conversions,
 // func values, and interface-method calls — the dynamic cases that have
-// no single static body to consult.
+// no single static body to consult. A call through a generic
+// instantiation resolves to the generic declaration (its Origin), which
+// is the object facts and annotations are recorded on.
 func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -192,5 +194,8 @@ func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	if fn == nil {
 		fn, _ = pass.TypesInfo.Defs[id].(*types.Func)
 	}
-	return fn
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }

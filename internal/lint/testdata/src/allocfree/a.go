@@ -110,4 +110,27 @@ func sortInPlace(xs []int) []int {
 	return slices.Clone(xs) // want `call to slices.Clone, which is not allocation-free`
 }
 
+// stack is generic: calls through an instantiation resolve to the
+// generic declaration, where the annotation and proof status live.
+type stack[T any] struct{ items []T }
+
+//saisvet:allocfree
+func (s *stack[T]) push(v T) { s.items = append(s.items, v) }
+
+//saisvet:allocfree
+func (s *stack[T]) reset(n int) {
+	s.items = make([]T, n) // want `make in //saisvet:allocfree reset`
+}
+
+// grow allocates; unannotated, its proof status reaches callers
+// through every instantiation.
+func (s *stack[T]) grow(n int) { s.items = make([]T, 0, n) }
+
+//saisvet:allocfree
+func useGeneric(s *stack[int]) {
+	s.push(1)
+	s.reset(0)
+	s.grow(8) // want `call to \(\*sais/internal/sim.stack\[T\]\).grow, which is not allocation-free .make`
+}
+
 func main() {}

@@ -103,6 +103,7 @@ func New(engs []*sim.Engine, lookahead units.Time) *Engine {
 // It must be called from an event executing on shard src during a
 // round (the fabric's remote hook). The delivery time must respect
 // the lookahead — the executor's safety rests on it.
+//
 //saisvet:allocfree
 func (s *Engine) Post(src, dst int, m Msg) {
 	if m.Origin == 0 {
@@ -182,6 +183,7 @@ func (s *Engine) Posted() uint64 { return s.posted }
 // Run executes rounds until every shard is idle and no messages are
 // in flight, or the stop condition fires. It returns the makespan
 // (latest shard clock).
+//
 //saisvet:allocfree
 func (s *Engine) Run() units.Time {
 	s.stopped = false
@@ -206,6 +208,7 @@ func (s *Engine) Run() units.Time {
 // order. Injection order only matters for the engine's local seq,
 // which sits last in the compound key; sorting makes delivery
 // independent of which source shard posted first.
+//
 //saisvet:allocfree
 func (s *Engine) deliver() {
 	for dst, box := range s.inbox {
@@ -227,6 +230,7 @@ func (s *Engine) deliver() {
 // horizon returns the exclusive event-time bound of the next round:
 // the earliest pending event anywhere plus the lookahead. ok is false
 // when every shard is idle (mailboxes are empty here — deliver ran).
+//
 //saisvet:allocfree
 func (s *Engine) horizon() (units.Time, bool) {
 	var tmin units.Time
@@ -253,6 +257,7 @@ func (s *Engine) horizon() (units.Time, bool) {
 
 // round runs every shard up to (but excluding) horizon, in shard
 // order.
+//
 //saisvet:allocfree
 func (s *Engine) round(horizon units.Time) {
 	for _, e := range s.engs {
@@ -262,6 +267,7 @@ func (s *Engine) round(horizon units.Time) {
 
 // collect moves every out-buffer row into the destination mailboxes.
 // Append order (by source shard) is irrelevant: deliver sorts.
+//
 //saisvet:allocfree
 func (s *Engine) collect() {
 	for src := range s.out {

@@ -1,6 +1,9 @@
 package sim
 
-import "sais/internal/units"
+import (
+	"sais/internal/deque"
+	"sais/internal/units"
+)
 
 // Server models a resource that serves one job at a time in FIFO order:
 // a NIC serializing bytes onto a wire, a disk head, a core executing
@@ -24,7 +27,7 @@ type Server struct {
 	served  uint64
 	waited  units.Time // accumulated queueing delay
 	nameTag string
-	done    eventRing // done callbacks of in-flight jobs, in finish order
+	done    deque.Deque[Event] // done callbacks of in-flight jobs, in finish order
 	// completeFn is s.complete, bound by the first submission so that
 	// building a server allocates no method value.
 	completeFn Event
@@ -107,7 +110,7 @@ func (s *Server) schedule(now, start, cost units.Time, done Event) units.Time {
 	if s.completeFn == nil {
 		s.completeFn = s.complete
 	}
-	s.done.push(done)
+	s.done.PushBack(done)
 	s.eng.At(finish, s.completeFn)
 	return finish
 }
@@ -118,7 +121,7 @@ func (s *Server) schedule(now, start, cost units.Time, done Event) units.Time {
 func (s *Server) complete(now units.Time) {
 	s.queue--
 	s.served++
-	if done := s.done.pop(); done != nil {
+	if done := s.done.PopFront(); done != nil {
 		//lint:alloc completion-callback invocation: the callback's allocations belong to its owner's budget
 		done(now)
 	}
@@ -130,45 +133,4 @@ func (s *Server) Drain() units.Time {
 		return s.eng.Now()
 	}
 	return s.busyTo
-}
-
-// eventRing is a FIFO ring buffer of events. The capacity is zero or a
-// power of two.
-type eventRing struct {
-	buf  []Event
-	head int
-	n    int
-}
-
-//saisvet:allocfree
-func (r *eventRing) push(ev Event) {
-	if r.n == len(r.buf) {
-		//lint:alloc amortized ring growth: doubles only when the in-flight depth exceeds its peak
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
-	r.n++
-}
-
-// pop removes and returns the front event; the ring must not be empty.
-// The vacated slot is cleared so the ring keeps no finished callback
-// alive.
-//
-//saisvet:allocfree
-func (r *eventRing) pop() Event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return ev
-}
-
-// grow doubles the ring (minimum 4 slots), unwrapping it so the front
-// event lands at index 0.
-func (r *eventRing) grow() {
-	buf := make([]Event, max(4, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = buf, 0
 }

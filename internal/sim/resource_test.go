@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sais/internal/deque"
 	"sais/internal/rng"
 	"sais/internal/units"
 )
@@ -301,11 +302,11 @@ func TestServerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEventRingFIFO checks the completion ring against a slice model
-// across growth and wrap-around.
+// TestEventRingFIFO checks the completion queue of done callbacks
+// against a slice model across growth and wrap-around.
 func TestEventRingFIFO(t *testing.T) {
 	r := rng.New(rng.Derive(0xf1f0, 0))
-	var ring eventRing
+	var ring deque.Deque[Event]
 	var model []int
 	var popped int
 	ev := make([]Event, 64)
@@ -316,17 +317,17 @@ func TestEventRingFIFO(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		if r.Bool(0.55) {
 			v := step % len(ev)
-			ring.push(ev[v])
+			ring.PushBack(ev[v])
 			model = append(model, v)
 		} else if len(model) > 0 {
-			ring.pop()(0)
+			ring.PopFront()(0)
 			if popped != model[0] {
 				t.Fatalf("step %d: popped %d, want %d", step, popped, model[0])
 			}
 			model = model[1:]
 		}
-		if ring.n != len(model) {
-			t.Fatalf("step %d: len %d, want %d", step, ring.n, len(model))
+		if ring.Len() != len(model) {
+			t.Fatalf("step %d: len %d, want %d", step, ring.Len(), len(model))
 		}
 	}
 }

@@ -67,6 +67,7 @@ type Timer struct {
 // already-cancelled timer — or the zero Timer — is a no-op. It reports
 // whether the event was still pending. Cancellation is O(1): the arena
 // slot is marked dead and reaped lazily (or in bulk by compaction).
+//
 //saisvet:allocfree
 func (t Timer) Cancel() bool {
 	e := t.eng
@@ -159,6 +160,7 @@ func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
 func (e *Engine) Live() int { return e.Pending() - e.deadCount }
 
 // alloc claims an arena slot for (at, fn) and returns its index.
+//
 //saisvet:allocfree
 func (e *Engine) alloc(at units.Time, fn Event) int32 {
 	var idx int32
@@ -182,6 +184,7 @@ func (e *Engine) alloc(at units.Time, fn Event) int32 {
 
 // release returns an arena slot to the free list, bumping its
 // generation so stale Timer handles can never touch the next tenant.
+//
 //saisvet:allocfree
 func (e *Engine) release(idx int32) {
 	it := &e.arena[idx]
@@ -194,6 +197,7 @@ func (e *Engine) release(idx int32) {
 // At schedules fn to run at absolute time at. Scheduling in the past
 // panics: it always indicates a modelling bug, and silently clamping
 // would hide causality violations.
+//
 //saisvet:allocfree
 func (e *Engine) At(at units.Time, fn Event) Timer {
 	if fn == nil {
@@ -215,6 +219,7 @@ func (e *Engine) At(at units.Time, fn Event) Timer {
 }
 
 // After schedules fn to run d after the current time.
+//
 //saisvet:allocfree
 func (e *Engine) After(d units.Time, fn Event) Timer {
 	if d < 0 {
@@ -238,6 +243,7 @@ func (e *Engine) Immediately(fn Event) Timer { return e.At(e.now, fn) }
 // the same-instant fifo ring: at equal (at, schedAt) the untagged
 // fifo events (origin 0) still fire first, preserving a single total
 // order.
+//
 //saisvet:allocfree
 func (e *Engine) AtOrigin(at units.Time, origin uint64, fn Event) Timer {
 	if origin == 0 {
@@ -262,6 +268,7 @@ func (e *Engine) AtOrigin(at units.Time, origin uint64, fn Event) Timer {
 // shared one engine. schedAt must not exceed at (causality) and
 // origin must be nonzero (remote events are never in the local
 // scheduling-order class).
+//
 //saisvet:allocfree
 func (e *Engine) ScheduleRemote(at, schedAt units.Time, origin uint64, fn Event) Timer {
 	if origin == 0 {
@@ -311,6 +318,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // discarding cancelled entries at the queue fronts. It reports whether
 // the event sits in the fifo ring (true) or the heap (false), and
 // whether any live event exists at all.
+//
 //saisvet:allocfree
 func (e *Engine) next() (fromFifo, ok bool) {
 	for e.fifoHead < len(e.fifo) {
@@ -354,6 +362,7 @@ func (e *Engine) next() (fromFifo, ok bool) {
 
 // nextAt returns the (at) of the live event next() located; call only
 // after next() reported ok.
+//
 //saisvet:allocfree
 func (e *Engine) nextAt(fromFifo bool) units.Time {
 	if fromFifo {
@@ -363,6 +372,7 @@ func (e *Engine) nextAt(fromFifo bool) units.Time {
 }
 
 // fire pops and executes the live event next() located.
+//
 //saisvet:allocfree
 func (e *Engine) fire(fromFifo bool) {
 	var idx int32
@@ -392,6 +402,7 @@ func (e *Engine) fire(fromFifo bool) {
 
 // Step pops and executes the single earliest pending event. It reports
 // whether an event was executed (false means no live event remained).
+//
 //saisvet:allocfree
 func (e *Engine) Step() bool {
 	fromFifo, ok := e.next()
@@ -441,6 +452,7 @@ func (e *Engine) ProcessNextEvent() bool { return e.Step() }
 // ignores the Halt flag and stop condition — under sharded execution
 // those belong to the composing executor, which checks them between
 // rounds.
+//
 //saisvet:allocfree
 func (e *Engine) RunBefore(horizon units.Time) int {
 	n := 0
@@ -458,6 +470,7 @@ func (e *Engine) RunBefore(horizon units.Time) int {
 // stop condition installed by SetStop fires, or the clock passes
 // deadline (units.Forever for no deadline). It returns the time at
 // which the loop stopped.
+//
 //saisvet:allocfree
 func (e *Engine) Run(deadline units.Time) units.Time {
 	e.halted = false
@@ -499,6 +512,7 @@ func (e *Engine) RunUntilIdle() units.Time { return e.Run(units.Forever) }
 // lazy). Retry- and fault-heavy runs cancel timers wholesale; without
 // compaction those corpses deepen the heap and linger until their
 // nominal expiry wanders to the front.
+//
 //saisvet:allocfree
 func (e *Engine) maybeCompact() {
 	if e.deadCount < compactMin || e.deadCount*2 <= e.Pending() {
@@ -509,6 +523,7 @@ func (e *Engine) maybeCompact() {
 
 // compact removes every cancelled event from the heap and fifo in one
 // O(n) pass and restores the heap property.
+//
 //saisvet:allocfree
 func (e *Engine) compact() {
 	live := e.heap[:0]

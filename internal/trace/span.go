@@ -1,9 +1,15 @@
+// Package trace records the typed lifecycle spans of a run — every
+// strip's issue, service, fabric, ring, steer, irq and consume phases
+// plus per-core busy slices — and renders them as Chrome trace-event
+// JSON (cmd/saisim -trace-out) or as log lines (cmd/saisim -trace).
 package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"sais/internal/units"
 )
@@ -49,6 +55,13 @@ type Span struct {
 	Tag    uint64 // transfer tag (unique per client)
 	Strip  int    // global strip index within the transfer
 	Core   int    // client core involved (-1 when not core-bound)
+}
+
+// String renders the span as one log line: start time, duration,
+// phase, and the strip's identity.
+func (s Span) String() string {
+	return fmt.Sprintf("%12v +%-10v %-7s client=%d tag=%d strip=%d server=%d core=%d",
+		s.Start, s.End-s.Start, s.Phase, s.Client, s.Tag, s.Strip, s.Server, s.Core)
 }
 
 // CoreSpan is one contiguous busy slice of a client core, labelled with
@@ -155,27 +168,52 @@ func (l *SpanLog) OpenCount() int { return len(l.pending) }
 // PendingSpans returns a sorted copy of the spans begun but never
 // ended — the strips that died mid-flight. The invariant checker walks
 // them to demand that every issued strip still reached a terminal
-// account (a consume span or a typed OpError). Sorted by full span key
-// so the view does not depend on map iteration order.
+// account (a consume span or a typed OpError). Sorted by spanLess so
+// the view does not depend on map iteration order.
 func (l *SpanLog) PendingSpans() []Span {
 	out := make([]Span, 0, len(l.pending))
 	for _, s := range l.pending {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		switch {
-		case a.Client != b.Client:
-			return a.Client < b.Client
-		case a.Tag != b.Tag:
-			return a.Tag < b.Tag
-		case a.Strip != b.Strip:
-			return a.Strip < b.Strip
-		default:
-			return a.Phase < b.Phase
-		}
-	})
+	sort.Slice(out, func(i, j int) bool { return spanLess(out[i], out[j]) })
 	return out
+}
+
+// Last returns the n spans that ended last, in end order. Ties break
+// on the full span key, so the view is the same for any shard count.
+func (l *SpanLog) Last(n int) []Span {
+	spans := append([]Span(nil), l.spans...)
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		return spanLess(a, b)
+	})
+	return spans[max(0, len(spans)-n):]
+}
+
+// spanLess orders spans by start time, then by every other field: the
+// canonical order of the exported views.
+func spanLess(a, b Span) bool {
+	switch {
+	case a.Start != b.Start:
+		return a.Start < b.Start
+	case a.Client != b.Client:
+		return a.Client < b.Client
+	case a.Tag != b.Tag:
+		return a.Tag < b.Tag
+	case a.Strip != b.Strip:
+		return a.Strip < b.Strip
+	case a.Phase != b.Phase:
+		return a.Phase < b.Phase
+	case a.Server != b.Server:
+		return a.Server < b.Server
+	case a.End != b.End:
+		return a.End < b.End
+	default:
+		return a.Core < b.Core
+	}
 }
 
 // Orphans returns the count of End calls that matched no open span
@@ -243,27 +281,7 @@ func (l *SpanLog) ExportChrome(w io.Writer) error {
 	// sorted copies make the export canonical — byte-identical for any
 	// shard count.
 	spans := append([]Span(nil), l.spans...)
-	sort.Slice(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		switch {
-		case a.Start != b.Start:
-			return a.Start < b.Start
-		case a.Client != b.Client:
-			return a.Client < b.Client
-		case a.Tag != b.Tag:
-			return a.Tag < b.Tag
-		case a.Strip != b.Strip:
-			return a.Strip < b.Strip
-		case a.Phase != b.Phase:
-			return a.Phase < b.Phase
-		case a.Server != b.Server:
-			return a.Server < b.Server
-		case a.End != b.End:
-			return a.End < b.End
-		default:
-			return a.Core < b.Core
-		}
-	})
+	sort.Slice(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
 	cores := append([]CoreSpan(nil), l.cores...)
 	sort.Slice(cores, func(i, j int) bool {
 		a, b := cores[i], cores[j]
@@ -289,17 +307,17 @@ func (l *SpanLog) ExportChrome(w io.Writer) error {
 		pid, tid := s.track()
 		switch s.Phase {
 		case PhaseService:
-			procNames[pid] = "server " + itoa(s.Server)
+			procNames[pid] = "server " + strconv.Itoa(s.Server)
 			threadNames[trackKey{pid, tid}] = "service"
 		case PhaseFabric:
 			procNames[pid] = "fabric"
-			threadNames[trackKey{pid, tid}] = "from server " + itoa(s.Server)
+			threadNames[trackKey{pid, tid}] = "from server " + strconv.Itoa(s.Server)
 		case PhaseRing:
-			procNames[pid] = "client " + itoa(s.Client)
+			procNames[pid] = "client " + strconv.Itoa(s.Client)
 			threadNames[trackKey{pid, tid}] = "nic ring"
 		default:
-			procNames[pid] = "client " + itoa(s.Client)
-			threadNames[trackKey{pid, tid}] = "core " + itoa(tid)
+			procNames[pid] = "client " + strconv.Itoa(s.Client)
+			threadNames[trackKey{pid, tid}] = "core " + strconv.Itoa(tid)
 		}
 		dur := us(s.End - s.Start)
 		events = append(events, chromeSpanEvent{
@@ -316,8 +334,8 @@ func (l *SpanLog) ExportChrome(w io.Writer) error {
 		})
 	}
 	for _, cs := range cores {
-		procNames[cs.Node] = "client " + itoa(cs.Node)
-		threadNames[trackKey{cs.Node, cs.Core}] = "core " + itoa(cs.Core)
+		procNames[cs.Node] = "client " + strconv.Itoa(cs.Node)
+		threadNames[trackKey{cs.Node, cs.Core}] = "core " + strconv.Itoa(cs.Core)
 		dur := us(cs.End - cs.Start)
 		events = append(events, chromeSpanEvent{
 			Name: cs.Name,
@@ -363,23 +381,4 @@ func (l *SpanLog) ExportChrome(w io.Writer) error {
 		DisplayTimeUnit: "ns",
 		TraceEvents:     append(meta, events...),
 	})
-}
-
-// itoa is a minimal non-negative integer formatter (avoids pulling
-// strconv into the hot import path for two call sites).
-func itoa(v int) string {
-	if v < 0 {
-		return "-" + itoa(-v)
-	}
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"sais/internal/units"
@@ -119,5 +120,37 @@ func TestExportChrome(t *testing.T) {
 	}
 	if l.OpenCount() != 0 {
 		t.Errorf("open spans leaked: %d", l.OpenCount())
+	}
+}
+
+// TestSpanString pins the one-line rendering saisim -trace prints.
+func TestSpanString(t *testing.T) {
+	s := Span{Phase: PhaseSteer, Start: 239600 * units.Microsecond, End: 239602500,
+		Client: 1, Server: 114, Tag: 65, Strip: 14, Core: 1}
+	const want = "     239.6ms +2.5us      steer   client=1 tag=65 strip=14 server=114 core=1"
+	if got := s.String(); got != want {
+		t.Errorf("String() =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestLastOrdersByEnd checks Last picks the spans that ended last, in
+// end order with the full key breaking ties, whatever the slab order.
+func TestLastOrdersByEnd(t *testing.T) {
+	l := NewSpanLog()
+	l.Emit(Span{Phase: PhaseIRQ, Start: 5, End: 30, Client: 2})
+	l.Emit(Span{Phase: PhaseIRQ, Start: 1, End: 10, Client: 1})
+	l.Emit(Span{Phase: PhaseRing, Start: 2, End: 30, Client: 1})
+	l.Emit(Span{Phase: PhaseIRQ, Start: 2, End: 30, Client: 1})
+	got := l.Last(3)
+	want := []Span{
+		{Phase: PhaseRing, Start: 2, End: 30, Client: 1},
+		{Phase: PhaseIRQ, Start: 2, End: 30, Client: 1},
+		{Phase: PhaseIRQ, Start: 5, End: 30, Client: 2},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Last(3) = %v, want %v", got, want)
+	}
+	if n := len(l.Last(10)); n != 4 {
+		t.Errorf("Last(10) returned %d spans, want all 4", n)
 	}
 }

@@ -44,12 +44,12 @@ race:
 	$(GO) test -race ./...
 
 # Short race pass of the orchestration-critical packages (the worker
-# pool, the fault injector, their heaviest consumer, the span/trace
-# recorder, and the sharded executor with its cluster-level
-# differential tests, whose runs hold no lock and so must stay on one
-# goroutine each); cheap enough to run in `all`.
+# pool, the fault injector, its consumers — the figure engine and the
+# study runner — the span/trace recorder, and the sharded executor with
+# its cluster-level differential tests, whose runs hold no lock and so
+# must stay on one goroutine each); cheap enough to run in `all`.
 race-short:
-	$(GO) test -race ./internal/runner ./internal/faults ./experiments ./internal/trace ./internal/shard
+	$(GO) test -race ./internal/runner ./internal/faults ./experiments ./internal/scenario ./internal/trace ./internal/shard
 	$(GO) test -race -run 'TestSharded' ./cluster
 
 # Record the canonical outputs the repository ships with.
@@ -104,15 +104,15 @@ experiments:
 figures:
 	$(GO) run ./cmd/experiments -plot
 
-# Degraded-mode studies: the scripted crash-and-recover scenario across
-# policies (see also `-degraded` for the loss-rate sweep).
+# Degraded-mode study: the scripted crash-and-recover timeline across
+# policies (see also studies/degraded.json for the loss-rate sweep).
 chaos:
-	$(GO) run ./cmd/experiments -chaos
+	$(GO) run ./cmd/experiments -study studies/chaos.json
 
 # Policy × workload matrix: strip-latency percentiles and the reorder
 # metric for every policy in the irqsched registry.
 policymatrix:
-	$(GO) run ./cmd/experiments -policymatrix -parallel 8
+	$(GO) run ./cmd/experiments -study studies/policymatrix.json -parallel 8
 
 # Tier-1 scenario gate: run every committed scenario file, on one
 # engine and on four shards, evaluating assertions and the runtime

@@ -1,6 +1,9 @@
 // Command experiments regenerates the paper's evaluation: every table
 // and figure (5-12, 14, and the §V.C 1-Gigabit result) as a text table
-// of baseline vs SAIs with the relative change per cell.
+// of baseline vs SAIs with the relative change per cell. It also runs
+// study files (studies/*.json, see internal/scenario.Study): a scenario
+// swept over a grid of config deltas, policies and seeds, every run
+// checked against the runtime invariants.
 //
 // Usage:
 //
@@ -10,9 +13,7 @@
 //	experiments -seeds 5     # more repetitions per cell
 //	experiments -parallel 8  # run up to 8 cells concurrently per figure
 //	experiments -timeout 2m  # bound the whole regeneration
-//	experiments -degraded    # latency vs frame loss per policy (faults)
-//	experiments -chaos       # crash-and-recover scenario per policy
-//	experiments -policymatrix # strip latency and reordering per policy × workload
+//	experiments -study studies/degraded.json  # run a study file
 //
 // Ctrl-C (SIGINT) cancels in-flight simulations promptly and the
 // figures completed (or partially completed) so far are still printed.
@@ -30,9 +31,8 @@ import (
 	"time"
 
 	"sais/experiments"
-	"sais/internal/faults"
 	"sais/internal/prof"
-	"sais/internal/units"
+	"sais/internal/scenario"
 )
 
 // profiler is package-level so fatal (which exits without running
@@ -49,15 +49,7 @@ func main() {
 		html    = flag.String("html", "", "also write a self-contained HTML report to this file")
 		par     = flag.Int("parallel", 1, "run up to N cells of each experiment concurrently")
 		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-
-		degraded  = flag.Bool("degraded", false, "run the degraded-mode sweep (latency vs loss per policy) and exit")
-		chaos     = flag.Bool("chaos", false, "run the crash-and-recover chaos scenario and exit")
-		graceful  = flag.Bool("graceful", false, "run the graceful-degradation study (permanent server loss, hard-fail vs per-transfer deadlines) and exit")
-		noisy     = flag.Bool("noisy", false, "run the noisy-neighbor study (background load vs foreground strip latency per policy) and exit")
-		matrix    = flag.Bool("policymatrix", false, "run the policy × workload matrix (strip latency percentiles and reordering per registered policy) and exit")
-		faultPlan = flag.String("fault-plan", "", "with -chaos: load the scenario's fault plan from a JSON file")
-		loss      = flag.Float64("loss", 0, "with -degraded: run only this loss rate instead of the default grid")
-		crashAt   = flag.Duration("crash-at", 0, "with -chaos: override the crash time (revive stays 30ms later)")
+		study   = flag.String("study", "", "run this study file (honours -seeds, -parallel, -csv) and exit")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -83,104 +75,11 @@ func main() {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
-		fmt.Printf("%-12s %s\n", "-degraded", experiments.Degraded().Title)
-		fmt.Printf("%-12s %s\n", "-chaos", experiments.CrashAndRecover().Title)
-		fmt.Printf("%-12s %s\n", "-graceful", experiments.GracefulDegradation().Title)
-		fmt.Printf("%-12s %s\n", "-noisy", experiments.NoisyNeighbor().Title)
-		fmt.Printf("%-12s %s\n", "-policymatrix", experiments.PolicyMatrix().Title)
 		return
 	}
 
-	if *degraded {
-		sweep := experiments.Degraded()
-		if *seeds > 0 {
-			sweep.Seeds = *seeds
-		}
-		sweep.Parallel = *par
-		if *loss > 0 {
-			sweep.LossRates = []float64{*loss}
-		}
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *graceful {
-		sweep := experiments.GracefulDegradation()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *noisy {
-		sweep := experiments.NoisyNeighbor()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *matrix {
-		sweep := experiments.PolicyMatrix()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *chaos {
-		sc := experiments.CrashAndRecover()
-		sc.Parallel = *par
-		if *faultPlan != "" {
-			plan, err := faults.LoadPlan(*faultPlan)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			sc.Plan = plan
-			sc.Title = fmt.Sprintf("Chaos: fault plan %s", *faultPlan)
-		} else if *crashAt > 0 {
-			at := units.Time(crashAt.Nanoseconds())
-			sc.Plan = &faults.Plan{Timeline: []faults.TimelineEvent{
-				{At: at, Kind: faults.KindCrash, Server: 0},
-				{At: at + 30*units.Millisecond, Kind: faults.KindRevive, Server: 0},
-			}}
-			sc.Title = fmt.Sprintf("Chaos: crash server 0 at %v, revive 30ms later", *crashAt)
-		}
-		rep, err := sc.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
+	if *study != "" {
+		runStudy(ctx, *study, *seeds, *par, *csv)
 		return
 	}
 
@@ -261,6 +160,30 @@ func fatal(err error) {
 	profiler.Stop() // os.Exit skips defers; flush profiles first
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
+}
+
+// runStudy loads and runs one study file, prints its table or CSV,
+// and exits nonzero if any run broke an invariant or assertion.
+func runStudy(ctx context.Context, path string, seeds, parallel int, csv bool) {
+	st, err := scenario.LoadStudy(path)
+	if err != nil {
+		fatal(err)
+	}
+	if seeds > 0 {
+		st.Seeds = seeds
+	}
+	rep, err := scenario.RunStudy(ctx, st, parallel)
+	if err != nil {
+		fatal(err)
+	}
+	if csv {
+		fmt.Print(rep.CSV())
+	} else {
+		fmt.Println(rep.Table())
+	}
+	if !rep.Passed() {
+		fatal(fmt.Errorf("study %s:\n%s", st.Name, strings.TrimSuffix(rep.Findings(), "\n")))
+	}
 }
 
 // render prints one report in the selected format.

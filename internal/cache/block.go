@@ -1,3 +1,17 @@
+// Package cache models the client's private per-core caches — the
+// hardware substrate whose behaviour the paper's whole argument rests
+// on: a strip handled by the wrong core lands in the wrong private
+// cache and must later migrate to the consumer (cost M), whereas
+// source-aware delivery keeps the strip local (cost of a hit).
+//
+// The model (System) works at block granularity: it tracks whole
+// strips as resident in at most one private cache, with per-core
+// capacity and LRU eviction. The paper's experiments move tens of
+// gigabytes, so per-line simulation would be needlessly slow;
+// miss/access counts are derived from line arithmetic so reported
+// rates are equivalent. A line-granularity set-associative LRU cache
+// with a MESI-style ownership directory lives in the package's tests
+// as the oracle the block model is checked against.
 package cache
 
 import (
@@ -5,6 +19,39 @@ import (
 
 	"sais/internal/units"
 )
+
+// AccessKind classifies where a requested line was found.
+type AccessKind uint8
+
+// Access outcomes.
+const (
+	// HitLocal: the line was in the requesting core's own cache.
+	HitLocal AccessKind = iota
+	// HitRemote: another core's cache supplied the line
+	// (cache-to-cache migration — the expensive case, cost M).
+	HitRemote
+	// MissMemory: no cache held the line; filled from memory.
+	MissMemory
+	// HitL3: supplied by a shared last-level (victim) cache — cheaper
+	// than DRAM, dearer than a local hit. Only produced by a System
+	// configured with an L3.
+	HitL3
+)
+
+func (k AccessKind) String() string {
+	switch k {
+	case HitLocal:
+		return "local-hit"
+	case HitRemote:
+		return "remote-hit"
+	case MissMemory:
+		return "memory-miss"
+	case HitL3:
+		return "l3-hit"
+	default:
+		return fmt.Sprintf("AccessKind(%d)", uint8(k))
+	}
+}
 
 // BlockID names a strip-sized region of memory tracked at block
 // granularity. The cluster simulator allocates one BlockID per data

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"sais/cluster"
+	"sais/internal/irqsched"
 )
 
 // RunResult is one policy's outcome: the cluster result plus the
@@ -54,14 +55,20 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "%s %s [%s]: %v in %v, %d failed, %d partial, %d retries\n",
 			status, r.Scenario.Name, run.Policy, res.Bandwidth, res.Duration,
 			res.Faults.FailedOps, res.Faults.PartialOps, res.Retries)
-		for _, v := range run.Violations {
-			fmt.Fprintf(&b, "  invariant %s\n", v)
-		}
-		for _, f := range run.Failures {
-			fmt.Fprintf(&b, "  assert %s\n", f)
-		}
+		run.findings(&b, "  ")
 	}
 	return b.String()
+}
+
+// findings writes one line per invariant violation and assertion
+// failure of the run, each behind prefix.
+func (r *RunResult) findings(b *strings.Builder, prefix string) {
+	for _, v := range r.Violations {
+		fmt.Fprintf(b, "%sinvariant %s\n", prefix, v)
+	}
+	for _, f := range r.Failures {
+		fmt.Fprintf(b, "%sassert %s\n", prefix, f)
+	}
 }
 
 // Run executes the scenario under every listed policy, checks the
@@ -75,32 +82,42 @@ func Run(ctx context.Context, s *Scenario) (*Report, error) {
 	}
 	rep := &Report{Scenario: s}
 	for _, pol := range policies {
-		cfg, err := s.materialize(pol)
+		run, err := s.run(ctx, pol)
 		if err != nil {
 			return nil, err
-		}
-		res, log, err := cluster.RunSpannedContext(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s (%s): %w", s.Name, pol, err)
-		}
-		run := RunResult{Policy: pol.String(), Result: res}
-		if !s.SkipInvariants {
-			run.Violations = CheckInvariants(cfg, res, log)
-		}
-		for _, a := range s.Assertions {
-			if !a.Applies(run.Policy) {
-				continue
-			}
-			got, ok, err := a.Eval(res)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s (%s): %w", s.Name, pol, err)
-			}
-			if !ok {
-				run.Failures = append(run.Failures,
-					fmt.Sprintf("%s: got %g", a, got))
-			}
 		}
 		rep.Runs = append(rep.Runs, run)
 	}
 	return rep, nil
+}
+
+// run executes the scenario under one policy: the spanned cluster run,
+// the invariant checker, and the assertions that apply to the policy.
+func (s *Scenario) run(ctx context.Context, pol irqsched.PolicyKind) (RunResult, error) {
+	cfg, err := s.materialize(pol)
+	if err != nil {
+		return RunResult{}, err
+	}
+	res, log, err := cluster.RunSpannedContext(ctx, cfg)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("scenario %s (%s): %w", s.Name, pol, err)
+	}
+	run := RunResult{Policy: pol.String(), Result: res}
+	if !s.SkipInvariants {
+		run.Violations = CheckInvariants(cfg, res, log)
+	}
+	for _, a := range s.Assertions {
+		if !a.Applies(run.Policy) {
+			continue
+		}
+		got, ok, err := a.Eval(res)
+		if err != nil {
+			return RunResult{}, fmt.Errorf("scenario %s (%s): %w", s.Name, pol, err)
+		}
+		if !ok {
+			run.Failures = append(run.Failures,
+				fmt.Sprintf("%s: got %g", a, got))
+		}
+	}
+	return run, nil
 }

@@ -14,6 +14,10 @@
 // the simulated clock monotonic, crashed servers silent. Scenarios run
 // them by default; `saisim run` and `make scenarios` turn violations
 // into nonzero exits.
+//
+// A Study (study.go) sweeps a scenario over a grid of config deltas,
+// policies and seeds and reports metric columns; `cmd/experiments
+// -study` runs the committed studies/ files through RunStudy.
 package scenario
 
 import (
@@ -130,11 +134,9 @@ func Write(w io.Writer, s *Scenario) error {
 // cluster.DefaultConfig (files state only deviations); unknown fields
 // anywhere are rejected so typos surface immediately.
 func Read(r io.Reader) (*Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	s := &Scenario{Config: cluster.DefaultConfig()}
-	if err := dec.Decode(s); err != nil {
-		return nil, fmt.Errorf("scenario: parsing: %w", err)
+	if err := decode(r, s); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -143,30 +145,30 @@ func Read(r io.Reader) (*Scenario, error) {
 }
 
 // Load reads a scenario file.
-func Load(path string) (*Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+func Load(path string) (*Scenario, error) { return load(path, Read) }
+
+// decode parses one JSON document from r over v's current contents,
+// rejecting unknown fields.
+func decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parsing: %w", err)
 	}
-	defer f.Close()
-	s, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
+	return nil
 }
 
-// Save writes a scenario file. The close error is checked so a
-// truncated file (full disk) is reported instead of silently saved.
-func Save(path string, s *Scenario) (err error) {
-	f, err := os.Create(path)
+// load opens path and parses it with read, naming the file in errors.
+func load[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return zero, err
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return Write(f, s)
+	defer f.Close()
+	v, err := read(f)
+	if err != nil {
+		return zero, fmt.Errorf("%s: %w", path, err)
+	}
+	return v, nil
 }

@@ -1,0 +1,161 @@
+package scenario
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"sais/cluster"
+	"sais/internal/faults"
+	"sais/internal/flowsim"
+	"sais/internal/irqsched"
+	"sais/internal/metrics"
+	"sais/internal/units"
+)
+
+// quickStudy is a 2 × 2 grid over quickCfg under two policies and two
+// seeds, with one averaged and one summed column.
+const quickStudy = `{
+  "Name": "quick",
+  "Config": {"Clients": 2, "Servers": 4, "CoresPerClient": 4, "ProcsPerClient": 2,
+             "TransferSize": 262144, "BytesPerProc": 1048576, "RetryTimeout": 5000000, "MaxRetries": 20},
+  "Policies": ["sais", "irqbalance"],
+  "Dims": [
+    {"Name": "servers", "Values": [{"Label": "4"}, {"Label": "2", "Config": {"Servers": 2}}]},
+    {"Name": "loss", "Values": [{"Label": "0"}, {"Label": "0.02", "Config": {"LossRate": 0.02}}]}
+  ],
+  "Seeds": 2,
+  "Columns": [{"Metric": "bandwidth_mbps"}, {"Metric": "strips_retried", "Sum": true}]
+}`
+
+func readStudy(t *testing.T, text string) *Study {
+	t.Helper()
+	s, err := ReadStudy(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRunStudyGridOrderAndFolding: rows come point-outer (first dim
+// outermost), policy-inner, and each value is the mean (or sum) of the
+// same cluster runs made by hand under seeds 1..Seeds.
+func TestRunStudyGridOrderAndFolding(t *testing.T) {
+	s := readStudy(t, quickStudy)
+	rep, err := RunStudy(context.Background(), s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("findings:\n%s", rep.Findings())
+	}
+	var got []string
+	for _, row := range rep.Rows {
+		got = append(got, strings.Join(append(row.Labels, row.Policy), "/"))
+	}
+	want := []string{
+		"4/0/sais", "4/0/irqbalance", "4/0.02/sais", "4/0.02/irqbalance",
+		"2/0/sais", "2/0/irqbalance", "2/0.02/sais", "2/0.02/irqbalance",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("row order %v, want %v", got, want)
+	}
+	row := rep.Rows[6] // servers=2, loss=0.02, sais
+	cfg := s.Config
+	cfg.Servers, cfg.LossRate, cfg.Policy = 2, 0.02, irqsched.PolicySourceAware
+	var bw metrics.Summary
+	var retried float64
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg.Seed = seed
+		res, err := cluster.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw.Add(float64(res.Bandwidth) / float64(units.MBps))
+		retried += float64(res.Faults.StripsRetried)
+	}
+	if row.Values[0] != bw.Mean() || row.Values[1] != retried {
+		t.Errorf("cell = %v, want [%v %v] from hand-made runs", row.Values, bw.Mean(), retried)
+	}
+	if retried == 0 {
+		t.Error("lossy cell retried nothing; the summed column is not exercised")
+	}
+	serial, err := RunStudy(context.Background(), s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.CSV() != rep.CSV() || serial.Table() != rep.Table() {
+		t.Error("report differs across worker counts")
+	}
+	if h := strings.SplitN(rep.CSV(), "\n", 2)[0]; h != "servers,loss,policy,bandwidth_mbps,strips_retried" {
+		t.Errorf("csv header = %q", h)
+	}
+}
+
+// TestStudyReadRejects: every malformed study is a *StudyError from
+// ReadStudy, never a panic.
+func TestStudyReadRejects(t *testing.T) {
+	const base = `{"Name": "bad", "Config": {"Servers": 4}, %s}`
+	cases := map[string]string{
+		"unknown field":       `"Dimz": [], "Columns": [{"Metric": "retries"}]`,
+		"unknown delta field": `"Dims": [{"Name": "d", "Values": [{"Label": "x", "Config": {"Serverz": 2}}]}], "Columns": [{"Metric": "retries"}]`,
+		"unknown column":      `"Columns": [{"Metric": "goodness"}]`,
+		"no columns":          `"Seeds": 1`,
+		"unknown policy":      `"Policies": ["nope"], "Columns": [{"Metric": "retries"}]`,
+		"empty values":        `"Dims": [{"Name": "d", "Values": []}], "Columns": [{"Metric": "retries"}]`,
+		"unlabelled value":    `"Dims": [{"Name": "d", "Values": [{}]}], "Columns": [{"Metric": "retries"}]`,
+		"dim named policy":    `"Dims": [{"Name": "policy", "Values": [{"Label": "x"}]}], "Columns": [{"Metric": "retries"}]`,
+		"negative seeds":      `"Seeds": -1, "Columns": [{"Metric": "retries"}]`,
+		"invalid point":       `"Dims": [{"Name": "d", "Values": [{"Label": "ok"}, {"Label": "none", "Config": {"Servers": 0}}]}], "Columns": [{"Metric": "retries"}]`,
+		"malformed json":      `"Columns": [`,
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := ReadStudy(strings.NewReader(strings.Replace(base, "%s", body, 1)))
+			var se *StudyError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v (%T), want *StudyError", err, err)
+			}
+		})
+	}
+}
+
+// TestStudyDeltaDoesNotAlias: a delta that writes the tenant mix or the
+// fault plan changes only its own point — not a sibling, not the base.
+func TestStudyDeltaDoesNotAlias(t *testing.T) {
+	s := &Study{
+		Scenario: Scenario{Name: "alias", Config: quickCfg()},
+		Dims: []Dim{{Name: "d", Values: []DimValue{
+			{Label: "writes", Config: json.RawMessage(`{
+				"TenantMix": [{"Name": "x", "Share": 1, "PerUserRate": 999}],
+				"Faults": {"Loss": 0.5, "Timeline": [{"At": 7, "Kind": "crash", "Server": 3}]}}`)},
+			{Label: "sibling"},
+		}}},
+		Columns: []Column{{Metric: "retries"}},
+	}
+	s.Config.BackgroundUsers = 1000
+	s.Config.TenantMix = []flowsim.TenantShare{{Name: "base", Share: 1, PerUserRate: 10}}
+	s.Config.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
+		{At: units.Millisecond, Kind: faults.KindCrash, Server: 0},
+	}}
+	before := s.Config
+	before.TenantMix = append([]flowsim.TenantShare(nil), s.Config.TenantMix...)
+	before.Faults = s.Config.Faults.Clone()
+
+	pts, err := s.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := pts[0].cfg; w.TenantMix[0].PerUserRate != 999 || w.Faults.Loss != 0.5 || w.Faults.Timeline[0].Server != 3 {
+		t.Fatalf("delta not applied: mix %+v faults %+v", w.TenantMix, w.Faults)
+	}
+	if !reflect.DeepEqual(pts[1].cfg, before) {
+		t.Errorf("sibling point changed:\n%+v\nwant\n%+v", pts[1].cfg, before)
+	}
+	if !reflect.DeepEqual(s.Config, before) {
+		t.Errorf("base config changed:\n%+v\nwant\n%+v", s.Config, before)
+	}
+}

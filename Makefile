@@ -65,7 +65,8 @@ bench-output:
 # Benchmark baseline: the event-engine hot path and the FIFO server
 # (sim), the core run queue (cpu), the interrupt steer-and-deliver path
 # (apic), the frame datapath (netsim), the page cache and the piece
-# service stages (pfs), the shard round (shard), plus the sharded
+# service stages (pfs), the block cache's fill-consume-release cycle
+# (cache), the shard round (shard), plus the sharded
 # executor's 256-node scaling rows. bench-record snapshots the
 # current numbers into BENCH_sim.json (commit it); bench-check compares
 # a fresh run against the committed baseline and fails the build on a
@@ -82,6 +83,7 @@ bench-record:
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
+	  $(GO) test -run '^$$' -bench SystemFillConsume -benchmem -count $(BENCH_COUNT) ./internal/cache ; \
 	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -record BENCH_sim.json
@@ -93,6 +95,7 @@ bench-check:
 	  $(GO) test -run '^$$' -bench IOAPICRaise -benchmem -count $(BENCH_COUNT) ./internal/apic ; \
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
+	  $(GO) test -run '^$$' -bench SystemFillConsume -benchmem -count $(BENCH_COUNT) ./internal/cache ; \
 	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json -strict

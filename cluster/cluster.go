@@ -587,20 +587,24 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 	if max := cfg.Clients + cfg.Servers; shards > max {
 		shards = max
 	}
+	// Node-id layout (see NodeLayout): clients at 1..Clients, MDS at
+	// 90, servers from 100, shifting past the client range when it
+	// outgrows the classic constants. A fault plan's storm node sits
+	// just past the last server, so it never collides with a real node;
+	// the fabrics' id space ends there.
+	clientIDs, servers, mds := cfg.NodeLayout()
+	stormNode := servers[cfg.Servers-1] + 1
+	ids := int(stormNode) + 1
 	engines := make([]*sim.Engine, shards)
 	fabrics := make([]*netsim.Fabric, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
-		fabrics[i] = netsim.NewFabric(engines[i], cfg.FabricLatency)
+		fabrics[i] = netsim.NewFabric(engines[i], cfg.FabricLatency, ids)
 	}
 	// The MDS (and a storm's ghost NIC) live on shard 0.
 	eng, fab := engines[0], fabrics[0]
 	clientShard := func(i int) int { return i % shards }
 	serverShard := func(i int) int { return i % shards }
-	// Node-id layout (see NodeLayout): clients at 1..Clients, MDS at
-	// 90, servers from 100, shifting past the client range when it
-	// outgrows the classic constants.
-	clientIDs, servers, mds := cfg.NodeLayout()
 	root := rng.New(cfg.Seed)
 	layout := pfs.Layout{StripSize: cfg.StripSize, Servers: servers, Size: cfg.BytesPerProc}
 	pfs.NewMetadataServer(eng, fab, mds, pfs.DefaultMetadataConfig(units.Gigabit),
@@ -697,7 +701,12 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 	var se *shard.Engine
 	if shards > 1 {
 		se = shard.New(engines, cfg.FabricLatency)
-		nodeShard := make(map[netsim.NodeID]int, cfg.Clients+cfg.Servers+1)
+		// nodeShard maps a node id to its shard; -1 marks an id no node
+		// holds (the fabric keeps ids outside the space from the hook).
+		nodeShard := make([]int, ids)
+		for i := range nodeShard {
+			nodeShard[i] = -1
+		}
 		nodeShard[mds] = 0
 		for i := range clientIDs {
 			nodeShard[clientIDs[i]] = clientShard(i)
@@ -708,8 +717,8 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		for i := range fabrics {
 			src := i
 			fabrics[i].SetRemote(func(fr *netsim.Frame, sendAt, deliverAt units.Time, key netsim.FrameKey) bool {
-				dst, ok := nodeShard[fr.Dst]
-				if !ok {
+				dst := nodeShard[fr.Dst]
+				if dst < 0 {
 					return false
 				}
 				df := fabrics[dst]
@@ -722,16 +731,15 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		}
 	}
 
-	// Arm the fault plan against the assembled cluster. The storm node
-	// sits just past the last server in the id space, so it never
-	// collides with a real node. An empty plan arms to a no-op without
-	// drawing randomness, keeping healthy runs byte-identical.
+	// Arm the fault plan against the assembled cluster. An empty plan
+	// arms to a no-op without drawing randomness, keeping healthy runs
+	// byte-identical.
 	target := faults.Target{
 		Engine:    eng,
 		Fabric:    fab,
 		Servers:   srvs,
 		Clients:   clientIDs,
-		StormNode: servers[cfg.Servers-1] + 1,
+		StormNode: stormNode,
 		Rand:      root,
 	}
 	if shards > 1 {

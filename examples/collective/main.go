@@ -36,7 +36,8 @@ const (
 // build assembles a single-client cluster.
 func build(policy irqsched.PolicyKind) (*sim.Engine, *client.Node) {
 	eng := sim.NewEngine()
-	fab := netsim.NewFabric(eng, 20*units.Microsecond)
+	// Node ids: client 1, MDS 50, servers from 100.
+	fab := netsim.NewFabric(eng, 20*units.Microsecond, 100+servers)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, policy)
 	ccfg.MDS = 50
 	node := client.MustNew(eng, fab, ccfg)

@@ -53,10 +53,25 @@ func (k AccessKind) String() string {
 	}
 }
 
-// BlockID names a strip-sized region of memory tracked at block
-// granularity. The cluster simulator allocates one BlockID per data
-// strip in flight.
-type BlockID uint64
+// Block is the handle Fill returns for one deposited block — a data
+// strip in flight. ConsumeFrom, Resident and Release take it. A handle
+// is valid until its Release, after which Fill may hand the same value
+// out again for a new block.
+type Block int32
+
+// none marks an absent core, socket or list link in a block record.
+const none = -1
+
+// block is one record of System's slab. A resident block sits in the
+// LRU list of exactly one cache — a core's private cache or a socket's
+// L3 — and prev/next link it there; a released record chains the free
+// list through next.
+type block struct {
+	size       units.Bytes // 0 while the record is free
+	core       int32       // private cache holding the block, or none
+	socket     int32       // L3 holding the block, or none
+	prev, next Block
+}
 
 // System is the block-granularity cache model used by the cluster
 // simulator. Each core has a private cache of fixed byte capacity
@@ -66,31 +81,37 @@ type BlockID uint64
 // the single-owner invariant matches the workload (and keeps the model
 // O(1) per strip rather than O(lines)).
 //
+// Blocks live in a slab of records indexed by their handle and recycled
+// through a free list, and each cache's LRU order is a doubly linked
+// list through the records, so dropping, touching or evicting a block
+// touches a fixed number of records, and nothing allocates once the
+// slab has grown to the peak number of blocks in flight.
+//
 // Line-level counters (accesses, hits, misses) are derived
 // arithmetically from block sizes and the configured line size, so the
 // reported L2 miss rates are directly comparable with the paper's
 // Oprofile numbers.
 type System struct {
 	lineSize units.Bytes
-	cores    []coreCache
-	where    map[BlockID]int // block -> core holding it
-	sizes    map[BlockID]units.Bytes
+	cores    []lru
+	blocks   []block
+	free     Block // first free record, or none
 	stats    []BlockStats
 	agg      BlockStats
 
 	// Optional shared per-socket L3 victim cache: blocks evicted from a
 	// private cache by capacity pressure park here until consumed or
 	// displaced. Zero capacity disables it.
-	l3         []coreCache // one per socket
-	l3Where    map[BlockID]int
+	l3         []lru // one per socket
 	socketSize int
 }
 
-type coreCache struct {
-	capacity units.Bytes
-	used     units.Bytes
-	// LRU list, most recent at the back.
-	order []BlockID
+// lru is one cache's occupancy and LRU list: head is the least
+// recently used block, tail the most recent.
+type lru struct {
+	capacity   units.Bytes
+	used       units.Bytes
+	head, tail Block
 }
 
 // BlockStats counts line-level cache events for one core (or the
@@ -134,13 +155,12 @@ func NewSystem(nCores int, perCore, lineSize units.Bytes) *System {
 	}
 	s := &System{
 		lineSize: lineSize,
-		cores:    make([]coreCache, nCores),
-		where:    make(map[BlockID]int),
-		sizes:    make(map[BlockID]units.Bytes),
+		cores:    make([]lru, nCores),
+		free:     none,
 		stats:    make([]BlockStats, nCores),
 	}
 	for i := range s.cores {
-		s.cores[i].capacity = perCore
+		s.cores[i] = lru{capacity: perCore, head: none, tail: none}
 	}
 	return s
 }
@@ -152,11 +172,10 @@ func (s *System) ConfigureL3(socketSize int, perSocket units.Bytes) {
 		panic("cache: L3 needs socketSize >= 1 and positive capacity")
 	}
 	sockets := (len(s.cores) + socketSize - 1) / socketSize
-	s.l3 = make([]coreCache, sockets)
+	s.l3 = make([]lru, sockets)
 	for i := range s.l3 {
-		s.l3[i].capacity = perSocket
+		s.l3[i] = lru{capacity: perSocket, head: none, tail: none}
 	}
-	s.l3Where = make(map[BlockID]int)
 	s.socketSize = socketSize
 }
 
@@ -186,94 +205,94 @@ func (s *System) lines(size units.Bytes) uint64 {
 }
 
 // Resident reports which core holds the block, or -1 if it is only in
-// memory.
-func (s *System) Resident(id BlockID) int {
-	if c, ok := s.where[id]; ok {
-		return c
+// memory (or has been released).
+func (s *System) Resident(b Block) int {
+	if b < 0 || int(b) >= len(s.blocks) {
+		return -1
 	}
-	return -1
+	return int(s.blocks[b].core)
 }
 
 // Used returns bytes currently resident in core's cache.
 func (s *System) Used(core int) units.Bytes { return s.cores[core].used }
 
-// Fill deposits block id of the given size into core's private cache —
-// the model of DMA plus softirq protocol processing on that core. Any
-// previous copy elsewhere is dropped (the deposit is a fresh write).
-// Blocks larger than the cache bypass it and stay memory-resident, as
-// a streaming transfer larger than L2 would.
-func (s *System) Fill(core int, id BlockID, size units.Bytes) {
+// Fill deposits a new block of the given size into core's private
+// cache — the model of DMA plus softirq protocol processing on that
+// core — and returns its handle. Blocks larger than the cache bypass it
+// and stay memory-resident, as a streaming transfer larger than L2
+// would.
+//
+//saisvet:allocfree
+func (s *System) Fill(core int, size units.Bytes) Block {
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: Fill with size %d", size))
 	}
-	s.drop(id)
-	s.l3Drop(id)
-	s.sizes[id] = size
-	if size > s.cores[core].capacity {
-		// Bypass: resident nowhere.
-		return
+	b := s.free
+	if b == none {
+		b = Block(len(s.blocks))
+		s.blocks = append(s.blocks, block{})
+	} else {
+		s.free = s.blocks[b].next
 	}
-	s.makeRoom(core, size)
-	cc := &s.cores[core]
-	cc.order = append(cc.order, id)
-	cc.used += size
-	s.where[id] = core
+	s.blocks[b] = block{size: size, core: none, socket: none, prev: none, next: none}
+	if size <= s.cores[core].capacity {
+		s.install(core, b)
+	}
+	return b
 }
 
 // Consume models the application process on core reading the whole
 // block. The outcome classifies the dominant source; line counters are
 // charged to the consuming core. After Consume the block is resident in
 // the consuming core's cache (it was just read).
-func (s *System) Consume(core int, id BlockID) AccessKind {
-	kind, _ := s.ConsumeFrom(core, id)
+func (s *System) Consume(core int, b Block) AccessKind {
+	kind, _ := s.ConsumeFrom(core, b)
 	return kind
 }
 
 // ConsumeFrom is Consume plus the identity of the core that supplied a
 // remote hit (-1 otherwise) — the information a NUMA cost model needs
 // to price the migration by socket distance.
-func (s *System) ConsumeFrom(core int, id BlockID) (AccessKind, int) {
-	size, ok := s.sizes[id]
-	if !ok {
-		panic(fmt.Sprintf("cache: Consume of unknown block %d", id))
-	}
-	n := s.lines(size)
+//
+//saisvet:allocfree
+func (s *System) ConsumeFrom(core int, b Block) (AccessKind, int) {
+	r := s.live(b)
+	n := s.lines(r.size)
 	st := &s.stats[core]
 	st.Accesses += n
 	s.agg.Accesses += n
 
-	holder, resident := s.where[id]
 	supplier := -1
 	var kind AccessKind
 	switch {
-	case resident && holder == core:
+	case int(r.core) == core:
 		st.Hits += n
 		s.agg.Hits += n
-		kind = HitLocal
-		s.touch(core, id)
-		return kind, supplier
-	case resident:
-		supplier = holder
+		s.unlink(&s.cores[core], b)
+		s.push(&s.cores[core], b)
+		return HitLocal, supplier
+	case r.core != none:
+		supplier = int(r.core)
 		// Cache-to-cache migration of every line.
 		st.Misses += n
 		st.RemoteTransfers += n
 		s.agg.Misses += n
 		s.agg.RemoteTransfers += n
 		kind = HitRemote
-		s.drop(id)
+		s.unlink(&s.cores[r.core], b)
+		r.core = none
+	case r.socket != none:
+		st.Misses += n
+		st.L3Transfers += n
+		s.agg.Misses += n
+		s.agg.L3Transfers += n
+		kind = HitL3
+		// The supplier is reported as the first core of the L3's
+		// socket, so callers can price the hop by socket distance.
+		supplier = int(r.socket) * s.socketSize
+		s.unlink(&s.l3[r.socket], b)
+		r.socket = none
 	default:
-		if socket, inL3 := s.l3Lookup(id); inL3 {
-			st.Misses += n
-			st.L3Transfers += n
-			s.agg.Misses += n
-			s.agg.L3Transfers += n
-			kind = HitL3
-			// The supplier is reported as the first core of the L3's
-			// socket, so callers can price the hop by socket distance.
-			supplier = socket * s.socketSize
-			s.l3Drop(id)
-			break
-		}
 		st.Misses += n
 		st.MemoryFills += n
 		s.agg.Misses += n
@@ -281,12 +300,8 @@ func (s *System) ConsumeFrom(core int, id BlockID) (AccessKind, int) {
 		kind = MissMemory
 	}
 	// Install into the consumer's cache.
-	if size <= s.cores[core].capacity {
-		s.makeRoom(core, size)
-		cc := &s.cores[core]
-		cc.order = append(cc.order, id)
-		cc.used += size
-		s.where[id] = core
+	if r.size <= s.cores[core].capacity {
+		s.install(core, b)
 	}
 	return kind, supplier
 }
@@ -329,69 +344,47 @@ func (s *System) ChargeBackground(core int, hits, misses uint64) {
 	s.agg.MemoryFills += misses
 }
 
-// Touch marks the block most-recently-used on the core that holds it,
-// used by re-reads that should not be treated as fresh consumption.
-func (s *System) Touch(id BlockID) {
-	if c, ok := s.where[id]; ok {
-		s.touch(c, id)
-	}
-}
-
 // Release forgets a block entirely — the strip buffer has been freed
-// after the application merged it into its destination buffer.
-func (s *System) Release(id BlockID) {
-	s.drop(id)
-	s.l3Drop(id)
-	delete(s.sizes, id)
+// after the application merged it into its destination buffer. The
+// handle must not be used again.
+//
+//saisvet:allocfree
+func (s *System) Release(b Block) {
+	r := s.live(b)
+	if r.core != none {
+		s.unlink(&s.cores[r.core], b)
+	} else if r.socket != none {
+		s.unlink(&s.l3[r.socket], b)
+	}
+	*r = block{core: none, socket: none, prev: none, next: s.free}
+	s.free = b
 }
 
-// l3Lookup reports which socket's L3 holds id.
-func (s *System) l3Lookup(id BlockID) (int, bool) {
-	if s.l3 == nil {
-		return 0, false
+// live returns b's record, panicking on a handle that names no live
+// block.
+func (s *System) live(b Block) *block {
+	if b < 0 || int(b) >= len(s.blocks) || s.blocks[b].size == 0 {
+		panic(fmt.Sprintf("cache: unknown block %d", b))
 	}
-	socket, ok := s.l3Where[id]
-	return socket, ok
+	return &s.blocks[b]
 }
 
-// drop removes id from whatever cache holds it (no stat changes).
-func (s *System) drop(id BlockID) {
-	core, ok := s.where[id]
-	if !ok {
-		return
-	}
-	cc := &s.cores[core]
-	for i, b := range cc.order {
-		if b == id {
-			cc.order = append(cc.order[:i], cc.order[i+1:]...)
-			break
-		}
-	}
-	cc.used -= s.sizes[id]
-	delete(s.where, id)
-}
-
-// touch moves id to the MRU position of core's list.
-func (s *System) touch(core int, id BlockID) {
-	cc := &s.cores[core]
-	for i, b := range cc.order {
-		if b == id {
-			cc.order = append(cc.order[:i], cc.order[i+1:]...)
-			cc.order = append(cc.order, id)
-			return
-		}
-	}
+// install makes room in core's private cache and puts b at its MRU
+// end; the caller has checked that b fits the cache at all.
+func (s *System) install(core int, b Block) {
+	s.makeRoom(core, s.blocks[b].size)
+	s.push(&s.cores[core], b)
+	s.blocks[b].core = int32(core)
 }
 
 // makeRoom evicts LRU blocks from core until size fits; with an L3
 // configured, victims park in the core's socket L3.
 func (s *System) makeRoom(core int, size units.Bytes) {
 	cc := &s.cores[core]
-	for cc.used+size > cc.capacity && len(cc.order) > 0 {
-		victim := cc.order[0]
-		cc.order = cc.order[1:]
-		cc.used -= s.sizes[victim]
-		delete(s.where, victim)
+	for cc.used+size > cc.capacity && cc.head != none {
+		victim := cc.head
+		s.unlink(cc, victim)
+		s.blocks[victim].core = none
 		s.stats[core].EvictedBlocks++
 		s.agg.EvictedBlocks++
 		if s.l3 != nil {
@@ -401,93 +394,131 @@ func (s *System) makeRoom(core int, size units.Bytes) {
 }
 
 // l3Insert parks a victim block in socket's L3, displacing LRU blocks.
-func (s *System) l3Insert(socket int, id BlockID) {
-	size := s.sizes[id]
+func (s *System) l3Insert(socket int, b Block) {
+	size := s.blocks[b].size
 	l := &s.l3[socket]
 	if size > l.capacity {
 		return
 	}
-	s.l3Drop(id)
-	for l.used+size > l.capacity && len(l.order) > 0 {
-		old := l.order[0]
-		l.order = l.order[1:]
-		l.used -= s.sizes[old]
-		delete(s.l3Where, old)
+	for l.used+size > l.capacity && l.head != none {
+		old := l.head
+		s.unlink(l, old)
+		s.blocks[old].socket = none
 	}
-	l.order = append(l.order, id)
-	l.used += size
-	s.l3Where[id] = socket
+	s.push(l, b)
+	s.blocks[b].socket = int32(socket)
 }
 
-// l3Drop removes id from whatever L3 holds it.
-func (s *System) l3Drop(id BlockID) {
-	if s.l3 == nil {
-		return
+// push appends b at l's MRU end and charges its size.
+func (s *System) push(l *lru, b Block) {
+	r := &s.blocks[b]
+	r.prev, r.next = l.tail, none
+	if l.tail != none {
+		s.blocks[l.tail].next = b
+	} else {
+		l.head = b
 	}
-	socket, ok := s.l3Where[id]
-	if !ok {
-		return
-	}
-	l := &s.l3[socket]
-	for i, b := range l.order {
-		if b == id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.used -= s.sizes[id]
-	delete(s.l3Where, id)
+	l.tail = b
+	l.used += r.size
 }
 
-// CheckInvariants validates internal consistency: occupancy sums match,
-// every resident block is in exactly one LRU list, and no cache exceeds
-// its capacity. Intended for tests.
+// unlink removes b from l and refunds its size; the caller clears the
+// record's core or socket.
+func (s *System) unlink(l *lru, b Block) {
+	r := &s.blocks[b]
+	if r.prev != none {
+		s.blocks[r.prev].next = r.next
+	} else {
+		l.head = r.next
+	}
+	if r.next != none {
+		s.blocks[r.next].prev = r.prev
+	} else {
+		l.tail = r.prev
+	}
+	r.prev, r.next = none, none
+	l.used -= r.size
+}
+
+// CheckInvariants validates internal consistency: every list's links
+// agree in both directions, occupancy sums match, each live block sits
+// in the list its record names (and in at most one), no cache exceeds
+// its capacity, and every other record is on the free list. Intended
+// for tests.
 func (s *System) CheckInvariants() error {
-	seen := make(map[BlockID]int)
+	listed := 0
 	for ci := range s.cores {
-		cc := &s.cores[ci]
-		var sum units.Bytes
-		for _, id := range cc.order {
-			if prev, dup := seen[id]; dup {
-				return fmt.Errorf("cache: block %d in caches %d and %d", id, prev, ci)
-			}
-			seen[id] = ci
-			if s.where[id] != ci {
-				return fmt.Errorf("cache: block %d listed on core %d but directory says %d", id, ci, s.where[id])
-			}
-			sum += s.sizes[id]
+		n, err := s.checkList(&s.cores[ci], func(r *block) bool { return int(r.core) == ci && r.socket == none })
+		if err != nil {
+			return fmt.Errorf("cache: core %d: %w", ci, err)
 		}
-		if sum != cc.used {
-			return fmt.Errorf("cache: core %d used=%v but list sums to %v", ci, cc.used, sum)
-		}
-		if cc.used > cc.capacity {
-			return fmt.Errorf("cache: core %d over capacity: %v > %v", ci, cc.used, cc.capacity)
-		}
-	}
-	//lint:maporder order-independent invariant sweep: every entry must hold, any violation fails
-	for id, c := range s.where {
-		if seen[id] != c {
-			return fmt.Errorf("cache: directory block %d on core %d missing from list", id, c)
-		}
+		listed += n
 	}
 	for si := range s.l3 {
-		l := &s.l3[si]
-		var sum units.Bytes
-		for _, id := range l.order {
-			if s.l3Where[id] != si {
-				return fmt.Errorf("cache: L3 block %d listed on socket %d but map says %d", id, si, s.l3Where[id])
-			}
-			if _, private := s.where[id]; private {
-				return fmt.Errorf("cache: block %d in both a private cache and L3", id)
-			}
-			sum += s.sizes[id]
+		n, err := s.checkList(&s.l3[si], func(r *block) bool { return int(r.socket) == si && r.core == none })
+		if err != nil {
+			return fmt.Errorf("cache: L3 socket %d: %w", si, err)
 		}
-		if sum != l.used {
-			return fmt.Errorf("cache: L3 socket %d used=%v but list sums to %v", si, l.used, sum)
-		}
-		if l.used > l.capacity {
-			return fmt.Errorf("cache: L3 socket %d over capacity", si)
+		listed += n
+	}
+	resident, freed := 0, 0
+	for i := range s.blocks {
+		r := &s.blocks[i]
+		if r.size > 0 && (r.core != none || r.socket != none) {
+			resident++
 		}
 	}
+	for b := s.free; b != none; b = s.blocks[b].next {
+		if s.blocks[b].size != 0 {
+			return fmt.Errorf("cache: live block %d on the free list", b)
+		}
+		if freed++; freed > len(s.blocks) {
+			return fmt.Errorf("cache: free list has a cycle")
+		}
+	}
+	if listed != resident {
+		return fmt.Errorf("cache: %d blocks name a cache but the lists hold %d", resident, listed)
+	}
+	live := 0
+	for i := range s.blocks {
+		if s.blocks[i].size > 0 {
+			live++
+		}
+	}
+	if live+freed != len(s.blocks) {
+		return fmt.Errorf("cache: %d live and %d free records in a slab of %d", live, freed, len(s.blocks))
+	}
 	return nil
+}
+
+// checkList walks one LRU list, checking links, ownership, the size sum
+// and capacity; it returns the number of blocks listed.
+func (s *System) checkList(l *lru, owns func(*block) bool) (int, error) {
+	var sum units.Bytes
+	n := 0
+	prev := Block(none)
+	for b := l.head; b != none; b = s.blocks[b].next {
+		r := &s.blocks[b]
+		if r.size == 0 || !owns(r) {
+			return 0, fmt.Errorf("block %d listed but its record says core %d, socket %d", b, r.core, r.socket)
+		}
+		if r.prev != prev {
+			return 0, fmt.Errorf("block %d prev link %d, want %d", b, r.prev, prev)
+		}
+		if n++; n > len(s.blocks) {
+			return 0, fmt.Errorf("list has a cycle")
+		}
+		sum += r.size
+		prev = b
+	}
+	if l.tail != prev {
+		return 0, fmt.Errorf("tail %d, want %d", l.tail, prev)
+	}
+	if sum != l.used {
+		return 0, fmt.Errorf("used=%v but list sums to %v", l.used, sum)
+	}
+	if l.used > l.capacity {
+		return 0, fmt.Errorf("over capacity: %v > %v", l.used, l.capacity)
+	}
+	return n, nil
 }

@@ -12,11 +12,11 @@ func newSys() *System { return NewSystem(4, 512*units.KiB, 64) }
 
 func TestFillThenLocalConsume(t *testing.T) {
 	s := newSys()
-	s.Fill(2, 1, 64*units.KiB)
-	if got := s.Resident(1); got != 2 {
+	b := s.Fill(2, 64*units.KiB)
+	if got := s.Resident(b); got != 2 {
 		t.Fatalf("Resident = %d, want 2", got)
 	}
-	if k := s.Consume(2, 1); k != HitLocal {
+	if k := s.Consume(2, b); k != HitLocal {
 		t.Errorf("consume on filling core = %v, want local-hit", k)
 	}
 	st := s.Stats(2)
@@ -28,11 +28,11 @@ func TestFillThenLocalConsume(t *testing.T) {
 
 func TestRemoteConsumeMigrates(t *testing.T) {
 	s := newSys()
-	s.Fill(1, 7, 64*units.KiB)
-	if k := s.Consume(3, 7); k != HitRemote {
+	b := s.Fill(1, 64*units.KiB)
+	if k := s.Consume(3, b); k != HitRemote {
 		t.Errorf("cross-core consume = %v, want remote-hit", k)
 	}
-	if got := s.Resident(7); got != 3 {
+	if got := s.Resident(b); got != 3 {
 		t.Errorf("after consume block resident on %d, want 3", got)
 	}
 	st := s.Stats(3)
@@ -47,15 +47,15 @@ func TestRemoteConsumeMigrates(t *testing.T) {
 
 func TestConsumeFromMemory(t *testing.T) {
 	s := newSys()
-	s.Fill(0, 9, 64*units.KiB)
+	b := s.Fill(0, 64*units.KiB)
 	// Evict it by filling core 0 beyond capacity.
-	for i := BlockID(100); i < 110; i++ {
-		s.Fill(0, i, 64*units.KiB)
+	for i := 0; i < 10; i++ {
+		s.Fill(0, 64*units.KiB)
 	}
-	if s.Resident(9) != -1 {
-		t.Fatal("block 9 should have been evicted")
+	if s.Resident(b) != -1 {
+		t.Fatal("the first block should have been evicted")
 	}
-	if k := s.Consume(0, 9); k != MissMemory {
+	if k := s.Consume(0, b); k != MissMemory {
 		t.Errorf("consume of evicted block = %v, want memory-miss", k)
 	}
 	if s.Stats(0).MemoryFills != 1024 {
@@ -65,13 +65,14 @@ func TestConsumeFromMemory(t *testing.T) {
 
 func TestCapacityEviction(t *testing.T) {
 	s := newSys() // 512 KiB per core = 8 strips of 64 KiB
-	for i := BlockID(0); i < 9; i++ {
-		s.Fill(0, i, 64*units.KiB)
+	var bs []Block
+	for i := 0; i < 9; i++ {
+		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
-	if s.Resident(0) != -1 {
+	if s.Resident(bs[0]) != -1 {
 		t.Error("LRU block 0 should be evicted by ninth fill")
 	}
-	if s.Resident(8) != 0 {
+	if s.Resident(bs[8]) != 0 {
 		t.Error("newest block must be resident")
 	}
 	if s.Used(0) != 512*units.KiB {
@@ -87,11 +88,11 @@ func TestCapacityEviction(t *testing.T) {
 
 func TestOversizedBlockBypasses(t *testing.T) {
 	s := newSys()
-	s.Fill(0, 1, units.MiB) // larger than 512 KiB cache
-	if s.Resident(1) != -1 {
+	b := s.Fill(0, units.MiB) // larger than 512 KiB cache
+	if s.Resident(b) != -1 {
 		t.Error("oversized block should bypass the cache")
 	}
-	if k := s.Consume(0, 1); k != MissMemory {
+	if k := s.Consume(0, b); k != MissMemory {
 		t.Errorf("consume of bypassed block = %v, want memory-miss", k)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -101,9 +102,15 @@ func TestOversizedBlockBypasses(t *testing.T) {
 
 func TestRefillMovesBlock(t *testing.T) {
 	s := newSys()
-	s.Fill(0, 5, 64*units.KiB)
-	s.Fill(2, 5, 64*units.KiB) // fresh deposit elsewhere
-	if got := s.Resident(5); got != 2 {
+	// A fresh deposit of the same strip elsewhere: the old buffer is
+	// released, its record recycled for the new block.
+	old := s.Fill(0, 64*units.KiB)
+	s.Release(old)
+	b := s.Fill(2, 64*units.KiB)
+	if b != old {
+		t.Errorf("refill got handle %d, want the recycled %d", b, old)
+	}
+	if got := s.Resident(b); got != 2 {
 		t.Errorf("Resident = %d, want 2", got)
 	}
 	if s.Used(0) != 0 {
@@ -113,9 +120,9 @@ func TestRefillMovesBlock(t *testing.T) {
 
 func TestRelease(t *testing.T) {
 	s := newSys()
-	s.Fill(1, 3, 64*units.KiB)
-	s.Release(3)
-	if s.Resident(3) != -1 {
+	b := s.Fill(1, 64*units.KiB)
+	s.Release(b)
+	if s.Resident(b) != -1 {
 		t.Error("released block still resident")
 	}
 	if s.Used(1) != 0 {
@@ -128,35 +135,45 @@ func TestRelease(t *testing.T) {
 
 func TestTouchRefreshesLRU(t *testing.T) {
 	s := newSys()
-	for i := BlockID(0); i < 8; i++ {
-		s.Fill(0, i, 64*units.KiB)
+	var bs []Block
+	for i := 0; i < 8; i++ {
+		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
-	s.Touch(0) // block 0 becomes MRU; next eviction should take block 1
-	s.Fill(0, 99, 64*units.KiB)
-	if s.Resident(0) != 0 {
+	// A local hit makes block 0 MRU; the next eviction takes block 1.
+	if k := s.Consume(0, bs[0]); k != HitLocal {
+		t.Fatalf("consume on the filling core = %v, want local-hit", k)
+	}
+	s.Fill(0, 64*units.KiB)
+	if s.Resident(bs[0]) != 0 {
 		t.Error("touched block was evicted")
 	}
-	if s.Resident(1) != -1 {
+	if s.Resident(bs[1]) != -1 {
 		t.Error("expected block 1 to be the victim")
 	}
 }
 
 func TestConsumeUnknownPanics(t *testing.T) {
 	s := newSys()
-	defer func() {
-		if recover() == nil {
-			t.Error("Consume of unknown block did not panic")
-		}
-	}()
-	s.Consume(0, 12345)
+	released := s.Fill(0, 64*units.KiB)
+	s.Release(released)
+	for _, b := range []Block{12345, -1, released} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Consume of unknown block %d did not panic", b)
+				}
+			}()
+			s.Consume(0, b)
+		}()
+	}
 }
 
 func TestAggregateMatchesSum(t *testing.T) {
 	s := newSys()
-	s.Fill(0, 1, 64*units.KiB)
-	s.Fill(1, 2, 64*units.KiB)
-	s.Consume(0, 1)
-	s.Consume(0, 2)
+	b1 := s.Fill(0, 64*units.KiB)
+	b2 := s.Fill(1, 64*units.KiB)
+	s.Consume(0, b1)
+	s.Consume(0, b2)
 	var sum BlockStats
 	for c := 0; c < s.Cores(); c++ {
 		sum.add(s.Stats(c))
@@ -171,15 +188,12 @@ func TestSystemInvariantsProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		s := NewSystem(3, 256*units.KiB, 64)
-		live := []BlockID{}
-		next := BlockID(1)
+		live := []Block{}
 		for i := 0; i < 400; i++ {
 			switch {
 			case len(live) == 0 || r.Bool(0.4):
 				size := units.Bytes(r.Intn(4)+1) * 32 * units.KiB
-				s.Fill(r.Intn(3), next, size)
-				live = append(live, next)
-				next++
+				live = append(live, s.Fill(r.Intn(3), size))
 			case r.Bool(0.7):
 				s.Consume(r.Intn(3), live[r.Intn(len(live))])
 			default:
@@ -256,19 +270,19 @@ func TestChargeAccounting(t *testing.T) {
 
 func TestConsumeFromReportsSupplier(t *testing.T) {
 	s := newSys()
-	s.Fill(2, 11, 64*units.KiB)
-	kind, supplier := s.ConsumeFrom(0, 11)
+	b := s.Fill(2, 64*units.KiB)
+	kind, supplier := s.ConsumeFrom(0, b)
 	if kind != HitRemote || supplier != 2 {
 		t.Errorf("ConsumeFrom = %v, %d; want remote from core 2", kind, supplier)
 	}
 	// Local and memory outcomes report no supplier.
-	kind, supplier = s.ConsumeFrom(0, 11)
+	kind, supplier = s.ConsumeFrom(0, b)
 	if kind != HitLocal || supplier != -1 {
 		t.Errorf("local = %v, %d", kind, supplier)
 	}
-	s.Release(11)
-	s.Fill(1, 12, units.MiB) // bypasses (oversized)
-	kind, supplier = s.ConsumeFrom(0, 12)
+	s.Release(b)
+	big := s.Fill(1, units.MiB) // bypasses (oversized)
+	kind, supplier = s.ConsumeFrom(0, big)
 	if kind != MissMemory || supplier != -1 {
 		t.Errorf("memory = %v, %d", kind, supplier)
 	}
@@ -278,14 +292,15 @@ func TestL3VictimCache(t *testing.T) {
 	s := newSys() // 4 cores, 512 KiB each
 	s.ConfigureL3(2, units.MiB)
 	// Fill 16 strips into core 0: the first 8 evict to socket 0's L3.
-	for i := BlockID(1); i <= 16; i++ {
-		s.Fill(0, i, 64*units.KiB)
+	bs := []Block{none} // bs[i] is the i-th fill
+	for i := 1; i <= 16; i++ {
+		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Consuming an evicted block hits the socket L3, not memory.
-	kind, supplier := s.ConsumeFrom(0, 1)
+	kind, supplier := s.ConsumeFrom(0, bs[1])
 	if kind != HitL3 {
 		t.Fatalf("evicted block came from %v, want l3-hit", kind)
 	}
@@ -297,12 +312,12 @@ func TestL3VictimCache(t *testing.T) {
 		t.Errorf("L3 transfers = %d, want 1024", st.L3Transfers)
 	}
 	// A resident block still hits locally.
-	if kind, _ := s.ConsumeFrom(0, 16); kind != HitLocal {
+	if kind, _ := s.ConsumeFrom(0, bs[16]); kind != HitLocal {
 		t.Errorf("resident block = %v", kind)
 	}
 	// Consuming from the other socket is still an L3 hit, with the
 	// supplier identifying socket 0.
-	kind, supplier = s.ConsumeFrom(3, 2)
+	kind, supplier = s.ConsumeFrom(3, bs[2])
 	if kind != HitL3 || supplier != 0 {
 		t.Errorf("cross-socket L3 = %v from %d", kind, supplier)
 	}
@@ -314,15 +329,16 @@ func TestL3VictimCache(t *testing.T) {
 func TestL3CapacityDisplacement(t *testing.T) {
 	s := NewSystem(2, 128*units.KiB, 64) // 2 strips per private cache
 	s.ConfigureL3(2, 128*units.KiB)      // 2 strips of L3
-	for i := BlockID(1); i <= 6; i++ {
-		s.Fill(0, i, 64*units.KiB)
+	bs := []Block{none}                  // bs[i] is the i-th fill
+	for i := 1; i <= 6; i++ {
+		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
 	// Private holds {5,6}; L3 holds the last two victims {3,4}; 1 and 2
 	// were displaced from the L3 to memory.
-	if k, _ := s.ConsumeFrom(0, 1); k != MissMemory {
+	if k, _ := s.ConsumeFrom(0, bs[1]); k != MissMemory {
 		t.Errorf("block 1 = %v, want memory-miss", k)
 	}
-	if k, _ := s.ConsumeFrom(1, 4); k != HitL3 {
+	if k, _ := s.ConsumeFrom(1, bs[4]); k != HitL3 {
 		t.Errorf("block 4 = %v, want l3-hit", k)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -349,10 +365,10 @@ func TestL3ConfigValidation(t *testing.T) {
 
 func BenchmarkSystemFillConsume(b *testing.B) {
 	s := NewSystem(8, 512*units.KiB, 64)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		id := BlockID(i + 1)
-		s.Fill(i%8, id, 64*units.KiB)
-		s.Consume((i+1)%8, id)
-		s.Release(id)
+		blk := s.Fill(i%8, 64*units.KiB)
+		s.ConsumeFrom((i+1)%8, blk)
+		s.Release(blk)
 	}
 }

@@ -22,21 +22,26 @@ func TestBlockModelMatchesLineModel(t *testing.T) {
 		sys := NewSystem(cores, units.MiB, 64)
 		dir := NewDirectory(cores, LineCacheConfig{Capacity: units.MiB, LineSize: 64, Ways: 16})
 
+		// handle[id] is the block model's current buffer for line id;
+		// a fresh deposit replaces (releases) the previous one.
 		const blocks = 32
-		filled := map[BlockID]bool{}
+		handle := map[int]Block{}
 		for i := 0; i < 300; i++ {
 			core := r.Intn(cores)
-			id := BlockID(r.Intn(blocks) + 1)
+			id := r.Intn(blocks) + 1
 			addr := LineAddr(uint64(id) * 64)
-			if !filled[id] || r.Bool(0.3) {
+			h, filled := handle[id]
+			if !filled || r.Bool(0.3) {
 				// Deposit (softirq fill): Modified in both models.
-				sys.Fill(core, id, 64)
+				if filled {
+					sys.Release(h)
+				}
+				handle[id] = sys.Fill(core, 64)
 				dir.FillModified(core, addr)
-				filled[id] = true
 				continue
 			}
 			want := dir.Read(core, addr)
-			got := sys.Consume(core, id)
+			got := sys.Consume(core, h)
 			// After a consume the block model treats the block as owned
 			// by the consumer; mirror that in the line model by
 			// re-filling ownership, matching Consume's move semantics.

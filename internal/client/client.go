@@ -296,6 +296,10 @@ type Stats struct {
 	// DuplicateStrips counts late strips and write acks discarded
 	// because a retry had already delivered them.
 	DuplicateStrips uint64
+	// StrayStrips counts strips and write acks of a live transfer that
+	// name a strip outside it, and strips from a server it did not ask;
+	// both are discarded.
+	StrayStrips uint64
 	// HeaderDrops counts frames rejected because their IPv4 header
 	// failed validation — the stack drops them before any protocol
 	// processing, exactly like wire loss.
@@ -367,14 +371,9 @@ type read struct {
 	plans    []pfs.ServerPlan
 	hint     netsim.AffHint
 	localEOF func(serverIdx int) units.Bytes
-	got      map[int]bool // arrived strips, for dedupe and resend
-	// lastSeq is the highest Frame.FlowSeq accepted per server within
-	// this transfer — the receive-side reorder detector.
-	lastSeq map[netsim.NodeID]uint64
-	// srvLeft counts this transfer's outstanding strips per server, for
-	// the flow-idle bookkeeping (maintained only when the router wants
-	// NoteFlowIdle callbacks).
-	srvLeft   map[netsim.NodeID]int
+	got      stripSet // arrived strips, for dedupe and resend
+	// flows holds the per-server receive state, parallel to plans.
+	flows     []planFlow
 	remaining int
 	bytes     units.Bytes
 	blocks    []blockRef
@@ -384,8 +383,83 @@ type read struct {
 	done      sim.Event
 }
 
+// planFlow is one server's receive state within a read transfer.
+type planFlow struct {
+	// lastSeq is the highest Frame.FlowSeq accepted from the server
+	// (valid once seen is set) — the receive-side reorder detector.
+	lastSeq uint64
+	seen    bool
+	// left counts the server's outstanding strips, for the flow-idle
+	// bookkeeping (maintained only when the router wants NoteFlowIdle
+	// callbacks).
+	left int
+}
+
+// stripSet marks the strips of one transfer, which are contiguous:
+// has[i] is strip first+i.
+type stripSet struct {
+	first int
+	has   []bool
+}
+
+// reset empties the set and sizes it to the n strips from first.
+//
+//saisvet:allocfree
+func (s *stripSet) reset(first, n int) {
+	s.first = first
+	s.has = s.has[:0]
+	for i := 0; i < n; i++ {
+		s.has = append(s.has, false)
+	}
+}
+
+// slot returns strip's index in has, or -1 for a strip outside the
+// transfer.
+//
+//saisvet:allocfree
+func (s *stripSet) slot(strip int) int {
+	i := strip - s.first
+	if i < 0 || i >= len(s.has) {
+		return -1
+	}
+	return i
+}
+
+// contains reports whether strip is marked.
+//
+//saisvet:allocfree
+func (s *stripSet) contains(strip int) bool {
+	i := s.slot(strip)
+	return i >= 0 && s.has[i]
+}
+
+// stripRange returns the first strip plans cover and how many: a
+// transfer's pieces are one strip each, over a contiguous range.
+func stripRange(plans []pfs.ServerPlan) (first, n int) {
+	first = plans[0].Pieces[0].GlobalStrip
+	for _, plan := range plans {
+		if s := plan.Pieces[0].GlobalStrip; s < first {
+			first = s
+		}
+		n += len(plan.Pieces)
+	}
+	return first, n
+}
+
+// planIndex returns the position of server's plan in plans, or -1.
+//
+//saisvet:allocfree
+func planIndex(plans []pfs.ServerPlan, server netsim.NodeID) int {
+	for i := range plans {
+		if plans[i].Server == server {
+			return i
+		}
+	}
+	return -1
+}
+
 type blockRef struct {
-	id    cache.BlockID
+	id    cache.Block
 	size  units.Bytes
 	strip int // global strip index, for span identity
 }
@@ -399,7 +473,7 @@ type writeOp struct {
 	tag       uint64
 	plans     []pfs.ServerPlan
 	hint      netsim.AffHint
-	acked     map[int]bool
+	acked     stripSet
 	remaining int
 	bytes     units.Bytes
 	retries   int
@@ -442,26 +516,28 @@ type Node struct {
 	// Director, A-TFC); nil for static policies.
 	txObs   irqsched.TxObserver
 	idleObs irqsched.FlowIdleObserver
+	// ids is the fabric's node-id space; the two tables below are
+	// indexed by NodeID over it.
+	ids int
 	// flowOut counts outstanding read strips per server across all
 	// transfers; a flow's drop to zero fires NoteFlowIdle. Allocated
 	// only when idleObs is set.
-	flowOut map[netsim.NodeID]int
+	flowOut []int
 	// reorderIssue enables straggler-aware issue scheduling: srvLat is
-	// the per-server EWMA of strip issue→arrival latency (ns) and
+	// the per-server EWMA of strip issue→arrival latency and
 	// sendReadRequests issues slowest-first.
 	reorderIssue bool
-	srvLat       map[netsim.NodeID]float64
+	srvLat       []latencyEWMA
 
-	layouts   map[pfs.FileID]pfs.CheckedLayout
-	opening   map[pfs.FileID][]pendingOpen
-	opens     map[pfs.FileID]*openState
-	openTags  map[uint64]pfs.FileID
-	reads     map[uint64]*read
-	writes    map[uint64]*writeOp
-	nextTag   uint64
-	nextBlock cache.BlockID
+	layouts  map[pfs.FileID]pfs.CheckedLayout
+	opening  map[pfs.FileID][]pendingOpen
+	opens    map[pfs.FileID]*openState
+	openTags map[uint64]pfs.FileID
+	reads    map[uint64]*read
+	writes   map[uint64]*writeOp
+	nextTag  uint64
 	// freeReads/freeWrites recycle transfer records (and their interior
-	// map/slice capacity): one record per strip-bearing transfer is the
+	// slice capacity): one record per strip-bearing transfer is the
 	// client's highest allocation churn after frames. A record is freed
 	// only at the end of its final event (completion compute closure or
 	// retry-exhaustion abandon), when no timer or closure references it.
@@ -486,6 +562,13 @@ type Node struct {
 	// always on — the fixed-shape histogram costs one array index per
 	// strip.
 	stripHist metrics.Histogram
+}
+
+// latencyEWMA is one server's strip-latency average (ns), valid once
+// seen is set.
+type latencyEWMA struct {
+	ns   float64
+	seen bool
 }
 
 // Latencies returns the completed read-transfer latencies (ns).
@@ -542,6 +625,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		reads:    make(map[uint64]*read),
 		writes:   make(map[uint64]*writeOp),
 		frameq:   make([]deque.Deque[*netsim.Frame], cfg.Cores),
+		ids:      fab.IDs(),
 	}
 	fab.Attach(n.nic)
 	if cfg.L3PerSocket > 0 {
@@ -589,11 +673,11 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	n.txObs, _ = n.router.(irqsched.TxObserver)
 	n.idleObs, _ = n.router.(irqsched.FlowIdleObserver)
 	if n.idleObs != nil {
-		n.flowOut = make(map[netsim.NodeID]int)
+		n.flowOut = make([]int, n.ids)
 	}
 	n.reorderIssue = desc.ReorderIssue
 	if n.reorderIssue {
-		n.srvLat = make(map[netsim.NodeID]float64)
+		n.srvLat = make([]latencyEWMA, n.ids)
 	}
 	if desc.MSIX {
 		n.nic.SetQueueHandler(n.onNICQueueInterrupt)
@@ -770,6 +854,7 @@ func (n *Node) issueWrite(p *Proc, file pfs.FileID, offset, length units.Bytes, 
 	w := n.newWrite()
 	w.proc, w.issuedAt, w.file, w.tag = p, n.eng.Now(), file, tag
 	w.plans, w.hint, w.done = plans, hint, done
+	w.acked.reset(stripRange(plans))
 	for _, plan := range plans {
 		w.remaining += len(plan.Pieces)
 		for _, piece := range plan.Pieces {
@@ -832,7 +917,7 @@ func (n *Node) retryWrite(w *writeOp) {
 	pastDeadline := n.cfg.TransferDeadline > 0 && now-w.issuedAt >= n.cfg.TransferDeadline
 	if w.retries >= n.cfg.MaxRetries || pastDeadline {
 		delete(n.writes, w.tag)
-		if acked := ackedBytes(w.plans, w.acked); n.cfg.TransferDeadline > 0 && acked > 0 {
+		if acked := ackedBytes(w.plans, &w.acked); n.cfg.TransferDeadline > 0 && acked > 0 {
 			n.completePartialWrite(w, acked)
 			return
 		}
@@ -843,7 +928,7 @@ func (n *Node) retryWrite(w *writeOp) {
 	}
 	w.retries++
 	n.stats.Retries++
-	missing := missingPlans(w.plans, w.acked)
+	missing := missingPlans(w.plans, &w.acked)
 	n.countRetriedStrips(missing)
 	n.sendWriteStrips(w, missing)
 	n.armWriteTimer(w)
@@ -872,11 +957,11 @@ func (n *Node) completePartialWrite(w *writeOp, acked units.Bytes) {
 }
 
 // ackedBytes sums the payload of the strips already acknowledged.
-func ackedBytes(plans []pfs.ServerPlan, acked map[int]bool) units.Bytes {
+func ackedBytes(plans []pfs.ServerPlan, acked *stripSet) units.Bytes {
 	var b units.Bytes
 	for _, plan := range plans {
 		for _, piece := range plan.Pieces {
-			if acked[piece.GlobalStrip] {
+			if acked.contains(piece.GlobalStrip) {
 				b += piece.Size
 			}
 		}
@@ -907,14 +992,16 @@ func (n *Node) issue(p *Proc, file pfs.FileID, offset, length units.Bytes, done 
 	rd.proc, rd.issuedAt, rd.file, rd.tag = p, n.eng.Now(), file, tag
 	rd.plans, rd.hint, rd.done = plans, hint, done
 	rd.localEOF = func(idx int) units.Bytes { return layout.LocalBytes(idx) }
+	rd.got.reset(stripRange(plans))
 	for _, plan := range plans {
 		rd.remaining += len(plan.Pieces)
+		rd.flows = append(rd.flows, planFlow{})
 	}
 	if n.idleObs != nil {
 		// Count the expected strips once, at issue: retries re-request
 		// strips that are still outstanding, so they add nothing.
-		for _, plan := range plans {
-			rd.srvLeft[plan.Server] += len(plan.Pieces)
+		for i, plan := range plans {
+			rd.flows[i].left = len(plan.Pieces)
 			n.flowOut[plan.Server] += len(plan.Pieces)
 		}
 	}
@@ -944,7 +1031,7 @@ func (n *Node) sendReadRequests(rd *read, plans []pfs.ServerPlan) {
 	if n.reorderIssue && len(plans) > 1 {
 		ordered := append(make([]pfs.ServerPlan, 0, len(plans)), plans...)
 		sort.SliceStable(ordered, func(i, j int) bool {
-			return n.srvLat[ordered[i].Server] > n.srvLat[ordered[j].Server]
+			return n.srvLat[ordered[i].Server].ns > n.srvLat[ordered[j].Server].ns
 		})
 		plans = ordered
 	}
@@ -1001,7 +1088,7 @@ func (n *Node) retryRead(rd *read) {
 	}
 	rd.retries++
 	n.stats.Retries++
-	missing := missingPlans(rd.plans, rd.got)
+	missing := missingPlans(rd.plans, &rd.got)
 	n.countRetriedStrips(missing)
 	n.sendReadRequests(rd, missing)
 	n.armReadTimer(rd)
@@ -1009,17 +1096,17 @@ func (n *Node) retryRead(rd *read) {
 
 // releaseFlows zeroes a resolving transfer's outstanding-strip counts,
 // firing NoteFlowIdle for flows that drain to zero. It iterates the
-// plan list (not the map) so the callback order is deterministic.
+// plan list so the callback order is deterministic.
 func (n *Node) releaseFlows(rd *read) {
 	if n.idleObs == nil {
 		return
 	}
-	for _, plan := range rd.plans {
-		rem := rd.srvLeft[plan.Server]
+	for i, plan := range rd.plans {
+		rem := rd.flows[i].left
 		if rem <= 0 {
 			continue
 		}
-		rd.srvLeft[plan.Server] = 0
+		rd.flows[i].left = 0
 		n.flowOut[plan.Server] -= rem
 		if n.flowOut[plan.Server] == 0 {
 			n.idleObs.NoteFlowIdle(uint64(plan.Server))
@@ -1052,12 +1139,12 @@ func (n *Node) countRetriedStrips(plans []pfs.ServerPlan) {
 
 // missingPlans filters plans down to the pieces whose strips have not
 // arrived/acked yet.
-func missingPlans(plans []pfs.ServerPlan, got map[int]bool) []pfs.ServerPlan {
+func missingPlans(plans []pfs.ServerPlan, got *stripSet) []pfs.ServerPlan {
 	var out []pfs.ServerPlan
 	for _, plan := range plans {
 		var pieces []pfs.Piece
 		for _, piece := range plan.Pieces {
-			if !got[piece.GlobalStrip] {
+			if !got.contains(piece.GlobalStrip) {
 				pieces = append(pieces, piece)
 			}
 		}
@@ -1243,18 +1330,24 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if !ok {
 		return // transfer already complete or abandoned
 	}
-	if rd.got[sd.GlobalStrip] {
+	slot, pos := rd.got.slot(sd.GlobalStrip), planIndex(rd.plans, src)
+	if slot < 0 || pos < 0 {
+		n.stats.StrayStrips++
+		return // not a strip of this transfer, or not from its servers
+	}
+	if rd.got.has[slot] {
 		n.stats.DuplicateStrips++
 		return // duplicate from a retry race
 	}
-	rd.got[sd.GlobalStrip] = true
-	if last, ok := rd.lastSeq[src]; ok && seq < last {
+	rd.got.has[slot] = true
+	fl := &rd.flows[pos]
+	if fl.seen && seq < fl.lastSeq {
 		n.stats.ReorderedFrames++
-		if depth := last - seq; depth > n.stats.ReorderDepthMax {
+		if depth := fl.lastSeq - seq; depth > n.stats.ReorderDepthMax {
 			n.stats.ReorderDepthMax = depth
 		}
 	} else {
-		rd.lastSeq[src] = seq
+		fl.lastSeq, fl.seen = seq, true
 	}
 	if n.spans != nil {
 		n.spans.End(trace.PhaseIRQ, now, int(n.cfg.Node), sd.Tag, sd.GlobalStrip, core)
@@ -1263,23 +1356,21 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if n.reorderIssue {
 		// Per-server latency EWMA for straggler-aware issue ordering.
 		sample := float64(now - rd.issuedAt)
-		if prev, ok := n.srvLat[src]; ok {
-			n.srvLat[src] = 0.8*prev + 0.2*sample
+		if lat := &n.srvLat[src]; lat.seen {
+			lat.ns = 0.8*lat.ns + 0.2*sample
 		} else {
-			n.srvLat[src] = sample
+			lat.ns, lat.seen = sample, true
 		}
 	}
 	if n.idleObs != nil {
-		rd.srvLeft[src]--
+		fl.left--
 		n.flowOut[src]--
 		if n.flowOut[src] == 0 {
 			n.idleObs.NoteFlowIdle(uint64(src))
 		}
 	}
-	n.nextBlock++
-	id := n.nextBlock
-	n.caches.Fill(core, id, sd.Size)
-	rd.blocks = append(rd.blocks, blockRef{id: id, size: sd.Size, strip: sd.GlobalStrip})
+	b := n.caches.Fill(core, sd.Size)
+	rd.blocks = append(rd.blocks, blockRef{id: b, size: sd.Size, strip: sd.GlobalStrip})
 	rd.bytes += sd.Size
 	rd.remaining--
 	if rd.remaining == 0 {
@@ -1296,11 +1387,16 @@ func (n *Node) ackArrived(ack *pfs.WriteAck, _ units.Time) {
 	if !ok {
 		return
 	}
-	if w.acked[ack.GlobalStrip] {
+	slot := w.acked.slot(ack.GlobalStrip)
+	if slot < 0 {
+		n.stats.StrayStrips++
+		return // not a strip of this transfer
+	}
+	if w.acked.has[slot] {
 		n.stats.DuplicateStrips++
 		return // duplicate ack from a retried strip
 	}
-	w.acked[ack.GlobalStrip] = true
+	w.acked.has[slot] = true
 	w.remaining--
 	if w.remaining > 0 {
 		return
@@ -1334,6 +1430,11 @@ func (n *Node) layoutArrived(rep *pfs.LayoutReply) {
 	if err != nil {
 		panic(fmt.Sprintf("client: layout of file %d: %v", file, err))
 	}
+	for _, s := range layout.Servers {
+		if s < 0 || int(s) >= n.ids {
+			panic(fmt.Sprintf("client: layout of file %d names server %d outside the fabric's id space", file, s))
+		}
+	}
 	n.layouts[file] = layout
 	parked := n.opening[file]
 	delete(n.opening, file)
@@ -1353,23 +1454,16 @@ func (n *Node) newRead() *read {
 		n.freeReads = n.freeReads[:k-1]
 		return rd
 	}
-	return &read{
-		got:     make(map[int]bool),
-		lastSeq: make(map[netsim.NodeID]uint64),
-		srvLeft: make(map[netsim.NodeID]int),
-	}
+	return &read{}
 }
 
-// freeRead recycles a finished read record, keeping its map and slice
+// freeRead recycles a finished read record, keeping its slice
 // capacity. Callers guarantee no timer or pending closure still refers
 // to it: the transfer is out of n.reads and its retry timer has fired
 // or been cancelled.
 func (n *Node) freeRead(rd *read) {
-	clear(rd.got)
-	clear(rd.lastSeq)
-	clear(rd.srvLeft)
-	got, lastSeq, srvLeft, blocks := rd.got, rd.lastSeq, rd.srvLeft, rd.blocks[:0]
-	*rd = read{got: got, lastSeq: lastSeq, srvLeft: srvLeft, blocks: blocks}
+	got, flows, blocks := rd.got.has[:0], rd.flows[:0], rd.blocks[:0]
+	*rd = read{got: stripSet{has: got}, flows: flows, blocks: blocks}
 	n.freeReads = append(n.freeReads, rd)
 }
 
@@ -1380,15 +1474,13 @@ func (n *Node) newWrite() *writeOp {
 		n.freeWrites = n.freeWrites[:k-1]
 		return w
 	}
-	return &writeOp{acked: make(map[int]bool)}
+	return &writeOp{}
 }
 
 // freeWrite recycles a finished write record under the same contract
 // as freeRead.
 func (n *Node) freeWrite(w *writeOp) {
-	clear(w.acked)
-	acked := w.acked
-	*w = writeOp{acked: acked}
+	*w = writeOp{acked: stripSet{has: w.acked.has[:0]}}
 	n.freeWrites = append(n.freeWrites, w)
 }
 

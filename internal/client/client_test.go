@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine()}
-	r.fab = netsim.NewFabric(r.eng, 20*units.Microsecond)
+	r.fab = netsim.NewFabric(r.eng, 20*units.Microsecond, 256)
 
 	cfg := DefaultConfig(1, 3*units.Gigabit, policy)
 	cfg.MDS = 50
@@ -244,7 +244,7 @@ func TestDeterminismFullStack(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := netsim.NewFabric(eng, 0)
+	fab := netsim.NewFabric(eng, 0, 256)
 	bad := DefaultConfig(1, units.Gigabit, irqsched.PolicySourceAware)
 	bad.Cores = 0
 	if _, err := New(eng, fab, bad); err == nil {
@@ -422,7 +422,7 @@ func TestIRQAffinityMaskDefeatsSAIsHints(t *testing.T) {
 
 func TestBadIRQMaskRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := netsim.NewFabric(eng, 0)
+	fab := netsim.NewFabric(eng, 0, 256)
 	cfg := DefaultConfig(1, units.Gigabit, irqsched.PolicyRoundRobin)
 	cfg.AllowedIRQCores = []int{99}
 	if _, err := New(eng, fab, cfg); err == nil {
@@ -536,8 +536,10 @@ func TestMissingPlans(t *testing.T) {
 			{GlobalStrip: 1, Size: 64 * units.KiB},
 		}},
 	}
-	got := map[int]bool{0: true, 1: true}
-	missing := missingPlans(plans, got)
+	var got stripSet
+	got.reset(stripRange(plans))
+	got.has[0], got.has[1] = true, true
+	missing := missingPlans(plans, &got)
 	if len(missing) != 1 || missing[0].ServerIdx != 0 {
 		t.Fatalf("missing = %+v", missing)
 	}
@@ -545,8 +547,8 @@ func TestMissingPlans(t *testing.T) {
 		t.Errorf("pieces = %+v", missing[0].Pieces)
 	}
 	// Nothing missing -> no plans.
-	got[2] = true
-	if m := missingPlans(plans, got); len(m) != 0 {
+	got.has[2] = true
+	if m := missingPlans(plans, &got); len(m) != 0 {
 		t.Errorf("complete transfer still has %d plans", len(m))
 	}
 }
@@ -757,7 +759,7 @@ func TestRingDropRecovery(t *testing.T) {
 	// frames are lost at the NIC rather than on the wire — and the retry
 	// machinery must absorb that loss exactly like fabric loss.
 	eng := sim.NewEngine()
-	fab := netsim.NewFabric(eng, 20*units.Microsecond)
+	fab := netsim.NewFabric(eng, 20*units.Microsecond, 256)
 	cfg := DefaultConfig(1, 3*units.Gigabit, irqsched.PolicySourceAware)
 	cfg.MDS = 50
 	cfg.NIC.RingSize = 2
@@ -1139,5 +1141,69 @@ func TestTransferDeadlineAbandonsEmptyRead(t *testing.T) {
 	// The deadline bounds the failure: well before 100 retries' worth.
 	if e := r.node.OpErrors()[0]; e.FailedAt-e.IssuedAt > 2*cfg.TransferDeadline {
 		t.Errorf("abandoned %v after issue; deadline %v did not bound it", e.FailedAt-e.IssuedAt, cfg.TransferDeadline)
+	}
+}
+
+// TestStripArrivalBookkeeping feeds strips and write acks straight into
+// the softirq completions of one read and one write: out-of-order
+// FlowSeqs from one server, an in-order stream from another, a
+// duplicate, and strays — a strip outside the transfer, a strip from a
+// server the transfer never asked, and an ack outside the write. The
+// reorder detector, the duplicate and stray counters, and completion
+// must come out exact.
+func TestStripArrivalBookkeeping(t *testing.T) {
+	r := newRig(t, irqsched.PolicySourceAware, 0)
+	n := r.node
+	// Servers 100 and 101 are not attached: the requests the transfers
+	// send are dropped, and every strip below is hand-delivered.
+	layout, err := pfs.Layout{StripSize: 64 * units.KiB, Servers: []netsim.NodeID{100, 101}}.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.layouts[1] = layout
+	p := n.NewProc(0, 0)
+	var readDone, writeDone bool
+	n.issue(p, 1, 0, 6*64*units.KiB, func(units.Time) { readDone = true }) // strips 0..5, tag 1
+	strip := func(src netsim.NodeID, seq uint64, s int) {
+		n.stripArrived(0, src, seq, &pfs.StripData{File: 1, Tag: 1, GlobalStrip: s, Size: 64 * units.KiB}, r.eng.Now())
+	}
+	strip(100, 5, 0)
+	strip(100, 3, 2) // regresses by 2
+	strip(101, 10, 1)
+	strip(101, 11, 3)
+	strip(100, 3, 2)  // duplicate: counted once, not a reorder
+	strip(100, 9, 99) // outside the transfer
+	strip(102, 9, 5)  // from a server the transfer never asked
+	strip(100, 1, 4)  // regresses by 4 against seq 5
+	if _, live := n.reads[1]; !live {
+		t.Fatal("read completed with a strip still missing")
+	}
+	strip(101, 12, 5)
+	if _, live := n.reads[1]; live {
+		t.Fatal("read still live after its last strip")
+	}
+
+	n.issueWrite(p, 1, 0, 2*64*units.KiB, func(units.Time) { writeDone = true }) // strips 0..1, tag 2
+	ack := func(s int) {
+		n.ackArrived(&pfs.WriteAck{File: 1, Tag: 2, GlobalStrip: s, Size: 64 * units.KiB}, r.eng.Now())
+	}
+	ack(0)
+	ack(7) // outside the write
+	ack(0) // duplicate
+	ack(1)
+	r.eng.RunUntilIdle()
+
+	st := n.Stats()
+	if st.ReorderedFrames != 2 || st.ReorderDepthMax != 4 {
+		t.Errorf("reordered %d, depth max %d; want 2 and 4", st.ReorderedFrames, st.ReorderDepthMax)
+	}
+	if st.DuplicateStrips != 2 || st.StrayStrips != 3 {
+		t.Errorf("duplicates %d, strays %d; want 2 and 3", st.DuplicateStrips, st.StrayStrips)
+	}
+	if !readDone || st.Transfers != 1 || st.BytesRead != 6*64*units.KiB {
+		t.Errorf("read done %v, transfers %d, bytes %v; want one read of 384 KiB", readDone, st.Transfers, st.BytesRead)
+	}
+	if !writeDone || st.WriteTransfers != 1 || st.BytesWritten != 2*64*units.KiB {
+		t.Errorf("write done %v, transfers %d, bytes %v; want one write of 128 KiB", writeDone, st.WriteTransfers, st.BytesWritten)
 	}
 }

@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t testing.TB, servers int) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine()}
-	r.fab = netsim.NewFabric(r.eng, 10*units.Microsecond)
+	r.fab = netsim.NewFabric(r.eng, 10*units.Microsecond, 256)
 	r.client = netsim.NewNIC(r.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	r.fab.Attach(r.client)
 	r.client.SetInterruptHandler(func(units.Time) {

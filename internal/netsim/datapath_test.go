@@ -24,10 +24,10 @@ type frameLoop struct {
 func newFrameLoop(remote bool) *frameLoop {
 	l := &frameLoop{eng: sim.NewEngine()}
 	cfg := DefaultNICConfig(3 * units.Gigabit)
-	txFab := NewFabric(l.eng, 10*units.Microsecond)
+	txFab := NewFabric(l.eng, 10*units.Microsecond, 100)
 	rxFab := txFab
 	if remote {
-		rxFab = NewFabric(l.eng, 10*units.Microsecond)
+		rxFab = NewFabric(l.eng, 10*units.Microsecond, 100)
 		link := func(dst *Fabric) RemoteForward {
 			return func(fr *Frame, _, deliverAt units.Time, key FrameKey) bool {
 				l.eng.AtOrigin(deliverAt, key.Origin(), dst.Arrival(fr))
@@ -101,7 +101,7 @@ func TestReadHintAllocFree(t *testing.T) {
 // destination only.
 func TestFrameReuseClearsDatapathState(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, units.Microsecond)
+	fab := NewFabric(eng, units.Microsecond, 100)
 	cfg := DefaultNICConfig(units.Gigabit)
 	nics := make([]*NIC, 5)
 	for id := 1; id <= 4; id++ {

@@ -16,7 +16,10 @@ import (
 type Fabric struct {
 	eng     *sim.Engine
 	latency units.Time
-	nics    map[NodeID]*NIC
+	// nics is indexed by NodeID over the whole id space of the run;
+	// nil marks an id attached to another shard's fabric, or to none.
+	nics     []*NIC
+	attached int
 	// loss injects random frame drops for failure testing; nil = none.
 	loss func(FrameKey) bool
 	// corrupt injects header bit-flips; nil = none.
@@ -40,35 +43,59 @@ type Fabric struct {
 }
 
 // NewFabric creates an empty fabric with the given one-way switch
-// forwarding latency.
-func NewFabric(eng *sim.Engine, latency units.Time) *Fabric {
+// forwarding latency for node ids 0..ids-1 — the id space of the whole
+// run, shared by every shard's fabric. Routing tables are sized once,
+// here and at Attach.
+func NewFabric(eng *sim.Engine, latency units.Time, ids int) *Fabric {
 	if latency < 0 {
 		panic("netsim: negative fabric latency")
 	}
-	return &Fabric{eng: eng, latency: latency, nics: make(map[NodeID]*NIC)}
+	if ids < 1 {
+		panic(fmt.Sprintf("netsim: fabric id space %d must be positive", ids))
+	}
+	return &Fabric{eng: eng, latency: latency, nics: make([]*NIC, ids)}
 }
 
-// Attach connects a NIC to the fabric. Attaching two NICs with the same
-// NodeID panics: node identity is the routing key.
+// IDs returns the size of the fabric's node-id space: valid ids are
+// 0..IDs()-1.
+func (f *Fabric) IDs() int { return len(f.nics) }
+
+// Attach connects a NIC to the fabric and sizes its per-destination
+// flow sequence table to the id space. Attaching a NIC whose NodeID is
+// outside the id space, or two NICs with the same NodeID, panics: node
+// identity is the routing key.
 func (f *Fabric) Attach(n *NIC) {
-	if _, dup := f.nics[n.id]; dup {
+	if n.id < 0 || int(n.id) >= len(f.nics) {
+		panic(fmt.Sprintf("netsim: node %d outside the fabric's id space [0,%d)", n.id, len(f.nics)))
+	}
+	if f.nics[n.id] != nil {
 		panic(fmt.Sprintf("netsim: duplicate node %d on fabric", n.id))
 	}
 	n.fab = f
+	n.txSeq = make([]uint64, len(f.nics))
 	f.nics[n.id] = n
+	f.attached++
 }
 
-// NIC returns the attached NIC for id, or nil.
-func (f *Fabric) NIC(id NodeID) *NIC { return f.nics[id] }
+// NIC returns the attached NIC for id, or nil (also for an id outside
+// the id space).
+//
+//saisvet:allocfree
+func (f *Fabric) NIC(id NodeID) *NIC {
+	if id < 0 || int(id) >= len(f.nics) {
+		return nil
+	}
+	return f.nics[id]
+}
 
 // Nodes returns the number of attached NICs.
-func (f *Fabric) Nodes() int { return len(f.nics) }
+func (f *Fabric) Nodes() int { return f.attached }
 
 // Forwarded returns the number of frames the switch has forwarded.
 func (f *Fabric) Forwarded() uint64 { return f.forwarded }
 
 // Dropped returns frames dropped by injected loss or unknown
-// destinations.
+// destinations (including ids outside the id space).
 func (f *Fabric) Dropped() uint64 { return f.dropped }
 
 // SetLoss installs a frame-drop predicate called per forwarded frame;
@@ -174,8 +201,8 @@ func (f *Fabric) SetRemote(fn RemoteForward) { f.remote = fn }
 //
 //saisvet:allocfree
 func (f *Fabric) arrive(fr *Frame) {
-	dst, ok := f.nics[fr.Dst]
-	if !ok {
+	dst := f.NIC(fr.Dst)
+	if dst == nil {
 		// The partition map and the NIC set disagree — count it as a
 		// drop rather than leak the frame.
 		f.dropped++
@@ -213,10 +240,12 @@ func (f *Fabric) forward(fr *Frame) {
 		}
 		latency = units.Time(scaled)
 	}
-	if _, ok := f.nics[fr.Dst]; !ok {
+	if f.NIC(fr.Dst) == nil {
 		now := f.eng.Now()
+		// An id outside the space names no node on any shard.
+		inSpace := fr.Dst >= 0 && int(fr.Dst) < len(f.nics)
 		//lint:alloc cross-shard hook: its allocations belong to the composing executor
-		if f.remote != nil && f.remote(fr, now, now+latency, key) {
+		if inSpace && f.remote != nil && f.remote(fr, now, now+latency, key) {
 			f.forwarded++
 			return
 		}

@@ -189,8 +189,9 @@ type NIC struct {
 	// node's own progress only, so it is identical across shard
 	// layouts.
 	fwdSeq uint64
-	// txSeq numbers outbound frames per destination for Frame.FlowSeq.
-	txSeq map[NodeID]uint64
+	// txSeq numbers outbound frames per destination for Frame.FlowSeq,
+	// indexed by NodeID; Attach sizes it to the fabric's id space.
+	txSeq []uint64
 	// Per-receive-queue state: descriptor ring and coalescing.
 	rings      [][]*Frame
 	pending    []int
@@ -217,7 +218,7 @@ func NewNIC(eng *sim.Engine, id NodeID, cfg NICConfig) *NIC {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	n := &NIC{id: id, cfg: cfg, eng: eng, txSeq: make(map[NodeID]uint64)}
+	n := &NIC{id: id, cfg: cfg, eng: eng}
 	for p := 0; p < cfg.ports(); p++ {
 		n.egress = append(n.egress, sim.NewServer(eng, fmt.Sprintf("nic%d-tx%d", id, p)))
 		n.ingress = append(n.ingress, sim.NewServer(eng, fmt.Sprintf("nic%d-rx%d", id, p)))
@@ -392,9 +393,22 @@ func (n *NIC) newFrame(dst NodeID, payload units.Bytes, hint AffHint, body any) 
 	f.Src, f.Dst, f.Payload, f.Hint, f.Body = n.id, dst, payload, hint, body
 	f.Header = n.buildHeader(f.Header[:0], payload, hint)
 	f.SentAt = n.eng.Now()
-	f.FlowSeq = n.txSeq[dst]
-	n.txSeq[dst]++
+	f.FlowSeq = n.nextFlowSeq(dst)
 	return f
+}
+
+// nextFlowSeq returns and advances the flow sequence toward dst. A
+// destination outside the id space gets 0 and advances nothing: the
+// fabric drops its frames at forwarding.
+//
+//saisvet:allocfree
+func (n *NIC) nextFlowSeq(dst NodeID) uint64 {
+	if dst < 0 || int(dst) >= len(n.txSeq) {
+		return 0
+	}
+	seq := n.txSeq[dst]
+	n.txSeq[dst]++
+	return seq
 }
 
 // Free returns a consumed frame to the fabric pool. The NIC driver's

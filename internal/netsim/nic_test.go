@@ -14,7 +14,7 @@ import (
 func testNet(t *testing.T, latency units.Time, txCfg, rxCfg NICConfig) (*sim.Engine, *NIC, *NIC) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, latency)
+	fab := NewFabric(eng, latency, 100)
 	tx := NewNIC(eng, 1, txCfg)
 	rx := NewNIC(eng, 2, rxCfg)
 	fab.Attach(tx)
@@ -196,7 +196,7 @@ func TestRingOverflowDrops(t *testing.T) {
 func TestFabricLoss(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	tx, rx := NewNIC(eng, 1, cfg), NewNIC(eng, 2, cfg)
 	fab.Attach(tx)
 	fab.Attach(rx)
@@ -221,7 +221,7 @@ func TestFabricLoss(t *testing.T) {
 func TestSendToUnknownNode(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	tx := NewNIC(eng, 1, cfg)
 	fab.Attach(tx)
 	eng.At(0, func(units.Time) { tx.Send(99, units.KiB, AffHint{}, nil) })
@@ -231,9 +231,63 @@ func TestSendToUnknownNode(t *testing.T) {
 	}
 }
 
+// TestSendOutsideIDSpaceDrops sends to ids below and beyond the
+// fabric's id space: each frame is dropped and counted at forwarding,
+// returned to the pool, and never handed to the cross-shard hook, and
+// the sender's flow sequences toward real peers are untouched.
+func TestSendOutsideIDSpaceDrops(t *testing.T) {
+	cfg := DefaultNICConfig(units.Gigabit)
+	eng := sim.NewEngine()
+	fab := NewFabric(eng, 0, 8)
+	tx, rx := NewNIC(eng, 1, cfg), NewNIC(eng, 2, cfg)
+	fab.Attach(tx)
+	fab.Attach(rx)
+	fab.SetRemote(func(*Frame, units.Time, units.Time, FrameKey) bool {
+		t.Error("out-of-space destination reached the cross-shard hook")
+		return true
+	})
+	var seqs []uint64
+	rx.SetInterruptHandler(func(units.Time) {
+		for _, f := range rx.Drain() {
+			seqs = append(seqs, f.FlowSeq)
+			rx.Free(f)
+		}
+	})
+	eng.At(0, func(units.Time) {
+		tx.Send(2, units.KiB, AffHint{}, nil)
+		tx.Send(-3, units.KiB, AffHint{}, nil)
+		tx.Send(8, units.KiB, AffHint{}, nil)
+		tx.Send(1<<40, units.KiB, AffHint{}, nil)
+		tx.Send(2, units.KiB, AffHint{}, nil)
+	})
+	eng.RunUntilIdle()
+	if fab.Dropped() != 3 || fab.Forwarded() != 2 {
+		t.Errorf("dropped %d forwarded %d, want 3 and 2", fab.Dropped(), fab.Forwarded())
+	}
+	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
+		t.Errorf("flow sequences to node 2 = %v, want [0 1]", seqs)
+	}
+	if len(fab.framePool) != 5 {
+		t.Errorf("pool holds %d frames after the run, want all 5 back", len(fab.framePool))
+	}
+}
+
+func TestAttachOutsideIDSpacePanics(t *testing.T) {
+	for _, id := range []NodeID{-1, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("attaching node %d to an 8-id fabric did not panic", id)
+				}
+			}()
+			NewFabric(sim.NewEngine(), 0, 8).Attach(NewNIC(sim.NewEngine(), id, DefaultNICConfig(units.Gigabit)))
+		}()
+	}
+}
+
 func TestDuplicateAttachPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	fab.Attach(NewNIC(eng, 1, DefaultNICConfig(units.Gigabit)))
 	defer func() {
 		if recover() == nil {
@@ -291,7 +345,7 @@ func TestBondedPortsAggregateRate(t *testing.T) {
 	// three senders; a single 1-Gbit port caps at 1 Gbit.
 	run := func(ports int) units.Rate {
 		eng := sim.NewEngine()
-		fab := NewFabric(eng, 0)
+		fab := NewFabric(eng, 0, 100)
 		rxCfg := DefaultNICConfig(units.Gigabit)
 		rxCfg.Ports = ports
 		rx := NewNIC(eng, 99, rxCfg)
@@ -328,7 +382,7 @@ func TestFlowHashBondPinsPeers(t *testing.T) {
 	// Under 802.3ad-style bonding one peer's traffic uses one port, so
 	// a single flow cannot exceed the per-port rate.
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	rxCfg := DefaultNICConfig(units.Gigabit)
 	rxCfg.Ports = 3
 	rxCfg.Bond = BondFlowHash
@@ -374,7 +428,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		eng := sim.NewEngine()
-		fab := NewFabric(eng, units.Time(r.Intn(100))*units.Microsecond)
+		fab := NewFabric(eng, units.Time(r.Intn(100))*units.Microsecond, 100)
 		tx := NewNIC(eng, 1, DefaultNICConfig(units.Gigabit))
 		rxCfg := DefaultNICConfig(units.Gigabit)
 		rx := NewNIC(eng, 2, rxCfg)
@@ -410,7 +464,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 
 func BenchmarkFrameDelivery(b *testing.B) {
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 10*units.Microsecond)
+	fab := NewFabric(eng, 10*units.Microsecond, 100)
 	tx := NewNIC(eng, 1, DefaultNICConfig(3*units.Gigabit))
 	rx := NewNIC(eng, 2, DefaultNICConfig(3*units.Gigabit))
 	fab.Attach(tx)
@@ -447,7 +501,7 @@ func BenchmarkHeaderRoundTrip(b *testing.B) {
 
 func TestMultiQueueRSS(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	rxCfg := DefaultNICConfig(3 * units.Gigabit)
 	rxCfg.RxQueues = 4
 	rx := NewNIC(eng, 99, rxCfg)
@@ -513,10 +567,10 @@ func TestNICAccessors(t *testing.T) {
 
 func TestFabricAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	fab := NewFabric(eng, 0)
+	fab := NewFabric(eng, 0, 100)
 	nic := NewNIC(eng, 1, DefaultNICConfig(units.Gigabit))
 	fab.Attach(nic)
-	if fab.Nodes() != 1 || fab.NIC(1) != nic || fab.NIC(9) != nil {
+	if fab.Nodes() != 1 || fab.IDs() != 100 || fab.NIC(1) != nic || fab.NIC(9) != nil || fab.NIC(-1) != nil || fab.NIC(100) != nil {
 		t.Error("fabric accessors wrong")
 	}
 	if fab.Forwarded() != 0 || fab.Corrupted() != 0 {

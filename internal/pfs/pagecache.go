@@ -21,27 +21,40 @@ type PageCache struct {
 	window   units.Bytes
 	used     units.Bytes
 
-	entries map[pageKey]*pageEntry
+	// windows is the one table of known windows, keyed by packKey. A
+	// window in it is resident (on the LRU list), filling (its fill
+	// collects the waiters of a disk read in flight), or both when a
+	// Put lands during a fill. A Get costs one lookup, and a finished
+	// fill turns its window resident in place.
+	windows map[uint64]*pageEntry
 	// lru is maintained with an intrusive doubly-linked list.
 	head, tail *pageEntry
-	// inflight tracks windows being read from disk; arrivals during the
-	// read queue as waiters rather than issuing duplicate disk I/O.
-	// Finished fills (with their waiter slices) and evicted entries are
-	// recycled, so a warm cache allocates nothing per lookup.
-	inflight    map[pageKey]*fill
+	// Finished fills (with their waiter slices) and forgotten windows
+	// are recycled, so a warm cache allocates nothing per lookup.
 	freeFills   []*fill
 	freeEntries []*pageEntry
 
 	hits, misses, merged uint64
 }
 
-type pageKey struct {
-	file FileID
-	win  int64
+// Window keys pack the file into the high bits and the window index
+// into the low winBits; packKey refuses what does not fit.
+const winBits = 40
+
+// packKey returns the table key of window win of file. It panics on a
+// file id or window index outside the packed ranges (2^24 files, 2^40
+// windows of at least 64 KiB each) rather than truncating it.
+func packKey(file FileID, win int64) uint64 {
+	if file >= 1<<(64-winBits) || win < 0 || win >= 1<<winBits {
+		panic(fmt.Sprintf("pfs: page-cache window (file %d, window %d) outside the key range", file, win))
+	}
+	return uint64(file)<<winBits | uint64(win)
 }
 
 type pageEntry struct {
-	key        pageKey
+	key        uint64
+	resident   bool
+	fill       *fill // the disk read in flight, or nil
 	prev, next *pageEntry
 }
 
@@ -50,27 +63,30 @@ type pageEntry struct {
 // allocated.
 type fill struct {
 	c       *PageCache
-	key     pageKey
+	entry   *pageEntry
 	waiters []sim.Event
 	doneFn  sim.Event
 }
 
-// done installs the window and fires its waiters in arrival order; the
-// fill returns to the pool only afterwards, so a waiter that misses on
-// the same window again starts a fresh fill.
+// done makes the window resident (or forgets it when the cache cannot
+// hold it) and fires its waiters in arrival order; the fill returns to
+// the pool only afterwards, so a waiter that misses on the same window
+// again starts a fresh fill.
 //
 //saisvet:allocfree
 func (f *fill) done(now units.Time) {
-	c := f.c
-	//lint:alloc cache growth: an entry per newly resident window until the first eviction recycles them
-	c.install(f.key)
-	delete(c.inflight, f.key)
+	c, e := f.c, f.entry
+	e.fill = nil
+	if !e.resident {
+		c.admit(e)
+	}
 	for _, w := range f.waiters {
 		//lint:alloc waiter invocation: the callback's allocations belong to its owner's budget
 		w(now)
 	}
 	clear(f.waiters)
 	f.waiters = f.waiters[:0]
+	f.entry = nil
 	c.freeFills = append(c.freeFills, f)
 }
 
@@ -85,8 +101,7 @@ func NewPageCache(eng *sim.Engine, capacity, window units.Bytes) *PageCache {
 		eng:      eng,
 		capacity: capacity,
 		window:   window,
-		entries:  make(map[pageKey]*pageEntry),
-		inflight: make(map[pageKey]*fill),
+		windows:  make(map[uint64]*pageEntry),
 	}
 }
 
@@ -121,16 +136,17 @@ func (c *PageCache) WindowExtent(win int64) (offset, size units.Bytes) {
 //
 //saisvet:allocfree
 func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done sim.Event)) {
-	key := pageKey{file: file, win: win}
-	if e, ok := c.entries[key]; ok {
+	key := packKey(file, win)
+	e := c.windows[key]
+	if e != nil && e.resident {
 		c.hits++
 		c.touch(e)
 		c.eng.Immediately(ready)
 		return
 	}
-	if f, ok := c.inflight[key]; ok {
+	if e != nil {
 		c.merged++
-		f.waiters = append(f.waiters, ready)
+		e.fill.waiters = append(e.fill.waiters, ready)
 		return
 	}
 	c.misses++
@@ -143,56 +159,84 @@ func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done
 		f = &fill{c: c}
 		f.doneFn = f.done
 	}
-	f.key = key
+	e = c.newEntry(key)
+	e.fill, f.entry = f, e
 	f.waiters = append(f.waiters, ready)
-	c.inflight[key] = f
 	//lint:alloc miss path: the caller's disk read, once per window fetched
 	fetch(f.doneFn)
 }
 
 // Put marks window win of file resident without disk I/O — the
 // write path populating the cache, so a later read of freshly written
-// data is served from memory.
+// data is served from memory. A read of the window still in flight
+// keeps its waiters and finishes as usual.
 func (c *PageCache) Put(file FileID, win int64) {
-	key := pageKey{file: file, win: win}
-	if e, ok := c.entries[key]; ok {
+	key := packKey(file, win)
+	e := c.windows[key]
+	if e != nil && e.resident {
 		c.touch(e)
 		return
 	}
-	c.install(key)
+	if e == nil {
+		e = c.newEntry(key)
+	}
+	c.admit(e)
 }
 
-// install inserts the window, evicting LRU windows to fit.
-func (c *PageCache) install(key pageKey) {
-	if c.capacity <= 0 {
-		return
-	}
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	for c.used+c.window > c.capacity && c.tail != nil {
-		c.evict(c.tail)
-	}
-	if c.used+c.window > c.capacity {
-		return // window larger than the whole cache
-	}
+// newEntry enters a window, neither resident nor filling yet, into the
+// table.
+//
+//saisvet:allocfree
+func (c *PageCache) newEntry(key uint64) *pageEntry {
 	var e *pageEntry
 	if n := len(c.freeEntries); n > 0 {
 		e = c.freeEntries[n-1]
 		c.freeEntries = c.freeEntries[:n-1]
-		e.key = key
 	} else {
-		e = &pageEntry{key: key}
+		//lint:alloc pool growth: an entry per peak number of known windows, recycled once evictions start
+		e = &pageEntry{}
 	}
-	c.entries[key] = e
+	e.key = key
+	c.windows[key] = e
+	return e
+}
+
+// admit makes e resident at the MRU end, evicting LRU windows to fit.
+// A window that cannot fit — caching is disabled, or the window is
+// larger than the cache — leaves the table unless a read of it is in
+// flight.
+func (c *PageCache) admit(e *pageEntry) {
+	if c.capacity > 0 {
+		for c.used+c.window > c.capacity && c.tail != nil {
+			c.evict(c.tail)
+		}
+	}
+	if c.capacity <= 0 || c.used+c.window > c.capacity {
+		if e.fill == nil {
+			c.forget(e)
+		}
+		return
+	}
+	e.resident = true
 	c.used += c.window
 	c.pushFront(e)
 }
 
+// evict drops a resident window; one with no read in flight leaves the
+// table.
 func (c *PageCache) evict(e *pageEntry) {
 	c.unlink(e)
-	delete(c.entries, e.key)
+	e.resident = false
 	c.used -= c.window
+	if e.fill == nil {
+		c.forget(e)
+	}
+}
+
+// forget removes a window that is neither resident nor filling from the
+// table and recycles its entry.
+func (c *PageCache) forget(e *pageEntry) {
+	delete(c.windows, e.key)
 	c.freeEntries = append(c.freeEntries, e)
 }
 
@@ -231,22 +275,43 @@ func (c *PageCache) unlink(e *pageEntry) {
 func (c *PageCache) Used() units.Bytes { return c.used }
 
 // Len returns resident windows.
-func (c *PageCache) Len() int { return len(c.entries) }
+func (c *PageCache) Len() int { return int(c.used / c.window) }
 
-// CheckInvariants validates list/map consistency for tests.
+// CheckInvariants validates list/table consistency for tests: the list
+// holds exactly the resident windows, every window in the table is
+// resident or filling, and occupancy matches.
 func (c *PageCache) CheckInvariants() error {
 	n := 0
 	for e := c.head; e != nil; e = e.next {
-		if got, ok := c.entries[e.key]; !ok || got != e {
-			return fmt.Errorf("pfs: list entry %v not in map", e.key)
+		if got, ok := c.windows[e.key]; !ok || got != e {
+			return fmt.Errorf("pfs: list entry %#x not in the table", e.key)
+		}
+		if !e.resident {
+			return fmt.Errorf("pfs: listed window %#x not resident", e.key)
 		}
 		if e.next == nil && c.tail != e {
 			return fmt.Errorf("pfs: tail mismatch")
 		}
 		n++
 	}
-	if n != len(c.entries) {
-		return fmt.Errorf("pfs: list has %d entries, map %d", n, len(c.entries))
+	resident := 0
+	//lint:maporder order-independent invariant sweep: every entry must hold, any violation fails
+	for key, e := range c.windows {
+		if e.key != key {
+			return fmt.Errorf("pfs: window %#x filed under %#x", e.key, key)
+		}
+		if !e.resident && e.fill == nil {
+			return fmt.Errorf("pfs: window %#x neither resident nor filling", key)
+		}
+		if e.fill != nil && e.fill.entry != e {
+			return fmt.Errorf("pfs: window %#x's fill belongs to another window", key)
+		}
+		if e.resident {
+			resident++
+		}
+	}
+	if n != resident {
+		return fmt.Errorf("pfs: list has %d windows, table %d resident", n, resident)
 	}
 	if c.used != units.Bytes(n)*c.window {
 		return fmt.Errorf("pfs: used %v != %d windows", c.used, n)

@@ -120,6 +120,53 @@ func TestDistinctFilesDistinctWindows(t *testing.T) {
 	}
 }
 
+// TestPutDuringFill writes a window while a read of it is in flight:
+// the window is resident at once (a later Get hits) and the read still
+// completes and fires its waiter, leaving one resident window.
+func TestPutDuringFill(t *testing.T) {
+	eng, pc := newCache(units.MiB)
+	fetches, ready := 0, 0
+	eng.At(0, func(units.Time) {
+		pc.Get(1, 3, func(units.Time) { ready++ }, fetchAfter(eng, units.Millisecond, &fetches))
+		pc.Put(1, 3)
+		if err := pc.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		pc.Get(1, 3, func(units.Time) { ready++ }, fetchAfter(eng, units.Millisecond, &fetches))
+	})
+	eng.RunUntilIdle()
+	if fetches != 1 || ready != 2 || pc.Hits() != 1 || pc.Misses() != 1 {
+		t.Errorf("fetches %d ready %d hits %d misses %d; want 1, 2, 1, 1", fetches, ready, pc.Hits(), pc.Misses())
+	}
+	if pc.Len() != 1 {
+		t.Errorf("resident windows = %d, want 1", pc.Len())
+	}
+	if err := pc.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWindowKeyBounds checks the packed key refuses a file id or window
+// index it cannot represent instead of aliasing another window.
+func TestWindowKeyBounds(t *testing.T) {
+	if packKey(1<<24-1, 1<<40-1) == packKey(1<<24-2, 1<<40-1) {
+		t.Error("distinct windows at the key limits collide")
+	}
+	for _, k := range []struct {
+		file FileID
+		win  int64
+	}{{1 << 24, 0}, {0, 1 << 40}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window (file %d, win %d) was packed", k.file, k.win)
+				}
+			}()
+			packKey(k.file, k.win)
+		}()
+	}
+}
+
 func TestBadWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -23,7 +23,7 @@ type harness struct {
 func newHarness(t *testing.T, echo bool) *harness {
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
-	h.fab = netsim.NewFabric(h.eng, 10*units.Microsecond)
+	h.fab = netsim.NewFabric(h.eng, 10*units.Microsecond, 256)
 	h.client = netsim.NewNIC(h.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	h.fab.Attach(h.client)
 	h.client.SetInterruptHandler(func(units.Time) {
@@ -321,7 +321,7 @@ type pieceLoop struct {
 
 func newPieceLoop() *pieceLoop {
 	l := &pieceLoop{eng: sim.NewEngine()}
-	fab := netsim.NewFabric(l.eng, 0)
+	fab := netsim.NewFabric(l.eng, 0, 256)
 	l.srv = NewServer(l.eng, fab, 100, DefaultServerConfig(units.Gigabit), rng.New(1))
 	req := &ReadRequest{File: 7, Client: 1, Pieces: strips(1), LocalEOF: units.MiB}
 	// The piece's window and its readahead successor are resident.

@@ -16,7 +16,7 @@ import (
 func rig(t *testing.T) (*sim.Engine, *client.Node) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fab := netsim.NewFabric(eng, 10*units.Microsecond)
+	fab := netsim.NewFabric(eng, 10*units.Microsecond, 256)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, irqsched.PolicySourceAware)
 	ccfg.MDS = 50
 	node := client.MustNew(eng, fab, ccfg)

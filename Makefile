@@ -44,10 +44,11 @@ race:
 	$(GO) test -race ./...
 
 # Short race pass of the orchestration-critical packages (the worker
-# pool, the fault injector, its consumers — the figure engine and the
-# study runner — the span/trace recorder, and the sharded executor with
-# its cluster-level differential tests, whose runs hold no lock and so
-# must stay on one goroutine each); cheap enough to run in `all`.
+# pool, the fault injector, its consumers — the study runner and the
+# paper's study files it runs — the span/trace recorder, and the sharded
+# executor with its cluster-level differential tests, whose runs hold no
+# lock and so must stay on one goroutine each); cheap enough to run in
+# `all`.
 race-short:
 	$(GO) test -race ./internal/runner ./internal/faults ./experiments ./internal/scenario ./internal/trace ./internal/shard
 	$(GO) test -race -run 'TestSharded' ./cluster
@@ -100,7 +101,8 @@ bench-check:
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json -strict
 
-# Regenerate every figure of the paper (tables to stdout).
+# Regenerate every figure of the paper: the studies/paper-*.json files,
+# in paper order (tables to stdout; figures adds ASCII charts).
 experiments:
 	$(GO) run ./cmd/experiments
 
@@ -110,12 +112,12 @@ figures:
 # Degraded-mode study: the scripted crash-and-recover timeline across
 # policies (see also studies/degraded.json for the loss-rate sweep).
 chaos:
-	$(GO) run ./cmd/experiments -study studies/chaos.json
+	$(GO) run ./cmd/experiments studies/chaos.json
 
 # Policy × workload matrix: strip-latency percentiles and the reorder
 # metric for every policy in the irqsched registry.
 policymatrix:
-	$(GO) run ./cmd/experiments -study studies/policymatrix.json -parallel 8
+	$(GO) run ./cmd/experiments -parallel 8 studies/policymatrix.json
 
 # Tier-1 scenario gate: run every committed scenario file, on one
 # engine and on four shards, evaluating assertions and the runtime

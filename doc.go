@@ -5,11 +5,11 @@
 // switched between the paper's policies (round-robin, dedicated-core,
 // irqbalance, and the source-aware SAIs) plus several extensions.
 //
-// The public entry points are the cluster package (assemble and run a
-// simulated cluster) and the experiments package (regenerate each of
-// the paper's figures). The root package holds the benchmark harness:
-// one testing.B benchmark per paper figure and a set of ablation
-// benchmarks over the design's load-bearing parameters.
+// The public entry point is the cluster package (assemble and run a
+// simulated cluster); cmd/experiments regenerates the paper's figures
+// from the study files under studies/. The root package holds the
+// benchmark harness: how fast the paper's grid regenerates, simulator
+// throughput, and sharded scaling.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

@@ -1,12 +1,236 @@
+// Package experiments holds the tests of the paper's evaluation: the
+// study files under studies/ that cmd/experiments runs (the paper's
+// figures in studies/paper-*.json, the extension studies beside them),
+// the claims each figure makes, and checks that every file reproduces
+// its committed CSV under testdata/ with zero invariant violations.
 package experiments
 
 import (
+	"context"
+	"encoding/csv"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"sais/cluster"
 	"sais/internal/irqsched"
+	"sais/internal/metrics"
+	"sais/internal/scenario"
 	"sais/internal/units"
 )
+
+// paperFiles lists the paper's study files in paper order: the files
+// cmd/experiments runs when it is given none.
+func paperFiles(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "studies", "paper-*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no paper study files (%v)", err)
+	}
+	return files
+}
+
+// paperRun is the paper's evaluation, run once per test binary: each
+// file's report keyed by study name.
+var paperRun = sync.OnceValues(func() (map[string]*scenario.StudyReport, error) {
+	files, _ := filepath.Glob(filepath.Join("..", "studies", "paper-*.json"))
+	reps := map[string]*scenario.StudyReport{}
+	for _, f := range files {
+		st, err := scenario.LoadStudy(f)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := scenario.RunStudy(context.Background(), st, 2)
+		if err != nil {
+			return nil, err
+		}
+		if !rep.Passed() {
+			return nil, fmt.Errorf("study %s broke invariants or assertions:\n%s", st.Name, rep.Findings())
+		}
+		reps[st.Name] = rep
+	}
+	return reps, nil
+})
+
+// paper returns the report of one paper study file.
+func paper(t *testing.T, name string) *scenario.StudyReport {
+	t.Helper()
+	reps, err := paperRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := reps[name]
+	if !ok {
+		t.Fatalf("no paper study %s", name)
+	}
+	return rep
+}
+
+// table indexes a report's CSV cells by row key — the row's dim labels
+// and policy joined by "/" — and column header.
+type table map[string]map[string]string
+
+func csvTable(t *testing.T, rep *scenario.StudyReport) table {
+	t.Helper()
+	lines := csvRows(rep.CSV())
+	keyCols := len(rep.Study.Dims) + 1
+	tb := table{}
+	for _, l := range lines[1:] {
+		row := map[string]string{}
+		for j, h := range lines[0] {
+			row[h] = l[j]
+		}
+		tb[strings.Join(l[:keyCols], "/")] = row
+	}
+	return tb
+}
+
+// num returns the value of one cell.
+func (tb table) num(t *testing.T, key, col string) float64 {
+	t.Helper()
+	cell, ok := tb[key][col]
+	if !ok {
+		t.Fatalf("no cell %s at row %s", col, key)
+	}
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// cell returns one value of a paper study.
+func cell(t *testing.T, study, key, col string) float64 {
+	t.Helper()
+	return csvTable(t, paper(t, study)).num(t, key, col)
+}
+
+// Paper study names.
+const (
+	grid       = "paper-1-grid"
+	multi      = "paper-2-multiclient"
+	ramdisk    = "paper-3-ramdisk"
+	extensions = "paper-4-extensions"
+)
+
+// figureRows maps each experiment of testdata/figures.csv onto the
+// paper-study rows holding its baseline and treatment: the study and
+// the row-key prefix the cell label (less its unit) and the policy
+// complete.
+var figureRows = map[string][2]struct{ study, prefix string }{
+	"figure5":     {{grid, "3G/"}, {grid, "3G/"}},
+	"figure5-1g":  {{grid, "1G/"}, {grid, "1G/"}},
+	"figure6":     {{grid, "1G/"}, {grid, "1G/"}},
+	"figure7":     {{grid, "3G/"}, {grid, "3G/"}},
+	"figure8":     {{grid, "1G/"}, {grid, "1G/"}},
+	"figure9":     {{grid, "3G/"}, {grid, "3G/"}},
+	"figure10":    {{grid, "1G/"}, {grid, "1G/"}},
+	"figure11":    {{grid, "3G/"}, {grid, "3G/"}},
+	"figure12":    {{multi, ""}, {multi, ""}},
+	"figure14":    {{ramdisk, ""}, {ramdisk, ""}},
+	"writes":      {{extensions, "writes/"}, {extensions, "writes/"}},
+	"flowhash":    {{extensions, "flowhash/"}, {grid, "3G/1MiB/"}},
+	"hybrid":      {{grid, "3G/1MiB/"}, {extensions, "hybrid/"}},
+	"sais-socket": {{grid, "3G/1MiB/"}, {extensions, "sais-socket/"}},
+	"rss-hw":      {{extensions, "rss-hw/"}, {grid, "3G/1MiB/"}},
+}
+
+// figureMetrics maps the committed CSV's metric names onto study
+// metrics.
+var figureMetrics = map[string]string{
+	"bandwidth (MB/s)":          "bandwidth_mbps",
+	"L2 miss rate":              "cache_miss_rate",
+	"CPU utilization":           "cpu_utilization",
+	"CPU_CLK_UNHALTED (cycles)": "unhalted_cycles",
+}
+
+// TestPaperMatchesCommittedCSV runs the paper's study files and checks
+// them against testdata/figures.csv, the output of the per-figure
+// engine these files replaced (`experiments -csv -parallel 2`). Every
+// mean, CI95 and strip-percentile cell must equal the new value
+// exactly. Every change cell must match at the committed 6 decimals:
+// the committed change of a lower-is-better metric was a reduction
+// (1 - t/b), the new one is signed (t/b - 1), and where the committed
+// baseline and treatment now sit in different rows of different
+// studies, or a study without a change column, the change is
+// recomputed from the new means. Every run must pass the invariant
+// checker.
+func TestPaperMatchesCommittedCSV(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "figures.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r := csv.NewReader(f)
+	r.FieldsPerRecord = -1
+	records, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]table{}
+	for _, name := range []string{grid, multi, ramdisk, extensions} {
+		tables[name] = csvTable(t, paper(t, name))
+	}
+	var head []string
+	rows := 0
+	for _, rec := range records {
+		if rec[0] == "experiment" {
+			head = rec
+			continue
+		}
+		rows++
+		sides, ok := figureRows[rec[0]]
+		if !ok {
+			t.Fatalf("no study rows for experiment %s", rec[0])
+		}
+		metric := figureMetrics[rec[2]]
+		label := rec[1]
+		for _, unit := range []string{" nodes", " clients", " apps"} {
+			label = strings.TrimSuffix(label, unit)
+		}
+		label = strings.TrimPrefix(label, "write/")
+		var means [2]float64
+		for s, side := range sides {
+			policy := strings.TrimSuffix(head[3+2*s], "_mean")
+			tb, key := tables[side.study], side.prefix+label+"/"+policy
+			if _, ok := tb[key]; !ok {
+				t.Fatalf("%s %s: no row %s in %s", rec[0], rec[1], key, side.study)
+			}
+			means[s] = tb.num(t, key, metric)
+			checks := map[int]string{3 + 2*s: metric, 4 + 2*s: metric + "_ci95",
+				8 + 3*s: "strip_p50_us", 9 + 3*s: "strip_p95_us", 10 + 3*s: "strip_p99_us"}
+			for j, col := range checks {
+				want, err := strconv.ParseFloat(rec[j], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tb.num(t, key, col); got != want {
+					t.Errorf("%s %s %s: %s = %v, want %v", rec[0], rec[1], head[j], col, got, want)
+				}
+			}
+		}
+		change := metrics.Speedup(means[1], means[0])
+		treat := tables[sides[1].study][sides[1].prefix+label+"/"+strings.TrimSuffix(head[5], "_mean")]
+		if c, ok := treat[metric+"_change"]; ok && sides[0].study == sides[1].study {
+			if change, err = strconv.ParseFloat(c, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if metric != "bandwidth_mbps" {
+			change = -change
+		}
+		if got := strconv.FormatFloat(change, 'f', 6, 64); got != rec[7] {
+			t.Errorf("%s %s: change %s, want %s", rec[0], rec[1], got, rec[7])
+		}
+	}
+	if rows != 162 {
+		t.Errorf("checked %d committed rows, want 162", rows)
+	}
+}
 
 // TestPaperClaims is the regression suite for the reproduction itself:
 // each subtest pins one claim from the paper's evaluation to a band the
@@ -108,10 +332,7 @@ func TestPaperClaims(t *testing.T) {
 
 	t.Run("no-nic-bottleneck-gain-near-fifty", func(t *testing.T) {
 		// Paper §VI: +53.23 % with the client at memory rate.
-		e := Figure14()
-		cfg := e.Cells[2].Config // 4 apps
-		base, sais := pair(t, cfg)
-		if got := speedup(base, sais); got < 0.30 || got > 0.80 {
+		if got := cell(t, ramdisk, "4/sais", "bandwidth_mbps_change"); got < 0.30 || got > 0.80 {
 			t.Errorf("no-bottleneck speed-up %.1f%% outside [30%%, 80%%] (paper: 53.23%%)", got*100)
 		}
 	})

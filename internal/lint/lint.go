@@ -81,14 +81,13 @@ func KnownDirectives() map[string]bool {
 
 // deterministicPkgs are the packages whose observable behavior must be
 // a pure function of (Config, Seed): the discrete-event core, every
-// simulated component, and the experiment/sweep layers whose output
+// simulated component, and the study/sweep layers whose output
 // ordering feeds the paper's figures. simdeterminism applies its
 // strictest rules (no goroutines, no map-ordered iteration, no calls
 // to transitively tainted functions) only here, and shardsafety's
 // shared-mutable-global rule has the same scope.
 var deterministicPkgs = map[string]bool{
 	"sais/cluster":             true,
-	"sais/experiments":         true,
 	"sais/internal/sim":        true,
 	"sais/internal/netsim":     true,
 	"sais/internal/apic":       true,

@@ -37,6 +37,7 @@ var metricFns = map[string]func(*cluster.Result) float64{
 	"cpu_utilization": func(r *cluster.Result) float64 { return r.CPUUtilization },
 	"cache_miss_rate": func(r *cluster.Result) float64 { return r.CacheMissRate },
 	"interrupts":      func(r *cluster.Result) float64 { return float64(r.Interrupts) },
+	"unhalted_cycles": func(r *cluster.Result) float64 { return float64(r.UnhaltedCycles) },
 	"hinted_fraction": func(r *cluster.Result) float64 {
 		if r.Interrupts == 0 {
 			return 0

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"html/template"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"sais/internal/irqsched"
 	"sais/internal/metrics"
 	"sais/internal/runner"
+	"sais/internal/textplot"
 )
 
 // Study is a Scenario swept over a grid: the cross product of its Dims,
@@ -24,7 +27,8 @@ import (
 // shape (§V: configurations × policies, averaged over seeded runs) as a
 // file. Every run goes through the scenario machinery — the invariant
 // checker and the assertions included — so a study cell that breaks an
-// invariant is a finding, not a number.
+// invariant is a finding, not a number. A study without Policies runs
+// each point under its own config's policy, which a dim value may set.
 type Study struct {
 	Scenario
 	// Dims are the sweep dimensions, outermost first. No dims means one
@@ -54,11 +58,23 @@ type DimValue struct {
 	Config json.RawMessage `json:",omitempty"`
 }
 
-// Column is one reported metric: its mean over the seeds or, with Sum,
-// its total.
+// Column is one reported metric and its statistic over the seeds: Stat
+// "" (the mean), "sum", "ci95" (the half-width of the mean's 95 %
+// confidence interval) or "change" (metrics.Speedup of the mean over
+// the first listed policy's mean at the same point, 0 on that policy's
+// own rows; signed, so -0.4 reads as 40 % lower).
 type Column struct {
 	Metric string
-	Sum    bool `json:",omitempty"`
+	Stat   string `json:",omitempty"`
+}
+
+// name is the column's report header: the metric, suffixed by a ci95
+// or change statistic.
+func (c Column) name() string {
+	if c.Stat == "ci95" || c.Stat == "change" {
+		return c.Metric + "_" + c.Stat
+	}
+	return c.Metric
 }
 
 // StudyError is the error a malformed study is rejected with.
@@ -97,6 +113,15 @@ func (s *Study) check() (pts []point, policies []irqsched.PolicyKind, err error)
 	for _, c := range s.Columns {
 		if _, ok := metricFns[c.Metric]; !ok {
 			return nil, nil, fmt.Errorf("column: unknown metric %q (want one of %v)", c.Metric, MetricNames())
+		}
+		switch c.Stat {
+		case "", "sum", "ci95":
+		case "change":
+			if len(s.Policies) < 2 {
+				return nil, nil, fmt.Errorf("column %s: change needs at least two policies", c.name())
+			}
+		default:
+			return nil, nil, fmt.Errorf("column %s: unknown stat %q (want sum, ci95 or change)", c.Metric, c.Stat)
 		}
 	}
 	names := map[string]bool{"policy": true}
@@ -192,14 +217,22 @@ type StudyReport struct {
 // seeds in seed order, so the report is identical for any worker count.
 // The error covers study-level failures (a study that fails Validate,
 // a cancelled run); invariant and assertion outcomes live in the rows'
-// Runs.
+// Runs. When a run fails or ctx ends, the report still holds every row
+// whose seeds all finished, so an interrupted study prints its partial
+// results.
 func RunStudy(ctx context.Context, s *Study, workers int) (*StudyReport, error) {
 	pts, policies, err := s.check()
 	if err != nil {
 		return nil, err
 	}
+	return s.runPoints(ctx, pts, len(policies), workers)
+}
+
+// runPoints runs npol policies under every seed at each point and
+// folds the runs into rows.
+func (s *Study) runPoints(ctx context.Context, pts []point, npol, workers int) (*StudyReport, error) {
 	runs := max(s.Seeds, 1)
-	perPoint := len(policies) * runs
+	perPoint := npol * runs
 	//lint:goroutine runner.Map joins all workers and returns rows in point order; per-cell output is seed-deterministic
 	tasks, err := runner.Map(ctx, len(pts)*perPoint, runner.Options{Workers: workers},
 		func(ctx context.Context, i int) (RunResult, error) {
@@ -207,37 +240,67 @@ func RunStudy(ctx context.Context, s *Study, workers int) (*StudyReport, error) 
 			sc := s.Scenario
 			sc.Config = p.cfg
 			sc.Config.Seed = uint64(i%runs + 1)
-			run, err := sc.run(ctx, policies[i/runs%len(policies)])
+			policies, err := sc.policyKinds()
+			if err != nil {
+				return RunResult{}, err
+			}
+			run, err := sc.run(ctx, policies[i/runs%npol])
 			if err != nil {
 				return RunResult{}, fmt.Errorf("study %s point %q seed %d: %w", s.Name, p.name, sc.Config.Seed, err)
 			}
 			return run, nil
 		})
-	if err != nil {
-		return nil, err
+	row := func(r int) []RunResult { return tasks[r*runs : (r+1)*runs] }
+	finished := func(r int) bool {
+		return !slices.ContainsFunc(row(r), func(run RunResult) bool { return run.Result == nil })
 	}
-	rep := &StudyReport{Study: s, Rows: make([]StudyRow, len(tasks)/runs)}
-	for r := range rep.Rows {
-		row := &rep.Rows[r]
-		row.Labels = pts[r/len(policies)].labels
-		row.Policy = policies[r%len(policies)].String()
-		row.Runs = tasks[r*runs : (r+1)*runs]
-		row.Values = make([]float64, len(s.Columns))
-		for c, col := range s.Columns {
-			var mean metrics.Summary
-			var sum float64
-			for k := range row.Runs {
-				v := metricFns[col.Metric](row.Runs[k].Result)
-				mean.Add(v)
-				sum += v
-			}
-			row.Values[c] = mean.Mean()
-			if col.Sum {
-				row.Values[c] = sum
-			}
+	// change is row r's change against the first policy's row at its
+	// point: 0 on that row itself, NaN when an interrupted study did not
+	// finish it.
+	change := func(r int, mean float64, metric string) float64 {
+		switch base := r - r%npol; {
+		case r == base:
+			return 0
+		case !finished(base):
+			return math.NaN()
+		default:
+			b, _ := fold(row(base), metric)
+			return metrics.Speedup(mean, b.Mean())
 		}
 	}
-	return rep, nil
+	rep := &StudyReport{Study: s}
+	for r := range len(tasks) / runs {
+		if !finished(r) {
+			continue
+		}
+		sr := StudyRow{Labels: pts[r/npol].labels, Policy: row(r)[0].Policy, Runs: row(r),
+			Values: make([]float64, len(s.Columns))}
+		for c, col := range s.Columns {
+			mean, sum := fold(sr.Runs, col.Metric)
+			switch col.Stat {
+			case "sum":
+				sr.Values[c] = sum
+			case "ci95":
+				sr.Values[c] = mean.CI95()
+			case "change":
+				sr.Values[c] = change(r, mean.Mean(), col.Metric)
+			default:
+				sr.Values[c] = mean.Mean()
+			}
+		}
+		rep.Rows = append(rep.Rows, sr)
+	}
+	return rep, err
+}
+
+// fold summarizes one metric over a row's runs, in seed order.
+func fold(runs []RunResult, metric string) (mean metrics.Summary, sum float64) {
+	for k := range runs {
+		v := metricFns[metric](runs[k].Result)
+		mean.Add(v)
+		sum += v
+	}
+	return mean, sum
 }
 
 // Passed reports whether every run satisfied every invariant and
@@ -267,7 +330,7 @@ func (r *StudyReport) lines(format func(float64) string) [][]string {
 	}
 	head = append(head, "policy")
 	for _, c := range r.Study.Columns {
-		head = append(head, c.Metric)
+		head = append(head, c.name())
 	}
 	lines := [][]string{head}
 	for _, row := range r.Rows {
@@ -291,18 +354,84 @@ func (r *StudyReport) CSV() string {
 }
 
 // Table renders the report as aligned text columns under the study's
-// description (or name), values to three decimals (integers without).
+// title, values to four significant digits.
 func (r *StudyReport) Table() string {
 	var b strings.Builder
-	b.WriteString(cmp.Or(r.Study.Description, r.Study.Name) + "\n")
+	b.WriteString(r.title() + "\n")
 	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
-	for _, l := range r.lines(func(v float64) string {
-		return strings.TrimSuffix(strconv.FormatFloat(v, 'f', 3, 64), ".000")
-	}) {
+	for _, l := range r.lines(tableValue) {
 		fmt.Fprintln(tw, strings.Join(l, "\t"))
 	}
 	tw.Flush() //lint:close flushes into a strings.Builder, whose writes cannot fail
 	return b.String()
+}
+
+// title is the study's description, or its name.
+func (r *StudyReport) title() string { return cmp.Or(r.Study.Description, r.Study.Name) }
+
+// tableValue formats a value for Table and WriteHTML.
+func tableValue(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
+
+// Chart renders the first column as an ASCII bar chart: one bar group
+// per point (its dim labels), one series per policy. A policy that did
+// not run at a point shows a zero bar there.
+func (r *StudyReport) Chart() (string, error) {
+	ch := &textplot.Chart{Title: r.title() + " (" + r.Study.Columns[0].name() + ")"}
+	labels, series := map[string]int{}, map[string]int{}
+	for _, row := range r.Rows {
+		l := strings.Join(row.Labels, " ")
+		if _, ok := labels[l]; !ok {
+			labels[l] = len(ch.Labels)
+			ch.Labels = append(ch.Labels, l)
+		}
+		if _, ok := series[row.Policy]; !ok {
+			series[row.Policy] = len(ch.Series)
+			ch.Series = append(ch.Series, textplot.Series{Name: row.Policy})
+		}
+	}
+	for i := range ch.Series {
+		ch.Series[i].Values = make([]float64, len(ch.Labels))
+	}
+	for _, row := range r.Rows {
+		ch.Series[series[row.Policy]].Values[labels[strings.Join(row.Labels, " ")]] = row.Values[0]
+	}
+	return ch.Render()
+}
+
+var htmlPage = template.Must(template.New("studies").Parse(`<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<title>SAIs study report</title>
+<style>
+ body { font-family: system-ui, sans-serif; margin: 2rem; color: #222; }
+ h2 { font-size: 1.1rem; margin-top: 2rem; }
+ table { border-collapse: collapse; }
+ th, td { text-align: right; padding: .2rem .6rem; border-bottom: 1px solid #e3e3e3; font-size: .85rem; }
+ th { color: #555; }
+</style>
+</head>
+<body>
+{{range .}}<h2>{{.Title}}</h2>
+<table>
+{{range $i, $l := .Lines}}<tr>{{range $l}}{{if eq $i 0}}<th>{{.}}</th>{{else}}<td>{{.}}</td>{{end}}{{end}}</tr>
+{{end}}</table>
+{{end}}</body>
+</html>
+`))
+
+// WriteHTML renders the reports as one self-contained HTML page: per
+// study its title and a table of the header and values Table prints.
+func WriteHTML(w io.Writer, reports []*StudyReport) error {
+	type section struct {
+		Title string
+		Lines [][]string
+	}
+	secs := make([]section, len(reports))
+	for i, r := range reports {
+		secs[i] = section{r.title(), r.lines(tableValue)}
+	}
+	return htmlPage.Execute(w, secs)
 }
 
 // ReadStudy parses and validates a study. As with Read, the Config

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +30,7 @@ const quickStudy = `{
     {"Name": "loss", "Values": [{"Label": "0"}, {"Label": "0.02", "Config": {"LossRate": 0.02}}]}
   ],
   "Seeds": 2,
-  "Columns": [{"Metric": "bandwidth_mbps"}, {"Metric": "strips_retried", "Sum": true}]
+  "Columns": [{"Metric": "bandwidth_mbps"}, {"Metric": "strips_retried", "Stat": "sum"}]
 }`
 
 func readStudy(t *testing.T, text string) *Study {
@@ -111,6 +113,10 @@ func TestStudyReadRejects(t *testing.T) {
 		"negative seeds":      `"Seeds": -1, "Columns": [{"Metric": "retries"}]`,
 		"invalid point":       `"Dims": [{"Name": "d", "Values": [{"Label": "ok"}, {"Label": "none", "Config": {"Servers": 0}}]}], "Columns": [{"Metric": "retries"}]`,
 		"malformed json":      `"Columns": [`,
+		"unknown stat":        `"Policies": ["sais", "irqbalance"], "Columns": [{"Metric": "retries", "Stat": "median"}]`,
+		"change one policy":   `"Policies": ["sais"], "Columns": [{"Metric": "retries", "Stat": "change"}]`,
+		"change no policies":  `"Columns": [{"Metric": "retries", "Stat": "change"}]`,
+		"leftover sum":        `"Columns": [{"Metric": "retries", "Sum": true}]`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -157,5 +163,141 @@ func TestStudyDeltaDoesNotAlias(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.Config, before) {
 		t.Errorf("base config changed:\n%+v\nwant\n%+v", s.Config, before)
+	}
+}
+
+// TestRunStudyChangeAndCI95: a change column is 0 on the first
+// policy's rows and metrics.Speedup of the two policies' means
+// elsewhere; a ci95 column is the means' confidence half-width.
+func TestRunStudyChangeAndCI95(t *testing.T) {
+	s := readStudy(t, quickStudy)
+	s.Dims = s.Dims[:1]
+	s.Columns = []Column{{Metric: "bandwidth_mbps"}, {Metric: "bandwidth_mbps", Stat: "change"},
+		{Metric: "cache_miss_rate"}, {Metric: "cache_miss_rate", Stat: "change"}, {Metric: "bandwidth_mbps", Stat: "ci95"}}
+	rep, err := RunStudy(context.Background(), s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < len(rep.Rows); r += 2 {
+		base, treat := rep.Rows[r].Values, rep.Rows[r+1].Values
+		if base[1] != 0 || base[3] != 0 {
+			t.Errorf("first-policy row %v: change %v, %v, want 0", rep.Rows[r].Labels, base[1], base[3])
+		}
+		if want := metrics.Speedup(treat[0], base[0]); treat[1] != want || want == 0 {
+			t.Errorf("bandwidth change %v, want %v", treat[1], want)
+		}
+		if want := metrics.Speedup(treat[2], base[2]); treat[3] != want || want == 0 {
+			t.Errorf("miss-rate change %v, want %v", treat[3], want)
+		}
+		var bw metrics.Summary
+		for _, run := range rep.Rows[r].Runs {
+			bw.Add(float64(run.Result.Bandwidth) / float64(units.MBps))
+		}
+		if base[4] != bw.CI95() {
+			t.Errorf("ci95 %v, want %v", base[4], bw.CI95())
+		}
+	}
+	if h := strings.SplitN(rep.CSV(), "\n", 2)[0]; h != "servers,policy,bandwidth_mbps,bandwidth_mbps_change,cache_miss_rate,cache_miss_rate_change,bandwidth_mbps_ci95" {
+		t.Errorf("csv header = %q", h)
+	}
+}
+
+// TestStudyPolicyFromDim: a study without Policies runs each point
+// under its own config's policy, so a dim value can set it.
+func TestStudyPolicyFromDim(t *testing.T) {
+	s := &Study{
+		Scenario: Scenario{Name: "perpoint", Config: quickCfg()},
+		Dims: []Dim{{Name: "steering", Values: []DimValue{
+			{Label: "a", Config: json.RawMessage(`{"Policy": 3}`)},
+			{Label: "b", Config: json.RawMessage(`{"Policy": 4}`)},
+		}}},
+		Columns: []Column{{Metric: "hinted_fraction"}},
+	}
+	rep, err := RunStudy(context.Background(), s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := rep.Rows[0].Policy, rep.Rows[1].Policy; a != "sais" || b != "flowhash" {
+		t.Errorf("policies %s, %s, want sais, flowhash", a, b)
+	}
+	if h := rep.Rows[0].Values[0]; h == 0 {
+		t.Error("the sais point steered no hinted interrupts")
+	}
+}
+
+// TestFirstCellErrorCancelsRest pins the error path: the first failing
+// run stops the study, no queued run starts, and the report carries
+// exactly the rows that finished before the failure.
+func TestFirstCellErrorCancelsRest(t *testing.T) {
+	s := readStudy(t, quickStudy)
+	s.Seeds = 1
+	pts, err := s.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts[1].cfg.Servers = 0 // fails cluster validation when it runs
+	rep, err := s.runPoints(context.Background(), pts, 2, 1)
+	if err == nil {
+		t.Fatal("study with a failing point succeeded")
+	}
+	if !strings.Contains(err.Error(), "loss=0.02") {
+		t.Errorf("error %q does not name the failing point", err)
+	}
+	var got []string
+	for _, row := range rep.Rows {
+		got = append(got, strings.Join(append(row.Labels, row.Policy), "/"))
+	}
+	if want := []string{"4/0/sais", "4/0/irqbalance"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("partial rows %v, want %v", got, want)
+	}
+}
+
+// TestPaperStudiesRunEachSimulationOnce: across the paper's study
+// files (cmd/experiments' default list) no (config, policy, seed) run
+// appears twice.
+func TestPaperStudiesRunEachSimulationOnce(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "studies", "paper-*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no paper study files (%v)", err)
+	}
+	seen := map[string]string{}
+	for _, f := range files {
+		s, err := LoadStudy(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := s.points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			sc := s.Scenario
+			sc.Config = p.cfg
+			policies, err := sc.policyKinds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range policies {
+				for seed := 1; seed <= max(s.Seeds, 1); seed++ {
+					sc.Config.Seed = uint64(seed)
+					cfg, err := sc.materialize(pol)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err := json.Marshal(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run := fmt.Sprintf("%s %s %s seed %d", s.Name, p.name, pol, seed)
+					if prev, dup := seen[string(key)]; dup {
+						t.Errorf("%s repeats %s", run, prev)
+					}
+					seen[string(key)] = run
+				}
+			}
+		}
+	}
+	if len(seen) != 348 {
+		t.Errorf("the paper runs %d simulations, want 348", len(seen))
 	}
 }

@@ -108,10 +108,6 @@ type Config struct {
 	DedicatedCore      int
 	CurrentCoreHint    bool // the paper's policy (ii): steer to the process's current core
 	FragmentWire       bool // per-MTU frames instead of per-strip
-	LossRate           float64
-	CorruptRate        float64    // fraction of frames with damaged headers
-	ServerStall        units.Time // injected per-request server delay
-	ServerStallRate    float64    // fraction of requests stalled
 	// TimesliceQuantum enables round-robin timeslicing of process work
 	// on client cores (0 = run to completion).
 	TimesliceQuantum units.Time
@@ -127,12 +123,6 @@ type Config struct {
 	// It raises absolute CPU utilization toward testbed levels and
 	// feeds irqbalance's load statistics.
 	BackgroundLoad float64
-	// Crash injection: server index CrashServer (-1 = none) drops all
-	// traffic during [CrashAt, ReviveAt). Combine with RetryTimeout to
-	// observe recovery.
-	CrashServer int
-	CrashAt     units.Time
-	ReviveAt    units.Time
 	// RetryTimeout enables the client's lost-frame recovery: transfers
 	// not complete after this long re-issue their missing parts, up to
 	// MaxRetries times. Zero disables (lossless fabric by default).
@@ -174,11 +164,8 @@ type Config struct {
 	// Faults is the declarative fault plan applied to the run: link
 	// loss/corruption, per-server stall distributions, and a timeline
 	// of crashes, revivals, link degradation, and interrupt storms.
-	// The scalar knobs above (LossRate, CorruptRate, ServerStall*,
-	// CrashServer/CrashAt/ReviveAt) are legacy shorthands merged into
-	// this plan at run time; a run is driven by exactly one armed
-	// faults.Injector. Nil plus zero legacy knobs means a healthy
-	// cluster.
+	// Combine it with RetryTimeout to observe recovery. Nil means a
+	// healthy cluster.
 	Faults *faults.Plan
 
 	// Shards partitions the cluster's nodes round-robin over this many
@@ -218,7 +205,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Policy:           irqsched.PolicyIrqbalance,
-		CrashServer:      -1,
 		Clients:          1,
 		Servers:          16,
 		CoresPerClient:   8,
@@ -286,12 +272,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: transfer %v below strip %v", c.TransferSize, c.StripSize)
 	case c.BytesPerProc < c.TransferSize:
 		return fmt.Errorf("cluster: per-proc bytes %v below one transfer", c.BytesPerProc)
-	case c.LossRate < 0 || c.LossRate >= 1:
-		return fmt.Errorf("cluster: loss rate %v outside [0,1)", c.LossRate)
-	case c.CorruptRate < 0 || c.CorruptRate >= 1:
-		return fmt.Errorf("cluster: corrupt rate %v outside [0,1)", c.CorruptRate)
-	case c.ServerStallRate < 0 || c.ServerStallRate > 1:
-		return fmt.Errorf("cluster: stall rate %v outside [0,1]", c.ServerStallRate)
 	case c.RetryTimeout < 0:
 		return fmt.Errorf("cluster: negative retry timeout")
 	case c.MaxRetries < 0:
@@ -308,8 +288,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: transfer deadline needs RetryTimeout > 0")
 	case c.RandomClients < 0 || c.RandomClients > c.Clients:
 		return fmt.Errorf("cluster: random clients %d outside [0, %d]", c.RandomClients, c.Clients)
-	case c.CrashServer >= c.Servers:
-		return fmt.Errorf("cluster: crash server %d out of range", c.CrashServer)
 	case c.BackgroundLoad < 0 || c.BackgroundLoad >= 1:
 		return fmt.Errorf("cluster: background load %v outside [0,1)", c.BackgroundLoad)
 	case c.Shards < 0:
@@ -335,38 +313,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
-	return c.FaultPlan().Validate(c.Servers, c.Clients)
-}
-
-// FaultPlan merges the legacy scalar fault knobs into the declarative
-// plan, yielding the single specification the injector arms. Explicit
-// plan values win over the scalars; the legacy crash triple becomes a
-// crash/revive timeline pair, exactly as the old wiring behaved. The
-// scenario engine's invariant checker uses the same merged view to
-// reconstruct crash windows.
-func (c Config) FaultPlan() *faults.Plan {
-	p := c.Faults.Clone()
-	if p == nil {
-		p = &faults.Plan{}
-	}
-	if c.LossRate > 0 && p.Loss == 0 {
-		p.Loss = c.LossRate
-	}
-	if c.CorruptRate > 0 && p.Corrupt == 0 {
-		p.Corrupt = c.CorruptRate
-	}
-	if c.ServerStall > 0 && c.ServerStallRate > 0 {
-		p.Stalls = append(p.Stalls, faults.Stall{
-			Server: -1, Rate: c.ServerStallRate, Mean: c.ServerStall,
-		})
-	}
-	if c.CrashServer >= 0 && c.ReviveAt > c.CrashAt {
-		p.Timeline = append(p.Timeline,
-			faults.TimelineEvent{At: c.CrashAt, Kind: faults.KindCrash, Server: c.CrashServer},
-			faults.TimelineEvent{At: c.ReviveAt, Kind: faults.KindRevive, Server: c.CrashServer},
-		)
-	}
-	return p
+	return c.Faults.Validate(c.Servers, c.Clients)
 }
 
 // NodeLayout returns the fabric node ids the run will assign: the
@@ -747,7 +694,7 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		target.Fabrics = fabrics
 		target.ServerEngine = func(i int) *sim.Engine { return engines[serverShard(i)] }
 	}
-	inj, err := cfg.FaultPlan().Arm(target)
+	inj, err := cfg.Faults.Clone().Arm(target)
 	if err != nil {
 		return nil, err
 	}

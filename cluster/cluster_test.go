@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sais/internal/analytic"
+	"sais/internal/faults"
 	"sais/internal/irqsched"
 	"sais/internal/netsim"
 	"sais/internal/trace"
@@ -212,7 +213,7 @@ func TestMultiClientSharedFiles(t *testing.T) {
 
 func TestFailureInjectionLoss(t *testing.T) {
 	cfg := quickCfg()
-	cfg.LossRate = 0.001
+	cfg.Faults = &faults.Plan{Loss: 0.001}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +234,7 @@ func TestFailureInjectionServerStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg()
-	cfg.ServerStall = 20 * units.Millisecond
-	cfg.ServerStallRate = 0.2
+	cfg.Faults = &faults.Plan{Stalls: []faults.Stall{{Server: -1, Rate: 0.2, Mean: 20 * units.Millisecond}}}
 	slow, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +292,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ProcsPerClient = 0 },
 		func(c *Config) { c.TransferSize = units.KiB },
 		func(c *Config) { c.BytesPerProc = units.KiB },
-		func(c *Config) { c.LossRate = 1 },
-		func(c *Config) { c.ServerStallRate = 2 },
+		func(c *Config) { c.Faults = &faults.Plan{Loss: 1} },
+		func(c *Config) { c.Faults = &faults.Plan{Stalls: []faults.Stall{{Server: -1, Rate: 2}}} },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig()
@@ -332,7 +332,7 @@ func TestWriteWorkloadPoliciesTie(t *testing.T) {
 
 func TestLossWithRetriesDeliversEverything(t *testing.T) {
 	cfg := quickCfg()
-	cfg.LossRate = 0.01
+	cfg.Faults = &faults.Plan{Loss: 0.01}
 	cfg.RetryTimeout = 150 * units.Millisecond
 	cfg.MaxRetries = 10
 	res, err := Run(cfg)
@@ -353,7 +353,7 @@ func TestLossWithRetriesDeliversEverything(t *testing.T) {
 func TestHeavyLossAbandonsTransfers(t *testing.T) {
 	cfg := quickCfg()
 	cfg.BytesPerProc = 2 * units.MiB
-	cfg.LossRate = 0.5
+	cfg.Faults = &faults.Plan{Loss: 0.5}
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 1
 	res, err := Run(cfg)
@@ -371,7 +371,7 @@ func TestHeavyLossAbandonsTransfers(t *testing.T) {
 func TestWriteLossWithRetries(t *testing.T) {
 	cfg := quickCfg()
 	cfg.WriteWorkload = true
-	cfg.LossRate = 0.01
+	cfg.Faults = &faults.Plan{Loss: 0.01}
 	cfg.RetryTimeout = 150 * units.Millisecond
 	cfg.MaxRetries = 10
 	res, err := Run(cfg)
@@ -535,9 +535,10 @@ func TestServerCrashAndRecovery(t *testing.T) {
 	}
 
 	crash := healthy
-	crash.CrashServer = 2
-	crash.CrashAt = 20 * units.Millisecond
-	crash.ReviveAt = 250 * units.Millisecond
+	crash.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
+		{At: 20 * units.Millisecond, Kind: faults.KindCrash, Server: 2},
+		{At: 250 * units.Millisecond, Kind: faults.KindRevive, Server: 2},
+	}}
 	res, err := Run(crash)
 	if err != nil {
 		t.Fatal(err)
@@ -558,9 +559,7 @@ func TestPermanentCrashFailsTransfers(t *testing.T) {
 	cfg.BytesPerProc = 2 * units.MiB
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 2
-	cfg.CrashServer = 0
-	cfg.CrashAt = 0
-	cfg.ReviveAt = units.Forever
+	cfg.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{{At: 0, Kind: faults.KindCrash, Server: 0}}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -903,7 +902,7 @@ func TestWriteLatencyPercentiles(t *testing.T) {
 
 func TestCorruptionWithRetries(t *testing.T) {
 	cfg := quickCfg()
-	cfg.CorruptRate = 0.01
+	cfg.Faults = &faults.Plan{Corrupt: 0.01}
 	cfg.RetryTimeout = 150 * units.Millisecond
 	cfg.MaxRetries = 10
 	res, err := Run(cfg)
@@ -917,7 +916,7 @@ func TestCorruptionWithRetries(t *testing.T) {
 		t.Errorf("delivered %v with retries, want all 16MiB", res.TotalBytes)
 	}
 	bad := cfg
-	bad.CorruptRate = 1
+	bad.Faults = &faults.Plan{Corrupt: 1}
 	if _, err := Run(bad); err == nil {
 		t.Error("corrupt rate 1.0 accepted")
 	}
@@ -925,7 +924,7 @@ func TestCorruptionWithRetries(t *testing.T) {
 
 func TestNetDropsReported(t *testing.T) {
 	cfg := quickCfg()
-	cfg.LossRate = 0.02
+	cfg.Faults = &faults.Plan{Loss: 0.02}
 	cfg.RetryTimeout = 150 * units.Millisecond
 	cfg.MaxRetries = 10
 	res, err := Run(cfg)

@@ -51,46 +51,6 @@ func TestFaultPlanCrashRecoveryDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultPlanMatchesLegacyKnobs pins the knob merge: the legacy
-// scalar fields and the equivalent explicit plan must drive the exact
-// same simulation.
-func TestFaultPlanMatchesLegacyKnobs(t *testing.T) {
-	legacy := quickCfg()
-	legacy.BytesPerProc = 2 * units.MiB
-	legacy.RetryTimeout = 20 * units.Millisecond
-	legacy.MaxRetries = 12
-	legacy.LossRate = 0.01
-	legacy.CrashServer = 1
-	legacy.CrashAt = 5 * units.Millisecond
-	legacy.ReviveAt = 30 * units.Millisecond
-
-	planned := legacy
-	planned.LossRate = 0
-	planned.CrashServer = -1
-	planned.CrashAt = 0
-	planned.ReviveAt = 0
-	planned.Faults = &faults.Plan{
-		Loss: 0.01,
-		Timeline: []faults.TimelineEvent{
-			{At: 5 * units.Millisecond, Kind: faults.KindCrash, Server: 1},
-			{At: 30 * units.Millisecond, Kind: faults.KindRevive, Server: 1},
-		},
-	}
-	a, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(planned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("legacy knobs and explicit plan diverged:\n%s\nvs\n%s", aj, bj)
-	}
-}
-
 // TestFaultReportRollup runs a plan exercising every injection hook and
 // checks each section of Result.Faults is populated and consistent with
 // the top-level counters.

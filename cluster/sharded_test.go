@@ -72,13 +72,11 @@ func TestShardedByteIdentity(t *testing.T) {
 			cfg.ProcsPerClient = 4
 		}},
 		{"faulty", func(cfg *cluster.Config) {
-			cfg.LossRate = 0.01
-			cfg.CorruptRate = 0.005
 			cfg.RetryTimeout = 30 * units.Millisecond
 			cfg.MaxRetries = 4
-			cfg.ServerStall = 100 * units.Microsecond
-			cfg.ServerStallRate = 0.2
-			cfg.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
+			cfg.Faults = &faults.Plan{Loss: 0.01, Corrupt: 0.005, Stalls: []faults.Stall{
+				{Server: -1, Rate: 0.2, Mean: 100 * units.Microsecond},
+			}, Timeline: []faults.TimelineEvent{
 				{At: 2 * units.Millisecond, Kind: faults.KindCrash, Server: 1},
 				{At: 6 * units.Millisecond, Kind: faults.KindRevive, Server: 1},
 				{At: 3 * units.Millisecond, Kind: faults.KindDegradeLink, Factor: 4},

@@ -3,12 +3,17 @@
 // scenario swept over a grid of config deltas, policies and seeds,
 // every run checked against the runtime invariants, and printed as a
 // table of per-row means, confidence intervals and signed changes
-// against the first listed policy.
+// against the first listed policy. Arguments of the form
+// name=v1,v2,... instead make one ad-hoc study over the default
+// cluster (scenario.ParseSweep): name is a cluster.Config JSON field,
+// each value a JSON literal, and policy=a,b names the policies.
 //
 // Usage:
 //
 //	experiments                          # the paper, studies/paper-*.json in order
 //	experiments studies/degraded.json    # named study files, in order
+//	experiments -csv servers=8,16 policy=irqbalance,sais
+//	experiments transfersize=131072,1048576 costs.remoteline=100,300
 //	experiments -seeds 5                 # more repetitions per cell
 //	experiments -parallel 8              # run up to 8 simulations concurrently
 //	experiments -timeout 2m              # bound the whole regeneration
@@ -29,6 +34,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -72,21 +79,13 @@ func main() {
 		defer cancelTimeout()
 	}
 
-	paths := flag.Args()
-	if len(paths) == 0 {
-		paths, _ = filepath.Glob(paperStudies) // the pattern is well-formed
-		if len(paths) == 0 {
-			fatal(fmt.Errorf("no %s here; run from the repository root or name study files", paperStudies))
-		}
+	studies, err := loadStudies(flag.Args())
+	if err != nil {
+		fatal(err)
 	}
-	// Load every file first, so a typo fails before any simulation runs.
-	studies := make([]*scenario.Study, len(paths))
-	for i, path := range paths {
-		if studies[i], err = scenario.LoadStudy(path); err != nil {
-			fatal(err)
-		}
+	for _, st := range studies {
 		if *seeds > 0 {
-			studies[i].Seeds = *seeds
+			st.Seeds = *seeds
 		}
 	}
 
@@ -137,6 +136,30 @@ func main() {
 		profiler.Stop()
 		os.Exit(1)
 	}
+}
+
+// loadStudies resolves the arguments before any simulation runs, so a
+// typo fails fast: inline dims make one study, otherwise each argument
+// is a study file, and no arguments means the paper.
+func loadStudies(args []string) ([]*scenario.Study, error) {
+	if slices.ContainsFunc(args, func(a string) bool { return strings.Contains(a, "=") }) {
+		st, err := scenario.ParseSweep(args)
+		return []*scenario.Study{st}, err
+	}
+	if len(args) == 0 {
+		args, _ = filepath.Glob(paperStudies) // the pattern is well-formed
+		if len(args) == 0 {
+			return nil, fmt.Errorf("no %s here; run from the repository root or name study files", paperStudies)
+		}
+	}
+	studies := make([]*scenario.Study, len(args))
+	for i, path := range args {
+		var err error
+		if studies[i], err = scenario.LoadStudy(path); err != nil {
+			return nil, err
+		}
+	}
+	return studies, nil
 }
 
 func fatal(err error) {

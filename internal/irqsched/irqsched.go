@@ -7,7 +7,7 @@
 // issue scheduling. Each policy is an apic.Router registered in a
 // descriptor registry (see registry.go); the I/O APIC consults the
 // router per raised interrupt, and every consumer — cluster, scenario,
-// sweep, saisim -policy — resolves policies through the one registry.
+// saisim -policy — resolves policies through the one registry.
 //
 // The package also houses the SAIs protocol components that live
 // outside the APIC: HintMessager (client request side), HintCapsuler

@@ -81,10 +81,10 @@ func KnownDirectives() map[string]bool {
 
 // deterministicPkgs are the packages whose observable behavior must be
 // a pure function of (Config, Seed): the discrete-event core, every
-// simulated component, and the study/sweep layers whose output
-// ordering feeds the paper's figures. simdeterminism applies its
-// strictest rules (no goroutines, no map-ordered iteration, no calls
-// to transitively tainted functions) only here, and shardsafety's
+// simulated component, and the study layer whose output ordering
+// feeds the paper's figures. simdeterminism applies its strictest
+// rules (no goroutines, no map-ordered iteration, no calls to
+// transitively tainted functions) only here, and shardsafety's
 // shared-mutable-global rule has the same scope.
 var deterministicPkgs = map[string]bool{
 	"sais/cluster":             true,
@@ -101,7 +101,6 @@ var deterministicPkgs = map[string]bool{
 	"sais/internal/faults":     true,
 	"sais/internal/workload":   true,
 	"sais/internal/collective": true,
-	"sais/internal/sweep":      true,
 	"sais/internal/shard":      true,
 	"sais/internal/scenario":   true,
 	"sais/internal/flowsim":    true,

@@ -1,7 +1,7 @@
 // Package runner is the repository's single job-execution engine: a
-// deterministic bounded worker pool that every multi-run driver
-// (experiments cells, sweep points, cmd fan-out) builds on instead of
-// growing its own goroutine plumbing.
+// deterministic bounded worker pool that every multi-run driver (study
+// cells, cmd fan-out) builds on instead of growing its own goroutine
+// plumbing.
 //
 // Guarantees:
 //

@@ -38,6 +38,7 @@ var metricFns = map[string]func(*cluster.Result) float64{
 	"cache_miss_rate": func(r *cluster.Result) float64 { return r.CacheMissRate },
 	"interrupts":      func(r *cluster.Result) float64 { return float64(r.Interrupts) },
 	"unhalted_cycles": func(r *cluster.Result) float64 { return float64(r.UnhaltedCycles) },
+	"remote_lines":    func(r *cluster.Result) float64 { return float64(r.RemoteLines) },
 	"hinted_fraction": func(r *cluster.Result) float64 {
 		if r.Interrupts == 0 {
 			return 0

@@ -58,8 +58,7 @@ func CheckInvariants(cfg cluster.Config, res *cluster.Result, log *trace.SpanLog
 		vs = append(vs, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	plan := cfg.FaultPlan()
-	healthy := plan.Empty() && res.Retries == 0 && cfg.RetryTimeout == 0
+	healthy := cfg.Faults.Empty() && res.Retries == 0 && cfg.RetryTimeout == 0
 
 	// retry-budget.
 	if cfg.RetryTimeout == 0 && res.Retries != 0 {
@@ -246,16 +245,15 @@ func CheckInvariants(cfg cluster.Config, res *cluster.Result, log *trace.SpanLog
 // window is one [from, to) downtime interval.
 type window struct{ from, to units.Time }
 
-// crashWindows replays the config's merged fault timeline into
+// crashWindows replays the config's fault timeline into
 // downtime intervals keyed by server *node id* (the id service spans
 // carry), using the same idempotent crash/revive semantics as the
 // injector. A crash without a revive stays down forever.
 func crashWindows(cfg cluster.Config) map[int][]window {
-	plan := cfg.FaultPlan()
-	if plan.Empty() {
+	if cfg.Faults.Empty() {
 		return nil
 	}
-	events := append([]faults.TimelineEvent(nil), plan.Timeline...)
+	events := append([]faults.TimelineEvent(nil), cfg.Faults.Timeline...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	_, serverIDs, _ := cfg.NodeLayout()
 	out := make(map[int][]window)

@@ -16,8 +16,9 @@
 // into nonzero exits.
 //
 // A Study (study.go) sweeps a scenario over a grid of config deltas,
-// policies and seeds and reports metric columns; `cmd/experiments
-// -study` runs the committed studies/ files through RunStudy.
+// policies and seeds and reports metric columns; `cmd/experiments`
+// runs the committed studies/ files, and inline name=v1,v2 dims
+// (ParseSweep), through RunStudy.
 package scenario
 
 import (

@@ -137,6 +137,9 @@ func (s *Study) check() (pts []point, policies []irqsched.PolicyKind, err error)
 			if v.Label == "" {
 				return nil, nil, fmt.Errorf("dim %s has a value without a label", d.Name)
 			}
+			if setsSeed(v.Config) {
+				return nil, nil, fmt.Errorf("dim %s=%s sets Seed, which every run overrides with 1..Seeds; set Seeds (-seeds) instead", d.Name, v.Label)
+			}
 		}
 	}
 	if pts, err = s.points(); err != nil {
@@ -151,6 +154,12 @@ func (s *Study) check() (pts []point, policies []irqsched.PolicyKind, err error)
 	}
 	policies, err = s.policyKinds()
 	return pts, policies, err
+}
+
+// setsSeed reports whether a config delta names Seed.
+func setsSeed(delta json.RawMessage) bool {
+	var probe struct{ Seed json.RawMessage }
+	return json.Unmarshal(delta, &probe) == nil && probe.Seed != nil
 }
 
 // point is one grid point: its dim labels and its config.
@@ -450,3 +459,59 @@ func ReadStudy(r io.Reader) (*Study, error) {
 
 // LoadStudy reads a study file.
 func LoadStudy(path string) (*Study, error) { return load(path, ReadStudy) }
+
+// sweepColumns are the columns of a study built by ParseSweep.
+var sweepColumns = []Column{
+	{Metric: "bandwidth_mbps"}, {Metric: "cache_miss_rate"}, {Metric: "cpu_utilization"},
+	{Metric: "unhalted_cycles"}, {Metric: "remote_lines"}, {Metric: "client_nic_busy"},
+	{Metric: "disk_busy"},
+}
+
+// ParseSweep builds a study over cluster.DefaultConfig from inline
+// dims, the command-line spelling of a study: each argument is
+// name=v1,v2,... where name is a cluster.Config JSON field (matched
+// case-insensitively; a dotted path nests, so costs.remoteline=300 is
+// the delta {"costs":{"remoteline":300}}) and each value is a JSON
+// literal that also labels its rows. policy=a,b names the study's
+// policies instead. The study reports sweepColumns. Every error is a
+// *StudyError.
+func ParseSweep(args []string) (*Study, error) {
+	s := &Study{
+		Scenario: Scenario{Name: "sweep", Description: "sweep " + strings.Join(args, " "), Config: cluster.DefaultConfig()},
+		Columns:  slices.Clone(sweepColumns),
+	}
+	for _, arg := range args {
+		name, list, ok := strings.Cut(arg, "=")
+		values := strings.Split(list, ",")
+		switch {
+		case !ok:
+			return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("argument %q is not name=v1,v2,...; study files and inline dims do not mix", arg)}
+		case name == "" || slices.Contains(values, ""):
+			return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("argument %q has an empty name or value", arg)}
+		}
+		if strings.EqualFold(name, "policy") {
+			if s.Policies != nil {
+				return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("policy given twice")}
+			}
+			s.Policies = values
+			continue
+		}
+		d := Dim{Name: name}
+		for _, v := range values {
+			if !json.Valid([]byte(v)) {
+				return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("%s: value %q is not a JSON literal", name, v)}
+			}
+			delta, path := v, strings.Split(name, ".")
+			for i := len(path) - 1; i >= 0; i-- {
+				key, _ := json.Marshal(path[i]) // a string always marshals
+				delta = "{" + string(key) + ":" + delta + "}"
+			}
+			d.Values = append(d.Values, DimValue{Label: v, Config: json.RawMessage(delta)})
+		}
+		s.Dims = append(s.Dims, d)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}

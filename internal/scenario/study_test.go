@@ -27,7 +27,7 @@ const quickStudy = `{
   "Policies": ["sais", "irqbalance"],
   "Dims": [
     {"Name": "servers", "Values": [{"Label": "4"}, {"Label": "2", "Config": {"Servers": 2}}]},
-    {"Name": "loss", "Values": [{"Label": "0"}, {"Label": "0.02", "Config": {"LossRate": 0.02}}]}
+    {"Name": "loss", "Values": [{"Label": "0"}, {"Label": "0.02", "Config": {"Faults": {"Loss": 0.02}}}]}
   ],
   "Seeds": 2,
   "Columns": [{"Metric": "bandwidth_mbps"}, {"Metric": "strips_retried", "Stat": "sum"}]
@@ -67,7 +67,7 @@ func TestRunStudyGridOrderAndFolding(t *testing.T) {
 	}
 	row := rep.Rows[6] // servers=2, loss=0.02, sais
 	cfg := s.Config
-	cfg.Servers, cfg.LossRate, cfg.Policy = 2, 0.02, irqsched.PolicySourceAware
+	cfg.Servers, cfg.Faults, cfg.Policy = 2, &faults.Plan{Loss: 0.02}, irqsched.PolicySourceAware
 	var bw metrics.Summary
 	var retried float64
 	for seed := uint64(1); seed <= 2; seed++ {
@@ -117,6 +117,7 @@ func TestStudyReadRejects(t *testing.T) {
 		"change one policy":   `"Policies": ["sais"], "Columns": [{"Metric": "retries", "Stat": "change"}]`,
 		"change no policies":  `"Columns": [{"Metric": "retries", "Stat": "change"}]`,
 		"leftover sum":        `"Columns": [{"Metric": "retries", "Sum": true}]`,
+		"dim sets seed":       `"Dims": [{"Name": "seed", "Values": [{"Label": "1", "Config": {"Seed": 1}}, {"Label": "9", "Config": {"Seed": 9}}, {"Label": "77", "Config": {"Seed": 77}}]}], "Columns": [{"Metric": "retries"}]`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -299,5 +300,144 @@ func TestPaperStudiesRunEachSimulationOnce(t *testing.T) {
 	}
 	if len(seen) != 348 {
 		t.Errorf("the paper runs %d simulations, want 348", len(seen))
+	}
+}
+
+// TestParseSweepRejects: every malformed inline-dim argument list is a
+// *StudyError from ParseSweep, never a panic.
+func TestParseSweepRejects(t *testing.T) {
+	cases := map[string][]string{
+		"empty":           {""},
+		"no values":       {"servers"},
+		"no name":         {"=8"},
+		"empty list":      {"servers="},
+		"empty value":     {"servers=8,,16"},
+		"unknown field":   {"bogus=1"},
+		"not json":        {"servers=eight"},
+		"unknown policy":  {"policy=bogus"},
+		"policy twice":    {"policy=sais", "policy=irqbalance"},
+		"seed dim":        {"seed=1,2"},
+		"trailing json":   {"servers=8}"},
+		"study file":      {"servers=4,8", "studies/degraded.json"},
+		"dim named twice": {"servers=4", "servers=8"},
+		"invalid point":   {"servers=0"},
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseSweep(args)
+			var se *StudyError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v (%T), want *StudyError", err, err)
+			}
+		})
+	}
+}
+
+// TestParseSweepMatchesStudyFile: inline dims, a dotted path included,
+// report exactly what the equivalent hand-written study reports, for
+// any worker count.
+func TestParseSweepMatchesStudyFile(t *testing.T) {
+	inline, err := ParseSweep([]string{"bytesperproc=1048576", "transfersize=262144",
+		"servers=2,4", "costs.remoteline=100,400", "policy=irqbalance,sais"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := readStudy(t, `{
+  "Name": "by-hand",
+  "Config": {"BytesPerProc": 1048576, "TransferSize": 262144},
+  "Policies": ["irqbalance", "sais"],
+  "Dims": [
+    {"Name": "bytesperproc", "Values": [{"Label": "1048576"}]},
+    {"Name": "transfersize", "Values": [{"Label": "262144"}]},
+    {"Name": "servers", "Values": [{"Label": "2", "Config": {"Servers": 2}}, {"Label": "4", "Config": {"Servers": 4}}]},
+    {"Name": "costs.remoteline", "Values": [{"Label": "100", "Config": {"Costs": {"RemoteLine": 100}}},
+                                            {"Label": "400", "Config": {"Costs": {"RemoteLine": 400}}}]}
+  ],
+  "Columns": [{"Metric": "bandwidth_mbps"}, {"Metric": "cache_miss_rate"}, {"Metric": "cpu_utilization"},
+              {"Metric": "unhalted_cycles"}, {"Metric": "remote_lines"}, {"Metric": "client_nic_busy"},
+              {"Metric": "disk_busy"}]
+}`)
+	var csv [2]string
+	for i, s := range []*Study{inline, file} {
+		rep, err := RunStudy(context.Background(), s, 1+i) // serial and parallel
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("%s findings:\n%s", s.Name, rep.Findings())
+		}
+		csv[i] = rep.CSV()
+	}
+	if csv[0] != csv[1] {
+		t.Errorf("inline CSV\n%s\ndiffers from the study file's\n%s", csv[0], csv[1])
+	}
+	if rows := strings.Count(csv[0], "\n"); rows != 9 {
+		t.Errorf("%d CSV lines, want a header and 8 rows", rows)
+	}
+	pts, err := inline.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := pts[len(pts)-1].cfg; last.Servers != 4 || last.Costs.RemoteLine != 400 {
+		t.Errorf("last point has %d servers and RemoteLine %v, want 4 and 400", last.Servers, last.Costs.RemoteLine)
+	}
+}
+
+// TestParseSweepExpands: dims expand first-outermost over an untouched
+// default config, policy=... fills Policies, and a policy list alone
+// is one point.
+func TestParseSweepExpands(t *testing.T) {
+	s, err := ParseSweep([]string{"servers=8,16,32", "policy=irqbalance,sais", "randomaccess=false,true"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Dims) != 2 || s.Dims[0].Name != "servers" || len(s.Dims[0].Values) != 3 || s.Dims[0].Values[2].Label != "32" {
+		t.Fatalf("dims = %+v", s.Dims)
+	}
+	if !reflect.DeepEqual(s.Policies, []string{"irqbalance", "sais"}) {
+		t.Errorf("policies = %v", s.Policies)
+	}
+	pts, err := s.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pts {
+		got = append(got, fmt.Sprintf("%d/%t", p.cfg.Servers, p.cfg.RandomAccess))
+	}
+	if want := []string{"8/false", "8/true", "16/false", "16/true", "32/false", "32/true"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("points %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(s.Config, cluster.DefaultConfig()) {
+		t.Error("the study's base config is not cluster.DefaultConfig")
+	}
+	one, err := ParseSweep([]string{"policy=sais"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts, err := one.points(); err != nil || len(pts) != 1 {
+		t.Errorf("policy-only sweep = %d points, %v", len(pts), err)
+	}
+}
+
+// TestParseSweepAppliesConfigFields: a value reaches its field through
+// the field's JSON spelling, in any case and nested by dots.
+func TestParseSweepAppliesConfigFields(t *testing.T) {
+	s, err := ParseSweep([]string{"TransferSize=524288", "clientnicrate=125000000", "migrateduringblock=0.25",
+		"SHAREDFILES=true", "timeslicequantum=2000000", "costs.remoteline=300", "disk.elevatorwindow=4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := s.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pts[0].cfg
+	want := cluster.DefaultConfig()
+	want.TransferSize, want.ClientNICRate, want.MigrateDuringBlock = 512*units.KiB, units.Gigabit, 0.25
+	want.SharedFiles, want.TimesliceQuantum, want.Costs.RemoteLine = true, 2*units.Millisecond, 300
+	want.Disk.ElevatorWindow = 4
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("point config\n%+v\nwant\n%+v", cfg, want)
 	}
 }

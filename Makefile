@@ -104,20 +104,20 @@ bench-check:
 # Regenerate every figure of the paper: the studies/paper-*.json files,
 # in paper order (tables to stdout; figures adds ASCII charts).
 experiments:
-	$(GO) run ./cmd/experiments
+	$(GO) run ./cmd/saisim run
 
 figures:
-	$(GO) run ./cmd/experiments -plot
+	$(GO) run ./cmd/saisim run -plot
 
 # Degraded-mode study: the scripted crash-and-recover timeline across
 # policies (see also studies/degraded.json for the loss-rate sweep).
 chaos:
-	$(GO) run ./cmd/experiments studies/chaos.json
+	$(GO) run ./cmd/saisim run studies/chaos.json
 
 # Policy × workload matrix: strip-latency percentiles and the reorder
 # metric for every policy in the irqsched registry.
 policymatrix:
-	$(GO) run ./cmd/experiments -parallel 8 studies/policymatrix.json
+	$(GO) run ./cmd/saisim run -parallel 8 studies/policymatrix.json
 
 # Tier-1 scenario gate: run every committed scenario file, on one
 # engine and on four shards, evaluating assertions and the runtime

@@ -2,7 +2,7 @@
 // regenerating the paper's Figure 5-11 grid (studies/paper-1-grid.json)
 // serially and across all cores, raw simulator throughput, the §VI
 // memory-stream companion, and the sharded executor's scaling. The
-// paper's results themselves are study files run by cmd/experiments;
+// paper's results themselves are study files run by `saisim run`;
 // the design ablations are studies/ablations.json.
 package sais
 
@@ -22,7 +22,7 @@ import (
 // BenchmarkPaperGrid regenerates the Figure 5-11 grid (both NIC rates,
 // 4 transfer sizes × 4 server counts, irqbalance and SAIs) under one
 // seed, serially and fanned out over all cores by the study runner; the
-// ns/op ratio is the speed-up from `experiments -parallel`.
+// ns/op ratio is the speed-up from `saisim run -parallel`.
 func BenchmarkPaperGrid(b *testing.B) {
 	st, err := scenario.LoadStudy("studies/paper-1-grid.json")
 	if err != nil {

@@ -313,6 +313,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
+	if err := c.Costs.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
 	return c.Faults.Validate(c.Servers, c.Clients)
 }
 
@@ -504,8 +507,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // RunSpannedContext is RunContext with per-strip lifecycle tracing:
 // every client, core and server records into one SpanLog, returned for
-// Chrome-trace export (cmd/saisim -trace-out) and last-N rendering
-// (cmd/saisim -trace).
+// Chrome-trace export (cmd/saisim -trace-out), last-N rendering and the
+// scenario invariant checker.
 func RunSpannedContext(ctx context.Context, cfg Config) (*Result, *trace.SpanLog, error) {
 	log := trace.NewSpanLog()
 	res, err := run(ctx, cfg, log)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -294,6 +295,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BytesPerProc = units.KiB },
 		func(c *Config) { c.Faults = &faults.Plan{Loss: 1} },
 		func(c *Config) { c.Faults = &faults.Plan{Stalls: []faults.Stall{{Server: -1, Rate: 2}}} },
+		func(c *Config) { c.Costs.RemoteLine = -1 },
+		func(c *Config) { c.Costs.SoftirqPerByte = math.NaN() },
+		func(c *Config) { c.Costs.SocketSize = -1 },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig()

@@ -8,8 +8,10 @@ import (
 )
 
 // Config serialization: experiment setups are plain data, so they
-// round-trip through JSON. cmd/saisim -config loads one; WriteConfig
-// saves the effective configuration of a run for later reproduction.
+// round-trip through JSON, policies by name. `saisim -config` loads one
+// as the base that name=value arguments apply over; `-save-config`
+// writes the effective configuration of a run (WriteConfig) for later
+// reproduction.
 
 // WriteConfig serializes c as indented JSON.
 func WriteConfig(w io.Writer, c Config) error {

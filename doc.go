@@ -6,10 +6,11 @@
 // irqbalance, and the source-aware SAIs) plus several extensions.
 //
 // The public entry point is the cluster package (assemble and run a
-// simulated cluster); cmd/experiments regenerates the paper's figures
-// from the study files under studies/. The root package holds the
-// benchmark harness: how fast the paper's grid regenerates, simulator
-// throughput, and sharded scaling.
+// simulated cluster). cmd/saisim is the one command line: `saisim
+// name=value ...` runs one config, and `saisim run` regenerates the
+// paper's figures from the study files under studies/. The root package
+// holds the benchmark harness: how fast the paper's grid regenerates,
+// simulator throughput, and sharded scaling.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

@@ -1,5 +1,5 @@
 // Package experiments holds the tests of the paper's evaluation: the
-// study files under studies/ that cmd/experiments runs (the paper's
+// study files under studies/ that `saisim run` runs (the paper's
 // figures in studies/paper-*.json, the extension studies beside them),
 // the claims each figure makes, and checks that every file reproduces
 // its committed CSV under testdata/ with zero invariant violations.
@@ -24,7 +24,7 @@ import (
 )
 
 // paperFiles lists the paper's study files in paper order: the files
-// cmd/experiments runs when it is given none.
+// `saisim run` runs when it is given none.
 func paperFiles(t *testing.T) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "studies", "paper-*.json"))

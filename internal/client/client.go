@@ -13,6 +13,7 @@ package client
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"sais/internal/apic"
@@ -82,6 +83,31 @@ func DefaultCosts() CostModel {
 		ComputeAccessesPerLine: 2,
 		BackgroundMissRate:     0.05,
 	}
+}
+
+// Validate rejects a negative or NaN cost, rate or fraction, and a
+// background miss rate above one.
+func (m CostModel) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"IRQEntry", float64(m.IRQEntry)}, {"SoftirqPerByte", m.SoftirqPerByte},
+		{"SyscallTime", float64(m.SyscallTime)}, {"WakeIPI", float64(m.WakeIPI)},
+		{"LocalLine", float64(m.LocalLine)}, {"RemoteLine", float64(m.RemoteLine)},
+		{"RemoteLineFar", float64(m.RemoteLineFar)}, {"L3Line", float64(m.L3Line)},
+		{"MemLine", float64(m.MemLine)}, {"SocketSize", float64(m.SocketSize)},
+		{"ComputePerByte", m.ComputePerByte}, {"ComputeAccessesPerLine", m.ComputeAccessesPerLine},
+		{"BackgroundMissRate", m.BackgroundMissRate},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("client: cost %s = %v must be a non-negative number", f.name, f.v)
+		}
+	}
+	if m.BackgroundMissRate > 1 {
+		return fmt.Errorf("client: cost BackgroundMissRate = %v above 1", m.BackgroundMissRate)
+	}
+	return nil
 }
 
 // Config describes one client node.

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"sais/internal/units"
@@ -243,29 +242,4 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		return nil, fmt.Errorf("faults: parsing plan: %w", err)
 	}
 	return p, nil
-}
-
-// LoadPlan reads a fault-plan file.
-func LoadPlan(path string) (*Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPlan(f)
-}
-
-// SavePlan writes a fault-plan file. The close error is checked so a
-// truncated plan (full disk) is reported instead of silently saved.
-func SavePlan(path string, p *Plan) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return WritePlan(f, p)
 }

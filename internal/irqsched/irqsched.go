@@ -7,7 +7,8 @@
 // issue scheduling. Each policy is an apic.Router registered in a
 // descriptor registry (see registry.go); the I/O APIC consults the
 // router per raised interrupt, and every consumer — cluster, scenario,
-// saisim -policy — resolves policies through the one registry.
+// saisim policy=NAME, config files — resolves policies through the one
+// registry.
 //
 // The package also houses the SAIs protocol components that live
 // outside the APIC: HintMessager (client request side), HintCapsuler
@@ -80,6 +81,25 @@ func ParsePolicy(name string) (PolicyKind, error) {
 		}
 	}
 	return 0, fmt.Errorf("irqsched: unknown policy %q (want %s)", name, nameList())
+}
+
+// MarshalText encodes the policy as its registered name, so config
+// files and JSON deltas spell policies the way the command line does.
+func (k PolicyKind) MarshalText() ([]byte, error) {
+	if _, ok := registry[k]; !ok {
+		return nil, &UnknownPolicyError{Kind: k}
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText decodes a registered policy name (ParsePolicy).
+func (k *PolicyKind) UnmarshalText(text []byte) error {
+	p, err := ParsePolicy(string(text))
+	if err != nil {
+		return err
+	}
+	*k = p
+	return nil
 }
 
 // LoadReader exposes the per-core load information irqbalance samples.

@@ -1,6 +1,7 @@
 package irqsched
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -175,6 +176,32 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("bogus policy parsed")
+	}
+}
+
+// TestPolicyKindJSON: a policy encodes as its registered name and
+// decodes back; an integer, an unknown name or an unregistered kind is
+// an error, not a silent zero.
+func TestPolicyKindJSON(t *testing.T) {
+	for _, k := range Kinds() {
+		b, err := json.Marshal(k)
+		if err != nil || string(b) != `"`+k.String()+`"` {
+			t.Errorf("Marshal(%v) = %s, %v", k, b, err)
+		}
+		var got PolicyKind
+		if err := json.Unmarshal(b, &got); err != nil || got != k {
+			t.Errorf("Unmarshal(%s) = %v, %v", b, got, err)
+		}
+	}
+	for _, src := range []string{`3`, `"bogus"`} {
+		var got PolicyKind
+		if err := json.Unmarshal([]byte(src), &got); err == nil {
+			t.Errorf("Unmarshal(%s) = %v, want an error", src, got)
+		}
+	}
+	var upe *UnknownPolicyError
+	if _, err := json.Marshal(PolicyKind(42)); !errors.As(err, &upe) {
+		t.Errorf("Marshal(PolicyKind(42)) error = %v, want *UnknownPolicyError", err)
 	}
 }
 

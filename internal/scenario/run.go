@@ -23,43 +23,6 @@ func (r *RunResult) Passed() bool {
 	return len(r.Violations) == 0 && len(r.Failures) == 0
 }
 
-// Report is the outcome of one scenario across its policies.
-type Report struct {
-	Scenario *Scenario
-	Runs     []RunResult
-}
-
-// Passed reports whether every policy run satisfied every invariant
-// and assertion.
-func (r *Report) Passed() bool {
-	for i := range r.Runs {
-		if !r.Runs[i].Passed() {
-			return false
-		}
-	}
-	return true
-}
-
-// Summary renders the report as the lines `saisim run` prints: one
-// PASS/FAIL line per policy run with bandwidth and fault counts, then
-// one line per violation or assertion failure.
-func (r *Report) Summary() string {
-	var b strings.Builder
-	for i := range r.Runs {
-		run := &r.Runs[i]
-		status := "PASS"
-		if !run.Passed() {
-			status = "FAIL"
-		}
-		res := run.Result
-		fmt.Fprintf(&b, "%s %s [%s]: %v in %v, %d failed, %d partial, %d retries\n",
-			status, r.Scenario.Name, run.Policy, res.Bandwidth, res.Duration,
-			res.Faults.FailedOps, res.Faults.PartialOps, res.Retries)
-		run.findings(&b, "  ")
-	}
-	return b.String()
-}
-
 // findings writes one line per invariant violation and assertion
 // failure of the run, each behind prefix.
 func (r *RunResult) findings(b *strings.Builder, prefix string) {
@@ -71,24 +34,37 @@ func (r *RunResult) findings(b *strings.Builder, prefix string) {
 	}
 }
 
-// Run executes the scenario under every listed policy, checks the
-// runtime invariants (unless SkipInvariants), and evaluates the
-// assertions. The error covers scenario-level failures (bad spec,
-// cancelled run); assertion and invariant outcomes live in the Report.
-func Run(ctx context.Context, s *Scenario) (*Report, error) {
-	policies, err := s.policyKinds()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Scenario: s}
-	for _, pol := range policies {
-		run, err := s.run(ctx, pol)
-		if err != nil {
-			return nil, err
+// Run executes the scenario under every listed policy, as a study of
+// one point with Seeds 0, so each run keeps the config's own seed. Each
+// run is checked against the runtime invariants (unless SkipInvariants)
+// and the assertions. The error covers scenario-level failures (bad
+// spec, cancelled run); assertion and invariant outcomes live in the
+// report's runs.
+func Run(ctx context.Context, s *Scenario) (*StudyReport, error) {
+	st := &Study{Scenario: *s}
+	return st.runPoints(ctx, []point{{cfg: s.Config}}, 1)
+}
+
+// Summary renders the report as the lines `saisim run` prints for a
+// scenario: one PASS/FAIL line per run with bandwidth and fault counts,
+// then one line per violation or assertion failure.
+func (r *StudyReport) Summary() string {
+	var b strings.Builder
+	for _, row := range r.Rows {
+		for k := range row.Runs {
+			run := &row.Runs[k]
+			status := "PASS"
+			if !run.Passed() {
+				status = "FAIL"
+			}
+			res := run.Result
+			fmt.Fprintf(&b, "%s %s [%s]: %v in %v, %d failed, %d partial, %d retries\n",
+				status, r.Study.Name, run.Policy, res.Bandwidth, res.Duration,
+				res.Faults.FailedOps, res.Faults.PartialOps, res.Retries)
+			run.findings(&b, "  ")
 		}
-		rep.Runs = append(rep.Runs, run)
 	}
-	return rep, nil
+	return b.String()
 }
 
 // run executes the scenario under one policy: the spanned cluster run,

@@ -16,9 +16,10 @@
 // into nonzero exits.
 //
 // A Study (study.go) sweeps a scenario over a grid of config deltas,
-// policies and seeds and reports metric columns; `cmd/experiments`
-// runs the committed studies/ files, and inline name=v1,v2 dims
-// (ParseSweep), through RunStudy.
+// policies and seeds and reports metric columns. A scenario is a study
+// of one point: both file kinds decode through ReadStudy, and Run and
+// RunStudy share one runner. `saisim run` runs either kind of file, or
+// inline name=v1,v2 dims (ParseSweep).
 package scenario
 
 import (
@@ -43,7 +44,7 @@ type Scenario struct {
 	// change — exactly like `saisim -config`.
 	Config cluster.Config
 	// Policies lists the scheduling policies to run the scenario under
-	// (names as cmd/saisim accepts). Empty means the config's own
+	// (registered irqsched names). Empty means the config's own
 	// policy. Assertions and invariants must hold for every policy.
 	Policies []string `json:",omitempty"`
 	// Chaos, when set, derives a randomized-but-deterministic fault
@@ -131,18 +132,17 @@ func Write(w io.Writer, s *Scenario) error {
 	return enc.Encode(s)
 }
 
-// Read parses and validates a scenario. The Config block decodes over
-// cluster.DefaultConfig (files state only deviations); unknown fields
-// anywhere are rejected so typos surface immediately.
+// Read parses and validates a scenario through ReadStudy, the one
+// decoder of scenario and study files; a study file is an error.
 func Read(r io.Reader) (*Scenario, error) {
-	s := &Scenario{Config: cluster.DefaultConfig()}
-	if err := decode(r, s); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if err := s.Validate(); err != nil {
+	s, err := ReadStudy(r)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	if !s.IsScenario() {
+		return nil, fmt.Errorf("scenario %s: a study (it sets Dims, Seeds or Columns), not a scenario", s.Name)
+	}
+	return &s.Scenario, nil
 }
 
 // Load reads a scenario file.

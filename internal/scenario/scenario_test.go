@@ -242,7 +242,7 @@ func TestFaultyRunPassesInvariants(t *testing.T) {
 		if !rep.Passed() {
 			t.Fatalf("shards=%d: faulty scenario violated invariants:\n%s", shards, rep.Summary())
 		}
-		if rep.Runs[0].Result.Retries == 0 {
+		if rep.Rows[0].Runs[0].Result.Retries == 0 {
 			t.Errorf("shards=%d: fault plan injected no retries; the test exercises nothing", shards)
 		}
 	}
@@ -265,13 +265,13 @@ func TestKnownBadPlanFailsInvariants(t *testing.T) {
 		t.Fatal("stranded strips passed the invariant checker")
 	}
 	found := false
-	for _, v := range rep.Runs[0].Violations {
+	for _, v := range rep.Rows[0].Runs[0].Violations {
 		if v.Invariant == "strip-terminal" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no strip-terminal violation; got: %+v", rep.Runs[0].Violations)
+		t.Fatalf("no strip-terminal violation; got: %+v", rep.Rows[0].Runs[0].Violations)
 	}
 	// The same run with retries, a deadline, and graceful degradation
 	// passes: every stranded strip now has a typed terminal account.
@@ -286,7 +286,7 @@ func TestKnownBadPlanFailsInvariants(t *testing.T) {
 	if !rep2.Passed() {
 		t.Fatalf("deadline-bound run still violates invariants:\n%s", rep2.Summary())
 	}
-	if rep2.Runs[0].Result.Faults.PartialOps == 0 && rep2.Runs[0].Result.Faults.FailedOps == 0 {
+	if rep2.Rows[0].Runs[0].Result.Faults.PartialOps == 0 && rep2.Rows[0].Runs[0].Result.Faults.FailedOps == 0 {
 		t.Error("permanent crash produced neither partial nor failed ops")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"text/tabwriter"
 
 	"sais/cluster"
-	"sais/internal/irqsched"
 	"sais/internal/metrics"
 	"sais/internal/runner"
 	"sais/internal/textplot"
@@ -34,8 +33,8 @@ type Study struct {
 	// Dims are the sweep dimensions, outermost first. No dims means one
 	// point: the scenario config itself.
 	Dims []Dim `json:",omitempty"`
-	// Seeds repeats every cell under seeds 1..Seeds (0 counts as 1),
-	// overriding the config's own Seed.
+	// Seeds repeats every cell under seeds 1..Seeds, overriding the
+	// config's own Seed; 0 runs each cell once under the config's Seed.
 	Seeds int `json:",omitempty"`
 	// Columns are the reported metrics, named from the assertion
 	// vocabulary (MetricNames).
@@ -93,67 +92,66 @@ func (e *StudyError) Unwrap() error { return e.Err }
 // every point of the grid as a Scenario (Scenario.Validate), so a study
 // that validates cannot fail to start. Errors are *StudyError.
 func (s *Study) Validate() error {
-	_, _, err := s.check()
+	_, err := s.check()
 	return err
 }
 
-// check validates the study and returns its grid points and policies.
-func (s *Study) check() (pts []point, policies []irqsched.PolicyKind, err error) {
+// check validates the study and returns its grid points.
+func (s *Study) check() (pts []point, err error) {
 	defer func() {
 		if err != nil {
-			pts, policies, err = nil, nil, &StudyError{Study: s.Name, Err: err}
+			pts, err = nil, &StudyError{Study: s.Name, Err: err}
 		}
 	}()
 	if s.Seeds < 0 {
-		return nil, nil, fmt.Errorf("negative seeds %d", s.Seeds)
+		return nil, fmt.Errorf("negative seeds %d", s.Seeds)
 	}
 	if len(s.Columns) == 0 {
-		return nil, nil, fmt.Errorf("no columns")
+		return nil, fmt.Errorf("no columns")
 	}
 	for _, c := range s.Columns {
 		if _, ok := metricFns[c.Metric]; !ok {
-			return nil, nil, fmt.Errorf("column: unknown metric %q (want one of %v)", c.Metric, MetricNames())
+			return nil, fmt.Errorf("column: unknown metric %q (want one of %v)", c.Metric, MetricNames())
 		}
 		switch c.Stat {
 		case "", "sum", "ci95":
 		case "change":
 			if len(s.Policies) < 2 {
-				return nil, nil, fmt.Errorf("column %s: change needs at least two policies", c.name())
+				return nil, fmt.Errorf("column %s: change needs at least two policies", c.name())
 			}
 		default:
-			return nil, nil, fmt.Errorf("column %s: unknown stat %q (want sum, ci95 or change)", c.Metric, c.Stat)
+			return nil, fmt.Errorf("column %s: unknown stat %q (want sum, ci95 or change)", c.Metric, c.Stat)
 		}
 	}
 	names := map[string]bool{"policy": true}
 	for _, d := range s.Dims {
 		if d.Name == "" || names[d.Name] {
-			return nil, nil, fmt.Errorf("dim name %q is empty or taken", d.Name)
+			return nil, fmt.Errorf("dim name %q is empty or taken", d.Name)
 		}
 		names[d.Name] = true
 		if len(d.Values) == 0 {
-			return nil, nil, fmt.Errorf("dim %s has no values", d.Name)
+			return nil, fmt.Errorf("dim %s has no values", d.Name)
 		}
 		for _, v := range d.Values {
 			if v.Label == "" {
-				return nil, nil, fmt.Errorf("dim %s has a value without a label", d.Name)
+				return nil, fmt.Errorf("dim %s has a value without a label", d.Name)
 			}
 			if setsSeed(v.Config) {
-				return nil, nil, fmt.Errorf("dim %s=%s sets Seed, which every run overrides with 1..Seeds; set Seeds (-seeds) instead", d.Name, v.Label)
+				return nil, fmt.Errorf("dim %s=%s sets Seed, which is not a dim; set Seeds (-seeds) instead", d.Name, v.Label)
 			}
 		}
 	}
 	if pts, err = s.points(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, p := range pts {
 		sc := s.Scenario
 		sc.Config = p.cfg
 		if err := sc.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("point %s: %w", p.name, err)
+			return nil, fmt.Errorf("point %s: %w", p.name, err)
 		}
 	}
-	policies, err = s.policyKinds()
-	return pts, policies, err
+	return pts, nil
 }
 
 // setsSeed reports whether a config delta names Seed.
@@ -230,17 +228,17 @@ type StudyReport struct {
 // whose seeds all finished, so an interrupted study prints its partial
 // results.
 func RunStudy(ctx context.Context, s *Study, workers int) (*StudyReport, error) {
-	pts, policies, err := s.check()
+	pts, err := s.check()
 	if err != nil {
 		return nil, err
 	}
-	return s.runPoints(ctx, pts, len(policies), workers)
+	return s.runPoints(ctx, pts, workers)
 }
 
-// runPoints runs npol policies under every seed at each point and
-// folds the runs into rows.
-func (s *Study) runPoints(ctx context.Context, pts []point, npol, workers int) (*StudyReport, error) {
-	runs := max(s.Seeds, 1)
+// runPoints runs every policy under every seed at each point and folds
+// the runs into rows.
+func (s *Study) runPoints(ctx context.Context, pts []point, workers int) (*StudyReport, error) {
+	npol, runs := max(len(s.Policies), 1), max(s.Seeds, 1)
 	perPoint := npol * runs
 	//lint:goroutine runner.Map joins all workers and returns rows in point order; per-cell output is seed-deterministic
 	tasks, err := runner.Map(ctx, len(pts)*perPoint, runner.Options{Workers: workers},
@@ -248,7 +246,7 @@ func (s *Study) runPoints(ctx context.Context, pts []point, npol, workers int) (
 			p := pts[i/perPoint]
 			sc := s.Scenario
 			sc.Config = p.cfg
-			sc.Config.Seed = uint64(i%runs + 1)
+			sc.Config.Seed = s.seed(i % runs)
 			policies, err := sc.policyKinds()
 			if err != nil {
 				return RunResult{}, err
@@ -302,6 +300,31 @@ func (s *Study) runPoints(ctx context.Context, pts []point, npol, workers int) (
 	return rep, err
 }
 
+// seed is the seed of a cell's k-th run: k+1 under Seeds, else the
+// config's own (a dim cannot set it).
+func (s *Study) seed(k int) uint64 {
+	if s.Seeds > 0 {
+		return uint64(k + 1)
+	}
+	return s.Config.Seed
+}
+
+// FirstRun returns the config of the study's first run: its first grid
+// point under its first policy and first seed, chaos merged in. For a
+// study of one point and at most one policy, as ParseSweep builds from
+// single values, that is its only run.
+func (s *Study) FirstRun() (cluster.Config, error) {
+	pts, err := s.check()
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	sc := s.Scenario
+	sc.Config = pts[0].cfg
+	sc.Config.Seed = s.seed(0)
+	policies, _ := sc.policyKinds() // check validated every point's policies
+	return sc.materialize(policies[0])
+}
+
 // fold summarizes one metric over a row's runs, in seed order.
 func fold(runs []RunResult, metric string) (mean metrics.Summary, sum float64) {
 	for k := range runs {
@@ -324,7 +347,7 @@ func (r *StudyReport) Findings() string {
 	for _, row := range r.Rows {
 		for k, run := range row.Runs {
 			cell := strings.Join(append(slices.Clip(row.Labels), row.Policy), " ")
-			run.findings(&b, fmt.Sprintf("%s seed %d: ", cell, k+1))
+			run.findings(&b, fmt.Sprintf("%s seed %d: ", cell, r.Study.seed(k)))
 		}
 	}
 	return b.String()
@@ -443,21 +466,34 @@ func WriteHTML(w io.Writer, reports []*StudyReport) error {
 	return htmlPage.Execute(w, secs)
 }
 
-// ReadStudy parses and validates a study. As with Read, the Config
-// block decodes over cluster.DefaultConfig and unknown fields anywhere
-// are rejected; every error is a *StudyError.
+// ReadStudy parses and validates a study or scenario file: the one
+// decoder of both kinds. As with every file, the Config block decodes
+// over cluster.DefaultConfig and unknown fields anywhere are rejected.
+// A file without Dims, Seeds or Columns is a scenario (IsScenario) and
+// validates as one; any other file validates as a study, and its errors
+// are *StudyError.
 func ReadStudy(r io.Reader) (*Study, error) {
 	s := &Study{Scenario: Scenario{Config: cluster.DefaultConfig()}}
 	if err := decode(r, s); err != nil {
 		return nil, &StudyError{Err: err}
 	}
-	if err := s.Validate(); err != nil {
+	validate := s.Validate
+	if s.IsScenario() {
+		validate = s.Scenario.Validate
+	}
+	if err := validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// LoadStudy reads a study file.
+// IsScenario reports whether s sets no Dims, Seeds or Columns: a
+// scenario, which Run runs and Summary reports.
+func (s *Study) IsScenario() bool {
+	return len(s.Dims) == 0 && s.Seeds == 0 && len(s.Columns) == 0
+}
+
+// LoadStudy reads a study or scenario file.
 func LoadStudy(path string) (*Study, error) { return load(path, ReadStudy) }
 
 // sweepColumns are the columns of a study built by ParseSweep.
@@ -467,46 +503,61 @@ var sweepColumns = []Column{
 	{Metric: "disk_busy"},
 }
 
-// ParseSweep builds a study over cluster.DefaultConfig from inline
-// dims, the command-line spelling of a study: each argument is
-// name=v1,v2,... where name is a cluster.Config JSON field (matched
-// case-insensitively; a dotted path nests, so costs.remoteline=300 is
-// the delta {"costs":{"remoteline":300}}) and each value is a JSON
-// literal that also labels its rows. policy=a,b names the study's
-// policies instead. The study reports sweepColumns. Every error is a
+// ParseSweep builds a study over base from inline dims, the command-line
+// spelling of a study: each argument is name=v1,v2,... where name is a
+// cluster.Config JSON field (matched case-insensitively; a dotted path
+// nests, so costs.remoteline=300 is the delta {"costs":{"remoteline":300}})
+// and each value is a JSON literal that also labels its rows. Values
+// split at top-level commas only, so an object or array value may hold
+// commas. policy=a,b names the study's policies instead, and seed=S sets
+// the base config's seed (one value: seeds are Seeds, not a dim). A name
+// may appear once. The study reports sweepColumns. Every error is a
 // *StudyError.
-func ParseSweep(args []string) (*Study, error) {
+func ParseSweep(base cluster.Config, args []string) (*Study, error) {
 	s := &Study{
-		Scenario: Scenario{Name: "sweep", Description: "sweep " + strings.Join(args, " "), Config: cluster.DefaultConfig()},
+		Scenario: Scenario{Name: "sweep", Description: "sweep " + strings.Join(args, " "), Config: base},
 		Columns:  slices.Clone(sweepColumns),
 	}
+	fail := func(format string, a ...any) (*Study, error) {
+		return nil, &StudyError{Study: s.Name, Err: fmt.Errorf(format, a...)}
+	}
+	seen := map[string]bool{}
 	for _, arg := range args {
 		name, list, ok := strings.Cut(arg, "=")
-		values := strings.Split(list, ",")
+		key, values := strings.ToLower(name), splitValues(list)
 		switch {
 		case !ok:
-			return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("argument %q is not name=v1,v2,...; study files and inline dims do not mix", arg)}
+			return fail("argument %q is not name=v1,v2,...; study files and inline dims do not mix", arg)
 		case name == "" || slices.Contains(values, ""):
-			return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("argument %q has an empty name or value", arg)}
+			return fail("argument %q has an empty name or value", arg)
+		case seen[key]:
+			return fail("%s given twice", name)
+		case key == "seed" && len(values) > 1:
+			return fail("seed takes one value; set Seeds (-seeds) to run seeds 1..N")
 		}
-		if strings.EqualFold(name, "policy") {
-			if s.Policies != nil {
-				return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("policy given twice")}
-			}
+		seen[key] = true
+		if key == "policy" {
 			s.Policies = values
 			continue
 		}
 		d := Dim{Name: name}
 		for _, v := range values {
 			if !json.Valid([]byte(v)) {
-				return nil, &StudyError{Study: s.Name, Err: fmt.Errorf("%s: value %q is not a JSON literal", name, v)}
+				return fail("%s: value %q is not a JSON literal", name, v)
 			}
 			delta, path := v, strings.Split(name, ".")
 			for i := len(path) - 1; i >= 0; i-- {
-				key, _ := json.Marshal(path[i]) // a string always marshals
-				delta = "{" + string(key) + ":" + delta + "}"
+				field, _ := json.Marshal(path[i]) // a string always marshals
+				delta = "{" + string(field) + ":" + delta + "}"
 			}
 			d.Values = append(d.Values, DimValue{Label: v, Config: json.RawMessage(delta)})
+		}
+		if key == "seed" {
+			var err error
+			if s.Config, err = applyDelta(s.Config, d.Values[0].Config); err != nil {
+				return fail("%w", err)
+			}
+			continue
 		}
 		s.Dims = append(s.Dims, d)
 	}
@@ -514,4 +565,34 @@ func ParseSweep(args []string) (*Study, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// splitValues splits a value list at its top-level commas: a comma
+// inside brackets, braces or a JSON string belongs to its value.
+func splitValues(list string) []string {
+	var values []string
+	depth, start, inString, escaped := 0, 0, false, false
+	for i := 0; i < len(list); i++ {
+		switch c := list[i]; {
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		case c == ',' && depth == 0:
+			values = append(values, list[start:i])
+			start = i + 1
+		}
+	}
+	return append(values, list[start:])
 }

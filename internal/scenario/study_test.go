@@ -209,8 +209,8 @@ func TestStudyPolicyFromDim(t *testing.T) {
 	s := &Study{
 		Scenario: Scenario{Name: "perpoint", Config: quickCfg()},
 		Dims: []Dim{{Name: "steering", Values: []DimValue{
-			{Label: "a", Config: json.RawMessage(`{"Policy": 3}`)},
-			{Label: "b", Config: json.RawMessage(`{"Policy": 4}`)},
+			{Label: "a", Config: json.RawMessage(`{"Policy": "sais"}`)},
+			{Label: "b", Config: json.RawMessage(`{"Policy": "flowhash"}`)},
 		}}},
 		Columns: []Column{{Metric: "hinted_fraction"}},
 	}
@@ -237,7 +237,7 @@ func TestFirstCellErrorCancelsRest(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts[1].cfg.Servers = 0 // fails cluster validation when it runs
-	rep, err := s.runPoints(context.Background(), pts, 2, 1)
+	rep, err := s.runPoints(context.Background(), pts, 1)
 	if err == nil {
 		t.Fatal("study with a failing point succeeded")
 	}
@@ -254,7 +254,7 @@ func TestFirstCellErrorCancelsRest(t *testing.T) {
 }
 
 // TestPaperStudiesRunEachSimulationOnce: across the paper's study
-// files (cmd/experiments' default list) no (config, policy, seed) run
+// files (`saisim run`'s default list) no (config, policy, seed) run
 // appears twice.
 func TestPaperStudiesRunEachSimulationOnce(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "studies", "paper-*.json"))
@@ -321,10 +321,11 @@ func TestParseSweepRejects(t *testing.T) {
 		"study file":      {"servers=4,8", "studies/degraded.json"},
 		"dim named twice": {"servers=4", "servers=8"},
 		"invalid point":   {"servers=0"},
+		"unbalanced json": {`faults={"Loss":0.01`},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := ParseSweep(args)
+			_, err := ParseSweep(cluster.DefaultConfig(), args)
 			var se *StudyError
 			if !errors.As(err, &se) {
 				t.Fatalf("err = %v (%T), want *StudyError", err, err)
@@ -337,7 +338,7 @@ func TestParseSweepRejects(t *testing.T) {
 // report exactly what the equivalent hand-written study reports, for
 // any worker count.
 func TestParseSweepMatchesStudyFile(t *testing.T) {
-	inline, err := ParseSweep([]string{"bytesperproc=1048576", "transfersize=262144",
+	inline, err := ParseSweep(cluster.DefaultConfig(), []string{"bytesperproc=1048576", "transfersize=262144",
 		"servers=2,4", "costs.remoteline=100,400", "policy=irqbalance,sais"})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +388,7 @@ func TestParseSweepMatchesStudyFile(t *testing.T) {
 // default config, policy=... fills Policies, and a policy list alone
 // is one point.
 func TestParseSweepExpands(t *testing.T) {
-	s, err := ParseSweep([]string{"servers=8,16,32", "policy=irqbalance,sais", "randomaccess=false,true"})
+	s, err := ParseSweep(cluster.DefaultConfig(), []string{"servers=8,16,32", "policy=irqbalance,sais", "randomaccess=false,true"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestParseSweepExpands(t *testing.T) {
 	if !reflect.DeepEqual(s.Config, cluster.DefaultConfig()) {
 		t.Error("the study's base config is not cluster.DefaultConfig")
 	}
-	one, err := ParseSweep([]string{"policy=sais"})
+	one, err := ParseSweep(cluster.DefaultConfig(), []string{"policy=sais"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +424,10 @@ func TestParseSweepExpands(t *testing.T) {
 // TestParseSweepAppliesConfigFields: a value reaches its field through
 // the field's JSON spelling, in any case and nested by dots.
 func TestParseSweepAppliesConfigFields(t *testing.T) {
-	s, err := ParseSweep([]string{"TransferSize=524288", "clientnicrate=125000000", "migrateduringblock=0.25",
-		"SHAREDFILES=true", "timeslicequantum=2000000", "costs.remoteline=300", "disk.elevatorwindow=4"})
+	s, err := ParseSweep(cluster.DefaultConfig(), []string{"TransferSize=524288", "clientnicrate=125000000", "migrateduringblock=0.25",
+		"SHAREDFILES=true", "timeslicequantum=2000000", "costs.remoteline=300", "disk.elevatorwindow=4",
+		`faults={"Loss":0.01,"Corrupt":0.001}`, "backgroundusers=1000", "seed=5",
+		`tenantmix=[{"Name":"a","Share":0.5,"PerUserRate":4096},{"Name":"b","Share":0.5,"PerUserRate":8192,"Colocate":0.2}]`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +435,17 @@ func TestParseSweepAppliesConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(s.Dims) != 10 {
+		t.Errorf("%d dims, want 10: seed sets the base config", len(s.Dims))
+	}
 	cfg := pts[0].cfg
 	want := cluster.DefaultConfig()
 	want.TransferSize, want.ClientNICRate, want.MigrateDuringBlock = 512*units.KiB, units.Gigabit, 0.25
 	want.SharedFiles, want.TimesliceQuantum, want.Costs.RemoteLine = true, 2*units.Millisecond, 300
 	want.Disk.ElevatorWindow = 4
+	want.Faults, want.BackgroundUsers, want.Seed = &faults.Plan{Loss: 0.01, Corrupt: 0.001}, 1000, 5
+	want.TenantMix = []flowsim.TenantShare{{Name: "a", Share: 0.5, PerUserRate: 4096},
+		{Name: "b", Share: 0.5, PerUserRate: 8192, Colocate: 0.2}}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("point config\n%+v\nwant\n%+v", cfg, want)
 	}

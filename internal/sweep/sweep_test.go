@@ -1,5 +1,5 @@
 // Package sweep checks ad-hoc sweeps end to end: the inline dims that
-// cmd/experiments takes (servers=4,8 policy=irqbalance,sais) parsed by
+// `saisim run` takes (servers=4,8 policy=irqbalance,sais) parsed by
 // scenario.ParseSweep and run by scenario.RunStudy, through their
 // exported API only. The package has no non-test code.
 package sweep
@@ -21,7 +21,7 @@ import (
 
 func parse(t *testing.T, args ...string) *scenario.Study {
 	t.Helper()
-	s, err := scenario.ParseSweep(args)
+	s, err := scenario.ParseSweep(cluster.DefaultConfig(), args)
 	if err != nil {
 		t.Fatal(err)
 	}

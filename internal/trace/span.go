@@ -1,7 +1,7 @@
 // Package trace records the typed lifecycle spans of a run — every
 // strip's issue, service, fabric, ring, steer, irq and consume phases
 // plus per-core busy slices — and renders them as Chrome trace-event
-// JSON (cmd/saisim -trace-out) or as log lines (cmd/saisim -trace).
+// JSON (cmd/saisim -trace-out) or as log lines (Span.String).
 package trace
 
 import (

@@ -123,7 +123,7 @@ func TestExportChrome(t *testing.T) {
 	}
 }
 
-// TestSpanString pins the one-line rendering saisim -trace prints.
+// TestSpanString pins the one-line rendering of a span.
 func TestSpanString(t *testing.T) {
 	s := Span{Phase: PhaseSteer, Start: 239600 * units.Microsecond, End: 239602500,
 		Client: 1, Server: 114, Tag: 65, Strip: 14, Core: 1}

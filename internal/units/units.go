@@ -174,56 +174,3 @@ func (f Hertz) CyclesIn(t Time) Cycles {
 
 // String renders the frequency in GHz.
 func (f Hertz) String() string { return fmt.Sprintf("%.4gGHz", float64(f)/float64(GHz)) }
-
-// ParseBytes parses a human-readable size: "64KiB", "1MiB", "2GiB",
-// "1500" (bytes), with K/M/G accepted as shorthand for the binary
-// units.
-func ParseBytes(s string) (Bytes, error) {
-	var n float64
-	var unit string
-	if _, err := fmt.Sscanf(s, "%g%s", &n, &unit); err != nil {
-		if _, err2 := fmt.Sscanf(s, "%g", &n); err2 != nil {
-			return 0, fmt.Errorf("units: cannot parse size %q", s)
-		}
-		unit = "B"
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("units: negative size %q", s)
-	}
-	switch unit {
-	case "B", "":
-		return Bytes(n), nil
-	case "KiB", "K", "k", "KB":
-		return Bytes(n * float64(KiB)), nil
-	case "MiB", "M", "m", "MB":
-		return Bytes(n * float64(MiB)), nil
-	case "GiB", "G", "g", "GB":
-		return Bytes(n * float64(GiB)), nil
-	default:
-		return 0, fmt.Errorf("units: unknown size unit %q", unit)
-	}
-}
-
-// ParseTime parses a duration like "10ms", "2us", "1s", "500ns".
-func ParseTime(s string) (Time, error) {
-	var n float64
-	var unit string
-	if _, err := fmt.Sscanf(s, "%g%s", &n, &unit); err != nil {
-		return 0, fmt.Errorf("units: cannot parse duration %q", s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("units: negative duration %q", s)
-	}
-	switch unit {
-	case "ns":
-		return Time(n), nil
-	case "us", "µs":
-		return Time(n * float64(Microsecond)), nil
-	case "ms":
-		return Time(n * float64(Millisecond)), nil
-	case "s":
-		return Time(n * float64(Second)), nil
-	default:
-		return 0, fmt.Errorf("units: unknown duration unit %q", unit)
-	}
-}

@@ -164,46 +164,3 @@ func TestMiBps(t *testing.T) {
 		t.Errorf("MiBps = %v, want 64", got)
 	}
 }
-
-func TestParseBytes(t *testing.T) {
-	cases := map[string]Bytes{
-		"1500":   1500,
-		"64KiB":  64 * KiB,
-		"64K":    64 * KiB,
-		"1MiB":   MiB,
-		"2M":     2 * MiB,
-		"1GiB":   GiB,
-		"0.5MiB": 512 * KiB,
-	}
-	for in, want := range cases {
-		got, err := ParseBytes(in)
-		if err != nil || got != want {
-			t.Errorf("ParseBytes(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "abc", "1XB", "-5KiB"} {
-		if _, err := ParseBytes(bad); err == nil {
-			t.Errorf("ParseBytes(%q) accepted", bad)
-		}
-	}
-}
-
-func TestParseTime(t *testing.T) {
-	cases := map[string]Time{
-		"500ns": 500,
-		"2us":   2 * Microsecond,
-		"10ms":  10 * Millisecond,
-		"1.5s":  1500 * Millisecond,
-	}
-	for in, want := range cases {
-		got, err := ParseTime(in)
-		if err != nil || got != want {
-			t.Errorf("ParseTime(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "5", "3h", "-1ms"} {
-		if _, err := ParseTime(bad); err == nil {
-			t.Errorf("ParseTime(%q) accepted", bad)
-		}
-	}
-}

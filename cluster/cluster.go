@@ -64,9 +64,7 @@ type Config struct {
 	ClientNICPorts int
 	ClientBondMode netsim.BondMode
 	ServerNICRate  units.Rate
-	ClientFreq     units.Hertz
 	CachePerCore   units.Bytes
-	LineSize       units.Bytes
 	FabricLatency  units.Time
 
 	// File system.
@@ -83,15 +81,6 @@ type Config struct {
 	// RandomAccess permutes transfer order per process (IOR's random
 	// option) — an ablation that defeats server readahead.
 	RandomAccess bool
-	// Segmented selects IOR's shared-file segmented layout within each
-	// client: all of a client's processes interleave through one file.
-	Segmented bool
-	// ThinkTime inserts a fixed delay between each process's transfers
-	// (IOR's -d inter-test delay).
-	ThinkTime units.Time
-	// Aggregators > 0 runs MPI-IO-style two-phase collective reads with
-	// that many aggregator processes per client (0 = independent I/O).
-	Aggregators int
 	// WriteWorkload runs parallel writes instead of reads — the case
 	// the paper's §I excludes because returned packets (small acks)
 	// carry no data to any particular core. Useful to verify that the
@@ -105,38 +94,26 @@ type Config struct {
 	CoalesceFrames     int
 	CoalesceDelay      units.Time
 	IrqbalancePeriod   units.Time
-	DedicatedCore      int
 	CurrentCoreHint    bool // the paper's policy (ii): steer to the process's current core
-	FragmentWire       bool // per-MTU frames instead of per-strip
 	// TimesliceQuantum enables round-robin timeslicing of process work
 	// on client cores (0 = run to completion).
 	TimesliceQuantum units.Time
 	// L3PerSocket attaches a shared per-socket victim L3 of this size to
 	// each client (0 = disabled, the calibrated baseline).
 	L3PerSocket units.Bytes
-	// RSSQueues enables hardware receive-side scaling on the clients:
-	// MSI-X queues statically pinned to cores, overriding Policy for
-	// data interrupts (0 = disabled).
-	RSSQueues int
-	// BackgroundLoad runs OS-daemon-style busywork on every client core
-	// at this utilization fraction (0..1) while the workload is active.
-	// It raises absolute CPU utilization toward testbed levels and
-	// feeds irqbalance's load statistics.
-	BackgroundLoad float64
 	// RetryTimeout enables the client's lost-frame recovery: transfers
 	// not complete after this long re-issue their missing parts, up to
 	// MaxRetries times. Zero disables (lossless fabric by default).
 	RetryTimeout units.Time
 	MaxRetries   int
 	// RetryBackoff grows the retry interval exponentially per attempt
-	// (0 = the default factor 2, 1 = fixed interval); RetryBackoffCap
-	// bounds the backed-off interval (0 = 8 × RetryTimeout). RetryJitter
-	// shrinks each delay by a deterministic derived fraction in
-	// [0, RetryJitter) so clients desynchronize their re-issues (0 = the
-	// default 0.1, negative = disabled). See client.Config.
-	RetryBackoff    float64
-	RetryBackoffCap units.Time
-	RetryJitter     float64
+	// (0 = the default factor 2, 1 = fixed interval), capped at
+	// 8 × RetryTimeout. RetryJitter shrinks each delay by a
+	// deterministic derived fraction in [0, RetryJitter) so clients
+	// desynchronize their re-issues (0 = the default 0.1, negative =
+	// disabled). See client.Config.
+	RetryBackoff float64
+	RetryJitter  float64
 	// TransferDeadline bounds each transfer's total lifetime: at the
 	// deadline the strips in hand are consumed and the operation
 	// completes as a typed partial result instead of retrying forever
@@ -154,12 +131,11 @@ type Config struct {
 	// feeding fluid queues at every server NIC/CPU and (for colocated
 	// tenants) every foreground client NIC — whose load slows the
 	// foreground without materializing frames. BackgroundUsers > 0
-	// requires a TenantMix whose shares sum to 1. RateUpdate is the
-	// fluid integration step (default 1 ms).
+	// requires a TenantMix whose shares sum to 1. The fluid queues
+	// integrate in 1 ms steps (rateUpdate).
 	ForegroundClients int                   `json:",omitempty"`
 	BackgroundUsers   int                   `json:",omitempty"`
 	TenantMix         []flowsim.TenantShare `json:",omitempty"`
-	RateUpdate        units.Time            `json:",omitempty"`
 
 	// Faults is the declarative fault plan applied to the run: link
 	// loss/corruption, per-server stall distributions, and a timeline
@@ -210,9 +186,7 @@ func DefaultConfig() Config {
 		CoresPerClient:   8,
 		ClientNICRate:    3 * units.Gigabit,
 		ServerNICRate:    3 * units.Gigabit,
-		ClientFreq:       2700 * units.MHz,
 		CachePerCore:     512 * units.KiB,
-		LineSize:         64,
 		FabricLatency:    20 * units.Microsecond,
 		StripSize:        64 * units.KiB,
 		ProcsPerClient:   2,
@@ -244,15 +218,14 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// rateUpdate returns the fluid integration step, defaulting to 1 ms.
-func (c Config) rateUpdate() units.Time {
-	if c.RateUpdate > 0 {
-		return c.RateUpdate
-	}
-	return units.Millisecond
-}
+// rateUpdate is the fluid integration step of the hybrid background
+// population.
+const rateUpdate = units.Millisecond
 
-// Validate checks the configuration.
+// Validate checks the configuration: the cluster-level fields here,
+// then each sub-config run builds through its own package's check.
+// Client configs differ only in node id and seeds, so client 0's
+// stands for all of them.
 func (c Config) Validate() error {
 	c = c.normalized()
 	switch {
@@ -260,36 +233,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: clients %d must be positive", c.Clients)
 	case c.Servers <= 0:
 		return fmt.Errorf("cluster: servers %d must be positive", c.Servers)
-	case c.CoresPerClient <= 0:
-		return fmt.Errorf("cluster: cores %d must be positive", c.CoresPerClient)
-	case c.ClientNICRate <= 0 || c.ServerNICRate <= 0:
-		return fmt.Errorf("cluster: NIC rates must be positive")
 	case c.StripSize <= 0:
 		return fmt.Errorf("cluster: strip size must be positive")
-	case c.ProcsPerClient <= 0:
-		return fmt.Errorf("cluster: procs %d must be positive", c.ProcsPerClient)
 	case c.TransferSize < c.StripSize:
 		return fmt.Errorf("cluster: transfer %v below strip %v", c.TransferSize, c.StripSize)
-	case c.BytesPerProc < c.TransferSize:
-		return fmt.Errorf("cluster: per-proc bytes %v below one transfer", c.BytesPerProc)
-	case c.RetryTimeout < 0:
-		return fmt.Errorf("cluster: negative retry timeout")
-	case c.MaxRetries < 0:
-		return fmt.Errorf("cluster: negative max retries")
-	case c.RetryBackoff != 0 && c.RetryBackoff < 1:
-		return fmt.Errorf("cluster: retry backoff factor %v below 1", c.RetryBackoff)
-	case c.RetryBackoffCap < 0:
-		return fmt.Errorf("cluster: negative retry backoff cap")
-	case c.RetryJitter >= 1:
-		return fmt.Errorf("cluster: retry jitter %v must stay below 1", c.RetryJitter)
-	case c.TransferDeadline < 0:
-		return fmt.Errorf("cluster: negative transfer deadline")
-	case c.TransferDeadline > 0 && c.RetryTimeout <= 0:
-		return fmt.Errorf("cluster: transfer deadline needs RetryTimeout > 0")
 	case c.RandomClients < 0 || c.RandomClients > c.Clients:
 		return fmt.Errorf("cluster: random clients %d outside [0, %d]", c.RandomClients, c.Clients)
-	case c.BackgroundLoad < 0 || c.BackgroundLoad >= 1:
-		return fmt.Errorf("cluster: background load %v outside [0,1)", c.BackgroundLoad)
 	case c.Shards < 0:
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	case c.Workers < 0:
@@ -300,8 +249,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative foreground clients %d", c.ForegroundClients)
 	case c.BackgroundUsers < 0:
 		return fmt.Errorf("cluster: negative background users %d", c.BackgroundUsers)
-	case c.RateUpdate < 0:
-		return fmt.Errorf("cluster: negative rate-update step")
 	}
 	// Hybrid tenant mixes are validated uniformly — the same typed
 	// rejection at every shard count, like degrade-link<1 — so a
@@ -313,10 +260,76 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
-	if err := c.Costs.Validate(); err != nil {
-		return fmt.Errorf("cluster: %w", err)
+	srv := c.serverConfig()
+	for _, check := range []func() error{
+		c.clientConfig(0, firstClientNode, mdsNode).Validate,
+		c.workloadConfig(0).Validate,
+		srv.NIC.Validate,
+		srv.Disk.Validate,
+	} {
+		if err := check(); err != nil {
+			return fmt.Errorf("cluster: %w", err)
+		}
 	}
 	return c.Faults.Validate(c.Servers, c.Clients)
+}
+
+// serverConfig is the pfs.ServerConfig run builds for every I/O server.
+func (c Config) serverConfig() pfs.ServerConfig {
+	scfg := pfs.DefaultServerConfig(c.ServerNICRate)
+	scfg.Disk = c.Disk
+	scfg.EchoHints = true // harmless for baselines: their requests carry no hint
+	return scfg
+}
+
+// clientConfig is the client.Config run builds for client i at fabric
+// id node, with the metadata server at mds.
+func (c Config) clientConfig(i int, node, mds netsim.NodeID) client.Config {
+	ccfg := client.DefaultConfig(node, c.ClientNICRate, c.Policy)
+	ccfg.Cores = c.CoresPerClient
+	ccfg.CachePerCore = c.CachePerCore
+	ccfg.Costs = c.Costs
+	ccfg.MigrateDuringBlock = c.MigrateDuringBlock
+	ccfg.CurrentCoreHint = c.CurrentCoreHint
+	ccfg.RetryTimeout = c.RetryTimeout
+	ccfg.MaxRetries = c.MaxRetries
+	ccfg.RetryBackoff = c.RetryBackoff
+	ccfg.RetryJitter = c.RetryJitter
+	ccfg.TransferDeadline = c.TransferDeadline
+	ccfg.TimesliceQuantum = c.TimesliceQuantum
+	ccfg.L3PerSocket = c.L3PerSocket
+	ccfg.IrqbalancePeriod = c.IrqbalancePeriod
+	ccfg.MDS = mds
+	// Child seeds are derived, not offset: c.Seed+i would make run seed
+	// S node i draw the same stream as run seed S+1 node i-1,
+	// correlating "independent" repeats (see rng.Derive).
+	ccfg.Seed = rng.Derive(c.Seed, uint64(2*i))
+	if c.ClientNICPorts > 1 {
+		ccfg.NIC.Ports = c.ClientNICPorts
+		ccfg.NIC.Rate = c.ClientNICRate / units.Rate(c.ClientNICPorts)
+		ccfg.NIC.Bond = c.ClientBondMode
+	}
+	ccfg.NIC.CoalesceFrames = max(c.CoalesceFrames, 1)
+	ccfg.NIC.CoalesceDelay = c.CoalesceDelay
+	return ccfg
+}
+
+// workloadConfig is the workload.IORConfig run builds for client i.
+func (c Config) workloadConfig(i int) workload.IORConfig {
+	firstFile := pfs.FileID(1 + i*c.ProcsPerClient)
+	if c.SharedFiles {
+		firstFile = 1
+	}
+	return workload.IORConfig{
+		Procs:        c.ProcsPerClient,
+		TransferSize: c.TransferSize,
+		BytesPerProc: c.BytesPerProc,
+		FirstFile:    firstFile,
+		Stagger:      50 * units.Microsecond,
+		Write:        c.WriteWorkload,
+		RandomAccess: c.RandomAccess || i < c.RandomClients,
+		Seed:         rng.Derive(c.Seed, uint64(2*i+1)),
+	}
 }
 
 // NodeLayout returns the fabric node ids the run will assign: the
@@ -561,81 +574,23 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		func(pfs.FileID) pfs.Layout { return layout })
 
 	srvs := make([]*pfs.Server, cfg.Servers)
+	scfg := cfg.serverConfig()
 	for i := range srvs {
-		scfg := pfs.DefaultServerConfig(cfg.ServerNICRate)
-		scfg.Disk = cfg.Disk
-		scfg.EchoHints = true // harmless for baselines: their requests carry no hint
-		scfg.NIC.Fragment = cfg.FragmentWire
 		srvs[i] = pfs.NewServer(engines[serverShard(i)], fabrics[serverShard(i)], servers[i], scfg, root)
 	}
 
-	// Clients with their workloads. Background busywork (if configured)
-	// stops once the node's own workload has finished, so the run still
-	// drains. (The stop condition is per-node, not global: a global
-	// "any load still active" check would read cross-shard state whose
-	// mid-round value depends on the layout.)
+	// Clients with their workloads.
 	nodes := make([]*client.Node, cfg.Clients)
 	loads := make([]*workload.IOR, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
-		ccfg := client.DefaultConfig(clientIDs[i], cfg.ClientNICRate, cfg.Policy)
-		ccfg.Cores = cfg.CoresPerClient
-		ccfg.Freq = cfg.ClientFreq
-		ccfg.CachePerCore = cfg.CachePerCore
-		ccfg.LineSize = cfg.LineSize
-		ccfg.Costs = cfg.Costs
-		ccfg.MigrateDuringBlock = cfg.MigrateDuringBlock
-		ccfg.CurrentCoreHint = cfg.CurrentCoreHint
-		ccfg.RetryTimeout = cfg.RetryTimeout
-		ccfg.MaxRetries = cfg.MaxRetries
-		ccfg.RetryBackoff = cfg.RetryBackoff
-		ccfg.RetryBackoffCap = cfg.RetryBackoffCap
-		ccfg.RetryJitter = cfg.RetryJitter
-		ccfg.TransferDeadline = cfg.TransferDeadline
-		ccfg.TimesliceQuantum = cfg.TimesliceQuantum
-		ccfg.L3PerSocket = cfg.L3PerSocket
-		ccfg.RSSQueues = cfg.RSSQueues
-		ccfg.IrqbalancePeriod = cfg.IrqbalancePeriod
-		ccfg.DedicatedCore = cfg.DedicatedCore
-		ccfg.MDS = mds
-		// Child seeds are derived, not offset: cfg.Seed+i would make run
-		// seed S node i draw the same stream as run seed S+1 node i-1,
-		// correlating "independent" repeats (see rng.Derive).
-		ccfg.Seed = rng.Derive(cfg.Seed, uint64(2*i))
-		if cfg.ClientNICPorts > 1 {
-			ccfg.NIC.Ports = cfg.ClientNICPorts
-			ccfg.NIC.Rate = cfg.ClientNICRate / units.Rate(cfg.ClientNICPorts)
-			ccfg.NIC.Bond = cfg.ClientBondMode
-		}
-		ccfg.NIC.CoalesceFrames = cfg.CoalesceFrames
-		if ccfg.NIC.CoalesceFrames < 1 {
-			ccfg.NIC.CoalesceFrames = 1
-		}
-		ccfg.NIC.CoalesceDelay = cfg.CoalesceDelay
-		ccfg.NIC.Fragment = cfg.FragmentWire
+		ccfg := cfg.clientConfig(i, clientIDs[i], mds)
 		node, err := client.New(engines[clientShard(i)], fabrics[clientShard(i)], ccfg)
 		if err != nil {
 			return nil, err
 		}
 		nodes[i] = node
 
-		firstFile := pfs.FileID(1 + i*cfg.ProcsPerClient)
-		if cfg.SharedFiles {
-			firstFile = 1
-		}
-		wcfg := workload.IORConfig{
-			Procs:        cfg.ProcsPerClient,
-			TransferSize: cfg.TransferSize,
-			BytesPerProc: cfg.BytesPerProc,
-			FirstFile:    firstFile,
-			Stagger:      50 * units.Microsecond,
-			Write:        cfg.WriteWorkload,
-			RandomAccess: cfg.RandomAccess || i < cfg.RandomClients,
-			Segmented:    cfg.Segmented,
-			ThinkTime:    cfg.ThinkTime,
-			Aggregators:  cfg.Aggregators,
-			Seed:         rng.Derive(cfg.Seed, uint64(2*i+1)),
-		}
-		w, err := workload.NewIOR(node, wcfg, nil)
+		w, err := workload.NewIOR(node, cfg.workloadConfig(i), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +670,7 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 	// steps: state is a pure function of the query time).
 	var stations []*flowsim.Station
 	if cfg.BackgroundUsers > 0 {
-		step := cfg.rateUpdate()
+		step := rateUpdate
 		for i := range srvs {
 			flows := flowsim.ServerFlows(cfg.TenantMix, cfg.BackgroundUsers, i, cfg.Servers)
 			if !flowsim.HasRate(flows) {
@@ -781,26 +736,6 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		}
 	}
 
-	if cfg.BackgroundLoad > 0 {
-		const period = units.Millisecond
-		work := units.Time(float64(period) * cfg.BackgroundLoad)
-		for i, node := range nodes {
-			w := loads[i]
-			ne := engines[clientShard(i)]
-			for core := 0; core < cfg.CoresPerClient; core++ {
-				c := node.CPU().Core(core)
-				var tick func(units.Time)
-				tick = func(units.Time) {
-					if w.Finished() != 0 {
-						return
-					}
-					c.Submit(cpu.PrioProcess, cpu.CatOther, work, nil)
-					ne.After(period, tick)
-				}
-				ne.At(0, tick)
-			}
-		}
-	}
 	if spans != nil {
 		for _, n := range nodes {
 			n.SetSpanLog(spans)

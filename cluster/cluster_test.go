@@ -248,21 +248,6 @@ func TestFailureInjectionServerStall(t *testing.T) {
 	}
 }
 
-func TestFragmentWireMode(t *testing.T) {
-	cfg := quickCfg()
-	cfg.BytesPerProc = 2 * units.MiB
-	cfg.FragmentWire = true
-	cfg.CoalesceFrames = 16
-	cfg.CoalesceDelay = 100 * units.Microsecond
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalBytes != 4*units.MiB {
-		t.Errorf("fragmented run bytes = %v", res.TotalBytes)
-	}
-}
-
 func TestMigrateDuringBlockHurtsSAIs(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Servers = 16
@@ -298,13 +283,33 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Costs.RemoteLine = -1 },
 		func(c *Config) { c.Costs.SoftirqPerByte = math.NaN() },
 		func(c *Config) { c.Costs.SocketSize = -1 },
+		// Fields of the sub-configs run builds, checked by the package
+		// that owns each one.
+		func(c *Config) { c.MigrateDuringBlock = 2 },
+		func(c *Config) { c.Disk.MediaRate = -1 },
+		func(c *Config) { c.Disk.ElevatorWindow = 0 },
+		func(c *Config) { c.Policy, c.CoresPerClient = irqsched.PolicySourceAware, 64 },
+		func(c *Config) { c.TimesliceQuantum = -1 },
+		func(c *Config) { c.IrqbalancePeriod = -1 },
+		func(c *Config) { c.CoalesceDelay = -1 },
+		func(c *Config) { c.L3PerSocket = -1 },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig()
 		mod(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted an invalid config", i)
 		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("case %d: Run panicked: %v", i, r)
+				}
+			}()
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("case %d: invalid config accepted", i)
+			}
+		}()
 	}
 }
 
@@ -634,45 +639,6 @@ func TestLatencyPercentiles(t *testing.T) {
 	}
 }
 
-func TestBackgroundLoadRaisesUtilization(t *testing.T) {
-	quiet := quickCfg()
-	a, err := Run(quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy := quiet
-	noisy.BackgroundLoad = 0.10
-	b, err := Run(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.CPUUtilization <= a.CPUUtilization+0.05 {
-		t.Errorf("background load did not show: %.3f vs %.3f", b.CPUUtilization, a.CPUUtilization)
-	}
-	if b.TotalBytes != a.TotalBytes {
-		t.Errorf("background load lost data: %v vs %v", b.TotalBytes, a.TotalBytes)
-	}
-	// The run must still terminate (the daemon work stops with the
-	// workload) — RunUntilIdle returning at all proves it, but the
-	// makespan must stay within reason.
-	if b.Duration > 3*a.Duration {
-		t.Errorf("background load tripled the makespan: %v vs %v", b.Duration, a.Duration)
-	}
-	// SAIs still wins under noise.
-	sais, err := Run(noisy.WithPolicy(irqsched.PolicySourceAware))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sais.Bandwidth <= b.Bandwidth {
-		t.Errorf("SAIs %v not above irqbalance %v under background load", sais.Bandwidth, b.Bandwidth)
-	}
-	bad := quiet
-	bad.BackgroundLoad = 1
-	if _, err := Run(bad); err == nil {
-		t.Error("background load 1.0 accepted")
-	}
-}
-
 func TestL3SoftensEvictionCost(t *testing.T) {
 	// With the Opteron's shared L3 enabled, strips evicted from a
 	// private L2 before consumption come back from the L3 instead of
@@ -730,30 +696,6 @@ func TestLongRunSoak(t *testing.T) {
 	}
 	if res.LatencyP99 > 20*res.LatencyP50 {
 		t.Errorf("latency tail blew up: p50=%v p99=%v", res.LatencyP50, res.LatencyP99)
-	}
-}
-
-func TestSegmentedLayoutRuns(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Segmented = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalBytes != 16*units.MiB {
-		t.Errorf("bytes = %v", res.TotalBytes)
-	}
-	// Two processes interleaving one shared file are *globally*
-	// sequential, so shared readahead serves both: segmented should be
-	// at least as fast as private files here, and within 2x of them.
-	priv, err := Run(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(res.Bandwidth) / float64(priv.Bandwidth)
-	if ratio < 0.9 || ratio > 2 {
-		t.Errorf("segmented/private ratio %.2f outside [0.9, 2] (%v vs %v)",
-			ratio, res.Bandwidth, priv.Bandwidth)
 	}
 }
 
@@ -830,40 +772,6 @@ func TestReadConfigRejectsGarbage(t *testing.T) {
 	}
 	if got.Servers != 32 || got.CoresPerClient != 8 {
 		t.Errorf("partial config = %+v", got)
-	}
-}
-
-func TestCollectiveWorkloadMode(t *testing.T) {
-	cfg := quickCfg()
-	cfg.BytesPerProc = 4 * units.MiB
-	cfg.Aggregators = 1 // one aggregator serves both processes
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalBytes != 8*units.MiB {
-		t.Errorf("collective bytes = %v, want 8MiB", res.TotalBytes)
-	}
-	// Phase-2 redistribution appears as cache-to-cache traffic even
-	// under irqbalance: the non-aggregator's half moves every round.
-	if res.RemoteLines == 0 {
-		t.Error("collective mode produced no redistribution traffic")
-	}
-	// With every process its own aggregator, no bytes move in phase 2
-	// and throughput improves (reads of one shared file are globally
-	// sequential).
-	all := cfg
-	all.Aggregators = 2
-	res2, err := Run(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Bandwidth <= res.Bandwidth {
-		t.Errorf("self-aggregating collective %v not above single-aggregator %v",
-			res2.Bandwidth, res.Bandwidth)
-	}
-	if res2.TotalBytes != 8*units.MiB {
-		t.Errorf("bytes = %v", res2.TotalBytes)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestHybridShardedByteIdentity(t *testing.T) {
 		mut  func(*cluster.Config)
 	}{
 		{"two-tenant", func(cfg *cluster.Config) {}},
-		{"rss", func(cfg *cluster.Config) { cfg.RSSQueues = 4 }},
+		{"rss", func(cfg *cluster.Config) { cfg.Policy = irqsched.PolicyHardwareRSS }},
 		{"server-only", func(cfg *cluster.Config) {
 			cfg.TenantMix = []flowsim.TenantShare{
 				{Name: "bulk", Share: 1, PerUserRate: 12000},

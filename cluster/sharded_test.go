@@ -57,19 +57,13 @@ func TestShardedByteIdentity(t *testing.T) {
 	}{
 		{"read", func(cfg *cluster.Config) {}},
 		{"write", func(cfg *cluster.Config) { cfg.WriteWorkload = true }},
-		{"rss-bg", func(cfg *cluster.Config) {
-			cfg.RSSQueues = 4
-			cfg.BackgroundLoad = 0.15
+		{"rss-shared", func(cfg *cluster.Config) {
+			cfg.Policy = irqsched.PolicyHardwareRSS
 			cfg.SharedFiles = true
 		}},
-		{"random-seg", func(cfg *cluster.Config) {
+		{"random", func(cfg *cluster.Config) {
 			cfg.RandomAccess = true
-			cfg.Segmented = true
 			cfg.Seed = 7
-		}},
-		{"collective", func(cfg *cluster.Config) {
-			cfg.Aggregators = 1
-			cfg.ProcsPerClient = 4
 		}},
 		{"faulty", func(cfg *cluster.Config) {
 			cfg.RetryTimeout = 30 * units.Millisecond

@@ -207,9 +207,18 @@ func TestValidate(t *testing.T) {
 			t.Errorf("validate %s: exit %d, output %q", f, code, stdout+stderr)
 		}
 	}
-	bad := writeFile(t, t.TempDir(), "bad.json", `{"Name": "x", "Config": {"Serverz": 4}}`)
-	if code, _, stderr := saisim(t, "validate", bad); code != 2 || !strings.Contains(stderr, "Serverz") {
-		t.Errorf("validate bad.json: exit %d, stderr %q; want 2 naming Serverz", code, stderr)
+	dir := t.TempDir()
+	for _, tc := range []struct{ file, config, want string }{
+		{"bad.json", `{"Serverz": 4}`, "Serverz"},
+		{"deleted-field.json", `{"FragmentWire": true}`, "FragmentWire"},
+		// Decodes, but builds an invalid disk: validate must reject
+		// what run would.
+		{"bad-disk.json", `{"Disk": {"ElevatorWindow": 0}}`, "elevator window"},
+	} {
+		bad := writeFile(t, dir, tc.file, `{"Name": "x", "Config": `+tc.config+`}`)
+		if code, _, stderr := saisim(t, "validate", bad); code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("validate %s: exit %d, stderr %q; want 2 naming %q", tc.file, code, stderr, tc.want)
+		}
 	}
 }
 

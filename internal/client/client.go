@@ -114,13 +114,10 @@ func (m CostModel) Validate() error {
 type Config struct {
 	Node             netsim.NodeID
 	Cores            int
-	Freq             units.Hertz
 	CachePerCore     units.Bytes
-	LineSize         units.Bytes
 	NIC              netsim.NICConfig
 	Policy           irqsched.PolicyKind
 	IrqbalancePeriod units.Time
-	DedicatedCore    int
 	LAPICLatency     units.Time
 	Costs            CostModel
 	// MigrateDuringBlock is the probability that the scheduler migrates
@@ -136,22 +133,11 @@ type Config struct {
 	// core recorded at request time. The two differ only when processes
 	// migrate during an I/O block, which §III argues is rare.
 	CurrentCoreHint bool
-	// RSSQueues sizes the MSI-X queue set used by PolicyHardwareRSS
-	// (default: one queue per core). Each queue's vector is statically
-	// programmed via the redirection table to core q mod Cores, exactly
-	// as the Intel 82575/82599 static assignment the paper's related
-	// work discusses.
-	RSSQueues int
 	// L3PerSocket attaches a shared victim L3 of this capacity to each
 	// socket (the Opteron 2384's 6 MB L3). Zero disables it; strips
 	// evicted from a private L2 then cost a full DRAM fill, as in the
 	// calibrated baseline.
 	L3PerSocket units.Bytes
-	// AllowedIRQCores restricts the NIC vector's redirection-table entry
-	// to these cores (the /proc/irq/N/smp_affinity mask a sysadmin
-	// would set). Empty means all cores. Hints pointing outside the
-	// mask are misrouted to the first allowed core, as hardware would.
-	AllowedIRQCores []int
 	// TimesliceQuantum enables kernel-style round-robin timeslicing of
 	// process work on each core (0 = run to completion). Relevant when
 	// applications outnumber cores (the paper's §VI saturation study).
@@ -166,13 +152,11 @@ type Config struct {
 	MaxRetries int
 	// RetryBackoff is the exponential growth factor applied to the retry
 	// interval after each unsuccessful attempt: attempt k waits
-	// RetryTimeout × RetryBackoff^k (before jitter and cap). 0 selects
-	// the default factor 2; 1 restores the fixed interval. Values in
-	// (0, 1) are invalid — retries never speed up.
+	// RetryTimeout × RetryBackoff^k (before jitter), capped at
+	// 8 × RetryTimeout. 0 selects the default factor 2; 1 restores the
+	// fixed interval. Values in (0, 1) are invalid — retries never
+	// speed up.
 	RetryBackoff float64
-	// RetryBackoffCap bounds the backed-off interval; 0 selects
-	// 8 × RetryTimeout.
-	RetryBackoffCap units.Time
 	// RetryJitter shrinks each backed-off delay by a deterministic
 	// per-(seed, tag, attempt) derived fraction in [0, RetryJitter), so
 	// clients that lost frames in the same burst spread their re-issues
@@ -193,11 +177,18 @@ type Config struct {
 }
 
 // Backoff-schedule defaults, applied when the corresponding Config
-// field is zero.
+// field is zero, and the cap on the backed-off interval as a multiple
+// of RetryTimeout.
 const (
-	defaultRetryBackoff       = 2.0
-	defaultRetryJitter        = 0.1
-	defaultBackoffCapMultiple = 8
+	defaultRetryBackoff = 2.0
+	defaultRetryJitter  = 0.1
+	backoffCapMultiple  = 8
+)
+
+// The head node's clock rate and cache-line size (Opteron 2384).
+const (
+	clockRate             = 2700 * units.MHz
+	cacheLine units.Bytes = 64
 )
 
 // RetryDelay returns the delay armed before attempt's re-issue of the
@@ -219,13 +210,7 @@ func (c Config) RetryDelay(tag uint64, attempt int) units.Time {
 	if factor == 0 {
 		factor = defaultRetryBackoff
 	}
-	limit := c.RetryBackoffCap
-	if limit <= 0 {
-		limit = defaultBackoffCapMultiple * c.RetryTimeout
-	}
-	if limit < c.RetryTimeout {
-		limit = c.RetryTimeout
-	}
+	limit := backoffCapMultiple * c.RetryTimeout
 	d := float64(c.RetryTimeout)
 	for i := 0; i < attempt && d < float64(limit); i++ {
 		d *= factor
@@ -247,15 +232,13 @@ func (c Config) RetryDelay(tag uint64, attempt int) units.Time {
 }
 
 // DefaultConfig returns the head-node client: 8 cores at 2.7 GHz,
-// 512 KiB private L2 per core, the given NIC rate, and the requested
-// policy.
+// 512 KiB private L2 per core with 64-byte lines, the given NIC rate,
+// and the requested policy.
 func DefaultConfig(node netsim.NodeID, nicRate units.Rate, policy irqsched.PolicyKind) Config {
 	return Config{
 		Node:             node,
 		Cores:            8,
-		Freq:             2700 * units.MHz,
 		CachePerCore:     512 * units.KiB,
-		LineSize:         64,
 		NIC:              netsim.DefaultNICConfig(nicRate),
 		Policy:           policy,
 		IrqbalancePeriod: 10 * units.Millisecond,
@@ -265,7 +248,9 @@ func DefaultConfig(node netsim.NodeID, nicRate units.Rate, policy irqsched.Polic
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration New would build from, the NIC's
+// included.
+func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("client: cores %d must be positive", c.Cores)
 	}
@@ -273,36 +258,36 @@ func (c Config) validate() error {
 	if !ok {
 		return fmt.Errorf("client: %w", &irqsched.UnknownPolicyError{Kind: c.Policy})
 	}
-	if desc.UsesHints && c.Cores > netsim.MaxCores {
+	switch {
+	case desc.UsesHints && c.Cores > netsim.MaxCores:
 		return fmt.Errorf("client: SAIs addresses at most %d cores, got %d", netsim.MaxCores, c.Cores)
-	}
-	if c.CachePerCore <= 0 || c.LineSize <= 0 {
-		return fmt.Errorf("client: cache geometry invalid")
-	}
-	if c.MigrateDuringBlock < 0 || c.MigrateDuringBlock > 1 {
+	case c.CachePerCore <= 0:
+		return fmt.Errorf("client: cache per core %v must be positive", c.CachePerCore)
+	case c.L3PerSocket < 0:
+		return fmt.Errorf("client: negative L3 per socket")
+	case c.IrqbalancePeriod < 0:
+		return fmt.Errorf("client: negative irqbalance period")
+	case c.TimesliceQuantum < 0:
+		return fmt.Errorf("client: negative timeslice quantum")
+	case c.MigrateDuringBlock < 0 || c.MigrateDuringBlock > 1:
 		return fmt.Errorf("client: MigrateDuringBlock %v outside [0,1]", c.MigrateDuringBlock)
-	}
-	for _, core := range c.AllowedIRQCores {
-		if core < 0 || core >= c.Cores {
-			return fmt.Errorf("client: IRQ affinity core %d out of range", core)
-		}
-	}
-	if c.RetryBackoff != 0 && c.RetryBackoff < 1 {
+	case c.RetryTimeout < 0:
+		return fmt.Errorf("client: negative retry timeout")
+	case c.MaxRetries < 0:
+		return fmt.Errorf("client: negative max retries")
+	case c.RetryBackoff != 0 && c.RetryBackoff < 1:
 		return fmt.Errorf("client: retry backoff factor %v below 1 (retries never speed up)", c.RetryBackoff)
-	}
-	if c.RetryBackoffCap < 0 {
-		return fmt.Errorf("client: negative retry backoff cap")
-	}
-	if c.RetryJitter >= 1 {
+	case c.RetryJitter >= 1:
 		return fmt.Errorf("client: retry jitter %v must stay below 1", c.RetryJitter)
-	}
-	if c.TransferDeadline < 0 {
+	case c.TransferDeadline < 0:
 		return fmt.Errorf("client: negative transfer deadline")
-	}
-	if c.TransferDeadline > 0 && c.RetryTimeout <= 0 {
+	case c.TransferDeadline > 0 && c.RetryTimeout <= 0:
 		return fmt.Errorf("client: transfer deadline needs RetryTimeout > 0 (the deadline is enforced by the retry timer)")
 	}
-	return nil
+	if err := c.Costs.Validate(); err != nil {
+		return err
+	}
+	return c.NIC.Validate()
 }
 
 // Stats is the client-node roll-up the experiments report.
@@ -625,23 +610,19 @@ func (l loadAdapter) CoreQueue(i int) int       { return l.c.Core(i).QueueLen() 
 // New builds a client node and attaches it to fab. It returns an error
 // on invalid configuration.
 func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	desc, _ := irqsched.Describe(cfg.Policy) // validate() vouched for the kind
-	rssQueues := 0
+	desc, _ := irqsched.Describe(cfg.Policy) // Validate vouched for the kind
 	if desc.MSIX {
-		rssQueues = cfg.RSSQueues
-		if rssQueues < 1 {
-			rssQueues = cfg.Cores
-		}
-		cfg.NIC.RxQueues = rssQueues
+		// Hardware RSS: one MSI-X receive queue per core.
+		cfg.NIC.RxQueues = cfg.Cores
 	}
 	n := &Node{
 		cfg:      cfg,
 		eng:      eng,
-		cpu:      cpu.New(eng, cfg.Cores, cfg.Freq),
-		caches:   cache.NewSystem(cfg.Cores, cfg.CachePerCore, cfg.LineSize),
+		cpu:      cpu.New(eng, cfg.Cores, clockRate),
+		caches:   cache.NewSystem(cfg.Cores, cfg.CachePerCore, cacheLine),
 		nic:      netsim.NewNIC(eng, cfg.Node, cfg.NIC),
 		rnd:      rng.New(cfg.Seed).Split(fmt.Sprintf("client%d", cfg.Node)),
 		layouts:  make(map[pfs.FileID]pfs.CheckedLayout),
@@ -671,16 +652,11 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		l.SetHandler(irq)
 	}
 	n.ioapic = apic.NewIOAPIC(eng, n.locals)
-	if len(cfg.AllowedIRQCores) > 0 {
-		n.ioapic.Program(DataVector, cfg.AllowedIRQCores)
-	}
 	router, err := irqsched.New(cfg.Policy, irqsched.Options{
 		Loads:         loadAdapter{n.cpu},
 		Period:        cfg.IrqbalancePeriod,
-		DedicatedCore: cfg.DedicatedCore,
 		SocketSize:    cfg.Costs.SocketSize,
 		Cores:         cfg.Cores,
-		RSSQueues:     rssQueues,
 		RSSBaseVector: DataVector,
 	})
 	if err != nil {
@@ -690,8 +666,8 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	if desc.MSIX {
 		// Hardware RSS: one vector per queue, statically pinned via the
 		// redirection table — the same map the StaticTable router holds.
-		for q := 0; q < rssQueues; q++ {
-			n.ioapic.Program(DataVector+apic.Vector(q), []int{q % cfg.Cores})
+		for q := 0; q < cfg.Cores; q++ {
+			n.ioapic.Program(DataVector+apic.Vector(q), []int{q})
 		}
 	}
 	n.ioapic.SetRouter(n.router)
@@ -1286,8 +1262,8 @@ func (n *Node) handleIRQ(core int, now units.Time) {
 	case *pfs.LayoutReply:
 		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, 2*units.Microsecond, n.newSoftirq(core, f))
 	default:
-		// Mid-strip fragments (Fragment wire mode) and stray traffic:
-		// protocol processing proportional to the bytes carried.
+		// Stray traffic (e.g. interrupt-storm junk frames): protocol
+		// processing proportional to the bytes carried.
 		cost := units.Microsecond + units.Time(float64(f.Payload)*n.cfg.Costs.SoftirqPerByte)
 		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, nil)
 	}
@@ -1344,11 +1320,9 @@ func (j *softirqJob) run(now units.Time) {
 }
 
 // stripArrived deposits the strip into the handling core's cache and
-// completes the transfer when it was the last one. The block size is
-// the strip's declared size: in Fragment wire mode the descriptor rides
-// the final fragment, but the whole strip has landed by then. src and
-// seq identify the delivering frame's flow and sender-side sequence;
-// a sequence regression within one (transfer, server) stream means two
+// completes the transfer when it was the last one. src and seq
+// identify the delivering frame's flow and sender-side sequence; a
+// sequence regression within one (transfer, server) stream means two
 // frames of the flow completed softirq processing out of send order —
 // the reordering the Flow Director pathology produces.
 func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.StripData, now units.Time) {

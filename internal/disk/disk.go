@@ -41,7 +41,8 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration New would build from.
+func (c Config) Validate() error {
 	switch {
 	case c.MediaRate <= 0:
 		return fmt.Errorf("disk: media rate %v must be positive", c.MediaRate)
@@ -101,7 +102,7 @@ type Disk struct {
 // New builds an idle disk. rnd seeds the per-request rotational-latency
 // sequence. It panics on invalid configuration.
 func New(eng *sim.Engine, cfg Config, rnd *rng.Source) *Disk {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Disk{cfg: cfg, eng: eng, rotSeed: rnd.Uint64()}

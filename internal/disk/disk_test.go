@@ -173,7 +173,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mod := range bad {
 		cfg := DefaultConfig()
 		mod(&cfg)
-		if err := cfg.validate(); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: config accepted", i)
 		}
 	}

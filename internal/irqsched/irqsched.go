@@ -40,10 +40,11 @@ const (
 	PolicyFlowHash
 	PolicyHybrid
 	PolicySocketAware
-	// PolicyHardwareRSS steers with MSI-X queues whose vectors are
-	// statically pinned via the redirection table; New builds the
-	// matching StaticTable router (the client additionally programs the
-	// I/O APIC vectors and enables per-queue NIC interrupts).
+	// PolicyHardwareRSS steers with one MSI-X queue per core, each
+	// queue's vector statically pinned to its core via the redirection
+	// table; New builds the matching StaticTable router (the client
+	// additionally programs the I/O APIC vectors and enables per-queue
+	// NIC interrupts).
 	PolicyHardwareRSS
 	// PolicyFlowDirector models Intel Flow Director's per-flow
 	// last-transmitting-core table, whose immediate table updates
@@ -422,12 +423,10 @@ func (s *StaticTable) Route(vec apic.Vector, hint int, flow uint64, allowed []in
 // substitutes a safe default, so New is total over parseable kinds.
 type Options struct {
 	Loads         LoadReader
-	Period        units.Time // irqbalance/hybrid sampling period (default 10 ms)
-	DedicatedCore int
+	Period        units.Time  // irqbalance/hybrid sampling period (default 10 ms)
 	SocketSize    int         // sais-socket granularity (default 4)
 	HybridQueue   int         // hybrid divert threshold (default 16)
 	Cores         int         // core count for table-building policies (rss/toeplitz)
-	RSSQueues     int         // MSI-X queue count for rss (default Cores)
 	RSSBaseVector apic.Vector // first per-queue vector for rss
 	FlowTable     int         // flowdirector table capacity (default 1024)
 }

@@ -146,19 +146,14 @@ func coresOr(opts Options) int {
 	return 1
 }
 
-// RSSTable builds the hardware-RSS redirection map: queue q's vector
-// (base+q) pins to core q mod cores. The client programs the I/O APIC
-// from the same map so router and hardware agree.
-func RSSTable(cores, queues int, base apic.Vector) map[apic.Vector]int {
-	if cores < 1 {
-		cores = 1
-	}
-	if queues < 1 {
-		queues = cores
-	}
-	table := make(map[apic.Vector]int, queues)
-	for q := 0; q < queues; q++ {
-		table[base+apic.Vector(q)] = q % cores
+// RSSTable builds the hardware-RSS redirection map: one queue per
+// core, queue q's vector (base+q) pinned to core q. The client programs
+// the I/O APIC from the same map so router and hardware agree.
+func RSSTable(cores int, base apic.Vector) map[apic.Vector]int {
+	cores = max(cores, 1)
+	table := make(map[apic.Vector]int, cores)
+	for q := 0; q < cores; q++ {
+		table[base+apic.Vector(q)] = q
 	}
 	return table
 }
@@ -170,7 +165,7 @@ func init() {
 	})
 	Register(Descriptor{
 		Kind: PolicyDedicated, Name: "dedicated",
-		New: func(o Options) (apic.Router, error) { return NewDedicated(o.DedicatedCore), nil },
+		New: func(Options) (apic.Router, error) { return NewDedicated(0), nil },
 	})
 	Register(Descriptor{
 		Kind: PolicyIrqbalance, Name: "irqbalance",
@@ -209,7 +204,7 @@ func init() {
 	Register(Descriptor{
 		Kind: PolicyHardwareRSS, Name: "rss", MSIX: true,
 		New: func(o Options) (apic.Router, error) {
-			return NewStaticTable(RSSTable(coresOr(o), o.RSSQueues, o.RSSBaseVector), nil), nil
+			return NewStaticTable(RSSTable(o.Cores, o.RSSBaseVector), nil), nil
 		},
 	})
 	Register(Descriptor{

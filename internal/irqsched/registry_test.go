@@ -59,18 +59,18 @@ func TestRouterNamesMatchRegistry(t *testing.T) {
 }
 
 func TestRSSTable(t *testing.T) {
-	table := RSSTable(4, 8, 64)
-	if len(table) != 8 {
-		t.Fatalf("table size = %d, want 8", len(table))
+	table := RSSTable(4, 64)
+	if len(table) != 4 {
+		t.Fatalf("table size = %d, want 4", len(table))
 	}
-	for q := 0; q < 8; q++ {
-		if got := table[64+apic.Vector(q)]; got != q%4 {
-			t.Errorf("queue %d -> core %d, want %d", q, got, q%4)
+	for q := 0; q < 4; q++ {
+		if got := table[64+apic.Vector(q)]; got != q {
+			t.Errorf("queue %d -> core %d, want %d", q, got, q)
 		}
 	}
 	// Degenerate inputs still produce a usable table.
-	if got := RSSTable(0, 0, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("RSSTable(0,0,0) = %v", got)
+	if got := RSSTable(0, 0); len(got) != 1 || got[0] != 0 {
+		t.Errorf("RSSTable(0, 0) = %v", got)
 	}
 }
 

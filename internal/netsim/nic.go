@@ -10,11 +10,10 @@ import (
 // NodeID identifies a node (client or server) attached to the fabric.
 type NodeID int
 
-// Frame is one transfer unit on the wire. In the default configuration
-// a frame carries a whole strip (per-MTU header overhead is accounted
-// arithmetically and the NIC raises one interrupt per strip, matching
-// hardware interrupt coalescing); with Fragment=true the NIC emits one
-// frame per MTU and coalescing is explicit.
+// Frame is one transfer unit on the wire: one whole message, such as a
+// strip. Per-MTU header overhead is accounted arithmetically, and the
+// NIC raises one interrupt per frame unless coalescing is configured,
+// matching hardware interrupt coalescing of a strip's packets.
 type Frame struct {
 	Src, Dst NodeID
 	Payload  units.Bytes // upper-layer payload bytes
@@ -94,7 +93,6 @@ type NICConfig struct {
 	MTU      units.Bytes // payload bytes per packet
 	Overhead units.Bytes // per-packet header bytes (Ethernet+IP+TCP)
 	RingSize int         // rx descriptor ring capacity (per queue), in frames
-	Fragment bool        // emit one frame per MTU instead of per message
 	// RxQueues is the number of MSI-X receive queues; incoming frames
 	// are flow-hashed over them and each queue raises its own interrupt
 	// (hardware RSS). 0/1 = a single queue.
@@ -120,7 +118,8 @@ func DefaultNICConfig(rate units.Rate) NICConfig {
 	}
 }
 
-func (c NICConfig) validate() error {
+// Validate checks the configuration NewNIC would build from.
+func (c NICConfig) Validate() error {
 	if c.Rate <= 0 {
 		return fmt.Errorf("netsim: NIC rate %v must be positive", c.Rate)
 	}
@@ -135,6 +134,9 @@ func (c NICConfig) validate() error {
 	}
 	if c.CoalesceFrames < 1 {
 		return fmt.Errorf("netsim: coalesce frames %d must be >= 1", c.CoalesceFrames)
+	}
+	if c.CoalesceDelay < 0 {
+		return fmt.Errorf("netsim: negative coalesce delay")
 	}
 	if c.Ports < 0 {
 		return fmt.Errorf("netsim: negative port count")
@@ -215,7 +217,7 @@ type NIC struct {
 
 // NewNIC builds a NIC for node id. It panics on invalid configuration.
 func NewNIC(eng *sim.Engine, id NodeID, cfg NICConfig) *NIC {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := &NIC{id: id, cfg: cfg, eng: eng}
@@ -354,10 +356,8 @@ func (n *NIC) buildHeader(buf []byte, payload units.Bytes, hint AffHint) []byte 
 }
 
 // Send transmits payload bytes to dst with the given hint and opaque
-// descriptor. Frames are serialized at the NIC rate and handed to the
-// fabric. In Fragment mode the payload is split into MTU-sized frames,
-// each carrying its own header copy of the hint (HintCapsuler puts
-// aff_core_id into every return packet).
+// descriptor as one frame, serialized at the NIC rate and handed to
+// the fabric.
 func (n *NIC) Send(dst NodeID, payload units.Bytes, hint AffHint, body any) {
 	if n.fab == nil {
 		panic("netsim: NIC not attached to a fabric")
@@ -365,26 +365,7 @@ func (n *NIC) Send(dst NodeID, payload units.Bytes, hint AffHint, body any) {
 	if payload < 0 {
 		panic("netsim: negative payload")
 	}
-	if !n.cfg.Fragment {
-		n.sendFrame(n.newFrame(dst, payload, hint, body))
-		return
-	}
-	remaining := payload
-	for remaining > 0 {
-		sz := remaining
-		if sz > n.cfg.MTU {
-			sz = n.cfg.MTU
-		}
-		remaining -= sz
-		var b any
-		if remaining == 0 {
-			b = body // descriptor rides on the final fragment
-		}
-		n.sendFrame(n.newFrame(dst, sz, hint, b))
-	}
-	if payload == 0 {
-		n.sendFrame(n.newFrame(dst, 0, hint, body))
-	}
+	n.sendFrame(n.newFrame(dst, payload, hint, body))
 }
 
 // newFrame assembles an outbound frame from the fabric pool.

@@ -110,33 +110,6 @@ func TestReceiverRateLimits(t *testing.T) {
 	}
 }
 
-func TestFragmentation(t *testing.T) {
-	cfg := DefaultNICConfig(units.Gigabit)
-	cfg.Fragment = true
-	eng, tx, rx := testNet(t, 0, cfg, cfg)
-	var frames []*Frame
-	rx.SetInterruptHandler(func(units.Time) { frames = append(frames, rx.Drain()...) })
-	eng.At(0, func(units.Time) { tx.Send(2, 4000, Hint(9), "tail") })
-	eng.RunUntilIdle()
-	if len(frames) != 3 { // 1500+1500+1000
-		t.Fatalf("got %d fragments, want 3", len(frames))
-	}
-	var total units.Bytes
-	for i, f := range frames {
-		total += f.Payload
-		h := ParseHint(f)
-		if !h.Valid || h.Core != 9 {
-			t.Errorf("fragment %d lost hint: %v", i, h)
-		}
-	}
-	if total != 4000 {
-		t.Errorf("fragments total %d bytes, want 4000", total)
-	}
-	if frames[0].Body != nil || frames[2].Body != "tail" {
-		t.Error("descriptor must ride only the final fragment")
-	}
-}
-
 func TestCoalescing(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	cfg.CoalesceFrames = 4

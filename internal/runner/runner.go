@@ -14,7 +14,6 @@
 //     skipped entirely.
 //   - Panic containment: a panicking job becomes an error carrying the
 //     panic value and stack instead of crashing the process.
-//   - Optional progress callback, serialized across workers.
 package runner
 
 import (
@@ -23,18 +22,6 @@ import (
 	"runtime/debug"
 	"sync"
 )
-
-// Options tunes one batch execution.
-type Options struct {
-	// Workers bounds concurrency. Values below 2 run the batch serially
-	// on the calling goroutine; the pool never runs more workers than
-	// jobs.
-	Workers int
-	// OnProgress, if non-nil, is called after each job completes
-	// successfully with the number done so far and the batch size.
-	// Calls are serialized; done is strictly increasing.
-	OnProgress func(done, total int)
-}
 
 // PanicError is the error a recovered job panic is converted into.
 type PanicError struct {
@@ -47,32 +34,21 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
 }
 
-// Run executes fn(ctx, i) for every i in [0, n) under the options'
-// worker bound and returns the first error (a job error, a recovered
-// panic, or ctx.Err() if the context ended first). On the first
-// failure the context passed to jobs is cancelled and no queued job
-// starts.
-func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, opts, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
-// Map is Run with ordered result slots: the returned slice always has
-// length n, with slot i holding job i's result. On error the slice
-// still carries every result completed before cancellation (unfinished
-// slots hold T's zero value), so interrupted batches can report
-// partial output.
-func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// Map executes fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines (below 2: serially on the calling goroutine) and returns
+// the results in ordered slots with the first error (a job error, a
+// recovered panic, or ctx.Err() if the context ended first). On the
+// first failure the context passed to jobs is cancelled and no queued
+// job starts. The returned slice always has length n, with slot i
+// holding job i's result; on error it still carries every result
+// completed before cancellation (unfinished slots hold T's zero
+// value), so interrupted batches can report partial output.
+func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, ctx.Err()
 	}
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -83,7 +59,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		fn:      fn,
 		results: results,
 		total:   n,
-		onDone:  opts.OnProgress,
 	}
 	if workers < 2 {
 		for i := 0; i < n; i++ {
@@ -127,11 +102,9 @@ type batch[T any] struct {
 	fn      func(context.Context, int) (T, error)
 	results []T
 	total   int
-	onDone  func(done, total int)
 
 	mu      sync.Mutex
 	nextJob int   // next job index to hand out
-	done    int   // jobs finished
 	err     error // first failure
 }
 
@@ -166,13 +139,6 @@ func (b *batch[T]) runJob(i int) bool {
 		return false
 	}
 	b.results[i] = res
-	b.done++
-	done := b.done
-	if b.onDone != nil {
-		// Called under the lock so callbacks are serialized and done is
-		// strictly increasing across workers.
-		b.onDone(done, b.total)
-	}
 	b.mu.Unlock()
 	return true
 }

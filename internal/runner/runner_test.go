@@ -13,7 +13,7 @@ import (
 
 func TestMapOrderedSlots(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 16} {
-		got, err := Map(context.Background(), 50, Options{Workers: workers},
+		got, err := Map(context.Background(), 50, workers,
 			func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -28,7 +28,7 @@ func TestMapOrderedSlots(t *testing.T) {
 
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) string {
-		rows, err := Map(context.Background(), 20, Options{Workers: workers},
+		rows, err := Map(context.Background(), 20, workers,
 			func(_ context.Context, i int) (string, error) {
 				return fmt.Sprintf("row-%02d", i), nil
 			})
@@ -49,16 +49,16 @@ func TestFirstErrorCancelsQueuedJobs(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")
 	const n, workers = 100, 4
-	err := Run(context.Background(), n, Options{Workers: workers},
-		func(ctx context.Context, i int) error {
+	_, err := Map(context.Background(), n, workers,
+		func(ctx context.Context, i int) (struct{}, error) {
 			started.Add(1)
 			if i == 0 {
-				return boom
+				return struct{}{}, boom
 			}
 			// Every other job parks until the batch is cancelled, so no
 			// worker can loop around and start extra jobs first.
 			<-ctx.Done()
-			return nil
+			return struct{}{}, nil
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -71,13 +71,13 @@ func TestFirstErrorCancelsQueuedJobs(t *testing.T) {
 func TestSerialFirstErrorSkipsRest(t *testing.T) {
 	var started int
 	boom := errors.New("boom")
-	err := Run(context.Background(), 10, Options{Workers: 1},
-		func(_ context.Context, i int) error {
+	_, err := Map(context.Background(), 10, 1,
+		func(_ context.Context, i int) (struct{}, error) {
 			started++
 			if i == 2 {
-				return boom
+				return struct{}{}, boom
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -89,7 +89,7 @@ func TestSerialFirstErrorSkipsRest(t *testing.T) {
 
 func TestPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(context.Background(), 8, Options{Workers: workers},
+		_, err := Map(context.Background(), 8, workers,
 			func(_ context.Context, i int) (int, error) {
 				if i == 3 {
 					panic("kaboom")
@@ -110,10 +110,10 @@ func TestContextCancellationStopsBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
 	var once sync.Once
-	err := Run(ctx, 100, Options{Workers: 2}, func(ctx context.Context, i int) error {
+	_, err := Map(ctx, 100, 2, func(ctx context.Context, i int) (struct{}, error) {
 		done.Add(1)
 		once.Do(cancel)
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -126,9 +126,9 @@ func TestContextCancellationStopsBatch(t *testing.T) {
 func TestDeadlineReported(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := Run(ctx, 10, Options{Workers: 2}, func(ctx context.Context, i int) error {
+	_, err := Map(ctx, 10, 2, func(ctx context.Context, i int) (struct{}, error) {
 		<-ctx.Done()
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -137,7 +137,7 @@ func TestDeadlineReported(t *testing.T) {
 
 func TestPartialResultsSurviveError(t *testing.T) {
 	boom := errors.New("boom")
-	got, err := Map(context.Background(), 5, Options{Workers: 1},
+	got, err := Map(context.Background(), 5, 1,
 		func(_ context.Context, i int) (string, error) {
 			if i == 3 {
 				return "", boom
@@ -155,37 +155,8 @@ func TestPartialResultsSurviveError(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		var seen []int
-		_, err := Map(context.Background(), 10, Options{
-			Workers: workers,
-			OnProgress: func(done, total int) {
-				if total != 10 {
-					t.Errorf("total = %d, want 10", total)
-				}
-				mu.Lock()
-				seen = append(seen, done)
-				mu.Unlock()
-			},
-		}, func(_ context.Context, i int) (int, error) { return i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != 10 {
-			t.Fatalf("workers=%d: %d progress calls, want 10", workers, len(seen))
-		}
-		for i, d := range seen {
-			if d != i+1 {
-				t.Errorf("workers=%d: progress %d = %d, want %d (strictly increasing)", workers, i, d, i+1)
-			}
-		}
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
-	got, err := Map(context.Background(), 0, Options{Workers: 8},
+	got, err := Map(context.Background(), 0, 8,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v, %v", got, err)

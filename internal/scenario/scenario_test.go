@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -338,5 +340,72 @@ func TestCommittedScenarios(t *testing.T) {
 				t.Fatalf("scenario failed:\n%s", rep.Summary())
 			}
 		})
+	}
+}
+
+// TestEveryConfigFieldServesAWorkload: every exported cluster.Config
+// field is set by some committed study or scenario file, in its Config
+// or a dim value's Config, or by a Go caller listed in goOnly. A field
+// nothing sets selects a code path only its own unit test runs: delete
+// it with that path, or commit the workload that needs it.
+func TestEveryConfigFieldServesAWorkload(t *testing.T) {
+	goOnly := map[string]string{ // field → the file that sets it
+		"CachePerCore": "perfbench/workloads.go",
+		"Progress":     "perfbench/measure.go",
+	}
+	var paths []string
+	for _, dir := range []string{"studies", "scenarios"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", dir, "*.json"))
+		if err != nil || len(m) == 0 {
+			t.Fatalf("%s/*.json matched nothing (%v)", dir, err)
+		}
+		paths = append(paths, m...)
+	}
+	set := map[string]string{} // lower-cased field → a file setting it
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Config json.RawMessage
+			Dims   []struct{ Values []DimValue }
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		deltas := []json.RawMessage{doc.Config}
+		for _, d := range doc.Dims {
+			for _, v := range d.Values {
+				deltas = append(deltas, v.Config)
+			}
+		}
+		for _, delta := range deltas {
+			var fields map[string]json.RawMessage
+			if len(delta) > 0 {
+				if err := json.Unmarshal(delta, &fields); err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+			}
+			for name := range fields {
+				set[strings.ToLower(name)] = filepath.Base(path)
+			}
+		}
+	}
+	typ := reflect.TypeOf(cluster.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		file, inFiles := set[strings.ToLower(name)]
+		_, inGo := goOnly[name]
+		switch {
+		case !inFiles && !inGo:
+			t.Errorf("cluster.Config.%s is set by no study, scenario or listed Go caller", name)
+		case inFiles && inGo:
+			t.Errorf("cluster.Config.%s is set by %s; drop it from goOnly", name, file)
+		}
+		delete(goOnly, name)
+	}
+	for name := range goOnly {
+		t.Errorf("goOnly names %s, which is not a cluster.Config field", name)
 	}
 }

@@ -241,7 +241,7 @@ func (s *Study) runPoints(ctx context.Context, pts []point, workers int) (*Study
 	npol, runs := max(len(s.Policies), 1), max(s.Seeds, 1)
 	perPoint := npol * runs
 	//lint:goroutine runner.Map joins all workers and returns rows in point order; per-cell output is seed-deterministic
-	tasks, err := runner.Map(ctx, len(pts)*perPoint, runner.Options{Workers: workers},
+	tasks, err := runner.Map(ctx, len(pts)*perPoint, workers,
 		func(ctx context.Context, i int) (RunResult, error) {
 			p := pts[i/perPoint]
 			sc := s.Scenario

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"sais/internal/client"
-	"sais/internal/collective"
 	"sais/internal/pfs"
 	"sais/internal/rng"
 	"sais/internal/sim"
@@ -29,21 +28,7 @@ type IORConfig struct {
 	// option), defeating server-side readahead. Seed controls the
 	// permutation.
 	RandomAccess bool
-	// Segmented selects IOR's shared-file segmented layout: all
-	// processes read ONE file (FirstFile) in which transfer k of
-	// process i lives at offset (k*Procs + i) * TransferSize — the
-	// interleaving that makes per-process streams stride across the
-	// file. Default: one private file per process, contiguous.
-	Segmented bool
-	// ThinkTime inserts a fixed delay between a process's transfers
-	// (IOR's inter-test delay, -d) — a knob for duty-cycle studies.
-	ThinkTime units.Time
-	// Aggregators > 0 switches to MPI-IO-style collective reads: each
-	// round, the processes read one shared-file stripe of
-	// Procs×TransferSize bytes through that many aggregators (two-phase
-	// I/O), instead of issuing independent transfers.
-	Aggregators int
-	Seed        uint64
+	Seed         uint64
 }
 
 // Validate checks the workload is runnable.
@@ -57,12 +42,6 @@ func (c IORConfig) Validate() error {
 		return fmt.Errorf("workload: per-proc bytes %v below one transfer %v", c.BytesPerProc, c.TransferSize)
 	case c.Stagger < 0:
 		return fmt.Errorf("workload: negative stagger")
-	case c.ThinkTime < 0:
-		return fmt.Errorf("workload: negative think time")
-	case c.Aggregators < 0:
-		return fmt.Errorf("workload: negative aggregator count")
-	case c.Aggregators > 0 && c.Write:
-		return fmt.Errorf("workload: collective mode implements reads only")
 	}
 	return nil
 }
@@ -99,10 +78,6 @@ func NewIOR(node *client.Node, cfg IORConfig, onDone sim.Event) (*IOR, error) {
 // Start schedules the process loops on eng beginning at the current
 // time.
 func (w *IOR) Start(eng *sim.Engine) {
-	if w.cfg.Aggregators > 0 {
-		w.startCollective(eng)
-		return
-	}
 	w.remaining = w.cfg.Procs
 	cores := w.node.Config().Cores
 	for i := 0; i < w.cfg.Procs; i++ {
@@ -110,9 +85,6 @@ func (w *IOR) Start(eng *sim.Engine) {
 		core := (w.cfg.FirstCore + i) % cores
 		p := w.node.NewProc(i, core)
 		file := w.cfg.FirstFile + pfs.FileID(i)
-		if w.cfg.Segmented {
-			file = w.cfg.FirstFile
-		}
 		transfers := w.cfg.Transfers()
 		op := p.Read
 		if w.cfg.Write {
@@ -128,12 +100,7 @@ func (w *IOR) Start(eng *sim.Engine) {
 			r := rng.New(rng.Derive(w.cfg.Seed, uint64(i)))
 			r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		}
-		offset := func(k int) units.Bytes {
-			if w.cfg.Segmented {
-				return units.Bytes(order[k]*w.cfg.Procs+i) * w.cfg.TransferSize
-			}
-			return units.Bytes(order[k]) * w.cfg.TransferSize
-		}
+		offset := func(k int) units.Bytes { return units.Bytes(order[k]) * w.cfg.TransferSize }
 		var step func(k int) sim.Event
 		step = func(k int) sim.Event {
 			return func(now units.Time) {
@@ -148,14 +115,7 @@ func (w *IOR) Start(eng *sim.Engine) {
 					}
 					return
 				}
-				next := func(units.Time) {
-					op(file, offset(k), w.cfg.TransferSize, step(k+1))
-				}
-				if w.cfg.ThinkTime > 0 {
-					eng.After(w.cfg.ThinkTime, next)
-				} else {
-					next(now)
-				}
+				op(file, offset(k), w.cfg.TransferSize, step(k+1))
 			}
 		}
 		eng.After(units.Time(i)*w.cfg.Stagger, func(units.Time) {
@@ -174,45 +134,4 @@ func (w *IOR) ProcFinished(i int) units.Time { return w.perProc[i] }
 // TotalBytes returns the byte budget across all processes.
 func (w *IOR) TotalBytes() units.Bytes {
 	return units.Bytes(w.cfg.Procs*w.cfg.Transfers()) * w.cfg.TransferSize
-}
-
-// startCollective runs the workload as rounds of two-phase collective
-// reads: round k covers the shared-file stripe
-// [k*Procs*TransferSize, (k+1)*Procs*TransferSize), with process i
-// owning the i-th transfer of the stripe. All processes advance in
-// lockstep, as MPI-IO collectives do.
-func (w *IOR) startCollective(eng *sim.Engine) {
-	w.remaining = 1
-	procs := make([]*client.Proc, w.cfg.Procs)
-	cores := w.node.Config().Cores
-	for i := range procs {
-		procs[i] = w.node.NewProc(i, (w.cfg.FirstCore+i)%cores)
-	}
-	rounds := w.cfg.Transfers()
-	cfg := collective.Config{Aggregators: w.cfg.Aggregators}
-	var round func(k int) func(*collective.Result)
-	round = func(k int) func(*collective.Result) {
-		return func(*collective.Result) {
-			now := eng.Now()
-			if k >= rounds {
-				for i := range procs {
-					w.perProc[i] = now
-				}
-				w.remaining = 0
-				w.finished = now
-				if w.onDone != nil {
-					w.onDone(now)
-				}
-				return
-			}
-			stripe := units.Bytes(w.cfg.Procs) * w.cfg.TransferSize
-			err := collective.Read(eng, w.node, procs, w.cfg.FirstFile,
-				units.Bytes(k)*stripe, w.cfg.TransferSize, cfg,
-				round(k+1))
-			if err != nil {
-				panic(fmt.Sprintf("workload: collective: %v", err))
-			}
-		}
-	}
-	eng.Immediately(func(units.Time) { round(0)(nil) })
 }

@@ -191,99 +191,3 @@ func TestRandomAccessIsSeededDeterministic(t *testing.T) {
 		t.Errorf("seeded random runs differ: %v vs %v", a, b)
 	}
 }
-
-func TestSegmentedSharedFile(t *testing.T) {
-	eng, node := rig(t)
-	cfg := IORConfig{
-		Procs:        3,
-		TransferSize: 256 * units.KiB,
-		BytesPerProc: units.MiB,
-		FirstFile:    9,
-		Segmented:    true,
-	}
-	w, err := NewIOR(node, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start(eng)
-	eng.RunUntilIdle()
-	// One shared file: exactly one metadata round trip.
-	if got := node.Stats().MetadataTrips; got != 1 {
-		t.Errorf("metadata trips = %d, want 1 for a shared file", got)
-	}
-	if got := node.Stats().BytesRead; got != 3*units.MiB {
-		t.Errorf("bytes = %v, want 3MiB", got)
-	}
-}
-
-func TestThinkTimeSlowsTheLoop(t *testing.T) {
-	run := func(think units.Time) units.Time {
-		eng, node := rig(t)
-		cfg := IORConfig{
-			Procs: 1, TransferSize: 256 * units.KiB, BytesPerProc: units.MiB,
-			FirstFile: 1, ThinkTime: think,
-		}
-		w, err := NewIOR(node, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start(eng)
-		return eng.RunUntilIdle()
-	}
-	base := run(0)
-	slow := run(10 * units.Millisecond)
-	// Three inter-transfer gaps of 10 ms.
-	if slow-base < 25*units.Millisecond {
-		t.Errorf("think time added only %v", slow-base)
-	}
-	if _, err := NewIOR(nil, IORConfig{Procs: 1, TransferSize: 1, BytesPerProc: 1, ThinkTime: -1}, nil); err == nil {
-		t.Error("negative think time accepted")
-	}
-}
-
-func TestCollectiveWorkload(t *testing.T) {
-	eng, node := rig(t)
-	cfg := IORConfig{
-		Procs:        4,
-		TransferSize: 256 * units.KiB,
-		BytesPerProc: units.MiB,
-		FirstFile:    3,
-		Aggregators:  2,
-	}
-	var doneAt units.Time
-	w, err := NewIOR(node, cfg, func(now units.Time) { doneAt = now })
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start(eng)
-	eng.RunUntilIdle()
-	if doneAt == 0 {
-		t.Fatal("collective workload never finished")
-	}
-	if w.Finished() != doneAt {
-		t.Errorf("Finished = %v vs %v", w.Finished(), doneAt)
-	}
-	if got := node.Stats().BytesRead; got != 4*units.MiB {
-		t.Errorf("bytes = %v, want 4MiB", got)
-	}
-	for i := 0; i < cfg.Procs; i++ {
-		if w.ProcFinished(i) != doneAt {
-			t.Errorf("proc %d finished at %v; collective rounds are lockstep", i, w.ProcFinished(i))
-		}
-	}
-	// Redistribution happened: procs 2 and 3 are not aggregators.
-	if node.Caches().Aggregate().RemoteTransfers == 0 {
-		t.Error("no redistribution traffic in collective mode")
-	}
-}
-
-func TestCollectiveValidation(t *testing.T) {
-	bad := IORConfig{Procs: 2, TransferSize: units.MiB, BytesPerProc: units.MiB, Aggregators: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative aggregators accepted")
-	}
-	bad = IORConfig{Procs: 2, TransferSize: units.MiB, BytesPerProc: units.MiB, Aggregators: 1, Write: true}
-	if err := bad.Validate(); err == nil {
-		t.Error("collective writes accepted")
-	}
-}

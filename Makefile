@@ -67,7 +67,8 @@ bench-output:
 # (sim), the core run queue (cpu), the interrupt steer-and-deliver path
 # (apic), the frame datapath (netsim), the page cache and the piece
 # service stages (pfs), the block cache's fill-consume-release cycle
-# (cache), the shard round (shard), plus the sharded
+# (cache), the disk elevator's dispatch at queue depths 8 and 4096
+# (disk), the shard round (shard), plus the sharded
 # executor's 256-node scaling rows. bench-record snapshots the
 # current numbers into BENCH_sim.json (commit it); bench-check compares
 # a fresh run against the committed baseline and fails the build on a
@@ -85,6 +86,7 @@ bench-record:
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
 	  $(GO) test -run '^$$' -bench SystemFillConsume -benchmem -count $(BENCH_COUNT) ./internal/cache ; \
+	  $(GO) test -run '^$$' -bench DiskDispatch -benchmem -count $(BENCH_COUNT) ./internal/disk ; \
 	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -record BENCH_sim.json
@@ -97,6 +99,7 @@ bench-check:
 	  $(GO) test -run '^$$' -bench FrameDelivery -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'PageCacheGet|PieceService' -benchmem -count $(BENCH_COUNT) ./internal/pfs ; \
 	  $(GO) test -run '^$$' -bench SystemFillConsume -benchmem -count $(BENCH_COUNT) ./internal/cache ; \
+	  $(GO) test -run '^$$' -bench DiskDispatch -benchmem -count $(BENCH_COUNT) ./internal/disk ; \
 	  $(GO) test -run '^$$' -bench ShardRound -benchmem -count $(BENCH_COUNT) ./internal/shard ; \
 	  $(GO) test -run '^$$' -bench ShardedScaling -benchmem -count $(SHARD_BENCH_COUNT) . ; } \
 	| $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json -strict

@@ -44,6 +44,13 @@ const (
 	firstServerNode netsim.NodeID = 100
 )
 
+// MinStripSize is the smallest strip Validate accepts: one 4 KiB page.
+// Every strip is a request, a frame train and an interrupt, so events
+// per byte grow as the strip shrinks: 1-byte strips would turn the
+// default 64 MiB run into 67 million strips. The smallest strip any
+// committed study uses is 16 KiB.
+const MinStripSize = 4 * units.KiB
+
 // Config describes one experiment run. DefaultConfig returns the
 // paper's testbed shape; the evaluation harness varies the fields each
 // figure sweeps.
@@ -67,7 +74,7 @@ type Config struct {
 	CachePerCore   units.Bytes
 	FabricLatency  units.Time
 
-	// File system.
+	// File system. StripSize is at least MinStripSize.
 	StripSize units.Bytes
 
 	// Workload (per client).
@@ -233,8 +240,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: clients %d must be positive", c.Clients)
 	case c.Servers <= 0:
 		return fmt.Errorf("cluster: servers %d must be positive", c.Servers)
-	case c.StripSize <= 0:
-		return fmt.Errorf("cluster: strip size must be positive")
+	case c.StripSize < MinStripSize:
+		return fmt.Errorf("cluster: strip size %v below the %v minimum", c.StripSize, MinStripSize)
 	case c.TransferSize < c.StripSize:
 		return fmt.Errorf("cluster: transfer %v below strip %v", c.TransferSize, c.StripSize)
 	case c.RandomClients < 0 || c.RandomClients > c.Clients:

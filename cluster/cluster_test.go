@@ -275,6 +275,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CoresPerClient = 0 },
 		func(c *Config) { c.ClientNICRate = 0 },
 		func(c *Config) { c.StripSize = 0 },
+		func(c *Config) { c.StripSize = 1 },
+		func(c *Config) { c.StripSize = MinStripSize - 1 },
 		func(c *Config) { c.ProcsPerClient = 0 },
 		func(c *Config) { c.TransferSize = units.KiB },
 		func(c *Config) { c.BytesPerProc = units.KiB },

@@ -1,6 +1,9 @@
 // Package deque provides the FIFO used by every simulated hardware
 // queue: a core's run queue, a local APIC's in-flight vectors, a FIFO
-// server's completion callbacks, and a client core's steered frames.
+// server's completion callbacks, a client core's steered frames, a
+// Flow Director's eviction order, and a disk's elevator queue, which
+// dispatches from anywhere in its first few entries through At and
+// RemoveAt.
 package deque
 
 // Deque is a ring-buffer double-ended queue of values. The zero value
@@ -56,6 +59,33 @@ func (d *Deque[T]) PopFront() T {
 	d.buf[d.head] = zero
 	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
+	return v
+}
+
+// At returns the i-th value from the front; i must be in [0, Len()).
+func (d *Deque[T]) At(i int) T {
+	if i < 0 || i >= d.n {
+		panic("deque: At index out of range")
+	}
+	return d.buf[(d.head+i)&(len(d.buf)-1)]
+}
+
+// RemoveAt removes and returns the i-th value from the front, keeping
+// the order of the rest; i must be in [0, Len()). It shifts the i
+// values ahead of the removed one back by a slot and pops the front,
+// so it costs O(i) whatever the depth.
+//
+//saisvet:allocfree
+func (d *Deque[T]) RemoveAt(i int) T {
+	if i < 0 || i >= d.n {
+		panic("deque: RemoveAt index out of range")
+	}
+	mask := len(d.buf) - 1
+	v := d.buf[(d.head+i)&mask]
+	for j := i; j > 0; j-- {
+		d.buf[(d.head+j)&mask] = d.buf[(d.head+j-1)&mask]
+	}
+	d.PopFront()
 	return v
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"sais/internal/deque"
 	"sais/internal/rng"
 	"sais/internal/sim"
 	"sais/internal/units"
@@ -85,8 +86,11 @@ type Disk struct {
 	cfg     Config
 	eng     *sim.Engine
 	rotSeed uint64
-	queue   []request
-	busy    bool
+	// queue holds the waiting requests in arrival order. The elevator
+	// dispatches from its first ElevatorWindow entries only, so the
+	// ring's O(i) RemoveAt keeps dispatch O(window) at any depth.
+	queue deque.Deque[request]
+	busy  bool
 	// cur is the request in service. The drive serves one at a time, so
 	// a single completion event, bound on the first dispatch, finishes
 	// every request.
@@ -113,7 +117,7 @@ func (d *Disk) Stats() Stats { return d.stats }
 
 // QueueLen returns the number of requests waiting (excluding the one in
 // service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return d.queue.Len() }
 
 // Read enqueues a read of size bytes at lba; done fires at completion.
 func (d *Disk) Read(lba, size units.Bytes, done sim.Event) {
@@ -133,7 +137,7 @@ func (d *Disk) enqueue(lba, size units.Bytes, write bool, done sim.Event) {
 	if lba < 0 || lba+size > d.cfg.Span {
 		panic(fmt.Sprintf("disk: request [%d,%d) outside span %d", lba, lba+size, d.cfg.Span))
 	}
-	d.queue = append(d.queue, request{lba: lba, size: size, write: write, done: done})
+	d.queue.PushBack(request{lba: lba, size: size, write: write, done: done})
 	if !d.busy {
 		d.dispatch()
 	}
@@ -141,14 +145,12 @@ func (d *Disk) enqueue(lba, size units.Bytes, write bool, done sim.Event) {
 
 // dispatch starts the best queued request per the elevator policy.
 func (d *Disk) dispatch() {
-	if len(d.queue) == 0 {
+	if d.queue.Len() == 0 {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	idx := d.pick()
-	req := d.queue[idx]
-	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
+	req := d.queue.RemoveAt(d.pick())
 
 	cost := d.serviceTime(req)
 	d.stats.Requests++
@@ -183,13 +185,10 @@ func (d *Disk) complete(now units.Time) {
 // first ElevatorWindow queued — a bounded shortest-seek-first that
 // cannot starve (the window slides with the FIFO).
 func (d *Disk) pick() int {
-	limit := d.cfg.ElevatorWindow
-	if limit > len(d.queue) {
-		limit = len(d.queue)
-	}
+	limit := min(d.cfg.ElevatorWindow, d.queue.Len())
 	best, bestDist := 0, units.Bytes(-1)
 	for i := 0; i < limit; i++ {
-		dist := d.queue[i].lba - d.head
+		dist := d.queue.At(i).lba - d.head
 		if dist < 0 {
 			dist = -dist
 		}

@@ -2,6 +2,7 @@ package irqsched
 
 import (
 	"sais/internal/apic"
+	"sais/internal/deque"
 	"sais/internal/toeplitz"
 	"sais/internal/units"
 )
@@ -24,7 +25,7 @@ import (
 type FlowDirector struct {
 	capacity int
 	table    map[uint64]int
-	order    []uint64 // insertion order, oldest first, for eviction
+	order    deque.Deque[uint64] // insertion order, oldest first, for eviction
 
 	inserts   uint64
 	updates   uint64
@@ -59,13 +60,11 @@ func (f *FlowDirector) NoteTransmit(flow uint64, core int) {
 		return
 	}
 	if len(f.table) >= f.capacity {
-		oldest := f.order[0]
-		f.order = f.order[1:]
-		delete(f.table, oldest)
+		delete(f.table, f.order.PopFront())
 		f.evictions++
 	}
 	f.table[flow] = core
-	f.order = append(f.order, flow)
+	f.order.PushBack(flow)
 	f.inserts++
 }
 

@@ -133,6 +133,44 @@ func TestFlowDirectorEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestFlowDirectorEvictionOrder pins the FIFO eviction of a full
+// table: ten flows through four entries evict in insertion order, and
+// retargeting a resident flow does not refresh its place.
+func TestFlowDirectorEvictionOrder(t *testing.T) {
+	p := NewFlowDirector(4)
+	var evicted []uint64
+	for flow := uint64(0); flow < 10; flow++ {
+		before := make(map[uint64]bool, len(p.table))
+		for f := range p.table {
+			before[f] = true
+		}
+		p.NoteTransmit(flow, int(flow%4))
+		if flow == 6 {
+			p.NoteTransmit(4, 3) // retarget flow 4 from core 0
+		}
+		for f := range before {
+			if _, ok := p.table[f]; !ok {
+				evicted = append(evicted, f)
+			}
+		}
+		if len(p.table) > 4 || p.order.Len() != len(p.table) {
+			t.Fatalf("after flow %d: %d entries, %d in eviction order, capacity 4", flow, len(p.table), p.order.Len())
+		}
+	}
+	if want := []uint64{0, 1, 2, 3, 4, 5}; !slices.Equal(evicted, want) {
+		t.Errorf("evicted %v, want %v", evicted, want)
+	}
+	for flow := uint64(6); flow < 10; flow++ {
+		if core, ok := p.table[flow]; !ok || core != int(flow%4) {
+			t.Errorf("flow %d -> core %d (resident %v), want core %d", flow, core, ok, flow%4)
+		}
+	}
+	c := p.Counters()
+	if c["fd_evictions"] != 6 || c["fd_inserts"] != 10 || c["fd_updates"] != 1 {
+		t.Errorf("counters = %v, want 6 evictions, 10 inserts, 1 update", c)
+	}
+}
+
 func TestFlowDirectorDeterministic(t *testing.T) {
 	run := func() []int {
 		p := NewFlowDirector(8)

@@ -361,37 +361,55 @@ type OpError struct {
 
 // Error implements the error interface.
 func (e OpError) Error() string {
-	op := "read"
+	kind := "read"
 	if e.Write {
-		op = "write"
+		kind = "write"
 	}
 	if e.Partial {
 		return fmt.Sprintf("client %d: %s of file %d (tag %d) degraded to partial at deadline: %v delivered, %d strips missing after %d retries (%v in flight)",
-			e.Client, op, e.File, e.Tag, e.BytesDelivered, e.StripsMissing, e.Retries, e.FailedAt-e.IssuedAt)
+			e.Client, kind, e.File, e.Tag, e.BytesDelivered, e.StripsMissing, e.Retries, e.FailedAt-e.IssuedAt)
 	}
 	return fmt.Sprintf("client %d: %s of file %d (tag %d) abandoned after %d retries (%v in flight)",
-		e.Client, op, e.File, e.Tag, e.Retries, e.FailedAt-e.IssuedAt)
+		e.Client, kind, e.File, e.Tag, e.Retries, e.FailedAt-e.IssuedAt)
 }
 
-// read tracks one in-flight transfer.
-type read struct {
-	proc     *Proc
-	issuedAt units.Time
-	file     pfs.FileID
-	tag      uint64
-	plans    []pfs.ServerPlan
-	hint     netsim.AffHint
-	localEOF func(serverIdx int) units.Bytes
-	got      stripSet // arrived strips, for dedupe and resend
-	// flows holds the per-server receive state, parallel to plans.
+// op tracks one transfer, read or write, from its syscall to its
+// resolution. The two kinds differ only where the protocols do: a read
+// sends one request per server and its strips land in the handling
+// cores' caches for the process to consume; a write pushes its strips
+// and completes on their acknowledgements.
+type op struct {
+	n     *Node
+	write bool
+	proc  *Proc
+	// file, offset and length are the request, kept while the layout is
+	// in flight; done fires once the process has the result.
+	file           pfs.FileID
+	offset, length units.Bytes
+	done           sim.Event
+	issuedAt       units.Time
+	tag            uint64
+	layout         pfs.CheckedLayout
+	plans          []pfs.ServerPlan
+	hint           netsim.AffHint
+	got            stripSet // arrived strips or acks, for dedupe and resend
+	// flows holds a read's per-server receive state, parallel to plans.
 	flows     []planFlow
-	remaining int
-	bytes     units.Bytes
-	blocks    []blockRef
+	remaining int         // strips not yet arrived or acknowledged
+	bytes     units.Bytes // payload delivered so far
+	blocks    []blockRef  // a read's strips in the client caches
 	retries   int
-	partial   bool // deadline hit with strips in hand: consume what arrived
-	timer     sim.Timer
-	done      sim.Event
+	// partial marks a deadline hit with strips in hand: the op completes
+	// with what arrived. failed marks an abandoned op: it delivers
+	// nothing and its process never wakes.
+	partial, failed bool
+	woke            units.Time // when a reader woke to consume
+	timer           sim.Timer
+	// Events bound once, when the record is created: the syscall's
+	// completion starts the op, the retry timer re-sends what is
+	// missing, the wake IPI resumes the process, and the consume
+	// compute finishes a read.
+	startFn, retryFn, wakeFn, finishFn sim.Event
 }
 
 // planFlow is one server's receive state within a read transfer.
@@ -475,32 +493,6 @@ type blockRef struct {
 	strip int // global strip index, for span identity
 }
 
-// writeOp tracks one in-flight write transfer: strips are pushed to the
-// servers and the operation completes when every strip is acknowledged.
-type writeOp struct {
-	proc      *Proc
-	issuedAt  units.Time
-	file      pfs.FileID
-	tag       uint64
-	plans     []pfs.ServerPlan
-	hint      netsim.AffHint
-	acked     stripSet
-	remaining int
-	bytes     units.Bytes
-	retries   int
-	timer     sim.Timer
-	done      sim.Event
-}
-
-// pendingOpen queues operations issued before the file's layout arrived.
-type pendingOpen struct {
-	offset  units.Bytes
-	length  units.Bytes
-	isWrite bool
-	proc    *Proc
-	done    sim.Event
-}
-
 // openState tracks the in-flight metadata request for one file, so a
 // lost layout request or reply is retried instead of parking the file's
 // operations forever.
@@ -540,20 +532,19 @@ type Node struct {
 	reorderIssue bool
 	srvLat       []latencyEWMA
 
-	layouts  map[pfs.FileID]pfs.CheckedLayout
-	opening  map[pfs.FileID][]pendingOpen
+	layouts map[pfs.FileID]pfs.CheckedLayout
+	// opening parks the ops issued before their file's layout arrived.
+	opening  map[pfs.FileID][]*op
 	opens    map[pfs.FileID]*openState
 	openTags map[uint64]pfs.FileID
-	reads    map[uint64]*read
-	writes   map[uint64]*writeOp
-	nextTag  uint64
-	// freeReads/freeWrites recycle transfer records (and their interior
-	// slice capacity): one record per strip-bearing transfer is the
-	// client's highest allocation churn after frames. A record is freed
-	// only at the end of its final event (completion compute closure or
-	// retry-exhaustion abandon), when no timer or closure references it.
-	freeReads  []*read
-	freeWrites []*writeOp
+	// ops holds the issued, unresolved transfers of both kinds by tag.
+	ops     map[uint64]*op
+	nextTag uint64
+	// freeOps recycles transfer records (their bound events and interior
+	// slice capacity): one record per transfer is the client's highest
+	// allocation churn after frames. A record is freed only in its final
+	// event (finish), when no timer or event references it.
+	freeOps []*op
 	// frameq holds frames routed to each core, consumed by the local
 	// APIC handler in FIFO order.
 	frameq []deque.Deque[*netsim.Frame]
@@ -626,11 +617,10 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		nic:      netsim.NewNIC(eng, cfg.Node, cfg.NIC),
 		rnd:      rng.New(cfg.Seed).Split(fmt.Sprintf("client%d", cfg.Node)),
 		layouts:  make(map[pfs.FileID]pfs.CheckedLayout),
-		opening:  make(map[pfs.FileID][]pendingOpen),
+		opening:  make(map[pfs.FileID][]*op),
 		opens:    make(map[pfs.FileID]*openState),
 		openTags: make(map[uint64]pfs.FileID),
-		reads:    make(map[uint64]*read),
-		writes:   make(map[uint64]*writeOp),
+		ops:      make(map[uint64]*op),
 		frameq:   make([]deque.Deque[*netsim.Frame], cfg.Cores),
 		ids:      fab.IDs(),
 	}
@@ -753,9 +743,8 @@ func (p *Proc) ID() int { return p.id }
 // consumed (merged and computed over). This is one IOR loop iteration.
 func (p *Proc) Read(file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	n := p.node
-	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatSyscall, n.cfg.Costs.SyscallTime, func(units.Time) {
-		n.startOp(p, file, offset, length, false, done)
-	})
+	o := n.newOp(p, false, file, offset, length, done)
+	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatSyscall, n.cfg.Costs.SyscallTime, o.startFn)
 }
 
 // Write issues a synchronous parallel write of [offset, offset+length)
@@ -767,16 +756,17 @@ func (p *Proc) Read(file pfs.FileID, offset, length units.Bytes, done sim.Event)
 func (p *Proc) Write(file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	n := p.node
 	produce := n.cfg.Costs.SyscallTime + units.Time(float64(length)*n.cfg.Costs.ComputePerByte)
-	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatCompute, produce, func(units.Time) {
-		n.startOp(p, file, offset, length, true, done)
-	})
+	o := n.newOp(p, true, file, offset, length, done)
+	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatCompute, produce, o.startFn)
 }
 
-// startOp runs after the syscall cost; it resolves the layout (via the
-// MDS on first touch) and fans the operation out to the I/O servers.
-func (n *Node) startOp(p *Proc, file pfs.FileID, offset, length units.Bytes, isWrite bool, done sim.Event) {
+// start runs after the syscall (a write's: after producing the data);
+// it resolves the layout (via the MDS on first touch, parking the op
+// until the reply) and fans the operation out to the I/O servers.
+func (o *op) start(units.Time) {
+	n, file := o.n, o.file
 	if _, ok := n.layouts[file]; !ok {
-		n.opening[file] = append(n.opening[file], pendingOpen{offset: offset, length: length, isWrite: isWrite, proc: p, done: done})
+		n.opening[file] = append(n.opening[file], o)
 		if len(n.opening[file]) == 1 {
 			n.nextTag++
 			tag := n.nextTag
@@ -788,11 +778,7 @@ func (n *Node) startOp(p *Proc, file pfs.FileID, offset, length units.Bytes, isW
 		}
 		return
 	}
-	if isWrite {
-		n.issueWrite(p, file, offset, length, done)
-	} else {
-		n.issue(p, file, offset, length, done)
-	}
+	n.issue(o)
 }
 
 // sendLayoutRequest asks the MDS for file's layout.
@@ -827,9 +813,9 @@ func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 		delete(n.openTags, st.tag)
 		parked := n.opening[file]
 		delete(n.opening, file)
-		for _, po := range parked {
-			n.abandon(OpError{Write: po.isWrite, Client: n.cfg.Node, File: file, Tag: st.tag,
-				Retries: st.retries, IssuedAt: st.issuedAt, FailedAt: n.eng.Now()})
+		for _, o := range parked {
+			o.tag, o.retries, o.issuedAt, o.failed = st.tag, st.retries, st.issuedAt, true
+			o.finish(n.eng.Now())
 		}
 		return
 	}
@@ -839,198 +825,65 @@ func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 	n.armOpenTimer(file, st)
 }
 
-// issueWrite pushes a transfer's strips to their servers and waits for
-// acknowledgements.
-func (n *Node) issueWrite(p *Proc, file pfs.FileID, offset, length units.Bytes, done sim.Event) {
-	layout := n.layouts[file]
-	plans, err := layout.Extents(offset, length)
+// issue stamps the op with a tag and the issuing core's hint, sends it
+// to its servers and arms its retry timer.
+func (n *Node) issue(o *op) {
+	layout := n.layouts[o.file]
+	plans, err := layout.Extents(o.offset, o.length)
 	if err != nil {
 		panic(fmt.Sprintf("client: extents: %v", err))
 	}
-	hint, err := n.msgr.Annotate(p.core)
-	if err != nil {
-		panic(fmt.Sprintf("client: hint: %v", err))
-	}
-	n.nextTag++
-	tag := n.nextTag
-	w := n.newWrite()
-	w.proc, w.issuedAt, w.file, w.tag = p, n.eng.Now(), file, tag
-	w.plans, w.hint, w.done = plans, hint, done
-	w.acked.reset(stripRange(plans))
-	for _, plan := range plans {
-		w.remaining += len(plan.Pieces)
-		for _, piece := range plan.Pieces {
-			w.bytes += piece.Size
-		}
-	}
-	n.writes[tag] = w
-	n.sendWriteStrips(w, plans)
-	n.armWriteTimer(w)
-}
-
-// sendWriteStrips pushes the strips covered by plans to their servers.
-func (n *Node) sendWriteStrips(w *writeOp, plans []pfs.ServerPlan) {
-	for _, plan := range plans {
-		for _, piece := range plan.Pieces {
-			n.nic.Send(plan.Server, piece.Size, w.hint, &pfs.StripWrite{
-				File: w.file, Tag: w.tag, Client: n.cfg.Node,
-				GlobalStrip: piece.GlobalStrip, ServerOffset: piece.ServerOffset,
-				Size: piece.Size,
-			})
-		}
-		if n.txObs != nil {
-			n.txObs.NoteTransmit(uint64(plan.Server), w.proc.core)
-		}
-	}
-}
-
-// armWriteTimer schedules the write retry timeout, if enabled.
-func (n *Node) armWriteTimer(w *writeOp) {
-	if n.cfg.RetryTimeout <= 0 {
-		return
-	}
-	w.timer = n.eng.After(n.retryDelayFor(w.tag, w.retries, w.issuedAt), func(units.Time) {
-		n.retryWrite(w)
-	})
-}
-
-// retryDelayFor is RetryDelay clamped so the timer never sleeps past
-// the transfer deadline: the attempt that would cross it fires exactly
-// at the deadline and resolves the transfer there instead.
-func (n *Node) retryDelayFor(tag uint64, attempt int, issuedAt units.Time) units.Time {
-	d := n.cfg.RetryDelay(tag, attempt)
-	if dl := n.cfg.TransferDeadline; dl > 0 {
-		if rem := issuedAt + dl - n.eng.Now(); rem > 0 && rem < d {
-			d = rem
-		}
-	}
-	return d
-}
-
-// retryWrite re-pushes unacknowledged strips. After MaxRetries — or,
-// with a TransferDeadline configured, once the deadline passes — the
-// write resolves: partially if any strips were acknowledged (graceful
-// degradation), abandoned otherwise.
-func (n *Node) retryWrite(w *writeOp) {
-	if _, live := n.writes[w.tag]; !live {
-		return
-	}
-	now := n.eng.Now()
-	pastDeadline := n.cfg.TransferDeadline > 0 && now-w.issuedAt >= n.cfg.TransferDeadline
-	if w.retries >= n.cfg.MaxRetries || pastDeadline {
-		delete(n.writes, w.tag)
-		if acked := ackedBytes(w.plans, &w.acked); n.cfg.TransferDeadline > 0 && acked > 0 {
-			n.completePartialWrite(w, acked)
-			return
-		}
-		n.abandon(OpError{Write: true, Client: n.cfg.Node, File: w.file, Tag: w.tag, Retries: w.retries,
-			IssuedAt: w.issuedAt, FailedAt: now})
-		n.freeWrite(w)
-		return
-	}
-	w.retries++
-	n.stats.Retries++
-	missing := missingPlans(w.plans, &w.acked)
-	n.countRetriedStrips(missing)
-	n.sendWriteStrips(w, missing)
-	n.armWriteTimer(w)
-}
-
-// completePartialWrite finishes a deadline-bound write with only its
-// acknowledged strips: the typed partial record joins the failure list,
-// the acknowledged bytes count as written, and the process wakes so the
-// workload continues past the degraded operation.
-func (n *Node) completePartialWrite(w *writeOp, acked units.Bytes) {
-	p := w.proc
-	missing := w.remaining
-	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(now units.Time) {
-		n.stats.BytesWritten += acked
-		n.stats.PartialTransfers++
-		n.stats.PartialBytes += acked
-		n.writeLatencies = append(n.writeLatencies, float64(now-w.issuedAt))
-		n.opErrors = append(n.opErrors, OpError{Write: true, Client: n.cfg.Node, File: w.file,
-			Tag: w.tag, Retries: w.retries, Partial: true, BytesDelivered: acked,
-			StripsMissing: missing, IssuedAt: w.issuedAt, FailedAt: now})
-		if w.done != nil {
-			w.done(now)
-		}
-		n.freeWrite(w)
-	})
-}
-
-// ackedBytes sums the payload of the strips already acknowledged.
-func ackedBytes(plans []pfs.ServerPlan, acked *stripSet) units.Bytes {
-	var b units.Bytes
-	for _, plan := range plans {
-		for _, piece := range plan.Pieces {
-			if acked.contains(piece.GlobalStrip) {
-				b += piece.Size
-			}
-		}
-	}
-	return b
-}
-
-// issue sends the per-server read requests for a transfer.
-func (n *Node) issue(p *Proc, file pfs.FileID, offset, length units.Bytes, done sim.Event) {
-	layout := n.layouts[file]
-	plans, err := layout.Extents(offset, length)
-	if err != nil {
-		panic(fmt.Sprintf("client: extents: %v", err))
-	}
+	p := o.proc
 	hint, err := n.msgr.Annotate(p.core)
 	if err != nil {
 		panic(fmt.Sprintf("client: hint: %v", err))
 	}
 	// The request has been stamped with the issuing core; if the
-	// scheduler migrates the blocked process now, policy (i)'s hint goes
+	// scheduler migrates a blocked reader now, policy (i)'s hint goes
 	// stale while policy (ii) (CurrentCoreHint) re-resolves it.
-	if n.cfg.MigrateDuringBlock > 0 && n.rnd.Bool(n.cfg.MigrateDuringBlock) {
+	if !o.write && n.cfg.MigrateDuringBlock > 0 && n.rnd.Bool(n.cfg.MigrateDuringBlock) {
 		p.core = n.leastLoadedCore(p.core)
 	}
 	n.nextTag++
-	tag := n.nextTag
-	rd := n.newRead()
-	rd.proc, rd.issuedAt, rd.file, rd.tag = p, n.eng.Now(), file, tag
-	rd.plans, rd.hint, rd.done = plans, hint, done
-	rd.localEOF = func(idx int) units.Bytes { return layout.LocalBytes(idx) }
-	rd.got.reset(stripRange(plans))
-	for _, plan := range plans {
-		rd.remaining += len(plan.Pieces)
-		rd.flows = append(rd.flows, planFlow{})
-	}
-	if n.idleObs != nil {
-		// Count the expected strips once, at issue: retries re-request
-		// strips that are still outstanding, so they add nothing.
-		for i, plan := range plans {
-			rd.flows[i].left = len(plan.Pieces)
-			n.flowOut[plan.Server] += len(plan.Pieces)
-		}
-	}
-	if n.spans != nil {
-		// The issue span opens here (post-migration, so the recorded core
-		// is the one the request actually left from) and is closed by the
-		// server when the request arrives.
+	o.tag, o.issuedAt = n.nextTag, n.eng.Now()
+	o.layout, o.plans, o.hint = layout, plans, hint
+	o.got.reset(stripRange(plans))
+	o.remaining = len(o.got.has)
+	if !o.write {
 		for _, plan := range plans {
+			fl := planFlow{}
+			if n.idleObs != nil {
+				// Count the expected strips once, at issue: retries
+				// re-request strips still outstanding, so they add nothing.
+				fl.left = len(plan.Pieces)
+				n.flowOut[plan.Server] += fl.left
+			}
+			o.flows = append(o.flows, fl)
+			if n.spans == nil {
+				continue
+			}
+			// The issue span opens here (post-migration, so the recorded
+			// core is the one the request actually left from) and is
+			// closed by the server when the request arrives.
 			for _, piece := range plan.Pieces {
-				n.spans.Begin(trace.PhaseIssue, rd.issuedAt,
-					int(n.cfg.Node), int(plan.Server), tag, piece.GlobalStrip, p.core)
+				n.spans.Begin(trace.PhaseIssue, o.issuedAt,
+					int(n.cfg.Node), int(plan.Server), o.tag, piece.GlobalStrip, p.core)
 			}
 		}
 	}
-	n.reads[tag] = rd
-	n.sendReadRequests(rd, plans)
-	n.armReadTimer(rd)
+	n.ops[o.tag] = o
+	n.send(o, plans)
+	n.arm(o)
 }
 
-// sendReadRequests issues the per-server requests covering plans. With
-// straggler-aware scheduling the requests go out slowest-server-first
-// (by the EWMA of observed strip latency), so the straggler's service
-// time overlaps the faster servers. The transmit observer, when set,
-// samples each request's (flow, core) — the NIC tx path Flow Director
-// and A-TFC learn from.
-func (n *Node) sendReadRequests(rd *read, plans []pfs.ServerPlan) {
-	if n.reorderIssue && len(plans) > 1 {
+// send puts plans on the wire: a read sends one request per server, a
+// write the data of every strip. With straggler-aware scheduling read
+// requests go out slowest-server-first (by the EWMA of observed strip
+// latency), so the straggler's service time overlaps the faster
+// servers. The transmit observer, when set, samples each server's
+// (flow, core) — the NIC tx path Flow Director and A-TFC learn from.
+func (n *Node) send(o *op, plans []pfs.ServerPlan) {
+	if n.reorderIssue && !o.write && len(plans) > 1 {
 		ordered := append(make([]pfs.ServerPlan, 0, len(plans)), plans...)
 		sort.SliceStable(ordered, func(i, j int) bool {
 			return n.srvLat[ordered[i].Server].ns > n.srvLat[ordered[j].Server].ns
@@ -1038,104 +891,97 @@ func (n *Node) sendReadRequests(rd *read, plans []pfs.ServerPlan) {
 		plans = ordered
 	}
 	for _, plan := range plans {
-		n.nic.Send(plan.Server, pfs.RequestSize, rd.hint, &pfs.ReadRequest{
-			File: rd.file, Tag: rd.tag, Client: n.cfg.Node, Pieces: plan.Pieces,
-			LocalEOF: rd.localEOF(plan.ServerIdx),
-		})
+		if o.write {
+			for _, piece := range plan.Pieces {
+				n.nic.Send(plan.Server, piece.Size, o.hint, &pfs.StripWrite{
+					File: o.file, Tag: o.tag, Client: n.cfg.Node,
+					GlobalStrip: piece.GlobalStrip, ServerOffset: piece.ServerOffset,
+					Size: piece.Size,
+				})
+			}
+		} else {
+			n.nic.Send(plan.Server, pfs.RequestSize, o.hint, &pfs.ReadRequest{
+				File: o.file, Tag: o.tag, Client: n.cfg.Node, Pieces: plan.Pieces,
+				LocalEOF: o.layout.LocalBytes(plan.ServerIdx),
+			})
+		}
 		if n.txObs != nil {
-			n.txObs.NoteTransmit(uint64(plan.Server), rd.proc.core)
+			n.txObs.NoteTransmit(uint64(plan.Server), o.proc.core)
 		}
 	}
 }
 
-// armReadTimer schedules the retry timeout for rd, if enabled.
-func (n *Node) armReadTimer(rd *read) {
+// arm schedules o's retry timeout, if enabled. The delay follows
+// RetryDelay, clamped so the timer never sleeps past the transfer
+// deadline: the attempt that would cross it fires exactly at the
+// deadline and resolves the op there instead.
+func (n *Node) arm(o *op) {
 	if n.cfg.RetryTimeout <= 0 {
 		return
 	}
-	rd.timer = n.eng.After(n.retryDelayFor(rd.tag, rd.retries, rd.issuedAt), func(units.Time) {
-		n.retryRead(rd)
-	})
+	d := n.cfg.RetryDelay(o.tag, o.retries)
+	if dl := n.cfg.TransferDeadline; dl > 0 {
+		if rem := o.issuedAt + dl - n.eng.Now(); rem > 0 && rem < d {
+			d = rem
+		}
+	}
+	o.timer = n.eng.After(d, o.retryFn)
 }
 
-// retryRead re-issues requests covering strips that have not arrived.
-// After MaxRetries — or, with a TransferDeadline configured, once the
-// deadline passes — the transfer resolves: if any strips landed and the
-// deadline is enabled it degrades to a partial result (the process
-// consumes what arrived), otherwise it is abandoned.
-func (n *Node) retryRead(rd *read) {
-	if _, live := n.reads[rd.tag]; !live {
+// retry re-sends what has not arrived: the requests covering a read's
+// missing strips, or a write's unacknowledged strips. After MaxRetries
+// — or, with a TransferDeadline configured, once the deadline passes —
+// the op resolves instead: if strips were delivered and the deadline
+// is enabled it degrades to a partial result (a reader consumes what
+// arrived), otherwise it is abandoned.
+func (o *op) retry(units.Time) {
+	n := o.n
+	if n.ops[o.tag] != o {
 		return
 	}
 	now := n.eng.Now()
-	pastDeadline := n.cfg.TransferDeadline > 0 && now-rd.issuedAt >= n.cfg.TransferDeadline
-	if rd.retries >= n.cfg.MaxRetries || pastDeadline {
-		delete(n.reads, rd.tag)
+	pastDeadline := n.cfg.TransferDeadline > 0 && now-o.issuedAt >= n.cfg.TransferDeadline
+	if o.retries >= n.cfg.MaxRetries || pastDeadline {
+		delete(n.ops, o.tag)
 		// The missing strips will never be accepted (the tag is gone):
 		// release their flow-idle accounting now.
-		n.releaseFlows(rd)
-		if n.cfg.TransferDeadline > 0 && len(rd.blocks) > 0 {
-			rd.partial = true
-			n.wake(rd, now)
+		n.releaseFlows(o)
+		if n.cfg.TransferDeadline > 0 && o.bytes > 0 {
+			o.partial = true
+			n.wake(o)
 			return
 		}
-		// Free the strips that did arrive; nobody will consume them.
-		for _, b := range rd.blocks {
-			n.caches.Release(b.id)
-		}
-		n.abandon(OpError{Client: n.cfg.Node, File: rd.file, Tag: rd.tag, Retries: rd.retries,
-			IssuedAt: rd.issuedAt, FailedAt: now})
-		n.freeRead(rd)
+		o.failed = true
+		o.finish(now)
 		return
 	}
-	rd.retries++
+	o.retries++
 	n.stats.Retries++
-	missing := missingPlans(rd.plans, &rd.got)
-	n.countRetriedStrips(missing)
-	n.sendReadRequests(rd, missing)
-	n.armReadTimer(rd)
+	missing := missingPlans(o.plans, &o.got)
+	for _, plan := range missing {
+		n.stats.StripsRetried += uint64(len(plan.Pieces))
+	}
+	n.send(o, missing)
+	n.arm(o)
 }
 
-// releaseFlows zeroes a resolving transfer's outstanding-strip counts,
+// releaseFlows zeroes a resolving read's outstanding-strip counts,
 // firing NoteFlowIdle for flows that drain to zero. It iterates the
 // plan list so the callback order is deterministic.
-func (n *Node) releaseFlows(rd *read) {
+func (n *Node) releaseFlows(o *op) {
 	if n.idleObs == nil {
 		return
 	}
-	for i, plan := range rd.plans {
-		rem := rd.flows[i].left
+	for i := range o.flows {
+		rem, srv := o.flows[i].left, o.plans[i].Server
 		if rem <= 0 {
 			continue
 		}
-		rd.flows[i].left = 0
-		n.flowOut[plan.Server] -= rem
-		if n.flowOut[plan.Server] == 0 {
-			n.idleObs.NoteFlowIdle(uint64(plan.Server))
+		o.flows[i].left = 0
+		n.flowOut[srv] -= rem
+		if n.flowOut[srv] == 0 {
+			n.idleObs.NoteFlowIdle(uint64(srv))
 		}
-	}
-}
-
-// abandon records a transfer that exhausted its retries: the typed
-// error joins the node's failure list and the elapsed time joins the
-// latency distribution, so the loss is accounted for rather than
-// silently dropped.
-func (n *Node) abandon(e OpError) {
-	n.stats.FailedTransfers++
-	n.opErrors = append(n.opErrors, e)
-	elapsed := float64(e.FailedAt - e.IssuedAt)
-	if e.Write {
-		n.writeLatencies = append(n.writeLatencies, elapsed)
-	} else {
-		n.latencies = append(n.latencies, elapsed)
-	}
-}
-
-// countRetriedStrips adds the pieces of the re-issued plans to the
-// strip-retry counter.
-func (n *Node) countRetriedStrips(plans []pfs.ServerPlan) {
-	for _, plan := range plans {
-		n.stats.StripsRetried += uint64(len(plan.Pieces))
 	}
 }
 
@@ -1193,8 +1039,8 @@ func (n *Node) onNICInterrupt(now units.Time) {
 			// Policy (ii): re-resolve the hint against the process's
 			// current core (it may have been migrated while blocked).
 			if sd, ok := f.Body.(*pfs.StripData); ok {
-				if rd, live := n.reads[sd.Tag]; live {
-					h = rd.proc.core
+				if o := n.live(sd.Tag, false); o != nil {
+					h = o.proc.core
 				}
 			}
 		}
@@ -1313,7 +1159,7 @@ func (j *softirqJob) run(now units.Time) {
 	case *pfs.StripData:
 		n.stripArrived(core, src, seq, body, now)
 	case *pfs.WriteAck:
-		n.ackArrived(body, now)
+		n.ackArrived(body)
 	case *pfs.LayoutReply:
 		n.layoutArrived(body)
 	}
@@ -1326,21 +1172,19 @@ func (j *softirqJob) run(now units.Time) {
 // frames of the flow completed softirq processing out of send order —
 // the reordering the Flow Director pathology produces.
 func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.StripData, now units.Time) {
-	rd, ok := n.reads[sd.Tag]
-	if !ok {
+	o := n.live(sd.Tag, false)
+	if o == nil {
 		return // transfer already complete or abandoned
 	}
-	slot, pos := rd.got.slot(sd.GlobalStrip), planIndex(rd.plans, src)
-	if slot < 0 || pos < 0 {
+	pos := planIndex(o.plans, src)
+	if pos < 0 {
 		n.stats.StrayStrips++
-		return // not a strip of this transfer, or not from its servers
+		return // not from a server the transfer asked
 	}
-	if rd.got.has[slot] {
-		n.stats.DuplicateStrips++
-		return // duplicate from a retry race
+	if !n.accept(o, sd.GlobalStrip) {
+		return
 	}
-	rd.got.has[slot] = true
-	fl := &rd.flows[pos]
+	fl := &o.flows[pos]
 	if fl.seen && seq < fl.lastSeq {
 		n.stats.ReorderedFrames++
 		if depth := fl.lastSeq - seq; depth > n.stats.ReorderDepthMax {
@@ -1352,10 +1196,10 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if n.spans != nil {
 		n.spans.End(trace.PhaseIRQ, now, int(n.cfg.Node), sd.Tag, sd.GlobalStrip, core)
 	}
-	n.stripHist.Add(float64(now - rd.issuedAt))
+	n.stripHist.Add(float64(now - o.issuedAt))
 	if n.reorderIssue {
 		// Per-server latency EWMA for straggler-aware issue ordering.
-		sample := float64(now - rd.issuedAt)
+		sample := float64(now - o.issuedAt)
 		if lat := &n.srvLat[src]; lat.seen {
 			lat.ns = 0.8*lat.ns + 0.2*sample
 		} else {
@@ -1370,52 +1214,60 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 		}
 	}
 	b := n.caches.Fill(core, sd.Size)
-	rd.blocks = append(rd.blocks, blockRef{id: b, size: sd.Size, strip: sd.GlobalStrip})
-	rd.bytes += sd.Size
-	rd.remaining--
-	if rd.remaining == 0 {
-		delete(n.reads, sd.Tag)
-		rd.timer.Cancel()
-		n.wake(rd, now)
-	}
+	o.blocks = append(o.blocks, blockRef{id: b, size: sd.Size, strip: sd.GlobalStrip})
+	n.delivered(o, sd.Size)
 }
 
 // ackArrived completes one written strip; the last acknowledgement
 // wakes the writing process.
-func (n *Node) ackArrived(ack *pfs.WriteAck, _ units.Time) {
-	w, ok := n.writes[ack.Tag]
-	if !ok {
-		return
+func (n *Node) ackArrived(ack *pfs.WriteAck) {
+	if o := n.live(ack.Tag, true); o != nil && n.accept(o, ack.GlobalStrip) {
+		n.delivered(o, ack.Size)
 	}
-	slot := w.acked.slot(ack.GlobalStrip)
-	if slot < 0 {
-		n.stats.StrayStrips++
-		return // not a strip of this transfer
-	}
-	if w.acked.has[slot] {
-		n.stats.DuplicateStrips++
-		return // duplicate ack from a retried strip
-	}
-	w.acked.has[slot] = true
-	w.remaining--
-	if w.remaining > 0 {
-		return
-	}
-	delete(n.writes, ack.Tag)
-	w.timer.Cancel()
-	p := w.proc
-	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(now units.Time) {
-		n.stats.BytesWritten += w.bytes
-		n.stats.WriteTransfers++
-		n.writeLatencies = append(n.writeLatencies, float64(now-w.issuedAt))
-		if w.done != nil {
-			w.done(now)
-		}
-		n.freeWrite(w)
-	})
 }
 
-// layoutArrived installs a layout and issues the reads parked on it.
+// live returns the unresolved op of the given kind that tag names, or
+// nil. A strip naming a write's tag, or an ack naming a read's, is
+// dropped like one naming a finished op.
+func (n *Node) live(tag uint64, write bool) *op {
+	if o := n.ops[tag]; o != nil && o.write == write {
+		return o
+	}
+	return nil
+}
+
+// accept marks strip arrived (or acknowledged) on o. It reports false,
+// counting the drop, for a strip outside o and for a duplicate that a
+// retry race delivered twice.
+//
+//saisvet:allocfree
+func (n *Node) accept(o *op, strip int) bool {
+	slot := o.got.slot(strip)
+	if slot < 0 {
+		n.stats.StrayStrips++
+		return false
+	}
+	if o.got.has[slot] {
+		n.stats.DuplicateStrips++
+		return false
+	}
+	o.got.has[slot] = true
+	return true
+}
+
+// delivered adds an accepted strip's payload to o; the last strip
+// resolves the op and wakes its process.
+func (n *Node) delivered(o *op, size units.Bytes) {
+	o.bytes += size
+	o.remaining--
+	if o.remaining == 0 {
+		delete(n.ops, o.tag)
+		o.timer.Cancel()
+		n.wake(o)
+	}
+}
+
+// layoutArrived installs a layout and issues the ops parked on it.
 func (n *Node) layoutArrived(rep *pfs.LayoutReply) {
 	file, ok := n.openTags[rep.Tag]
 	if !ok {
@@ -1438,72 +1290,62 @@ func (n *Node) layoutArrived(rep *pfs.LayoutReply) {
 	n.layouts[file] = layout
 	parked := n.opening[file]
 	delete(n.opening, file)
-	for _, po := range parked {
-		if po.isWrite {
-			n.issueWrite(po.proc, file, po.offset, po.length, po.done)
-		} else {
-			n.issue(po.proc, file, po.offset, po.length, po.done)
-		}
+	for _, o := range parked {
+		n.issue(o)
 	}
 }
 
-// newRead returns a recycled (or fresh) read record.
-func (n *Node) newRead() *read {
-	if k := len(n.freeReads); k > 0 {
-		rd := n.freeReads[k-1]
-		n.freeReads = n.freeReads[:k-1]
-		return rd
+// newOp returns a recycled (or fresh) record for one transfer. A fresh
+// record binds its events here, once, so no transfer allocates a
+// closure.
+//
+//saisvet:allocfree
+func (n *Node) newOp(p *Proc, write bool, file pfs.FileID, offset, length units.Bytes, done sim.Event) *op {
+	var o *op
+	if k := len(n.freeOps); k > 0 {
+		o = n.freeOps[k-1]
+		n.freeOps = n.freeOps[:k-1]
+	} else {
+		//lint:alloc pool growth: one record per peak number of transfers in flight
+		o = &op{n: n}
+		o.startFn, o.retryFn, o.wakeFn, o.finishFn = o.start, o.retry, o.consume, o.finish
 	}
-	return &read{}
+	o.write, o.proc, o.file, o.offset, o.length, o.done = write, p, file, offset, length, done
+	return o
 }
 
-// freeRead recycles a finished read record, keeping its slice
-// capacity. Callers guarantee no timer or pending closure still refers
-// to it: the transfer is out of n.reads and its retry timer has fired
+// freeOp recycles a resolved record, keeping its bound events and
+// slice capacity. Callers guarantee no timer or pending event still
+// refers to it: the op is out of n.ops and its retry timer has fired
 // or been cancelled.
-func (n *Node) freeRead(rd *read) {
-	got, flows, blocks := rd.got.has[:0], rd.flows[:0], rd.blocks[:0]
-	*rd = read{got: stripSet{has: got}, flows: flows, blocks: blocks}
-	n.freeReads = append(n.freeReads, rd)
+//
+//saisvet:allocfree
+func (n *Node) freeOp(o *op) {
+	*o = op{n: n, got: stripSet{has: o.got.has[:0]}, flows: o.flows[:0], blocks: o.blocks[:0],
+		startFn: o.startFn, retryFn: o.retryFn, wakeFn: o.wakeFn, finishFn: o.finishFn}
+	n.freeOps = append(n.freeOps, o)
 }
 
-// newWrite returns a recycled (or fresh) write record.
-func (n *Node) newWrite() *writeOp {
-	if k := len(n.freeWrites); k > 0 {
-		w := n.freeWrites[k-1]
-		n.freeWrites = n.freeWrites[:k-1]
-		return w
+// wake delivers the wakeup IPI to the process's core, which then
+// consumes a read's strips or returns from a write.
+func (n *Node) wake(o *op) {
+	n.cpu.Core(o.proc.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, o.wakeFn)
+}
+
+// consume runs on the woken process's core. A write is done; a read's
+// strips are consumed first: stall costs depend on where each strip
+// resides, then the per-byte compute runs, then the op finishes.
+func (o *op) consume(now units.Time) {
+	if o.write {
+		o.finish(now)
+		return
 	}
-	return &writeOp{}
-}
-
-// freeWrite recycles a finished write record under the same contract
-// as freeRead.
-func (n *Node) freeWrite(w *writeOp) {
-	*w = writeOp{acked: stripSet{has: w.acked.has[:0]}}
-	n.freeWrites = append(n.freeWrites, w)
-}
-
-// wake delivers the wakeup IPI to the process's core and schedules
-// consumption.
-func (n *Node) wake(rd *read, _ units.Time) {
-	p := rd.proc
+	n, p := o.n, o.proc
 	c := n.cpu.Core(p.core)
-	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(units.Time) {
-		n.consume(rd)
-	})
-}
-
-// consume models the process reading every strip of the completed
-// transfer on its core: stall costs depend on where each strip resides,
-// then the per-byte compute runs, then the transfer's done event fires.
-func (n *Node) consume(rd *read) {
-	p := rd.proc
-	c := n.cpu.Core(p.core)
-	consumeStart := n.eng.Now()
+	o.woke = n.eng.Now()
 	lineSize := n.caches.LineSize()
 	var remoteLines, farLines, l3Lines, l3FarLines, memLines, localLines int64
-	for _, b := range rd.blocks {
+	for _, b := range o.blocks {
 		lines := int64((b.size + lineSize - 1) / lineSize)
 		kind, supplier := n.caches.ConsumeFrom(p.core, b.id)
 		switch kind {
@@ -1549,38 +1391,61 @@ func (n *Node) consume(rd *read) {
 		c.Submit(cpu.PrioProcess, cpu.CatMemStall, memStall, nil)
 	}
 	compute := units.Time(localLines)*costs.LocalLine +
-		units.Time(float64(rd.bytes)*costs.ComputePerByte)
-	c.Submit(cpu.PrioProcess, cpu.CatCompute, compute, func(now units.Time) {
-		n.stats.BytesRead += rd.bytes
-		if rd.partial {
-			// Graceful degradation: the strips in hand reached the
-			// application, but the transfer is recorded as a typed partial
-			// result, not a completed one.
-			n.stats.PartialTransfers++
-			n.stats.PartialBytes += rd.bytes
-			n.opErrors = append(n.opErrors, OpError{Client: n.cfg.Node, File: rd.file,
-				Tag: rd.tag, Retries: rd.retries, Partial: true, BytesDelivered: rd.bytes,
-				StripsMissing: rd.remaining, IssuedAt: rd.issuedAt, FailedAt: now})
-		} else {
-			n.stats.Transfers++
+		units.Time(float64(o.bytes)*costs.ComputePerByte)
+	c.Submit(cpu.PrioProcess, cpu.CatCompute, compute, o.finishFn)
+}
+
+// finish accounts for a resolved op — completed, partial or abandoned,
+// read or write — and recycles its record. Both failure modes surface
+// as a typed OpError, and every op's elapsed time joins the latency
+// distribution, so loss never silently improves it. A completed or
+// partial op delivered its bytes to the application and fires done.
+func (o *op) finish(now units.Time) {
+	n := o.n
+	latencies, moved := &n.latencies, &n.stats.BytesRead
+	if o.write {
+		latencies, moved = &n.writeLatencies, &n.stats.BytesWritten
+	}
+	*latencies = append(*latencies, float64(now-o.issuedAt))
+	e := OpError{Write: o.write, Client: n.cfg.Node, File: o.file, Tag: o.tag,
+		Retries: o.retries, IssuedAt: o.issuedAt, FailedAt: now}
+	switch {
+	case o.failed:
+		// Free the strips that did arrive; nobody will consume them.
+		for _, b := range o.blocks {
+			n.caches.Release(b.id)
 		}
-		n.latencies = append(n.latencies, float64(now-rd.issuedAt))
-		if n.spans != nil {
-			// The whole transfer is consumed as one batch; every strip's
-			// consume span covers the wake→compute-done window on the
-			// process's core.
-			for _, b := range rd.blocks {
-				n.spans.Emit(trace.Span{Phase: trace.PhaseConsume,
-					Start: consumeStart, End: now,
-					Client: int(n.cfg.Node), Server: -1, Tag: rd.tag,
-					Strip: b.strip, Core: p.core})
-			}
+		n.stats.FailedTransfers++
+		n.opErrors = append(n.opErrors, e)
+		n.freeOp(o)
+		return
+	case o.partial:
+		// Graceful degradation: the strips in hand reached the
+		// application, but the op is recorded as a typed partial result,
+		// not a completed one.
+		e.Partial, e.BytesDelivered, e.StripsMissing = true, o.bytes, o.remaining
+		n.stats.PartialTransfers++
+		n.stats.PartialBytes += o.bytes
+		n.opErrors = append(n.opErrors, e)
+	case o.write:
+		n.stats.WriteTransfers++
+	default:
+		n.stats.Transfers++
+	}
+	*moved += o.bytes
+	if n.spans != nil {
+		// A read is consumed as one batch; every strip's consume span
+		// covers the wake→compute-done window on the process's core.
+		for _, b := range o.blocks {
+			n.spans.Emit(trace.Span{Phase: trace.PhaseConsume, Start: o.woke, End: now,
+				Client: int(n.cfg.Node), Server: -1, Tag: o.tag, Strip: b.strip, Core: o.proc.core})
 		}
-		if rd.done != nil {
-			rd.done(now)
-		}
-		n.freeRead(rd)
-	})
+	}
+	done := o.done
+	n.freeOp(o)
+	if done != nil {
+		done(now)
+	}
 }
 
 // sameSocket reports whether cores a and b share a socket under the

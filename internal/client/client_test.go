@@ -1114,35 +1114,52 @@ func TestTransferDeadlinePartialWrite(t *testing.T) {
 }
 
 // TestTransferDeadlineAbandonsEmptyRead: a deadline with nothing in
-// hand is still an abandonment — there is no empty partial result.
+// hand is still an abandonment — there is no empty partial result, for
+// a read or a write.
 func TestTransferDeadlineAbandonsEmptyRead(t *testing.T) {
-	r := newRig(t, irqsched.PolicySourceAware, 2)
-	cfg := r.node.cfg
-	cfg.RetryTimeout = 10 * units.Millisecond
-	cfg.MaxRetries = 100
-	cfg.TransferDeadline = 100 * units.Millisecond
-	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
-	completed := false
-	r.eng.At(0, func(units.Time) {
-		p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm the layout
-			for _, s := range r.servers {
-				s.SetDown(true)
+	for _, write := range []bool{false, true} {
+		name := "read"
+		if write {
+			name = "write"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, irqsched.PolicySourceAware, 2)
+			cfg := r.node.cfg
+			cfg.RetryTimeout = 10 * units.Millisecond
+			cfg.MaxRetries = 100
+			cfg.TransferDeadline = 100 * units.Millisecond
+			r.node.cfg = cfg
+			p := r.node.NewProc(0, 0)
+			op := p.Read
+			if write {
+				op = p.Write
 			}
-			p.Read(1, 0, 128*units.KiB, func(units.Time) { completed = true })
+			completed := false
+			r.eng.At(0, func(units.Time) {
+				p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm the layout
+					for _, s := range r.servers {
+						s.SetDown(true)
+					}
+					op(1, 0, 128*units.KiB, func(units.Time) { completed = true })
+				})
+			})
+			r.eng.RunUntilIdle()
+			if completed {
+				t.Errorf("%s completed with every server down", name)
+			}
+			st := r.node.Stats()
+			if st.FailedTransfers != 1 || st.PartialTransfers != 0 {
+				t.Errorf("failed = %d, partial = %d; want 1 / 0", st.FailedTransfers, st.PartialTransfers)
+			}
+			errs := r.node.OpErrors()
+			if len(errs) != 1 || errs[0].Write != write || errs[0].Partial {
+				t.Fatalf("op errors = %+v, want one abandoned %s", errs, name)
+			}
+			// The deadline bounds the failure: well before 100 retries' worth.
+			if e := errs[0]; e.FailedAt-e.IssuedAt > 2*cfg.TransferDeadline {
+				t.Errorf("abandoned %v after issue; deadline %v did not bound it", e.FailedAt-e.IssuedAt, cfg.TransferDeadline)
+			}
 		})
-	})
-	r.eng.RunUntilIdle()
-	if completed {
-		t.Error("read completed with every server down")
-	}
-	st := r.node.Stats()
-	if st.FailedTransfers != 1 || st.PartialTransfers != 0 {
-		t.Errorf("failed = %d, partial = %d; want 1 / 0", st.FailedTransfers, st.PartialTransfers)
-	}
-	// The deadline bounds the failure: well before 100 retries' worth.
-	if e := r.node.OpErrors()[0]; e.FailedAt-e.IssuedAt > 2*cfg.TransferDeadline {
-		t.Errorf("abandoned %v after issue; deadline %v did not bound it", e.FailedAt-e.IssuedAt, cfg.TransferDeadline)
 	}
 }
 
@@ -1150,9 +1167,11 @@ func TestTransferDeadlineAbandonsEmptyRead(t *testing.T) {
 // the softirq completions of one read and one write: out-of-order
 // FlowSeqs from one server, an in-order stream from another, a
 // duplicate, and strays — a strip outside the transfer, a strip from a
-// server the transfer never asked, and an ack outside the write. The
-// reorder detector, the duplicate and stray counters, and completion
-// must come out exact.
+// server the transfer never asked, and an ack outside the write. A
+// strip naming the write's tag and an ack naming the read's are
+// dropped like unknown tags: reads and writes share one tag table, but
+// neither kind completes the other. The reorder detector, the
+// duplicate and stray counters, and completion must come out exact.
 func TestStripArrivalBookkeeping(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 0)
 	n := r.node
@@ -1165,10 +1184,27 @@ func TestStripArrivalBookkeeping(t *testing.T) {
 	n.layouts[1] = layout
 	p := n.NewProc(0, 0)
 	var readDone, writeDone bool
-	n.issue(p, 1, 0, 6*64*units.KiB, func(units.Time) { readDone = true }) // strips 0..5, tag 1
+	n.issue(n.newOp(p, false, 1, 0, 6*64*units.KiB, func(units.Time) { readDone = true })) // strips 0..5, tag 1
+	n.issue(n.newOp(p, true, 1, 0, 2*64*units.KiB, func(units.Time) { writeDone = true })) // strips 0..1, tag 2
 	strip := func(src netsim.NodeID, seq uint64, s int) {
 		n.stripArrived(0, src, seq, &pfs.StripData{File: 1, Tag: 1, GlobalStrip: s, Size: 64 * units.KiB}, r.eng.Now())
 	}
+	ack := func(tag uint64, s int) {
+		n.ackArrived(&pfs.WriteAck{File: 1, Tag: tag, GlobalStrip: s, Size: 64 * units.KiB})
+	}
+	// Cross-kind tags: no counter moves and both ops stay live.
+	n.stripArrived(0, 100, 1, &pfs.StripData{File: 1, Tag: 2, GlobalStrip: 0, Size: 64 * units.KiB}, r.eng.Now())
+	ack(1, 0)
+	if st := n.Stats(); st.StrayStrips != 0 || st.DuplicateStrips != 0 || st.ReorderedFrames != 0 {
+		t.Errorf("cross-kind tags moved counters: strays %d, duplicates %d, reordered %d",
+			st.StrayStrips, st.DuplicateStrips, st.ReorderedFrames)
+	}
+	for tag := uint64(1); tag <= 2; tag++ {
+		if o := n.ops[tag]; o == nil || o.remaining != len(o.got.has) {
+			t.Fatalf("op %d not live with nothing delivered after the cross-kind tags", tag)
+		}
+	}
+
 	strip(100, 5, 0)
 	strip(100, 3, 2) // regresses by 2
 	strip(101, 10, 1)
@@ -1177,22 +1213,18 @@ func TestStripArrivalBookkeeping(t *testing.T) {
 	strip(100, 9, 99) // outside the transfer
 	strip(102, 9, 5)  // from a server the transfer never asked
 	strip(100, 1, 4)  // regresses by 4 against seq 5
-	if _, live := n.reads[1]; !live {
+	if _, live := n.ops[1]; !live {
 		t.Fatal("read completed with a strip still missing")
 	}
 	strip(101, 12, 5)
-	if _, live := n.reads[1]; live {
+	if _, live := n.ops[1]; live {
 		t.Fatal("read still live after its last strip")
 	}
 
-	n.issueWrite(p, 1, 0, 2*64*units.KiB, func(units.Time) { writeDone = true }) // strips 0..1, tag 2
-	ack := func(s int) {
-		n.ackArrived(&pfs.WriteAck{File: 1, Tag: 2, GlobalStrip: s, Size: 64 * units.KiB}, r.eng.Now())
-	}
-	ack(0)
-	ack(7) // outside the write
-	ack(0) // duplicate
-	ack(1)
+	ack(2, 0)
+	ack(2, 7) // outside the write
+	ack(2, 0) // duplicate
+	ack(2, 1)
 	r.eng.RunUntilIdle()
 
 	st := n.Stats()

@@ -79,48 +79,50 @@ func NewIOR(node *client.Node, cfg IORConfig, onDone sim.Event) (*IOR, error) {
 // time.
 func (w *IOR) Start(eng *sim.Engine) {
 	w.remaining = w.cfg.Procs
-	cores := w.node.Config().Cores
 	for i := 0; i < w.cfg.Procs; i++ {
-		i := i
-		core := (w.cfg.FirstCore + i) % cores
-		p := w.node.NewProc(i, core)
-		file := w.cfg.FirstFile + pfs.FileID(i)
-		transfers := w.cfg.Transfers()
-		op := p.Read
+		p := w.node.NewProc(i, (w.cfg.FirstCore+i)%w.node.Config().Cores)
+		l := &procLoop{w: w, proc: i, op: p.Read, order: make([]int, w.cfg.Transfers())}
 		if w.cfg.Write {
-			op = p.Write
+			l.op = p.Write
 		}
 		// order[k] is the transfer index of the k-th request: identity
 		// for sequential IOR, a seeded permutation for random mode.
-		order := make([]int, transfers)
-		for k := range order {
-			order[k] = k
+		for k := range l.order {
+			l.order[k] = k
 		}
 		if w.cfg.RandomAccess {
 			r := rng.New(rng.Derive(w.cfg.Seed, uint64(i)))
-			r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			r.Shuffle(len(l.order), func(a, b int) { l.order[a], l.order[b] = l.order[b], l.order[a] })
 		}
-		offset := func(k int) units.Bytes { return units.Bytes(order[k]) * w.cfg.TransferSize }
-		var step func(k int) sim.Event
-		step = func(k int) sim.Event {
-			return func(now units.Time) {
-				if k >= transfers {
-					w.perProc[i] = now
-					w.remaining--
-					if w.remaining == 0 {
-						w.finished = now
-						if w.onDone != nil {
-							w.onDone(now)
-						}
-					}
-					return
-				}
-				op(file, offset(k), w.cfg.TransferSize, step(k+1))
-			}
+		l.next = l.step
+		eng.After(units.Time(i)*w.cfg.Stagger, l.next)
+	}
+}
+
+// procLoop is one process's transfer loop; next, bound once, completes
+// every transfer, so the loop allocates nothing per transfer.
+type procLoop struct {
+	w       *IOR
+	proc, k int // process index (its file is FirstFile+proc), transfers issued
+	op      func(pfs.FileID, units.Bytes, units.Bytes, sim.Event)
+	order   []int
+	next    sim.Event
+}
+
+// step issues the next transfer, or records the process's completion.
+func (l *procLoop) step(now units.Time) {
+	w := l.w
+	if k := l.k; k < len(l.order) {
+		l.k++
+		l.op(w.cfg.FirstFile+pfs.FileID(l.proc), units.Bytes(l.order[k])*w.cfg.TransferSize, w.cfg.TransferSize, l.next)
+		return
+	}
+	w.perProc[l.proc] = now
+	if w.remaining--; w.remaining == 0 {
+		w.finished = now
+		if w.onDone != nil {
+			w.onDone(now)
 		}
-		eng.After(units.Time(i)*w.cfg.Stagger, func(units.Time) {
-			op(file, offset(0), w.cfg.TransferSize, step(1))
-		})
 	}
 }
 

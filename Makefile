@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test race race-short bench bench-record bench-check experiments figures chaos policymatrix scenarios chaos-soak cover clean
+.PHONY: all build vet lint lint-fixtures test race race-short bench bench-record bench-check experiments figures chaos policymatrix scenarios examples chaos-soak cover clean
 
-all: build vet lint test race-short scenarios bench-check
+all: build vet lint test race-short scenarios examples bench-check
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,16 @@ scenarios:
 	$(GO) build -o .bin/saisim ./cmd/saisim
 	.bin/saisim run scenarios/*.json
 	.bin/saisim run -shards 4 scenarios/*.json
+
+# Run every walkthrough under examples/ end to end, so an API change
+# that breaks one fails the build. Output is discarded; the tracing
+# example leaves its Chrome trace in $TMPDIR.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "$(GO) run ./$$e"; $(GO) run ./$$e >/dev/null || exit 1; \
+	done
 
 # Chaos soak: N derived chaos timelines against the invariant suite.
 # One root seed reproduces the whole soak (`make chaos-soak N=50

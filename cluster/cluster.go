@@ -646,20 +646,15 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 	// Arm the fault plan against the assembled cluster. An empty plan
 	// arms to a no-op without drawing randomness, keeping healthy runs
 	// byte-identical.
-	target := faults.Target{
-		Engine:    eng,
-		Fabric:    fab,
-		Servers:   srvs,
-		Clients:   clientIDs,
-		StormNode: stormNode,
-		Rand:      root,
-	}
-	if shards > 1 {
-		target.Engines = engines
-		target.Fabrics = fabrics
-		target.ServerEngine = func(i int) *sim.Engine { return engines[serverShard(i)] }
-	}
-	inj, err := cfg.Faults.Clone().Arm(target)
+	inj, err := cfg.Faults.Clone().Arm(faults.Target{
+		Engines:      engines,
+		Fabrics:      fabrics,
+		ServerEngine: func(i int) *sim.Engine { return engines[serverShard(i)] },
+		Servers:      srvs,
+		Clients:      clientIDs,
+		StormNode:    stormNode,
+		Rand:         root,
+	})
 	if err != nil {
 		return nil, err
 	}

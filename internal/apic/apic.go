@@ -21,12 +21,6 @@ type Vector uint8
 // without an aff_core_id option.
 const NoHint = -1
 
-// Message is a composed interrupt message headed for a Local APIC.
-type Message struct {
-	Vector Vector
-	Dest   int // destination core
-}
-
 // Router chooses the destination core for an interrupt. hint carries
 // the parsed aff_core_id (or NoHint); flow identifies the traffic
 // source (the sending node — what RSS-style policies hash); allowed is
@@ -51,8 +45,6 @@ type LocalAPIC struct {
 	eng      *sim.Engine
 	latency  units.Time
 	handler  Handler
-	masked   bool
-	pending  []Vector
 	accepted uint64
 
 	// inflight holds accepted vectors awaiting delivery, in acceptance
@@ -90,37 +82,10 @@ func (l *LocalAPIC) Accepted() uint64 { return l.accepted }
 // SetHandler installs the interrupt handler (the kernel's do_IRQ).
 func (l *LocalAPIC) SetHandler(h Handler) { l.handler = h }
 
-// Mask stops delivery; incoming vectors queue as pending.
-func (l *LocalAPIC) Mask() { l.masked = true }
-
-// Unmask resumes delivery, flushing pending vectors in arrival order.
-func (l *LocalAPIC) Unmask() {
-	if !l.masked {
-		return
-	}
-	l.masked = false
-	// Accept only schedules, so nothing can re-mask mid-flush and the
-	// pending buffer is reused for the next masked stretch.
-	for _, v := range l.pending {
-		l.Accept(v)
-	}
-	l.pending = l.pending[:0]
-}
-
-// Masked reports the mask state.
-func (l *LocalAPIC) Masked() bool { return l.masked }
-
-// PendingCount returns the number of vectors queued behind a mask.
-func (l *LocalAPIC) PendingCount() int { return len(l.pending) }
-
 // Accept takes an interrupt message destined for this core.
 //
 //saisvet:allocfree
 func (l *LocalAPIC) Accept(vec Vector) {
-	if l.masked {
-		l.pending = append(l.pending, vec)
-		return
-	}
 	l.inflight.PushBack(vec)
 	l.eng.After(l.latency, l.deliverFn)
 }
@@ -157,7 +122,6 @@ type IOAPIC struct {
 	all    []int                 // every core, the candidate set of unprogrammed vectors
 	router Router
 	stats  IOAPICStats
-	routed []uint64 // interrupts steered to each core
 }
 
 // NewIOAPIC builds an I/O APIC over the given local APICs.
@@ -169,11 +133,7 @@ func NewIOAPIC(eng *sim.Engine, locals []*LocalAPIC) *IOAPIC {
 	for i := range all {
 		all[i] = i
 	}
-	return &IOAPIC{
-		eng: eng, locals: locals,
-		all:    all,
-		routed: make([]uint64, len(locals)),
-	}
+	return &IOAPIC{eng: eng, locals: locals, all: all}
 }
 
 // SetRouter installs the scheduling policy.
@@ -184,12 +144,6 @@ func (io *IOAPIC) Router() Router { return io.router }
 
 // Stats returns a copy of the counters.
 func (io *IOAPIC) Stats() IOAPICStats { return io.stats }
-
-// RoutedPerCore returns how many interrupts were steered to each core —
-// the observable distribution of the installed policy's decisions.
-func (io *IOAPIC) RoutedPerCore() []uint64 {
-	return append([]uint64(nil), io.routed...)
-}
 
 // Program writes a redirection-table entry for vec. An empty allowed
 // set means "any core".
@@ -215,10 +169,9 @@ func (io *IOAPIC) allowedFor(vec Vector) []int {
 
 // RouteFor runs the steering decision for an interrupt without raising
 // it: the installed policy picks a core from the vector's redirection
-// entry, misroutes fall back to the first allowed core, and the
-// per-core routing counter advances. The hybrid workload engine uses it
-// to charge aggregated background interrupt load to the core the policy
-// would have chosen, without a per-frame Accept.
+// entry and misroutes fall back to the first allowed core. The hybrid
+// workload engine uses it to charge aggregated background interrupt load
+// to the core the policy would have chosen, without a per-frame Accept.
 //
 //saisvet:allocfree
 func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
@@ -239,7 +192,6 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 		io.stats.Misroutes++
 		dest = allowed[0]
 	}
-	io.routed[dest]++
 	return dest
 }
 

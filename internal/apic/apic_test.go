@@ -124,35 +124,6 @@ func TestRaiseWithoutRouterPanics(t *testing.T) {
 	io.Raise(1, NoHint, 0)
 }
 
-func TestMaskQueuesAndUnmaskFlushes(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLocalAPICs(eng, 1, 0)[0]
-	var got []Vector
-	l.SetHandler(func(_ int, v Vector, _ units.Time) { got = append(got, v) })
-	eng.At(0, func(units.Time) {
-		l.Mask()
-		l.Accept(1)
-		l.Accept(2)
-		if l.PendingCount() != 2 {
-			t.Errorf("pending = %d, want 2", l.PendingCount())
-		}
-	})
-	eng.At(10, func(units.Time) {
-		if len(got) != 0 {
-			t.Error("masked APIC delivered interrupts")
-		}
-		l.Unmask()
-		l.Unmask() // idempotent
-	})
-	eng.RunUntilIdle()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("flushed = %v, want [1 2] in order", got)
-	}
-	if l.Masked() {
-		t.Error("still masked")
-	}
-}
-
 func TestEmptyLocalsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -232,8 +203,7 @@ func newRaiseLoop() *raiseLoop {
 	l.io = NewIOAPIC(l.eng, l.locals)
 	l.io.SetRouter(&rrRouter{})
 	l.io.Program(7, []int{1, 3})
-	l.unmasked() // warm the in-flight rings and the engine arena
-	l.masked()
+	l.run() // warm the in-flight rings and the engine arena
 	return l
 }
 
@@ -250,19 +220,8 @@ func (l *raiseLoop) burst() {
 	}
 }
 
-func (l *raiseLoop) unmasked() {
+func (l *raiseLoop) run() {
 	l.burst()
-	l.eng.RunUntilIdle()
-}
-
-func (l *raiseLoop) masked() {
-	for _, lapic := range l.locals {
-		lapic.Mask()
-	}
-	l.burst()
-	for _, lapic := range l.locals {
-		lapic.Unmask()
-	}
 	l.eng.RunUntilIdle()
 }
 
@@ -276,13 +235,8 @@ func (l *raiseLoop) accepted() int {
 
 func TestRaiseSteadyStateAllocFree(t *testing.T) {
 	l := newRaiseLoop()
-	for _, tc := range []struct {
-		name string
-		run  func()
-	}{{"unmasked", l.unmasked}, {"mask-unmask", l.masked}} {
-		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
-			t.Errorf("%s: Raise→delivery allocates %v per burst, want 0", tc.name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(100, l.run); allocs != 0 {
+		t.Errorf("Raise→delivery allocates %v per burst, want 0", allocs)
 	}
 	if got := l.accepted(); got != l.raised {
 		t.Fatalf("delivered %d of %d raised interrupts", got, l.raised)

@@ -319,7 +319,7 @@ func (s *System) ChargeHits(core int, n uint64) {
 
 // ChargeRemote adds n line accesses that miss locally and are supplied
 // cache-to-cache from a peer core — an explicit intra-node data
-// exchange (collective redistribution) outside the block directory.
+// exchange between cores outside the block directory.
 func (s *System) ChargeRemote(core int, n uint64) {
 	st := &s.stats[core]
 	st.Accesses += n

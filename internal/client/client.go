@@ -12,9 +12,10 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sais/internal/apic"
 	"sais/internal/cache"
@@ -497,10 +498,9 @@ type blockRef struct {
 // lost layout request or reply is retried instead of parking the file's
 // operations forever.
 type openState struct {
-	tag      uint64
-	retries  int
-	issuedAt units.Time
-	timer    sim.Timer
+	tag     uint64
+	retries int
+	timer   sim.Timer
 }
 
 // Node is the client node instance.
@@ -527,10 +527,12 @@ type Node struct {
 	// only when idleObs is set.
 	flowOut []int
 	// reorderIssue enables straggler-aware issue scheduling: srvLat is
-	// the per-server EWMA of strip issue→arrival latency and
-	// sendReadRequests issues slowest-first.
+	// the per-server EWMA of strip issue→arrival latency, send issues
+	// read requests slowest-first, and issueOrder is its reused scratch
+	// copy of the plans being sorted.
 	reorderIssue bool
 	srvLat       []latencyEWMA
+	issueOrder   []pfs.ServerPlan
 
 	layouts map[pfs.FileID]pfs.CheckedLayout
 	// opening parks the ops issued before their file's layout arrived.
@@ -672,7 +674,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		n.srvLat = make([]latencyEWMA, n.ids)
 	}
 	if desc.MSIX {
-		n.nic.SetQueueHandler(n.onNICQueueInterrupt)
+		n.nic.SetInterruptHandler(n.onNICQueueInterrupt)
 	} else {
 		n.nic.SetInterruptHandler(n.onNICInterrupt)
 	}
@@ -762,16 +764,19 @@ func (p *Proc) Write(file pfs.FileID, offset, length units.Bytes, done sim.Event
 
 // start runs after the syscall (a write's: after producing the data);
 // it resolves the layout (via the MDS on first touch, parking the op
-// until the reply) and fans the operation out to the I/O servers.
-func (o *op) start(units.Time) {
+// until the reply) and fans the operation out to the I/O servers. A
+// parked op is stamped with its park time, so an op failed by a lost
+// open reports its own issue time.
+func (o *op) start(now units.Time) {
 	n, file := o.n, o.file
 	if _, ok := n.layouts[file]; !ok {
+		o.issuedAt = now
 		n.opening[file] = append(n.opening[file], o)
 		if len(n.opening[file]) == 1 {
 			n.nextTag++
 			tag := n.nextTag
 			n.openTags[tag] = file
-			st := &openState{tag: tag, issuedAt: n.eng.Now()}
+			st := &openState{tag: tag}
 			n.opens[file] = st
 			n.sendLayoutRequest(file, tag)
 			n.armOpenTimer(file, st)
@@ -803,7 +808,8 @@ func (n *Node) armOpenTimer(file pfs.FileID, st *openState) {
 
 // retryOpen re-sends a layout request whose reply never came; after
 // MaxRetries every operation parked on the file is abandoned with a
-// typed error, so a lost open never strands transfers silently.
+// typed error under a tag of its own, so a lost open never strands
+// transfers silently and each error names one op.
 func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 	if n.opens[file] != st {
 		return
@@ -814,7 +820,8 @@ func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 		parked := n.opening[file]
 		delete(n.opening, file)
 		for _, o := range parked {
-			o.tag, o.retries, o.issuedAt, o.failed = st.tag, st.retries, st.issuedAt, true
+			n.nextTag++
+			o.tag, o.retries, o.failed = n.nextTag, st.retries, true
 			o.finish(n.eng.Now())
 		}
 		return
@@ -884,11 +891,11 @@ func (n *Node) issue(o *op) {
 // (flow, core) — the NIC tx path Flow Director and A-TFC learn from.
 func (n *Node) send(o *op, plans []pfs.ServerPlan) {
 	if n.reorderIssue && !o.write && len(plans) > 1 {
-		ordered := append(make([]pfs.ServerPlan, 0, len(plans)), plans...)
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return n.srvLat[ordered[i].Server].ns > n.srvLat[ordered[j].Server].ns
+		n.issueOrder = append(n.issueOrder[:0], plans...)
+		slices.SortStableFunc(n.issueOrder, func(a, b pfs.ServerPlan) int {
+			return cmp.Compare(n.srvLat[b.Server].ns, n.srvLat[a.Server].ns)
 		})
-		plans = ordered
+		plans = n.issueOrder
 	}
 	for _, plan := range plans {
 		if o.write {
@@ -1010,7 +1017,7 @@ func missingPlans(plans []pfs.ServerPlan, got *stripSet) []pfs.ServerPlan {
 // software policy — decides the core. Hints are ignored, as static
 // vector assignment cannot follow them.
 func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
-	for _, f := range n.nic.DrainQueue(q) {
+	for _, f := range n.nic.Drain(q) {
 		if _, ok := n.readHeader(f); !ok {
 			n.nic.Free(f)
 			continue
@@ -1021,11 +1028,12 @@ func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 	}
 }
 
-// onNICInterrupt is the NIC interrupt line: for every drained frame the
-// I/O APIC (under the installed policy) picks a handling core, and the
-// frame is queued for that core's local-APIC delivery.
-func (n *Node) onNICInterrupt(now units.Time) {
-	for _, f := range n.nic.Drain() {
+// onNICInterrupt is the NIC interrupt line of the software policies
+// (one rx queue): for every drained frame the I/O APIC (under the
+// installed policy) picks a handling core, and the frame is queued for
+// that core's local-APIC delivery.
+func (n *Node) onNICInterrupt(q int, now units.Time) {
+	for _, f := range n.nic.Drain(q) {
 		hint, ok := n.readHeader(f)
 		if !ok {
 			n.nic.Free(f)
@@ -1459,8 +1467,8 @@ func (n *Node) sameSocket(a, b int) bool {
 }
 
 // TransferBetween models an intra-node hand-off of bytes from the
-// cache of srcCore to dstCore — the redistribution step of collective
-// I/O (or any shared-memory exchange between co-located processes).
+// cache of srcCore to dstCore — a shared-memory exchange between
+// co-located processes.
 // The destination core pays per-line migration stalls priced by socket
 // distance; a same-core transfer costs only local re-reads. done fires
 // when the destination has absorbed the bytes.

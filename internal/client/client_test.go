@@ -897,7 +897,8 @@ func TestOpenRetryRecoversLostLayout(t *testing.T) {
 func TestOpenRetryExhaustionFailsParkedOps(t *testing.T) {
 	// Total blackout from t=0: the open can never resolve. Every parked
 	// operation must fail loudly — typed OpError, failure counted, and
-	// the elapsed time in the latency distribution.
+	// the elapsed time in the latency distribution. The second read
+	// parks after the open started; each error keeps its own identity.
 	r := newRig(t, irqsched.PolicySourceAware, 2)
 	cfg := r.node.cfg
 	cfg.RetryTimeout = 20 * units.Millisecond
@@ -906,8 +907,11 @@ func TestOpenRetryExhaustionFailsParkedOps(t *testing.T) {
 	r.fab.SetLoss(func(netsim.FrameKey) bool { return true })
 	p := r.node.NewProc(0, 0)
 	completed := false
+	const second = 5 * units.Millisecond
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(units.Time) { completed = true })
+	})
+	r.eng.At(second, func(units.Time) {
 		p.Read(1, 64*units.KiB, 64*units.KiB, func(units.Time) { completed = true })
 	})
 	r.eng.RunUntilIdle()
@@ -921,10 +925,18 @@ func TestOpenRetryExhaustionFailsParkedOps(t *testing.T) {
 	if got := len(r.node.OpErrors()); got != 2 {
 		t.Fatalf("op errors = %d, want 2", got)
 	}
-	for _, e := range r.node.OpErrors() {
+	errs := r.node.OpErrors()
+	for _, e := range errs {
 		if e.Retries != 2 || e.FailedAt <= e.IssuedAt {
 			t.Errorf("op error = %+v", e)
 		}
+	}
+	if errs[0].Tag == errs[1].Tag {
+		t.Errorf("both parked ops report tag %d; (Client, Tag) must identify one op", errs[0].Tag)
+	}
+	if errs[0].IssuedAt >= second || errs[1].IssuedAt < second {
+		t.Errorf("issue times %v and %v, want each op's own (the second parked at %v or later)",
+			errs[0].IssuedAt, errs[1].IssuedAt, second)
 	}
 	if got := len(r.node.Latencies()); got != 2 {
 		t.Errorf("latencies = %d, want the two failures' time-to-failure", got)

@@ -88,7 +88,6 @@ type SpanHook func(core int, cat Category, start, end units.Time)
 type Core struct {
 	id      int
 	eng     *sim.Engine
-	freq    units.Hertz
 	quantum units.Time // 0 = run process work to completion
 
 	// queues holds each priority's waiting tasks by value, so queueing,
@@ -128,9 +127,6 @@ func (c *Core) SetQuantum(d units.Time) {
 	}
 	c.quantum = d
 }
-
-// Freq returns the clock frequency.
-func (c *Core) Freq() units.Hertz { return c.freq }
 
 // SetSpanHook installs (or clears, with nil) the busy-slice observer.
 func (c *Core) SetSpanHook(h SpanHook) { c.spanHook = h }
@@ -175,11 +171,6 @@ func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event)
 	}
 	c.queues[prio].PushBack(task{remaining: d, prio: prio, cat: cat, done: done})
 	c.reschedule()
-}
-
-// SubmitCycles queues work measured in cycles at this core's frequency.
-func (c *Core) SubmitCycles(prio Priority, cat Category, cy units.Cycles, done sim.Event) {
-	c.Submit(prio, cat, c.freq.Duration(cy), done)
 }
 
 // reschedule ensures the highest-priority waiting task is running,
@@ -314,7 +305,6 @@ func (c *Core) finish(now units.Time) {
 
 // CPU is the full processor: a set of cores with one clock frequency.
 type CPU struct {
-	eng   *sim.Engine
 	cores []Core
 	freq  units.Hertz
 }
@@ -330,10 +320,10 @@ func New(eng *sim.Engine, n int, freq units.Hertz) *CPU {
 	cores := make([]Core, n)
 	for i := range cores {
 		c := &cores[i]
-		*c = Core{id: i, eng: eng, freq: freq}
+		*c = Core{id: i, eng: eng}
 		c.sliceEndFn = c.sliceEnd
 	}
-	return &CPU{eng: eng, cores: cores, freq: freq}
+	return &CPU{cores: cores, freq: freq}
 }
 
 // NumCores returns the core count.
@@ -356,9 +346,6 @@ func (p *CPU) SetSpanHook(h SpanHook) {
 // Core returns core i.
 func (p *CPU) Core(i int) *Core { return &p.cores[i] }
 
-// Freq returns the clock frequency.
-func (p *CPU) Freq() units.Hertz { return p.freq }
-
 // TotalStats sums per-core accounting.
 func (p *CPU) TotalStats() CoreStats {
 	var s CoreStats
@@ -373,17 +360,6 @@ func (p *CPU) TotalStats() CoreStats {
 		}
 	}
 	return s
-}
-
-// Utilization returns aggregate busy fraction over the wall-clock span
-// [0, now] — the sar %CPU metric.
-func (p *CPU) Utilization() float64 {
-	now := p.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	total := p.TotalStats().Busy
-	return float64(total) / float64(now) / float64(len(p.cores))
 }
 
 // UnhaltedCycles returns aggregate CPU_CLK_UNHALTED over the run.

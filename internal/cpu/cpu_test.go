@@ -121,19 +121,6 @@ func TestZeroDurationWork(t *testing.T) {
 	}
 }
 
-func TestSubmitCycles(t *testing.T) {
-	eng := sim.NewEngine()
-	c := New(eng, 1, 1*units.GHz).Core(0)
-	var done units.Time
-	eng.At(0, func(units.Time) {
-		c.SubmitCycles(PrioProcess, CatCompute, 1000, func(now units.Time) { done = now })
-	})
-	eng.RunUntilIdle()
-	if done != 1000 { // 1000 cycles at 1 GHz = 1000 ns
-		t.Errorf("done at %v, want 1000ns", done)
-	}
-}
-
 func TestBusyAndQueueLen(t *testing.T) {
 	eng, c := newCore(t)
 	eng.At(0, func(units.Time) {
@@ -197,21 +184,8 @@ func TestCPUAggregates(t *testing.T) {
 	if r := p.Core(2).Stats().Rotations; r != 4 || total.Rotations != r {
 		t.Errorf("total rotations = %d, core 2 rotations = %d, want 4 and 4", total.Rotations, r)
 	}
-	// Wall clock is 300; 4 cores → 1200 core-ns available, 450 busy.
-	want := 450.0 / 1200.0
-	if got := p.Utilization(); got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("utilization = %v, want %v", got, want)
-	}
 	if got := p.UnhaltedCycles(); got != 900 { // 450ns at 2GHz
 		t.Errorf("unhalted = %d cycles, want 900", got)
-	}
-}
-
-func TestUtilizationAtTimeZero(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, 2, units.GHz)
-	if p.Utilization() != 0 {
-		t.Error("utilization before any time passes should be 0")
 	}
 }
 

@@ -16,9 +16,7 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"sais/internal/units"
@@ -222,24 +220,4 @@ func (p *Plan) Validate(servers, clients int) error {
 		return fmt.Errorf("faults: storm-start without a matching storm-stop")
 	}
 	return nil
-}
-
-// WritePlan serializes p as indented JSON.
-func WritePlan(w io.Writer, p *Plan) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// ReadPlan parses a fault plan, rejecting unknown fields so typos in
-// hand-written chaos specs surface immediately. Shape validation
-// (server/client ranges) happens when the plan meets a cluster config.
-func ReadPlan(r io.Reader) (*Plan, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	p := &Plan{}
-	if err := dec.Decode(p); err != nil {
-		return nil, fmt.Errorf("faults: parsing plan: %w", err)
-	}
-	return p, nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 // simulation), and Finish leaves no open downtime interval.
 func FuzzPlanApply(f *testing.F) {
 	seed := func(p *Plan) {
-		var b strings.Builder
-		if err := WritePlan(&b, p); err != nil {
+		b, err := json.Marshal(p)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b.String())
+		f.Add(string(b))
 	}
 	seed(&Plan{})
 	seed(&Plan{Loss: 0.2, Corrupt: 0.1})
@@ -37,8 +38,12 @@ func FuzzPlanApply(f *testing.F) {
 	f.Add(`{"Timeline": [{"At": 0, "Kind": "storm-start", "Period": 1}]}`)
 
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := ReadPlan(strings.NewReader(src))
-		if err != nil {
+		// Plans arrive inside config JSON, whose decoder rejects
+		// unknown fields.
+		dec := json.NewDecoder(strings.NewReader(src))
+		dec.DisallowUnknownFields()
+		p := &Plan{}
+		if err := dec.Decode(p); err != nil {
 			return
 		}
 		// Bound the storm tick count: a syntactically valid plan may

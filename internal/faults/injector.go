@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sais/internal/netsim"
 	"sais/internal/pfs"
@@ -13,18 +12,14 @@ import (
 
 // Target is the built cluster an Injector arms against.
 //
-// Single-engine runs fill Engine and Fabric only. Sharded runs
-// (cluster.Config.Shards > 1) additionally list every shard's engine
-// and fabric — index-aligned, with Engines[0]/Fabrics[0] hosting the
-// timeline clock and the storm ghost NIC — and supply ServerEngine so
-// crash/revive events fire on the engine the target server lives on.
+// Engines and Fabrics list every shard's engine and fabric,
+// index-aligned, with Engines[0]/Fabrics[0] hosting the timeline clock
+// and the storm ghost NIC; a single-engine run lists one of each.
+// ServerEngine returns the engine server i lives on, so crash/revive
+// events fire on its clock.
 type Target struct {
-	Engine  *sim.Engine
-	Fabric  *netsim.Fabric
-	Engines []*sim.Engine
-	Fabrics []*netsim.Fabric
-	// ServerEngine returns the engine server i runs on; nil means
-	// every server shares Engine.
+	Engines      []*sim.Engine
+	Fabrics      []*netsim.Fabric
 	ServerEngine func(i int) *sim.Engine
 	Servers      []*pfs.Server
 	// Clients are the fabric ids of the client nodes, for storms.
@@ -36,22 +31,6 @@ type Target struct {
 	// sub-streams from it so arming order never perturbs other
 	// components' draws.
 	Rand *rng.Source
-}
-
-// engines returns the full engine list (falling back to the single
-// Engine), and fabrics likewise.
-func (t *Target) engines() []*sim.Engine {
-	if len(t.Engines) > 0 {
-		return t.Engines
-	}
-	return []*sim.Engine{t.Engine}
-}
-
-func (t *Target) fabrics() []*netsim.Fabric {
-	if len(t.Fabrics) > 0 {
-		return t.Fabrics
-	}
-	return []*netsim.Fabric{t.Fabric}
 }
 
 // Stats counts what the injector actually did to the run.
@@ -74,19 +53,17 @@ type Stats struct {
 // Injector is an armed Plan. Arm installs every hook and schedules the
 // timeline; Finish closes open fault intervals and returns the stats.
 //
-// Under sharded execution, stall hooks on different shards run
-// concurrently within a round, so the shared tallies are atomics.
-// Crash/revive state is per-server (each server's events run on its
-// own shard, and distinct slice slots never race); storm state is
-// touched only by shard 0's events, whose rounds are ordered by the
-// executor's barriers.
+// Each run arms its own injector, and the sharded executor runs every
+// shard's round on the calling goroutine, so the tallies are plain
+// fields: stall hooks, crash/revive events and storm ticks never run
+// concurrently, whichever shard's engine they fire on.
 type Injector struct {
 	plan *Plan
 	eng  *sim.Engine // timeline host (shard 0)
 	srvs []*pfs.Server
 
-	stalls      atomic.Uint64
-	stallTime   atomic.Int64
+	stalls      uint64
+	stallTime   units.Time
 	stormFrames uint64
 
 	// Per-server crash bookkeeping, indexed by server.
@@ -116,7 +93,6 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 	n := len(t.Servers)
 	inj := &Injector{
 		plan:       p,
-		eng:        t.Engine,
 		srvs:       t.Servers,
 		down:       make([]bool, n),
 		downSince:  make([]units.Time, n),
@@ -127,15 +103,11 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 	if p.Empty() {
 		return inj, nil
 	}
-	engines, fabrics := t.engines(), t.fabrics()
-	if len(engines) == 0 || engines[0] == nil || len(fabrics) == 0 || fabrics[0] == nil {
-		return nil, fmt.Errorf("faults: Arm needs an engine and a fabric")
+	engines, fabrics := t.Engines, t.Fabrics
+	if len(engines) == 0 || len(fabrics) != len(engines) || engines[0] == nil || fabrics[0] == nil || t.ServerEngine == nil {
+		return nil, fmt.Errorf("faults: Arm needs an engine, a fabric and a server engine per shard")
 	}
 	inj.eng = engines[0]
-	serverEngine := t.ServerEngine
-	if serverEngine == nil {
-		serverEngine = func(int) *sim.Engine { return engines[0] }
-	}
 	if err := p.Validate(len(t.Servers), len(t.Clients)); err != nil {
 		return nil, err
 	}
@@ -189,10 +161,10 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 		switch ev.Kind {
 		case KindCrash:
 			srv := ev.Server
-			serverEngine(srv).At(ev.At, func(now units.Time) { inj.crash(srv, now) })
+			t.ServerEngine(srv).At(ev.At, func(now units.Time) { inj.crash(srv, now) })
 		case KindRevive:
 			srv := ev.Server
-			serverEngine(srv).At(ev.At, func(now units.Time) { inj.revive(srv, now) })
+			t.ServerEngine(srv).At(ev.At, func(now units.Time) { inj.revive(srv, now) })
 		case KindDegradeLink:
 			// Factors below 1 are rejected uniformly by Plan.Validate
 			// above, so the sharded executor's lookahead is always safe.
@@ -227,9 +199,7 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 	return inj, nil
 }
 
-// armStall installs one stall distribution on one server. The counter
-// updates are atomic because the hook runs on the server's shard,
-// concurrently with other shards' stall hooks.
+// armStall installs one stall distribution on one server.
 func (inj *Injector) armStall(srv *pfs.Server, s Stall, rnd *rng.Source) {
 	srv.SetStall(func() units.Time {
 		if !rnd.Bool(s.Rate) {
@@ -244,8 +214,8 @@ func (inj *Injector) armStall(srv *pfs.Server, s Stall, rnd *rng.Source) {
 			d = units.Time(rnd.TruncNormal(float64(s.Mean), float64(s.Jitter), 0, float64(hi)))
 		}
 		if d > 0 {
-			inj.stalls.Add(1)
-			inj.stallTime.Add(int64(d))
+			inj.stalls++
+			inj.stallTime += d
 		}
 		return d
 	})
@@ -291,8 +261,8 @@ func (inj *Injector) stormTick(nic *netsim.NIC, st *storm, now units.Time) {
 // snapshot assembles a Stats view from the per-server bookkeeping.
 func (inj *Injector) snapshot() Stats {
 	st := Stats{
-		StallsInjected: inj.stalls.Load(),
-		StallTime:      units.Time(inj.stallTime.Load()),
+		StallsInjected: inj.stalls,
+		StallTime:      inj.stallTime,
 		StormFrames:    inj.stormFrames,
 		Downtime:       make([]units.Time, len(inj.downtime)),
 	}

@@ -26,8 +26,8 @@ func newRig(t testing.TB, servers int) *rig {
 	r.fab = netsim.NewFabric(r.eng, 10*units.Microsecond, 256)
 	r.client = netsim.NewNIC(r.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	r.fab.Attach(r.client)
-	r.client.SetInterruptHandler(func(units.Time) {
-		r.rx = append(r.rx, r.client.Drain()...)
+	r.client.SetInterruptHandler(func(q int, _ units.Time) {
+		r.rx = append(r.rx, r.client.Drain(q)...)
 	})
 	for i := 0; i < servers; i++ {
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
@@ -39,12 +39,13 @@ func newRig(t testing.TB, servers int) *rig {
 
 func (r *rig) target(rand *rng.Source) Target {
 	return Target{
-		Engine:    r.eng,
-		Fabric:    r.fab,
-		Servers:   r.srvs,
-		Clients:   []netsim.NodeID{1},
-		StormNode: 200,
-		Rand:      rand,
+		Engines:      []*sim.Engine{r.eng},
+		Fabrics:      []*netsim.Fabric{r.fab},
+		ServerEngine: func(int) *sim.Engine { return r.eng },
+		Servers:      r.srvs,
+		Clients:      []netsim.NodeID{1},
+		StormNode:    200,
+		Rand:         rand,
 	}
 }
 
@@ -287,7 +288,7 @@ func TestStormTargetsOneClient(t *testing.T) {
 	other := netsim.NewNIC(r.eng, 2, netsim.DefaultNICConfig(3*units.Gigabit))
 	r.fab.Attach(other)
 	var otherRx int
-	other.SetInterruptHandler(func(units.Time) { otherRx += len(other.Drain()) })
+	other.SetInterruptHandler(func(q int, _ units.Time) { otherRx += len(other.Drain(q)) })
 	target := r.target(rng.New(1))
 	target.Clients = []netsim.NodeID{1, 2}
 	mustArm(t, &Plan{Timeline: []TimelineEvent{

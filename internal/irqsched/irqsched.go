@@ -4,11 +4,11 @@
 // plus the steering baselines from the related literature: Toeplitz
 // RSS, Intel Flow Director (with its packet-reordering pathology),
 // A-TFC transport-friendly steering, and client-side straggler-aware
-// issue scheduling. Each policy is an apic.Router registered in a
-// descriptor registry (see registry.go); the I/O APIC consults the
-// router per raised interrupt, and every consumer — cluster, scenario,
-// saisim policy=NAME, config files — resolves policies through the one
-// registry.
+// issue scheduling. Each policy is an apic.Router described by one
+// entry of a static policy table indexed by PolicyKind (see
+// registry.go); the I/O APIC consults the router per raised interrupt,
+// and every consumer — cluster, scenario, saisim policy=NAME, config
+// files — resolves policies through that one table.
 //
 // The package also houses the SAIs protocol components that live
 // outside the APIC: HintMessager (client request side), HintCapsuler
@@ -63,37 +63,36 @@ const (
 	PolicyStragglerAware
 )
 
-// String returns the policy's registered name.
+// String returns the policy's name.
 func (k PolicyKind) String() string {
-	if d, ok := registry[k]; ok {
+	if d, ok := Describe(k); ok {
 		return d.Name
 	}
 	return fmt.Sprintf("PolicyKind(%d)", int(k))
 }
 
 // ParsePolicy resolves a policy name (as used by command-line tools)
-// against the registry. The error's want-list is derived from the
-// registered names, sorted, so new policies can never drift out of it.
+// against the policy table. The error's want-list is derived from the
+// table's names, sorted, so new policies can never drift out of it.
 func ParsePolicy(name string) (PolicyKind, error) {
-	//lint:maporder order-independent lookup: names are unique, at most one key matches
-	for k, d := range registry {
+	for k, d := range policies {
 		if d.Name == name {
-			return k, nil
+			return PolicyKind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("irqsched: unknown policy %q (want %s)", name, nameList())
 }
 
-// MarshalText encodes the policy as its registered name, so config
-// files and JSON deltas spell policies the way the command line does.
+// MarshalText encodes the policy as its name, so config files and JSON
+// deltas spell policies the way the command line does.
 func (k PolicyKind) MarshalText() ([]byte, error) {
-	if _, ok := registry[k]; !ok {
+	if _, ok := Describe(k); !ok {
 		return nil, &UnknownPolicyError{Kind: k}
 	}
 	return []byte(k.String()), nil
 }
 
-// UnmarshalText decodes a registered policy name (ParsePolicy).
+// UnmarshalText decodes a policy name (ParsePolicy).
 func (k *PolicyKind) UnmarshalText(text []byte) error {
 	p, err := ParsePolicy(string(text))
 	if err != nil {
@@ -419,7 +418,7 @@ func (s *StaticTable) Route(vec apic.Vector, hint int, flow uint64, allowed []in
 }
 
 // Options collects the policy constructor inputs; zero values are valid
-// for policies that do not use them — every registry constructor
+// for policies that do not use them — every table constructor
 // substitutes a safe default, so New is total over parseable kinds.
 type Options struct {
 	Loads         LoadReader
@@ -431,11 +430,11 @@ type Options struct {
 	FlowTable     int         // flowdirector table capacity (default 1024)
 }
 
-// New constructs a policy by kind through the registry. Every kind a
-// successful ParsePolicy can return constructs a usable router; an
-// unregistered kind yields *UnknownPolicyError, never a panic.
+// New constructs a policy by kind through the policy table. Every kind
+// a successful ParsePolicy can return constructs a usable router; a
+// kind outside the table yields *UnknownPolicyError, never a panic.
 func New(kind PolicyKind, opts Options) (apic.Router, error) {
-	d, ok := registry[kind]
+	d, ok := Describe(kind)
 	if !ok {
 		return nil, &UnknownPolicyError{Kind: kind}
 	}

@@ -9,11 +9,10 @@ import (
 	"sais/internal/units"
 )
 
-// Descriptor is a policy's registry entry: the parseable name, the
-// constructor, and the traits consumers need to wire the datapath
-// without kind-specific switches.
+// Descriptor is a policy's entry in the policy table: the parseable
+// name, the constructor, and the traits consumers need to wire the
+// datapath without kind-specific switches.
 type Descriptor struct {
-	Kind PolicyKind
 	// Name is the identifier accepted by ParsePolicy and printed by
 	// PolicyKind.String.
 	Name string
@@ -55,50 +54,28 @@ type CounterReporter interface {
 	Counters() map[string]uint64
 }
 
-var registry = map[PolicyKind]Descriptor{}
-
-// Register adds a policy descriptor. Duplicate kinds or names panic at
-// init time — registration is a build-time act, not a runtime one.
-func Register(d Descriptor) {
-	if d.New == nil {
-		panic("irqsched: Register with nil constructor")
-	}
-	if _, dup := registry[d.Kind]; dup {
-		panic(fmt.Sprintf("irqsched: duplicate policy kind %d", int(d.Kind)))
-	}
-	//lint:maporder order-independent duplicate-name check
-	for _, e := range registry {
-		if e.Name == d.Name {
-			panic(fmt.Sprintf("irqsched: duplicate policy name %q", d.Name))
-		}
-	}
-	//lint:globalstate registration table is sealed by package init, before any engine runs
-	registry[d.Kind] = d
-}
-
-// Describe returns the registry entry for kind.
+// Describe returns the policy table's entry for kind.
 func Describe(kind PolicyKind) (Descriptor, bool) {
-	d, ok := registry[kind]
-	return d, ok
+	if kind < 0 || int(kind) >= len(policies) {
+		return Descriptor{}, false
+	}
+	return policies[kind], true
 }
 
-// Kinds returns all registered kinds in ascending order.
+// Kinds returns every policy kind in ascending order.
 func Kinds() []PolicyKind {
-	ks := make([]PolicyKind, 0, len(registry))
-	//lint:maporder sorted immediately below
-	for k := range registry {
-		ks = append(ks, k)
+	ks := make([]PolicyKind, len(policies))
+	for i := range ks {
+		ks[i] = PolicyKind(i)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
-// Names returns all registered policy names, sorted.
+// Names returns every policy name, sorted.
 func Names() []string {
-	ns := make([]string, 0, len(registry))
-	//lint:maporder sorted immediately below
-	for _, d := range registry {
-		ns = append(ns, d.Name)
+	ns := make([]string, len(policies))
+	for i, d := range policies {
+		ns[i] = d.Name
 	}
 	sort.Strings(ns)
 	return ns
@@ -106,14 +83,14 @@ func Names() []string {
 
 func nameList() string { return strings.Join(Names(), "|") }
 
-// UnknownPolicyError reports a PolicyKind with no registry entry —
+// UnknownPolicyError reports a PolicyKind outside the policy table —
 // only reachable with a kind that ParsePolicy cannot produce.
 type UnknownPolicyError struct {
 	Kind PolicyKind
 }
 
 func (e *UnknownPolicyError) Error() string {
-	return fmt.Sprintf("irqsched: unknown policy kind %d (registered: %s)", int(e.Kind), nameList())
+	return fmt.Sprintf("irqsched: unknown policy kind %d (known: %s)", int(e.Kind), nameList())
 }
 
 // zeroLoads is the nil-LoadReader default: a flat, idle machine. The
@@ -158,31 +135,33 @@ func RSSTable(cores int, base apic.Vector) map[apic.Vector]int {
 	return table
 }
 
-func init() {
-	Register(Descriptor{
-		Kind: PolicyRoundRobin, Name: "roundrobin",
-		New: func(Options) (apic.Router, error) { return NewRoundRobin(), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyDedicated, Name: "dedicated",
-		New: func(Options) (apic.Router, error) { return NewDedicated(0), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyIrqbalance, Name: "irqbalance",
+// policies is the policy table, indexed by PolicyKind: ParsePolicy,
+// String, Describe and New all resolve a policy through it.
+var policies = [...]Descriptor{
+	PolicyRoundRobin: {
+		Name: "roundrobin",
+		New:  func(Options) (apic.Router, error) { return NewRoundRobin(), nil },
+	},
+	PolicyDedicated: {
+		Name: "dedicated",
+		New:  func(Options) (apic.Router, error) { return NewDedicated(0), nil },
+	},
+	PolicyIrqbalance: {
+		Name: "irqbalance",
 		New: func(o Options) (apic.Router, error) {
 			return NewIrqbalance(loadsOr(o), periodOr(o)), nil
 		},
-	})
-	Register(Descriptor{
-		Kind: PolicySourceAware, Name: "sais", UsesHints: true,
+	},
+	PolicySourceAware: {
+		Name: "sais", UsesHints: true,
 		New: func(Options) (apic.Router, error) { return NewSourceAware(nil), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyFlowHash, Name: "flowhash",
-		New: func(Options) (apic.Router, error) { return NewFlowHash(), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyHybrid, Name: "hybrid", UsesHints: true,
+	},
+	PolicyFlowHash: {
+		Name: "flowhash",
+		New:  func(Options) (apic.Router, error) { return NewFlowHash(), nil },
+	},
+	PolicyHybrid: {
+		Name: "hybrid", UsesHints: true,
 		New: func(o Options) (apic.Router, error) {
 			q := o.HybridQueue
 			if q < 1 {
@@ -190,9 +169,9 @@ func init() {
 			}
 			return NewHybrid(loadsOr(o), periodOr(o), q), nil
 		},
-	})
-	Register(Descriptor{
-		Kind: PolicySocketAware, Name: "sais-socket", UsesHints: true,
+	},
+	PolicySocketAware: {
+		Name: "sais-socket", UsesHints: true,
 		New: func(o Options) (apic.Router, error) {
 			ss := o.SocketSize
 			if ss < 1 {
@@ -200,15 +179,15 @@ func init() {
 			}
 			return NewSocketAware(o.Loads, ss, nil), nil
 		},
-	})
-	Register(Descriptor{
-		Kind: PolicyHardwareRSS, Name: "rss", MSIX: true,
+	},
+	PolicyHardwareRSS: {
+		Name: "rss", MSIX: true,
 		New: func(o Options) (apic.Router, error) {
 			return NewStaticTable(RSSTable(o.Cores, o.RSSBaseVector), nil), nil
 		},
-	})
-	Register(Descriptor{
-		Kind: PolicyFlowDirector, Name: "flowdirector", TxSteered: true,
+	},
+	PolicyFlowDirector: {
+		Name: "flowdirector", TxSteered: true,
 		New: func(o Options) (apic.Router, error) {
 			cap := o.FlowTable
 			if cap < 1 {
@@ -216,17 +195,17 @@ func init() {
 			}
 			return NewFlowDirector(cap), nil
 		},
-	})
-	Register(Descriptor{
-		Kind: PolicyToeplitz, Name: "toeplitz",
-		New: func(o Options) (apic.Router, error) { return NewToeplitz(coresOr(o)), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyATFC, Name: "atfc", TxSteered: true,
+	},
+	PolicyToeplitz: {
+		Name: "toeplitz",
+		New:  func(o Options) (apic.Router, error) { return NewToeplitz(coresOr(o)), nil },
+	},
+	PolicyATFC: {
+		Name: "atfc", TxSteered: true,
 		New: func(Options) (apic.Router, error) { return NewATFC(), nil },
-	})
-	Register(Descriptor{
-		Kind: PolicyStragglerAware, Name: "straggler", UsesHints: true, ReorderIssue: true,
+	},
+	PolicyStragglerAware: {
+		Name: "straggler", UsesHints: true, ReorderIssue: true,
 		New: func(Options) (apic.Router, error) { return NewStragglerAware(), nil },
-	})
+	},
 }

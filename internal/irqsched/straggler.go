@@ -8,7 +8,7 @@ package irqsched
 // service time overlaps the faster servers instead of trailing them.
 // All the scheduling logic lives in the client (per-server EWMA of
 // strip latency); this type exists so the policy is selectable and
-// self-describing through the registry like every other baseline.
+// self-describing through the policy table like every other baseline.
 type StragglerAware struct {
 	*SourceAware
 }

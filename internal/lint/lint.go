@@ -87,23 +87,22 @@ func KnownDirectives() map[string]bool {
 // transitively tainted functions) only here, and shardsafety's
 // shared-mutable-global rule has the same scope.
 var deterministicPkgs = map[string]bool{
-	"sais/cluster":             true,
-	"sais/internal/sim":        true,
-	"sais/internal/netsim":     true,
-	"sais/internal/apic":       true,
-	"sais/internal/cpu":        true,
-	"sais/internal/cache":      true,
-	"sais/internal/disk":       true,
-	"sais/internal/pfs":        true,
-	"sais/internal/client":     true,
-	"sais/internal/irqsched":   true,
-	"sais/internal/toeplitz":   true,
-	"sais/internal/faults":     true,
-	"sais/internal/workload":   true,
-	"sais/internal/collective": true,
-	"sais/internal/shard":      true,
-	"sais/internal/scenario":   true,
-	"sais/internal/flowsim":    true,
+	"sais/cluster":           true,
+	"sais/internal/sim":      true,
+	"sais/internal/netsim":   true,
+	"sais/internal/apic":     true,
+	"sais/internal/cpu":      true,
+	"sais/internal/cache":    true,
+	"sais/internal/disk":     true,
+	"sais/internal/pfs":      true,
+	"sais/internal/client":   true,
+	"sais/internal/irqsched": true,
+	"sais/internal/toeplitz": true,
+	"sais/internal/faults":   true,
+	"sais/internal/workload": true,
+	"sais/internal/shard":    true,
+	"sais/internal/scenario": true,
+	"sais/internal/flowsim":  true,
 }
 
 // isDeterministicPkg reports whether path is one of the packages whose

@@ -40,8 +40,8 @@ func newFrameLoop(remote bool) *frameLoop {
 	l.tx, l.rx = NewNIC(l.eng, 1, cfg), NewNIC(l.eng, 2, cfg)
 	txFab.Attach(l.tx)
 	rxFab.Attach(l.rx)
-	l.rx.SetInterruptHandler(func(units.Time) {
-		for _, f := range l.rx.Drain() {
+	l.rx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range l.rx.Drain(q) {
 			if h, err := ReadHint(f); err == nil && h.Valid {
 				l.hinted++
 			}
@@ -50,8 +50,8 @@ func newFrameLoop(remote bool) *frameLoop {
 			l.rx.Send(1, 64, AffHint{}, nil)
 		}
 	})
-	l.tx.SetInterruptHandler(func(units.Time) {
-		for _, f := range l.tx.Drain() {
+	l.tx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range l.tx.Drain(q) {
 			l.tx.Free(f)
 		}
 	})
@@ -111,8 +111,8 @@ func TestFrameReuseClearsDatapathState(t *testing.T) {
 	var seen []*Frame
 	for _, n := range nics[1:] {
 		n := n
-		n.SetInterruptHandler(func(units.Time) {
-			for _, f := range n.Drain() {
+		n.SetInterruptHandler(func(q int, _ units.Time) {
+			for _, f := range n.Drain(q) {
 				if f.tx == nil || f.rx != n || f.fab != fab || f.wire != wireBytes(f.Payload, cfg.MTU, cfg.Overhead) {
 					t.Errorf("in-flight frame state: tx %p rx %p (want %p) fab %p wire %v", f.tx, f.rx, n, f.fab, f.wire)
 				}

@@ -17,9 +17,10 @@ type NodeID int
 type Frame struct {
 	Src, Dst NodeID
 	Payload  units.Bytes // upper-layer payload bytes
-	Hint     AffHint     // aff_core_id carried in the IP options
-	Header   []byte      // marshaled IPv4 header (wire truth for the hint)
-	Body     any         // opaque upper-layer descriptor (strip, request)
+	// Header is the marshaled IPv4 header, the one carrier of the
+	// aff_core_id hint: receivers recover it with ReadHint/ParseHint.
+	Header []byte
+	Body   any // opaque upper-layer descriptor (strip, request)
 	// FlowSeq is the sender-local per-destination sequence number,
 	// stamped at frame assembly. Receivers compare FlowSeq within one
 	// (source, stream) to detect out-of-order completion — the metric
@@ -198,11 +199,10 @@ type NIC struct {
 	rings      [][]*Frame
 	pending    []int
 	coalesceTm []sim.Timer
-	drainBuf   []*Frame // reused backing store for Drain/DrainQueue
+	drainBuf   []*Frame // reused backing store for Drain
 	stats      NICStats
 
-	raise      func(now units.Time)        // single-queue interrupt line
-	raiseQueue func(q int, now units.Time) // MSI-X per-queue line
+	raiseQueue func(q int, now units.Time) // the per-queue interrupt line
 
 	// svcScale, when set, multiplies every serialization cost by a
 	// load-dependent factor sampled at dispatch time — the hybrid
@@ -222,8 +222,8 @@ func NewNIC(eng *sim.Engine, id NodeID, cfg NICConfig) *NIC {
 	}
 	n := &NIC{id: id, cfg: cfg, eng: eng}
 	for p := 0; p < cfg.ports(); p++ {
-		n.egress = append(n.egress, sim.NewServer(eng, fmt.Sprintf("nic%d-tx%d", id, p)))
-		n.ingress = append(n.ingress, sim.NewServer(eng, fmt.Sprintf("nic%d-rx%d", id, p)))
+		n.egress = append(n.egress, sim.NewServer(eng))
+		n.ingress = append(n.ingress, sim.NewServer(eng))
 	}
 	q := cfg.rxQueues()
 	n.rings = make([][]*Frame, q)
@@ -284,15 +284,12 @@ func (n *NIC) RingLen() int {
 	return total
 }
 
-// SetInterruptHandler installs the interrupt line callback — in the
-// full client model this is the MSI raise into the I/O APIC. With
-// multiple rx queues it fires for any queue; use SetQueueHandler to
-// learn which one.
-func (n *NIC) SetInterruptHandler(fn func(now units.Time)) { n.raise = fn }
-
-// SetQueueHandler installs a per-queue (MSI-X) interrupt callback;
-// it takes precedence over the single handler when set.
-func (n *NIC) SetQueueHandler(fn func(q int, now units.Time)) { n.raiseQueue = fn }
+// SetInterruptHandler installs the interrupt line callback: fn(q, now)
+// runs when receive queue q raises its interrupt, and the handler
+// drains that queue with Drain(q). Each MSI-X queue raises its own
+// line; a single-queue NIC always raises queue 0. In the full client
+// model this is the MSI raise into the I/O APIC.
+func (n *NIC) SetInterruptHandler(fn func(q int, now units.Time)) { n.raiseQueue = fn }
 
 // SetServiceScale installs a load-dependent service-time multiplier:
 // every tx/rx serialization cost is scaled by fn(dispatchTime). The
@@ -371,7 +368,7 @@ func (n *NIC) Send(dst NodeID, payload units.Bytes, hint AffHint, body any) {
 // newFrame assembles an outbound frame from the fabric pool.
 func (n *NIC) newFrame(dst NodeID, payload units.Bytes, hint AffHint, body any) *Frame {
 	f := n.fab.NewFrame()
-	f.Src, f.Dst, f.Payload, f.Hint, f.Body = n.id, dst, payload, hint, body
+	f.Src, f.Dst, f.Payload, f.Body = n.id, dst, payload, body
 	f.Header = n.buildHeader(f.Header[:0], payload, hint)
 	f.SentAt = n.eng.Now()
 	f.FlowSeq = n.nextFlowSeq(dst)
@@ -459,33 +456,15 @@ func (n *NIC) fire(q int, now units.Time) {
 	if n.raiseQueue != nil {
 		//lint:alloc interrupt-line callback: the handler's allocations belong to its owner's budget
 		n.raiseQueue(q, now)
-		return
-	}
-	if n.raise != nil {
-		//lint:alloc interrupt-line callback: the handler's allocations belong to its owner's budget
-		n.raise(now)
 	}
 }
 
-// Drain removes and returns every frame across all rx rings — the NIC
-// driver's rx loop. Parsing the hint out of the header bytes (the
-// SrcParser step) is the caller's job via ParseHint. The returned
-// slice is reused: it is valid only until the next Drain/DrainQueue
-// call on this NIC.
-func (n *NIC) Drain() []*Frame {
-	out := n.drainBuf[:0]
-	for q := range n.rings {
-		out = append(out, n.rings[q]...)
-		n.rings[q] = n.rings[q][:0]
-		n.pending[q] = 0
-	}
-	n.drainBuf = out
-	return out
-}
-
-// DrainQueue removes and returns the frames of one rx queue. The
-// returned slice is reused, like Drain's.
-func (n *NIC) DrainQueue(q int) []*Frame {
+// Drain removes and returns the frames of rx queue q — the NIC driver's
+// rx loop for the queue whose interrupt fired. Parsing the hint out of
+// the header bytes (the SrcParser step) is the caller's job via
+// ParseHint. The returned slice is reused: it is valid only until the
+// next Drain call on this NIC.
+func (n *NIC) Drain(q int) []*Frame {
 	out := append(n.drainBuf[:0], n.rings[q]...)
 	n.rings[q] = n.rings[q][:0]
 	n.pending[q] = 0

@@ -26,8 +26,8 @@ func TestFrameDeliveryAndHint(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	eng, tx, rx := testNet(t, 10*units.Microsecond, cfg, cfg)
 	var gotFrames []*Frame
-	rx.SetInterruptHandler(func(units.Time) {
-		gotFrames = append(gotFrames, rx.Drain()...)
+	rx.SetInterruptHandler(func(q int, _ units.Time) {
+		gotFrames = append(gotFrames, rx.Drain(q)...)
 	})
 	eng.At(0, func(units.Time) {
 		tx.Send(2, 64*units.KiB, Hint(3), "strip-A")
@@ -50,8 +50,8 @@ func TestNoHintFrames(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	eng, tx, rx := testNet(t, 0, cfg, cfg)
 	var got AffHint
-	rx.SetInterruptHandler(func(units.Time) {
-		for _, f := range rx.Drain() {
+	rx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range rx.Drain(q) {
 			got = ParseHint(f)
 		}
 	})
@@ -67,7 +67,7 @@ func TestSerializationTime(t *testing.T) {
 	cfg := DefaultNICConfig(units.Gigabit)
 	eng, tx, rx := testNet(t, 0, cfg, cfg)
 	var at units.Time
-	rx.SetInterruptHandler(func(now units.Time) { rx.Drain(); at = now })
+	rx.SetInterruptHandler(func(q int, now units.Time) { rx.Drain(q); at = now })
 	eng.At(0, func(units.Time) { tx.Send(2, 64*units.KiB, AffHint{}, nil) })
 	eng.RunUntilIdle()
 	wire := units.Bytes(64*1024 + 44*78)
@@ -85,8 +85,8 @@ func TestReceiverRateLimits(t *testing.T) {
 	eng, txn, rxn := testNet(t, 0, tx, rx)
 	var done units.Time
 	var bytes units.Bytes
-	rxn.SetInterruptHandler(func(now units.Time) {
-		for _, f := range rxn.Drain() {
+	rxn.SetInterruptHandler(func(q int, now units.Time) {
+		for _, f := range rxn.Drain(q) {
 			bytes += f.Payload
 			done = now
 		}
@@ -116,7 +116,7 @@ func TestCoalescing(t *testing.T) {
 	cfg.CoalesceDelay = units.Millisecond
 	eng, tx, rx := testNet(t, 0, cfg, cfg)
 	interrupts := 0
-	rx.SetInterruptHandler(func(units.Time) { interrupts++; rx.Drain() })
+	rx.SetInterruptHandler(func(q int, _ units.Time) { interrupts++; rx.Drain(q) })
 	eng.At(0, func(units.Time) {
 		for i := 0; i < 8; i++ {
 			tx.Send(2, units.KiB, AffHint{}, nil)
@@ -134,7 +134,7 @@ func TestCoalesceTimerFires(t *testing.T) {
 	cfg.CoalesceDelay = 50 * units.Microsecond
 	eng, tx, rx := testNet(t, 0, cfg, cfg)
 	var when units.Time
-	rx.SetInterruptHandler(func(now units.Time) { when = now; rx.Drain() })
+	rx.SetInterruptHandler(func(q int, now units.Time) { when = now; rx.Drain(q) })
 	eng.At(0, func(units.Time) { tx.Send(2, units.KiB, AffHint{}, nil) })
 	eng.RunUntilIdle()
 	if when == 0 {
@@ -176,7 +176,7 @@ func TestFabricLoss(t *testing.T) {
 	drop := true
 	fab.SetLoss(func(FrameKey) bool { d := drop; drop = !drop; return d })
 	got := 0
-	rx.SetInterruptHandler(func(units.Time) { got += len(rx.Drain()) })
+	rx.SetInterruptHandler(func(q int, _ units.Time) { got += len(rx.Drain(q)) })
 	eng.At(0, func(units.Time) {
 		for i := 0; i < 10; i++ {
 			tx.Send(2, units.KiB, AffHint{}, nil)
@@ -220,8 +220,8 @@ func TestSendOutsideIDSpaceDrops(t *testing.T) {
 		return true
 	})
 	var seqs []uint64
-	rx.SetInterruptHandler(func(units.Time) {
-		for _, f := range rx.Drain() {
+	rx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range rx.Drain(q) {
 			seqs = append(seqs, f.FlowSeq)
 			rx.Free(f)
 		}
@@ -325,8 +325,8 @@ func TestBondedPortsAggregateRate(t *testing.T) {
 		fab.Attach(rx)
 		var bytes units.Bytes
 		var last units.Time
-		rx.SetInterruptHandler(func(now units.Time) {
-			for _, f := range rx.Drain() {
+		rx.SetInterruptHandler(func(q int, now units.Time) {
+			for _, f := range rx.Drain(q) {
 				bytes += f.Payload
 				last = now
 			}
@@ -363,8 +363,8 @@ func TestFlowHashBondPinsPeers(t *testing.T) {
 	fab.Attach(rx)
 	var bytes units.Bytes
 	var last units.Time
-	rx.SetInterruptHandler(func(now units.Time) {
-		for _, f := range rx.Drain() {
+	rx.SetInterruptHandler(func(q int, now units.Time) {
+		for _, f := range rx.Drain(q) {
 			bytes += f.Payload
 			last = now
 		}
@@ -408,8 +408,8 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 		fab.Attach(tx)
 		fab.Attach(rx)
 		var got []int
-		rx.SetInterruptHandler(func(units.Time) {
-			for _, f := range rx.Drain() {
+		rx.SetInterruptHandler(func(q int, _ units.Time) {
+			for _, f := range rx.Drain(q) {
 				got = append(got, f.Body.(int))
 			}
 		})
@@ -442,8 +442,8 @@ func BenchmarkFrameDelivery(b *testing.B) {
 	rx := NewNIC(eng, 2, DefaultNICConfig(3*units.Gigabit))
 	fab.Attach(tx)
 	fab.Attach(rx)
-	rx.SetInterruptHandler(func(units.Time) {
-		for _, f := range rx.Drain() {
+	rx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range rx.Drain(q) {
 			rx.Free(f)
 		}
 	})
@@ -483,8 +483,8 @@ func TestMultiQueueRSS(t *testing.T) {
 		t.Fatalf("queues = %d", rx.RxQueueCount())
 	}
 	perQueue := map[int]map[NodeID]bool{}
-	rx.SetQueueHandler(func(q int, _ units.Time) {
-		for _, f := range rx.DrainQueue(q) {
+	rx.SetInterruptHandler(func(q int, _ units.Time) {
+		for _, f := range rx.Drain(q) {
 			if perQueue[q] == nil {
 				perQueue[q] = map[NodeID]bool{}
 			}

@@ -39,7 +39,7 @@ func NewMetadataServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cf
 		eng:    eng,
 		node:   id,
 		nic:    netsim.NewNIC(eng, id, cfg.NIC),
-		cpu:    sim.NewServer(eng, "mds-cpu"),
+		cpu:    sim.NewServer(eng),
 		layout: layout,
 	}
 	fab.Attach(m.nic)
@@ -64,8 +64,8 @@ func (m *MetadataServer) Node() netsim.NodeID { return m.node }
 // Queries returns the number of layout queries served.
 func (m *MetadataServer) Queries() uint64 { return m.queries }
 
-func (m *MetadataServer) onInterrupt(units.Time) {
-	for _, f := range m.nic.Drain() {
+func (m *MetadataServer) onInterrupt(q int, _ units.Time) {
+	for _, f := range m.nic.Drain(q) {
 		if q, ok := f.Body.(*LayoutRequest); ok {
 			m.serve(q)
 		}

@@ -98,7 +98,7 @@ func NewServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg Server
 		eng:      eng,
 		node:     id,
 		nic:      netsim.NewNIC(eng, id, cfg.NIC),
-		cpu:      sim.NewServer(eng, fmt.Sprintf("pfs%d-cpu", id)),
+		cpu:      sim.NewServer(eng),
 		dsk:      disk.New(eng, cfg.Disk, rnd.Split(fmt.Sprintf("disk%d", id))),
 		pages:    NewPageCache(eng, cfg.CacheBytes, window),
 		capsuler: irqsched.HintCapsuler{Enabled: cfg.EchoHints},
@@ -170,8 +170,8 @@ func (s *Server) defaultPlacement(f FileID) units.Bytes {
 }
 
 // onInterrupt is the server NIC rx path.
-func (s *Server) onInterrupt(units.Time) {
-	frames := s.nic.Drain()
+func (s *Server) onInterrupt(q int, _ units.Time) {
+	frames := s.nic.Drain(q)
 	if s.down {
 		for _, f := range frames {
 			s.nic.Free(f) // crashed: everything received is lost

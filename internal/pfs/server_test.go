@@ -26,8 +26,8 @@ func newHarness(t *testing.T, echo bool) *harness {
 	h.fab = netsim.NewFabric(h.eng, 10*units.Microsecond, 256)
 	h.client = netsim.NewNIC(h.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	h.fab.Attach(h.client)
-	h.client.SetInterruptHandler(func(units.Time) {
-		h.rx = append(h.rx, h.client.Drain()...)
+	h.client.SetInterruptHandler(func(q int, _ units.Time) {
+		h.rx = append(h.rx, h.client.Drain(q)...)
 	})
 	scfg := DefaultServerConfig(units.Gigabit)
 	scfg.EchoHints = echo

@@ -17,11 +17,6 @@ import "math"
 // perturb another's draws.
 type Source struct {
 	s [4]uint64
-
-	// cached Zipf inverse-CDF table (see Zipf).
-	zipfCDF []float64
-	zipfN   int
-	zipfS   float64
 }
 
 // splitmix64 advances a 64-bit state and returns a well-mixed output.
@@ -199,58 +194,9 @@ func (r *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return v
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes s in place.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Zipf returns a Zipf-distributed value in [0, n) with exponent s > 0:
-// P(k) ∝ 1/(k+1)^s. It uses inverse-CDF sampling over a lazily built
-// table, which is exact and fast for the bounded n a simulation uses
-// (file-popularity skew, hot servers). The table is cached on the
-// Source keyed by (n, s).
-func (r *Source) Zipf(n int, s float64) int {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	if s <= 0 {
-		panic("rng: Zipf with non-positive exponent")
-	}
-	if r.zipfN != n || r.zipfS != s {
-		cdf := make([]float64, n)
-		sum := 0.0
-		for k := 0; k < n; k++ {
-			sum += 1 / math.Pow(float64(k+1), s)
-			cdf[k] = sum
-		}
-		for k := range cdf {
-			cdf[k] /= sum
-		}
-		r.zipfCDF, r.zipfN, r.zipfS = cdf, n, s
-	}
-	u := r.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.zipfCDF[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

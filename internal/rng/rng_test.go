@@ -183,28 +183,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(12)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(13)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -244,55 +222,6 @@ func BenchmarkExp(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.Exp(100)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(21)
-	const n, draws = 16, 100000
-	var count [n]int
-	for i := 0; i < draws; i++ {
-		v := r.Zipf(n, 1.0)
-		if v < 0 || v >= n {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		count[v]++
-	}
-	// Rank 0 must dominate and counts must be monotonically
-	// non-increasing within sampling noise.
-	if count[0] < count[1] || count[1] < count[4] || count[4] < count[12] {
-		t.Errorf("Zipf counts not skewed: %v", count)
-	}
-	// For s=1, P(0)/P(1) = 2 within tolerance.
-	ratio := float64(count[0]) / float64(count[1])
-	if ratio < 1.7 || ratio > 2.3 {
-		t.Errorf("rank ratio = %.2f, want ≈2", ratio)
-	}
-}
-
-func TestZipfTableRebuilds(t *testing.T) {
-	r := New(22)
-	a := r.Zipf(8, 1.0)
-	b := r.Zipf(32, 2.0) // different params rebuild the table
-	if a < 0 || a >= 8 || b < 0 || b >= 32 {
-		t.Errorf("values out of range: %d %d", a, b)
-	}
-}
-
-func TestZipfValidation(t *testing.T) {
-	r := New(23)
-	for _, f := range []func(){
-		func() { r.Zipf(0, 1) },
-		func() { r.Zipf(8, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -19,28 +19,21 @@ import (
 // keeps its jobs' done callbacks in a ring and schedules one prebound
 // completion event per job that pops the front — no closure per job.
 type Server struct {
-	eng     *Engine
-	busyTo  units.Time
-	queue   int
-	maxQ    int
-	busy    units.Time // accumulated busy time
-	served  uint64
-	waited  units.Time // accumulated queueing delay
-	nameTag string
-	done    deque.Deque[Event] // done callbacks of in-flight jobs, in finish order
+	eng    *Engine
+	busyTo units.Time
+	queue  int
+	busy   units.Time // accumulated busy time
+	served uint64
+	done   deque.Deque[Event] // done callbacks of in-flight jobs, in finish order
 	// completeFn is s.complete, bound by the first submission so that
 	// building a server allocates no method value.
 	completeFn Event
 }
 
-// NewServer returns an idle FIFO server bound to eng. name is used only
-// for diagnostics.
-func NewServer(eng *Engine, name string) *Server {
-	return &Server{eng: eng, nameTag: name}
+// NewServer returns an idle FIFO server bound to eng.
+func NewServer(eng *Engine) *Server {
+	return &Server{eng: eng}
 }
-
-// Name returns the diagnostic name.
-func (s *Server) Name() string { return s.nameTag }
 
 // Busy reports whether the server is serving or has queued work.
 func (s *Server) Busy() bool { return s.eng.Now() < s.busyTo }
@@ -49,14 +42,8 @@ func (s *Server) Busy() bool { return s.eng.Now() < s.busyTo }
 // including the one in service.
 func (s *Server) QueueLen() int { return s.queue }
 
-// MaxQueue returns the high-water mark of QueueLen.
-func (s *Server) MaxQueue() int { return s.maxQ }
-
 // BusyTime returns total time spent serving jobs.
 func (s *Server) BusyTime() units.Time { return s.busy }
-
-// WaitTime returns total time jobs spent queued before service began.
-func (s *Server) WaitTime() units.Time { return s.waited }
 
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
@@ -66,8 +53,8 @@ func (s *Server) Served() uint64 { return s.served }
 //
 //saisvet:allocfree
 func (s *Server) Submit(cost units.Time, done Event) units.Time {
-	now, start := s.admit()
-	return s.schedule(now, start, cost, done)
+	start := s.admit()
+	return s.schedule(start, cost, done)
 }
 
 // SubmitFunc enqueues a job whose cost is computed at dispatch time by
@@ -77,36 +64,29 @@ func (s *Server) Submit(cost units.Time, done Event) units.Time {
 // returned value is the scheduled completion of this job given current
 // queue contents.
 func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
-	now, start := s.admit()
-	return s.schedule(now, start, costAt(start), done)
+	start := s.admit()
+	return s.schedule(start, costAt(start), done)
 }
 
-// admit counts a new job into the queue and returns the current time
-// and the job's start time.
+// admit counts a new job into the queue and returns its start time.
 //
 //saisvet:allocfree
-func (s *Server) admit() (now, start units.Time) {
-	now = s.eng.Now()
-	start = max(s.busyTo, now)
+func (s *Server) admit() units.Time {
 	s.queue++
-	if s.queue > s.maxQ {
-		s.maxQ = s.queue
-	}
-	return now, start
+	return max(s.busyTo, s.eng.Now())
 }
 
 // schedule books a job of the given cost from start and schedules its
 // completion.
 //
 //saisvet:allocfree
-func (s *Server) schedule(now, start, cost units.Time, done Event) units.Time {
+func (s *Server) schedule(start, cost units.Time, done Event) units.Time {
 	if cost < 0 {
 		cost = 0
 	}
 	finish := start + cost
 	s.busyTo = finish
 	s.busy += cost
-	s.waited += start - now
 	if s.completeFn == nil {
 		s.completeFn = s.complete
 	}
@@ -125,12 +105,4 @@ func (s *Server) complete(now units.Time) {
 		//lint:alloc completion-callback invocation: the callback's allocations belong to its owner's budget
 		done(now)
 	}
-}
-
-// Drain returns the time at which all currently queued work completes.
-func (s *Server) Drain() units.Time {
-	if s.busyTo < s.eng.Now() {
-		return s.eng.Now()
-	}
-	return s.busyTo
 }

@@ -12,7 +12,7 @@ import (
 
 func TestServerSerializesJobs(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "nic")
+	s := NewServer(e)
 	var done []units.Time
 	e.At(0, func(units.Time) {
 		s.Submit(10, func(now units.Time) { done = append(done, now) })
@@ -33,7 +33,7 @@ func TestServerSerializesJobs(t *testing.T) {
 
 func TestServerIdleGap(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "disk")
+	s := NewServer(e)
 	var second units.Time
 	e.At(0, func(units.Time) { s.Submit(10, nil) })
 	e.At(100, func(units.Time) {
@@ -50,7 +50,7 @@ func TestServerIdleGap(t *testing.T) {
 
 func TestServerReturnsCompletionTime(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "x")
+	s := NewServer(e)
 	e.At(0, func(units.Time) {
 		if got := s.Submit(7, nil); got != 7 {
 			t.Errorf("first Submit returned %v, want 7", got)
@@ -58,16 +58,13 @@ func TestServerReturnsCompletionTime(t *testing.T) {
 		if got := s.Submit(3, nil); got != 10 {
 			t.Errorf("second Submit returned %v, want 10", got)
 		}
-		if got := s.Drain(); got != 10 {
-			t.Errorf("Drain = %v, want 10", got)
-		}
 	})
 	e.RunUntilIdle()
 }
 
 func TestServerStats(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "x")
+	s := NewServer(e)
 	e.At(0, func(units.Time) {
 		s.Submit(10, nil)
 		s.Submit(10, nil)
@@ -77,13 +74,6 @@ func TestServerStats(t *testing.T) {
 	if s.Served() != 3 {
 		t.Errorf("Served = %d, want 3", s.Served())
 	}
-	if s.MaxQueue() != 3 {
-		t.Errorf("MaxQueue = %d, want 3", s.MaxQueue())
-	}
-	// Jobs 2 and 3 waited 10 and 20.
-	if s.WaitTime() != 30 {
-		t.Errorf("WaitTime = %v, want 30", s.WaitTime())
-	}
 	if s.QueueLen() != 0 {
 		t.Errorf("QueueLen = %d, want 0 after drain", s.QueueLen())
 	}
@@ -91,7 +81,7 @@ func TestServerStats(t *testing.T) {
 
 func TestSubmitFuncSeesDispatchTime(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "x")
+	s := NewServer(e)
 	var dispatchAt units.Time = -1
 	e.At(0, func(units.Time) {
 		s.Submit(25, nil)
@@ -108,7 +98,7 @@ func TestSubmitFuncSeesDispatchTime(t *testing.T) {
 
 func TestNegativeCostClamped(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "x")
+	s := NewServer(e)
 	e.At(0, func(units.Time) {
 		fin := s.SubmitFunc(func(units.Time) units.Time { return -5 }, nil)
 		if fin != 0 {
@@ -120,7 +110,7 @@ func TestNegativeCostClamped(t *testing.T) {
 
 func TestBusy(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "x")
+	s := NewServer(e)
 	e.At(0, func(units.Time) {
 		s.Submit(10, nil)
 		if !s.Busy() {
@@ -141,10 +131,8 @@ type refServer struct {
 	eng    *Engine
 	busyTo units.Time
 	queue  int
-	maxQ   int
 	busy   units.Time
 	served uint64
-	waited units.Time
 }
 
 func (s *refServer) Submit(cost units.Time, done Event) units.Time {
@@ -158,9 +146,6 @@ func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) u
 		start = now
 	}
 	s.queue++
-	if s.queue > s.maxQ {
-		s.maxQ = s.queue
-	}
 	cost := costAt(start)
 	if cost < 0 {
 		cost = 0
@@ -168,7 +153,6 @@ func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) u
 	finish := start + cost
 	s.busyTo = finish
 	s.busy += cost
-	s.waited += start - now
 	s.eng.At(finish, func(t units.Time) {
 		s.queue--
 		s.served++
@@ -180,9 +164,7 @@ func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) u
 }
 
 func (s *refServer) QueueLen() int        { return s.queue }
-func (s *refServer) MaxQueue() int        { return s.maxQ }
 func (s *refServer) BusyTime() units.Time { return s.busy }
-func (s *refServer) WaitTime() units.Time { return s.waited }
 func (s *refServer) Served() uint64       { return s.served }
 
 // fifoServer is the surface the differential test drives.
@@ -190,9 +172,7 @@ type fifoServer interface {
 	Submit(cost units.Time, done Event) units.Time
 	SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time
 	QueueLen() int
-	MaxQueue() int
 	BusyTime() units.Time
-	WaitTime() units.Time
 	Served() uint64
 }
 
@@ -236,8 +216,8 @@ func genServerOps(r *rng.Source) []serverOp {
 func runServerOps(eng *Engine, s fifoServer, ops []serverOp, probes []units.Time) []string {
 	var log []string
 	snap := func(tag string, now units.Time) {
-		log = append(log, fmt.Sprintf("%s@%d q=%d max=%d busy=%d wait=%d served=%d",
-			tag, now, s.QueueLen(), s.MaxQueue(), s.BusyTime(), s.WaitTime(), s.Served()))
+		log = append(log, fmt.Sprintf("%s@%d q=%d busy=%d served=%d",
+			tag, now, s.QueueLen(), s.BusyTime(), s.Served()))
 	}
 	for i, op := range ops {
 		i, op := i, op
@@ -290,7 +270,7 @@ func TestServerMatchesReference(t *testing.T) {
 		var logs [2][]string
 		for k := range logs {
 			eng := NewEngine()
-			var s fifoServer = NewServer(eng, "ring")
+			var s fifoServer = NewServer(eng)
 			if k == 1 {
 				s = &refServer{eng: eng}
 			}
@@ -336,14 +316,15 @@ func TestEventRingFIFO(t *testing.T) {
 // of queued jobs (one with a zero cost, one with no callback) drained to
 // idle.
 type serverLoop struct {
-	eng  *Engine
-	s    *Server
-	done Event
+	eng   *Engine
+	s     *Server
+	done  Event
+	depth int // QueueLen after the burst is submitted
 }
 
 func newServerLoop() *serverLoop {
 	l := &serverLoop{eng: NewEngine()}
-	l.s = NewServer(l.eng, "loop")
+	l.s = NewServer(l.eng)
 	l.done = func(units.Time) {}
 	l.cycle() // grow the ring and the engine arena
 	return l
@@ -354,6 +335,7 @@ func (l *serverLoop) cycle() {
 		l.s.Submit(units.Time(i%3), l.done)
 	}
 	l.s.Submit(5, nil)
+	l.depth = l.s.QueueLen()
 	l.eng.RunUntilIdle()
 }
 
@@ -362,7 +344,7 @@ func TestServerSubmitAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, l.cycle); allocs != 0 {
 		t.Errorf("Submit→complete loop allocates %v per cycle, want 0", allocs)
 	}
-	if l.s.MaxQueue() != 9 || l.s.QueueLen() != 0 {
-		t.Fatalf("loop did not queue: max %d, len %d", l.s.MaxQueue(), l.s.QueueLen())
+	if l.depth != 9 || l.s.QueueLen() != 0 {
+		t.Fatalf("loop did not queue: depth %d, len %d", l.depth, l.s.QueueLen())
 	}
 }

@@ -126,7 +126,6 @@ type Engine struct {
 	deadCount int
 
 	fired   uint64
-	halted  bool
 	stop    func() bool
 	pollNow bool // poll the stop condition at the next loop iteration
 	stopped bool
@@ -291,9 +290,6 @@ func (e *Engine) ScheduleRemote(at, schedAt units.Time, origin uint64, fn Event)
 	return Timer{eng: e, idx: idx, gen: it.gen}
 }
 
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // SetStop installs a stop condition polled by Run at event-loop
 // granularity (immediately at the next loop iteration — even when
 // installed mid-run from inside an event — then every
@@ -311,7 +307,7 @@ func (e *Engine) SetStop(cond func() bool) {
 
 // Stopped reports whether the most recent Run returned because the
 // stop condition fired (as opposed to draining the queue, hitting the
-// deadline, or Halt).
+// deadline).
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // next locates the earliest live event without removing it, lazily
@@ -421,13 +417,6 @@ func (e *Engine) Step() bool {
 // events below it. They share next()'s lazy dead-event discard, so
 // peeking has the same amortized cost as running.
 
-// HasPendingEvents reports whether any live (non-cancelled) event
-// remains queued.
-func (e *Engine) HasPendingEvents() bool {
-	_, ok := e.next()
-	return ok
-}
-
 // PeekNextEventTime returns the time of the earliest live event
 // without executing it. ok is false when the queue holds no live
 // events.
@@ -439,19 +428,12 @@ func (e *Engine) PeekNextEventTime() (at units.Time, ok bool) {
 	return e.nextAt(fromFifo), true
 }
 
-// ProcessNextEvent pops and executes the earliest live event,
-// reporting whether one existed. It is Step under the name the
-// executor layer uses; both exist because Step predates the sharding
-// work and external callers depend on it.
-func (e *Engine) ProcessNextEvent() bool { return e.Step() }
-
 // RunBefore executes every event with time strictly below horizon and
 // returns the number executed. The clock is left at the last executed
 // event (not advanced to horizon): a later RunBefore or an injected
 // remote event may still schedule work in [now, horizon). RunBefore
-// ignores the Halt flag and stop condition — under sharded execution
-// those belong to the composing executor, which checks them between
-// rounds.
+// ignores the stop condition — under sharded execution it belongs to
+// the composing executor, which checks it between rounds.
 //
 //saisvet:allocfree
 func (e *Engine) RunBefore(horizon units.Time) int {
@@ -466,17 +448,16 @@ func (e *Engine) RunBefore(horizon units.Time) int {
 	}
 }
 
-// Run executes events until the queue is empty, Halt is called, the
-// stop condition installed by SetStop fires, or the clock passes
-// deadline (units.Forever for no deadline). It returns the time at
-// which the loop stopped.
+// Run executes events until the queue is empty, the stop condition
+// installed by SetStop fires, or the clock passes deadline
+// (units.Forever for no deadline). It returns the time at which the
+// loop stopped.
 //
 //saisvet:allocfree
 func (e *Engine) Run(deadline units.Time) units.Time {
-	e.halted = false
 	e.stopped = false
 	sincePoll := 0
-	for !e.halted {
+	for {
 		if e.stop != nil && (sincePoll == 0 || e.pollNow) {
 			e.pollNow = false
 			sincePoll = 0
@@ -499,7 +480,6 @@ func (e *Engine) Run(deadline units.Time) units.Time {
 		}
 		e.fire(fromFifo)
 	}
-	return e.now
 }
 
 // RunUntilIdle executes events until the queue is empty.

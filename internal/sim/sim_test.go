@@ -133,28 +133,6 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(units.Time(i), func(units.Time) {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.RunUntilIdle()
-	if count != 3 {
-		t.Errorf("executed %d events after Halt, want 3", count)
-	}
-	// A subsequent Run resumes.
-	e.RunUntilIdle()
-	if count != 10 {
-		t.Errorf("after resume count = %d, want 10", count)
-	}
-}
-
 func TestRunDeadline(t *testing.T) {
 	e := NewEngine()
 	var fired []units.Time

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStepPrimitives drives an engine event-by-event through the
-// peek/process pair and checks the observed schedule matches Run's.
+// peek/step pair and checks the observed schedule matches Run's.
 func TestStepPrimitives(t *testing.T) {
 	e := NewEngine()
 	var got []units.Time
@@ -15,24 +15,21 @@ func TestStepPrimitives(t *testing.T) {
 		at := at
 		e.At(at, func(now units.Time) { got = append(got, now) })
 	}
-	if !e.HasPendingEvents() {
-		t.Fatal("HasPendingEvents = false with 4 events queued")
-	}
 	want := []units.Time{10, 10, 20, 30}
 	for i, w := range want {
 		at, ok := e.PeekNextEventTime()
 		if !ok || at != w {
 			t.Fatalf("peek %d: got (%v, %v), want (%v, true)", i, at, ok, w)
 		}
-		if !e.ProcessNextEvent() {
-			t.Fatalf("ProcessNextEvent %d: no event", i)
+		if !e.Step() {
+			t.Fatalf("Step %d: no event", i)
 		}
 	}
-	if e.HasPendingEvents() {
-		t.Fatal("HasPendingEvents = true after drain")
+	if _, ok := e.PeekNextEventTime(); ok {
+		t.Fatal("PeekNextEventTime found an event after drain")
 	}
-	if e.ProcessNextEvent() {
-		t.Fatal("ProcessNextEvent = true on empty queue")
+	if e.Step() {
+		t.Fatal("Step = true on empty queue")
 	}
 	for i, w := range want {
 		if got[i] != w {

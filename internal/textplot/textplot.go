@@ -108,35 +108,3 @@ func barOf(v, max float64, width int, glyph rune) string {
 	}
 	return strings.Repeat(string(glyph), n)
 }
-
-// Sparkline renders values as a compact single-line sparkline.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(ramp)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(ramp) {
-			idx = len(ramp) - 1
-		}
-		b.WriteRune(ramp[idx])
-	}
-	return b.String()
-}

@@ -3,7 +3,6 @@ package textplot
 import (
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 func sample() *Chart {
@@ -88,24 +87,6 @@ func TestNonPositiveValues(t *testing.T) {
 	}
 	if !strings.Contains(out, "-5") {
 		t.Errorf("negative value not shown: %s", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	if utf8.RuneCountInString(s) != 8 {
-		t.Errorf("sparkline runes = %d", utf8.RuneCountInString(s))
-	}
-	if !strings.HasPrefix(s, "▁") || !strings.HasSuffix(s, "█") {
-		t.Errorf("sparkline = %q, want rising ramp", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline")
-	}
-	// Constant values: all the same glyph, no panic.
-	flat := Sparkline([]float64{3, 3, 3})
-	if utf8.RuneCountInString(flat) != 3 {
-		t.Errorf("flat sparkline = %q", flat)
 	}
 }
 

@@ -93,10 +93,6 @@ const (
 	Gigabit Rate = 125 * MBps
 )
 
-// MiBps converts r to binary mebibytes per second, the unit the paper's
-// bandwidth figures use.
-func (r Rate) MiBps() float64 { return float64(r) / float64(MiB) }
-
 // String renders the rate in MB/s (decimal), matching the simulator's
 // report tables.
 func (r Rate) String() string { return fmt.Sprintf("%.4gMB/s", float64(r)/float64(MBps)) }

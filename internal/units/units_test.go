@@ -157,10 +157,3 @@ func TestOver(t *testing.T) {
 		t.Errorf("Over with zero time = %v, want 0", got)
 	}
 }
-
-func TestMiBps(t *testing.T) {
-	r := Rate(float64(64 * MiB))
-	if got := r.MiBps(); math.Abs(got-64) > 1e-9 {
-		t.Errorf("MiBps = %v, want 64", got)
-	}
-}

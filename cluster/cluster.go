@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"sais/internal/apic"
+	"sais/internal/cache"
 	"sais/internal/client"
 	"sais/internal/cpu"
 	"sais/internal/disk"
@@ -250,8 +251,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	case c.Workers < 0:
 		return fmt.Errorf("cluster: negative worker count %d", c.Workers)
+	case c.FabricLatency < 0:
+		return fmt.Errorf("cluster: negative fabric latency %v", c.FabricLatency)
 	case c.Shards > 1 && c.FabricLatency <= 0:
 		return fmt.Errorf("cluster: sharded execution needs a positive fabric latency (lookahead)")
+	case c.ClientNICPorts < 0:
+		return fmt.Errorf("cluster: negative client NIC ports %d", c.ClientNICPorts)
 	case c.ForegroundClients < 0:
 		return fmt.Errorf("cluster: negative foreground clients %d", c.ForegroundClients)
 	case c.BackgroundUsers < 0:
@@ -314,8 +319,8 @@ func (c Config) clientConfig(i int, node, mds netsim.NodeID) client.Config {
 	if c.ClientNICPorts > 1 {
 		ccfg.NIC.Ports = c.ClientNICPorts
 		ccfg.NIC.Rate = c.ClientNICRate / units.Rate(c.ClientNICPorts)
-		ccfg.NIC.Bond = c.ClientBondMode
 	}
+	ccfg.NIC.Bond = c.ClientBondMode // a single port ignores it
 	ccfg.NIC.CoalesceFrames = max(c.CoalesceFrames, 1)
 	ccfg.NIC.CoalesceDelay = c.CoalesceDelay
 	return ccfg
@@ -821,6 +826,7 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 		cpu.CatMemStall, cpu.CatCompute, cpu.CatSyscall, cpu.CatOther}
 
 	var busy units.Time
+	var lines cache.BlockStats
 	for i, n := range nodes {
 		st := n.Stats()
 		res.TotalBytes += st.BytesRead + st.BytesWritten
@@ -849,11 +855,7 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 			}
 		}
 
-		agg := n.Caches().Aggregate()
-		res.LineAccesses += agg.Accesses
-		res.LineMisses += agg.Misses
-		res.RemoteLines += agg.RemoteTransfers
-		res.MemoryLines += agg.MemoryFills
+		lines.Add(n.Caches().Aggregate())
 
 		total := n.CPU().TotalStats()
 		busy += total.Busy
@@ -873,9 +875,9 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 		coreNS := float64(res.Duration) * float64(cfg.Clients*cfg.CoresPerClient)
 		res.CPUUtilization = float64(busy) / coreNS
 	}
-	if res.LineAccesses > 0 {
-		res.CacheMissRate = float64(res.LineMisses) / float64(res.LineAccesses)
-	}
+	res.CacheMissRate = lines.MissRate()
+	res.LineAccesses, res.LineMisses = lines.Accesses, lines.Misses
+	res.RemoteLines, res.MemoryLines = lines.RemoteTransfers, lines.MemoryFills
 	var lats, wlats []float64
 	for _, n := range nodes {
 		lats = append(lats, n.Latencies()...)

@@ -147,8 +147,19 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// allPolicies returns every kind in the policy table, in table order.
+func allPolicies() []irqsched.PolicyKind {
+	var ks []irqsched.PolicyKind
+	for k := irqsched.PolicyKind(0); ; k++ {
+		if _, ok := irqsched.Describe(k); !ok {
+			return ks
+		}
+		ks = append(ks, k)
+	}
+}
+
 func TestAllPoliciesRun(t *testing.T) {
-	for _, p := range irqsched.Kinds() {
+	for _, p := range allPolicies() {
 		res, err := Run(quickCfg().WithPolicy(p))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -167,7 +178,7 @@ func TestAllPoliciesRun(t *testing.T) {
 // one sanctioned source of reordering (scenarios/flow-director-reorder
 // asserts the positive case).
 func TestReorderMetricZeroForInOrderPolicies(t *testing.T) {
-	for _, p := range irqsched.Kinds() {
+	for _, p := range allPolicies() {
 		if p == irqsched.PolicyFlowDirector {
 			continue
 		}
@@ -295,6 +306,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.IrqbalancePeriod = -1 },
 		func(c *Config) { c.CoalesceDelay = -1 },
 		func(c *Config) { c.L3PerSocket = -1 },
+		func(c *Config) { c.FabricLatency = -1 },
+		func(c *Config) { c.ClientBondMode = 7 },
+		func(c *Config) { c.ClientNICPorts = -1 },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig()
@@ -391,6 +405,45 @@ func TestWriteLossWithRetries(t *testing.T) {
 	}
 	if res.TotalBytes != 16*units.MiB {
 		t.Errorf("acked %v with retries enabled, want all 16MiB", res.TotalBytes)
+	}
+}
+
+// TestPolicyInvisibleAtOneCore: with one core per client every policy
+// must deliver every interrupt to core 0, so the run cannot depend on
+// the policy at all — every Result field matches the first policy's,
+// apart from the policy's name, its own counters and how many
+// interrupts carried a hint.
+func TestPolicyInvisibleAtOneCore(t *testing.T) {
+	lossyWrite := quickCfg()
+	lossyWrite.Clients = 2
+	lossyWrite.WriteWorkload = true
+	lossyWrite.Faults = &faults.Plan{Loss: 0.01}
+	lossyWrite.RetryTimeout = 150 * units.Millisecond
+	lossyWrite.MaxRetries = 10
+	for name, cfg := range map[string]Config{"quick": quickCfg(), "lossy-write": lossyWrite} {
+		t.Run(name, func(t *testing.T) {
+			cfg.CoresPerClient = 1
+			var first []byte
+			var firstPolicy irqsched.PolicyKind
+			for i, p := range allPolicies() {
+				res, err := Run(cfg.WithPolicy(p))
+				if err != nil {
+					t.Fatalf("%v: %v", p, err)
+				}
+				res.Policy, res.PolicyStats, res.HintedIRQs = "", nil, 0
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first, firstPolicy = got, p
+					continue
+				}
+				if !bytes.Equal(got, first) {
+					t.Errorf("%v: result differs from %v at one core:\n%s\n%s", p, firstPolicy, got, first)
+				}
+			}
+		})
 	}
 }
 

@@ -21,11 +21,12 @@ import (
 )
 
 func main() {
+	def := memsim.DefaultConfig()
 	var (
 		appsList = flag.String("apps", "1,2,4,8", "comma-separated application counts to sweep")
-		servers  = flag.Int("servers", 8, "in-memory I/O nodes")
-		requests = flag.Int("requests", 64, "requests per application")
-		transfer = flag.Int("transfer", 1, "transfer size in MiB")
+		servers  = flag.Int("servers", def.Servers, "in-memory I/O nodes")
+		requests = flag.Int("requests", def.Requests, "requests per application")
+		transfer = flag.Int("transfer", int(def.Transfer/units.MiB), "transfer size in MiB")
 		repeats  = flag.Int("repeats", 3, "measured repetitions (best-of)")
 	)
 	flag.Parse()
@@ -37,13 +38,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "memsim: bad app count %q\n", tok)
 			os.Exit(1)
 		}
-		cfg := memsim.Config{
-			Servers:   *servers,
-			StripSize: 64 * units.KiB,
-			Transfer:  units.Bytes(*transfer) * units.MiB,
-			Requests:  *requests,
-			Apps:      apps,
-		}
+		cfg := def
+		cfg.Servers, cfg.Requests, cfg.Apps = *servers, *requests, apps
+		cfg.Transfer = units.Bytes(*transfer) * units.MiB
 		// Warm-up pass, then best-of-N to suppress scheduling noise.
 		if _, err := memsim.RunSiSAIs(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "memsim:", err)

@@ -180,6 +180,7 @@ func TestUsageErrors(t *testing.T) {
 		"plot with csv":       {[]string{"run", "-csv", "-plot", degraded}, "-plot"},
 		"files and dims":      {[]string{"run", degraded, "servers=4,8"}, "do not mix"},
 		"two chaos files":     {[]string{"chaos", healthy, healthy}, "at most one"},
+		"no chaos iterations": {[]string{"chaos", "-n", "-1"}, "at least one iteration"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

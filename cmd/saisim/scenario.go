@@ -200,6 +200,11 @@ func chaosCmd(args []string, stdout, stderr io.Writer) int {
 	if c.fs.NArg() > 1 {
 		return c.fail(fmt.Errorf("chaos takes at most one scenario file, got %d", c.fs.NArg()))
 	}
+	if *n < 1 {
+		code := c.fail(fmt.Errorf("chaos -n %d: the soak needs at least one iteration", *n))
+		c.fs.Usage()
+		return code
+	}
 	var base *scenario.Scenario
 	var err error
 	if path := c.fs.Arg(0); path != "" {

@@ -288,8 +288,12 @@ func TestNoisyNeighborStudy(t *testing.T) {
 // added to the file fails here.
 func TestPolicyMatrixListsRegistry(t *testing.T) {
 	var want []string
-	for _, k := range irqsched.Kinds() {
-		want = append(want, k.String())
+	for k := irqsched.PolicyKind(0); ; k++ {
+		d, ok := irqsched.Describe(k)
+		if !ok {
+			break
+		}
+		want = append(want, d.Name)
 	}
 	if got := loadStudy(t, "policymatrix").Policies; !reflect.DeepEqual(got, want) {
 		t.Errorf("policymatrix policies = %v, want %v", got, want)

@@ -41,11 +41,10 @@ type Handler func(core int, vec Vector, now units.Time)
 
 // LocalAPIC is one core's interrupt acceptance unit.
 type LocalAPIC struct {
-	core     int
-	eng      *sim.Engine
-	latency  units.Time
-	handler  Handler
-	accepted uint64
+	core    int
+	eng     *sim.Engine
+	latency units.Time
+	handler Handler
 
 	// inflight holds accepted vectors awaiting delivery, in acceptance
 	// order. The latency is constant, so deliveries fire in that same
@@ -73,12 +72,6 @@ func NewLocalAPICs(eng *sim.Engine, n int, latency units.Time) []*LocalAPIC {
 	return locals
 }
 
-// Core returns the core this local APIC belongs to.
-func (l *LocalAPIC) Core() int { return l.core }
-
-// Accepted returns the number of interrupts delivered to the handler.
-func (l *LocalAPIC) Accepted() uint64 { return l.accepted }
-
 // SetHandler installs the interrupt handler (the kernel's do_IRQ).
 func (l *LocalAPIC) SetHandler(h Handler) { l.handler = h }
 
@@ -95,7 +88,6 @@ func (l *LocalAPIC) Accept(vec Vector) {
 //saisvet:allocfree
 func (l *LocalAPIC) deliver(now units.Time) {
 	vec := l.inflight.PopFront()
-	l.accepted++
 	if l.handler != nil {
 		//lint:alloc handler callback invocation: the handler's allocations belong to the kernel model's budget
 		l.handler(l.core, vec, now)
@@ -108,12 +100,6 @@ type RedirEntry struct {
 	Allowed []int
 }
 
-// IOAPICStats counts routing activity.
-type IOAPICStats struct {
-	Raised    uint64
-	Misroutes uint64 // router returned a core outside the allowed set
-}
-
 // IOAPIC routes raised vectors to local APICs.
 type IOAPIC struct {
 	eng    *sim.Engine
@@ -121,7 +107,6 @@ type IOAPIC struct {
 	redir  map[Vector]RedirEntry // nil until the first Program
 	all    []int                 // every core, the candidate set of unprogrammed vectors
 	router Router
-	stats  IOAPICStats
 }
 
 // NewIOAPIC builds an I/O APIC over the given local APICs.
@@ -138,12 +123,6 @@ func NewIOAPIC(eng *sim.Engine, locals []*LocalAPIC) *IOAPIC {
 
 // SetRouter installs the scheduling policy.
 func (io *IOAPIC) SetRouter(r Router) { io.router = r }
-
-// Router returns the installed policy.
-func (io *IOAPIC) Router() Router { return io.router }
-
-// Stats returns a copy of the counters.
-func (io *IOAPIC) Stats() IOAPICStats { return io.stats }
 
 // Program writes a redirection-table entry for vec. An empty allowed
 // set means "any core".
@@ -189,7 +168,6 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 		}
 	}
 	if !ok {
-		io.stats.Misroutes++
 		dest = allowed[0]
 	}
 	return dest
@@ -202,7 +180,6 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 //saisvet:allocfree
 func (io *IOAPIC) Raise(vec Vector, hint int, flow uint64) int {
 	dest := io.RouteFor(vec, hint, flow)
-	io.stats.Raised++
 	io.locals[dest].Accept(vec)
 	return dest
 }

@@ -57,9 +57,6 @@ func TestDeliveryWithLatency(t *testing.T) {
 	if len(got) != 1 || got[0].vec != 33 || got[0].core != 1 || got[0].at != 300 {
 		t.Errorf("delivered = %+v", got)
 	}
-	if locals[1].Accepted() != 1 || locals[0].Accepted() != 0 {
-		t.Error("accepted counters wrong")
-	}
 }
 
 func TestHintRouting(t *testing.T) {
@@ -95,12 +92,6 @@ func TestRedirectionTableRestricts(t *testing.T) {
 	eng.RunUntilIdle()
 	if counts[1] != 1 || counts[3] != 1 || counts[2] != 0 {
 		t.Errorf("counts = %v, want fallback to core 1 and direct to 3", counts)
-	}
-	if io.Stats().Misroutes != 1 {
-		t.Errorf("misroutes = %d, want 1", io.Stats().Misroutes)
-	}
-	if io.Stats().Raised != 2 {
-		t.Errorf("raised = %d, want 2", io.Stats().Raised)
 	}
 }
 
@@ -188,17 +179,18 @@ func (r *rrRouter) Name() string { return "rr" }
 // over four local APICs with a delivery latency, raising a burst of
 // hinted and unhinted vectors and running them to delivery.
 type raiseLoop struct {
-	eng    *sim.Engine
-	io     *IOAPIC
-	locals []*LocalAPIC
-	raised int
+	eng       *sim.Engine
+	io        *IOAPIC
+	locals    []*LocalAPIC
+	raised    int
+	delivered int
 }
 
 func newRaiseLoop() *raiseLoop {
 	l := &raiseLoop{eng: sim.NewEngine()}
 	l.locals = NewLocalAPICs(l.eng, 4, 50)
 	for _, lapic := range l.locals {
-		lapic.SetHandler(func(int, Vector, units.Time) {})
+		lapic.SetHandler(func(int, Vector, units.Time) { l.delivered++ })
 	}
 	l.io = NewIOAPIC(l.eng, l.locals)
 	l.io.SetRouter(&rrRouter{})
@@ -225,20 +217,12 @@ func (l *raiseLoop) run() {
 	l.eng.RunUntilIdle()
 }
 
-func (l *raiseLoop) accepted() int {
-	n := 0
-	for _, lapic := range l.locals {
-		n += int(lapic.Accepted())
-	}
-	return n
-}
-
 func TestRaiseSteadyStateAllocFree(t *testing.T) {
 	l := newRaiseLoop()
 	if allocs := testing.AllocsPerRun(100, l.run); allocs != 0 {
 		t.Errorf("Raise→delivery allocates %v per burst, want 0", allocs)
 	}
-	if got := l.accepted(); got != l.raised {
+	if got := l.delivered; got != l.raised {
 		t.Fatalf("delivered %d of %d raised interrupts", got, l.raised)
 	}
 }

@@ -96,7 +96,6 @@ type System struct {
 	cores    []lru
 	blocks   []block
 	free     Block // first free record, or none
-	stats    []BlockStats
 	agg      BlockStats
 
 	// Optional shared per-socket L3 victim cache: blocks evicted from a
@@ -114,8 +113,7 @@ type lru struct {
 	head, tail Block
 }
 
-// BlockStats counts line-level cache events for one core (or the
-// aggregate).
+// BlockStats counts line-level cache events.
 type BlockStats struct {
 	Accesses        uint64 // line accesses by consuming processes
 	Hits            uint64 // lines found in the local private cache
@@ -134,7 +132,8 @@ func (s BlockStats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-func (s *BlockStats) add(o BlockStats) {
+// Add sums o into s.
+func (s *BlockStats) Add(o BlockStats) {
 	s.Accesses += o.Accesses
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -157,7 +156,6 @@ func NewSystem(nCores int, perCore, lineSize units.Bytes) *System {
 		lineSize: lineSize,
 		cores:    make([]lru, nCores),
 		free:     none,
-		stats:    make([]BlockStats, nCores),
 	}
 	for i := range s.cores {
 		s.cores[i] = lru{capacity: perCore, head: none, tail: none}
@@ -187,30 +185,15 @@ func (s *System) socketOf(core int) int {
 	return core / s.socketSize
 }
 
-// Cores returns the number of private caches.
-func (s *System) Cores() int { return len(s.cores) }
-
 // LineSize returns the configured line size.
 func (s *System) LineSize() units.Bytes { return s.lineSize }
 
-// Stats returns the counters for one core.
-func (s *System) Stats(core int) BlockStats { return s.stats[core] }
-
-// Aggregate returns counters summed over all cores.
+// Aggregate returns the counters summed over all cores.
 func (s *System) Aggregate() BlockStats { return s.agg }
 
 // lines converts a byte size to a line count, rounding up.
 func (s *System) lines(size units.Bytes) uint64 {
 	return uint64((size + s.lineSize - 1) / s.lineSize)
-}
-
-// Resident reports which core holds the block, or -1 if it is only in
-// memory (or has been released).
-func (s *System) Resident(b Block) int {
-	if b < 0 || int(b) >= len(s.blocks) {
-		return -1
-	}
-	return int(s.blocks[b].core)
 }
 
 // Used returns bytes currently resident in core's cache.
@@ -241,32 +224,23 @@ func (s *System) Fill(core int, size units.Bytes) Block {
 	return b
 }
 
-// Consume models the application process on core reading the whole
-// block. The outcome classifies the dominant source; line counters are
-// charged to the consuming core. After Consume the block is resident in
-// the consuming core's cache (it was just read).
-func (s *System) Consume(core int, b Block) AccessKind {
-	kind, _ := s.ConsumeFrom(core, b)
-	return kind
-}
-
-// ConsumeFrom is Consume plus the identity of the core that supplied a
-// remote hit (-1 otherwise) — the information a NUMA cost model needs
-// to price the migration by socket distance.
+// ConsumeFrom models the application process on core reading the
+// whole block. The outcome classifies the dominant source, and the
+// supplier is the core that supplied a remote hit (-1 otherwise) — the
+// information a NUMA cost model needs to price the migration by socket
+// distance. Afterwards the block is resident in the consuming core's
+// cache (it was just read).
 //
 //saisvet:allocfree
 func (s *System) ConsumeFrom(core int, b Block) (AccessKind, int) {
 	r := s.live(b)
 	n := s.lines(r.size)
-	st := &s.stats[core]
-	st.Accesses += n
 	s.agg.Accesses += n
 
 	supplier := -1
 	var kind AccessKind
 	switch {
 	case int(r.core) == core:
-		st.Hits += n
 		s.agg.Hits += n
 		s.unlink(&s.cores[core], b)
 		s.push(&s.cores[core], b)
@@ -274,16 +248,12 @@ func (s *System) ConsumeFrom(core int, b Block) (AccessKind, int) {
 	case r.core != none:
 		supplier = int(r.core)
 		// Cache-to-cache migration of every line.
-		st.Misses += n
-		st.RemoteTransfers += n
 		s.agg.Misses += n
 		s.agg.RemoteTransfers += n
 		kind = HitRemote
 		s.unlink(&s.cores[r.core], b)
 		r.core = none
 	case r.socket != none:
-		st.Misses += n
-		st.L3Transfers += n
 		s.agg.Misses += n
 		s.agg.L3Transfers += n
 		kind = HitL3
@@ -293,8 +263,6 @@ func (s *System) ConsumeFrom(core int, b Block) (AccessKind, int) {
 		s.unlink(&s.l3[r.socket], b)
 		r.socket = none
 	default:
-		st.Misses += n
-		st.MemoryFills += n
 		s.agg.Misses += n
 		s.agg.MemoryFills += n
 		kind = MissMemory
@@ -306,39 +274,15 @@ func (s *System) ConsumeFrom(core int, b Block) (AccessKind, int) {
 	return kind, supplier
 }
 
-// ChargeHits adds n line accesses that hit core's private cache — the
-// model of the application touching already-resident working-set data
-// (its own buffers, stack, code) during the compute phase. These dilute
-// the strip-consumption misses exactly as they do in hardware counters.
-func (s *System) ChargeHits(core int, n uint64) {
-	s.stats[core].Accesses += n
-	s.stats[core].Hits += n
-	s.agg.Accesses += n
-	s.agg.Hits += n
-}
-
-// ChargeRemote adds n line accesses that miss locally and are supplied
-// cache-to-cache from a peer core — an explicit intra-node data
-// exchange between cores outside the block directory.
-func (s *System) ChargeRemote(core int, n uint64) {
-	st := &s.stats[core]
-	st.Accesses += n
-	st.Misses += n
-	st.RemoteTransfers += n
-	s.agg.Accesses += n
-	s.agg.Misses += n
-	s.agg.RemoteTransfers += n
-}
-
-// ChargeBackground adds compute-phase accesses with an explicit miss
-// split: misses are charged as memory fills (scheduling-independent
-// background misses — cold code, metadata, TLB walks).
-func (s *System) ChargeBackground(core int, hits, misses uint64) {
-	s.ChargeHits(core, hits)
-	st := &s.stats[core]
-	st.Accesses += misses
-	st.Misses += misses
-	st.MemoryFills += misses
+// ChargeBackground adds compute-phase line accesses: hits model the
+// application touching already-resident working-set data (its own
+// buffers, stack, code), which dilute the strip-consumption misses
+// exactly as they do in hardware counters; misses are charged as memory
+// fills (scheduling-independent background misses — cold code,
+// metadata, TLB walks).
+func (s *System) ChargeBackground(hits, misses uint64) {
+	s.agg.Accesses += hits
+	s.agg.Hits += hits
 	s.agg.Accesses += misses
 	s.agg.Misses += misses
 	s.agg.MemoryFills += misses
@@ -385,7 +329,6 @@ func (s *System) makeRoom(core int, size units.Bytes) {
 		victim := cc.head
 		s.unlink(cc, victim)
 		s.blocks[victim].core = none
-		s.stats[core].EvictedBlocks++
 		s.agg.EvictedBlocks++
 		if s.l3 != nil {
 			s.l3Insert(s.socketOf(core), victim)

@@ -10,16 +10,26 @@ import (
 
 func newSys() *System { return NewSystem(4, 512*units.KiB, 64) }
 
+// resident reports which core holds b, or -1 if it is only in memory
+// (or has been released).
+func resident(s *System, b Block) int { return int(s.blocks[b].core) }
+
+// consume reads the whole of b on core and returns where it came from.
+func consume(s *System, core int, b Block) AccessKind {
+	kind, _ := s.ConsumeFrom(core, b)
+	return kind
+}
+
 func TestFillThenLocalConsume(t *testing.T) {
 	s := newSys()
 	b := s.Fill(2, 64*units.KiB)
-	if got := s.Resident(b); got != 2 {
+	if got := resident(s, b); got != 2 {
 		t.Fatalf("Resident = %d, want 2", got)
 	}
-	if k := s.Consume(2, b); k != HitLocal {
+	if k := consume(s, 2, b); k != HitLocal {
 		t.Errorf("consume on filling core = %v, want local-hit", k)
 	}
-	st := s.Stats(2)
+	st := s.Aggregate()
 	wantLines := uint64(64 * 1024 / 64)
 	if st.Accesses != wantLines || st.Hits != wantLines || st.Misses != 0 {
 		t.Errorf("stats = %+v, want %d hits", st, wantLines)
@@ -29,19 +39,16 @@ func TestFillThenLocalConsume(t *testing.T) {
 func TestRemoteConsumeMigrates(t *testing.T) {
 	s := newSys()
 	b := s.Fill(1, 64*units.KiB)
-	if k := s.Consume(3, b); k != HitRemote {
+	if k := consume(s, 3, b); k != HitRemote {
 		t.Errorf("cross-core consume = %v, want remote-hit", k)
 	}
-	if got := s.Resident(b); got != 3 {
+	if got := resident(s, b); got != 3 {
 		t.Errorf("after consume block resident on %d, want 3", got)
 	}
-	st := s.Stats(3)
+	st := s.Aggregate()
 	wantLines := uint64(1024)
-	if st.RemoteTransfers != wantLines || st.Misses != wantLines {
-		t.Errorf("stats = %+v", st)
-	}
-	if s.Stats(1).Accesses != 0 {
-		t.Error("filling core should not be charged consumer accesses")
+	if st.Accesses != wantLines || st.RemoteTransfers != wantLines || st.Misses != wantLines {
+		t.Errorf("stats = %+v, want only the consumer's %d accesses", st, wantLines)
 	}
 }
 
@@ -52,14 +59,14 @@ func TestConsumeFromMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Fill(0, 64*units.KiB)
 	}
-	if s.Resident(b) != -1 {
+	if resident(s, b) != -1 {
 		t.Fatal("the first block should have been evicted")
 	}
-	if k := s.Consume(0, b); k != MissMemory {
+	if k := consume(s, 0, b); k != MissMemory {
 		t.Errorf("consume of evicted block = %v, want memory-miss", k)
 	}
-	if s.Stats(0).MemoryFills != 1024 {
-		t.Errorf("memory fills = %d, want 1024", s.Stats(0).MemoryFills)
+	if s.Aggregate().MemoryFills != 1024 {
+		t.Errorf("memory fills = %d, want 1024", s.Aggregate().MemoryFills)
 	}
 }
 
@@ -69,17 +76,17 @@ func TestCapacityEviction(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
-	if s.Resident(bs[0]) != -1 {
+	if resident(s, bs[0]) != -1 {
 		t.Error("LRU block 0 should be evicted by ninth fill")
 	}
-	if s.Resident(bs[8]) != 0 {
+	if resident(s, bs[8]) != 0 {
 		t.Error("newest block must be resident")
 	}
 	if s.Used(0) != 512*units.KiB {
 		t.Errorf("used = %v, want full", s.Used(0))
 	}
-	if s.Stats(0).EvictedBlocks != 1 {
-		t.Errorf("evictions = %d, want 1", s.Stats(0).EvictedBlocks)
+	if s.Aggregate().EvictedBlocks != 1 {
+		t.Errorf("evictions = %d, want 1", s.Aggregate().EvictedBlocks)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -89,10 +96,10 @@ func TestCapacityEviction(t *testing.T) {
 func TestOversizedBlockBypasses(t *testing.T) {
 	s := newSys()
 	b := s.Fill(0, units.MiB) // larger than 512 KiB cache
-	if s.Resident(b) != -1 {
+	if resident(s, b) != -1 {
 		t.Error("oversized block should bypass the cache")
 	}
-	if k := s.Consume(0, b); k != MissMemory {
+	if k := consume(s, 0, b); k != MissMemory {
 		t.Errorf("consume of bypassed block = %v, want memory-miss", k)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -110,7 +117,7 @@ func TestRefillMovesBlock(t *testing.T) {
 	if b != old {
 		t.Errorf("refill got handle %d, want the recycled %d", b, old)
 	}
-	if got := s.Resident(b); got != 2 {
+	if got := resident(s, b); got != 2 {
 		t.Errorf("Resident = %d, want 2", got)
 	}
 	if s.Used(0) != 0 {
@@ -122,7 +129,7 @@ func TestRelease(t *testing.T) {
 	s := newSys()
 	b := s.Fill(1, 64*units.KiB)
 	s.Release(b)
-	if s.Resident(b) != -1 {
+	if resident(s, b) != -1 {
 		t.Error("released block still resident")
 	}
 	if s.Used(1) != 0 {
@@ -140,14 +147,14 @@ func TestTouchRefreshesLRU(t *testing.T) {
 		bs = append(bs, s.Fill(0, 64*units.KiB))
 	}
 	// A local hit makes block 0 MRU; the next eviction takes block 1.
-	if k := s.Consume(0, bs[0]); k != HitLocal {
+	if k := consume(s, 0, bs[0]); k != HitLocal {
 		t.Fatalf("consume on the filling core = %v, want local-hit", k)
 	}
 	s.Fill(0, 64*units.KiB)
-	if s.Resident(bs[0]) != 0 {
+	if resident(s, bs[0]) != 0 {
 		t.Error("touched block was evicted")
 	}
-	if s.Resident(bs[1]) != -1 {
+	if resident(s, bs[1]) != -1 {
 		t.Error("expected block 1 to be the victim")
 	}
 }
@@ -163,7 +170,7 @@ func TestConsumeUnknownPanics(t *testing.T) {
 					t.Errorf("Consume of unknown block %d did not panic", b)
 				}
 			}()
-			s.Consume(0, b)
+			consume(s, 0, b)
 		}()
 	}
 }
@@ -172,14 +179,13 @@ func TestAggregateMatchesSum(t *testing.T) {
 	s := newSys()
 	b1 := s.Fill(0, 64*units.KiB)
 	b2 := s.Fill(1, 64*units.KiB)
-	s.Consume(0, b1)
-	s.Consume(0, b2)
+	consume(s, 0, b1)
+	consume(s, 0, b2)
 	var sum BlockStats
-	for c := 0; c < s.Cores(); c++ {
-		sum.add(s.Stats(c))
-	}
+	sum.Add(BlockStats{Accesses: 1024, Hits: 1024})                          // b1, local
+	sum.Add(BlockStats{Accesses: 1024, Misses: 1024, RemoteTransfers: 1024}) // b2, from core 1
 	if sum != s.Aggregate() {
-		t.Errorf("aggregate %+v != sum %+v", s.Aggregate(), sum)
+		t.Errorf("aggregate %+v != sum of the consumes %+v", s.Aggregate(), sum)
 	}
 }
 
@@ -195,7 +201,7 @@ func TestSystemInvariantsProperty(t *testing.T) {
 				size := units.Bytes(r.Intn(4)+1) * 32 * units.KiB
 				live = append(live, s.Fill(r.Intn(3), size))
 			case r.Bool(0.7):
-				s.Consume(r.Intn(3), live[r.Intn(len(live))])
+				consume(s, r.Intn(3), live[r.Intn(len(live))])
 			default:
 				k := r.Intn(len(live))
 				s.Release(live[k])
@@ -244,24 +250,20 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestChargeAccounting(t *testing.T) {
 	s := newSys()
-	s.ChargeHits(1, 100)
-	s.ChargeRemote(1, 40)
-	s.ChargeBackground(1, 30, 10)
-	st := s.Stats(1)
-	if st.Accesses != 180 {
-		t.Errorf("accesses = %d, want 180", st.Accesses)
+	s.ChargeBackground(100, 0)
+	s.ChargeBackground(30, 10)
+	st := s.Aggregate()
+	if st.Accesses != 140 {
+		t.Errorf("accesses = %d, want 140", st.Accesses)
 	}
 	if st.Hits != 130 {
 		t.Errorf("hits = %d, want 130", st.Hits)
 	}
-	if st.RemoteTransfers != 40 || st.MemoryFills != 10 {
+	if st.RemoteTransfers != 0 || st.MemoryFills != 10 {
 		t.Errorf("remote=%d mem=%d", st.RemoteTransfers, st.MemoryFills)
 	}
 	if st.Hits+st.Misses != st.Accesses {
 		t.Error("hit+miss != accesses after explicit charges")
-	}
-	if got := s.Aggregate(); got != st {
-		t.Errorf("aggregate %+v != core stats %+v", got, st)
 	}
 	if s.LineSize() != 64 {
 		t.Errorf("line size = %v", s.LineSize())
@@ -307,7 +309,7 @@ func TestL3VictimCache(t *testing.T) {
 	if supplier != 0 {
 		t.Errorf("supplier = %d, want socket-0 core", supplier)
 	}
-	st := s.Stats(0)
+	st := s.Aggregate()
 	if st.L3Transfers != 1024 {
 		t.Errorf("L3 transfers = %d, want 1024", st.L3Transfers)
 	}

@@ -41,7 +41,7 @@ func TestBlockModelMatchesLineModel(t *testing.T) {
 				continue
 			}
 			want := dir.Read(core, addr)
-			got := sys.Consume(core, h)
+			got := consume(sys, core, h)
 			// After a consume the block model treats the block as owned
 			// by the consumer; mirror that in the line model by
 			// re-filling ownership, matching Consume's move semantics.

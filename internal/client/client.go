@@ -681,15 +681,6 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// MustNew is New for configurations known valid (tests, examples).
-func MustNew(eng *sim.Engine, fab *netsim.Fabric, cfg Config) *Node {
-	n, err := New(eng, fab, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // CPU exposes the processor for metric collection.
 func (n *Node) CPU() *cpu.CPU { return n.cpu }
 
@@ -721,24 +712,17 @@ func (n *Node) Stats() Stats {
 // Proc is an application process pinned to a core (until an explicit
 // wake-time migration).
 type Proc struct {
-	id   int
 	core int
 	node *Node
 }
 
 // NewProc creates a process on the given core.
-func (n *Node) NewProc(id, core int) *Proc {
+func (n *Node) NewProc(core int) *Proc {
 	if core < 0 || core >= n.cfg.Cores {
 		panic(fmt.Sprintf("client: proc core %d out of range", core))
 	}
-	return &Proc{id: id, core: core, node: n}
+	return &Proc{core: core, node: n}
 }
-
-// Core returns the core the process currently runs on.
-func (p *Proc) Core() int { return p.core }
-
-// ID returns the process id.
-func (p *Proc) ID() int { return p.id }
 
 // Read issues a synchronous parallel read of [offset, offset+length)
 // from file; done fires on the process's core once the data has been
@@ -1382,7 +1366,7 @@ func (o *op) consume(now units.Time) {
 	totalLines := localLines + remoteLines + farLines + l3Lines + l3FarLines + memLines
 	if extra := uint64(float64(totalLines) * costs.ComputeAccessesPerLine); extra > 0 {
 		bgMisses := uint64(float64(extra) * costs.BackgroundMissRate)
-		n.caches.ChargeBackground(p.core, extra-bgMisses, bgMisses)
+		n.caches.ChargeBackground(extra-bgMisses, bgMisses)
 		memLines += int64(bgMisses)
 	}
 	far := costs.RemoteLineFar
@@ -1464,35 +1448,6 @@ func (n *Node) sameSocket(a, b int) bool {
 		return true
 	}
 	return a/ss == b/ss
-}
-
-// TransferBetween models an intra-node hand-off of bytes from the
-// cache of srcCore to dstCore — a shared-memory exchange between
-// co-located processes.
-// The destination core pays per-line migration stalls priced by socket
-// distance; a same-core transfer costs only local re-reads. done fires
-// when the destination has absorbed the bytes.
-func (n *Node) TransferBetween(srcCore, dstCore int, bytes units.Bytes, done sim.Event) {
-	if bytes <= 0 {
-		panic("client: TransferBetween with non-positive bytes")
-	}
-	if srcCore < 0 || srcCore >= n.cfg.Cores || dstCore < 0 || dstCore >= n.cfg.Cores {
-		panic("client: TransferBetween core out of range")
-	}
-	costs := n.cfg.Costs
-	lines := int64((bytes + n.caches.LineSize() - 1) / n.caches.LineSize())
-	c := n.cpu.Core(dstCore)
-	if srcCore == dstCore {
-		n.caches.ChargeHits(dstCore, uint64(lines))
-		c.Submit(cpu.PrioProcess, cpu.CatCompute, units.Time(lines)*costs.LocalLine, done)
-		return
-	}
-	perLine := costs.RemoteLine
-	if !n.sameSocket(srcCore, dstCore) && costs.RemoteLineFar > 0 {
-		perLine = costs.RemoteLineFar
-	}
-	n.caches.ChargeRemote(dstCore, uint64(lines))
-	c.Submit(cpu.PrioProcess, cpu.CatMigration, units.Time(lines)*perLine, done)
 }
 
 // leastLoadedCore returns the core with the smallest busy time,

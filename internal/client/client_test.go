@@ -3,6 +3,7 @@ package client
 import (
 	"testing"
 
+	"sais/internal/cpu"
 	"sais/internal/irqsched"
 	"sais/internal/netsim"
 	"sais/internal/pfs"
@@ -20,6 +21,17 @@ type rig struct {
 	layout  pfs.Layout
 }
 
+// mustNew builds a client node from a configuration the test knows is
+// valid.
+func mustNew(t testing.TB, eng *sim.Engine, fab *netsim.Fabric, cfg Config) *Node {
+	t.Helper()
+	n, err := New(eng, fab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine()}
@@ -27,7 +39,7 @@ func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 
 	cfg := DefaultConfig(1, 3*units.Gigabit, policy)
 	cfg.MDS = 50
-	r.node = MustNew(r.eng, r.fab, cfg)
+	r.node = mustNew(t, r.eng, r.fab, cfg)
 
 	servers := make([]netsim.NodeID, ns)
 	rnd := rng.New(7)
@@ -50,7 +62,7 @@ func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 
 func TestSingleReadCompletes(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
-	p := r.node.NewProc(0, 2)
+	p := r.node.NewProc(2)
 	var doneAt units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, units.MiB, func(now units.Time) { doneAt = now })
@@ -70,7 +82,7 @@ func TestSingleReadCompletes(t *testing.T) {
 
 func TestSAIsKeepsStripsLocal(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
-	p := r.node.NewProc(0, 3)
+	p := r.node.NewProc(3)
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, units.MiB, nil)
 	})
@@ -86,16 +98,16 @@ func TestSAIsKeepsStripsLocal(t *testing.T) {
 	if got := r.node.Stats().HintedIRQs; got == 0 {
 		t.Error("no hinted IRQs recorded")
 	}
-	// All strips were consumed on core 3; its stats carry the accesses.
-	if r.node.Caches().Stats(3).Accesses == 0 {
-		t.Error("consuming core has no accesses")
+	// All strips were consumed on core 3, which ran the compute.
+	if r.node.CPU().Core(3).Stats().ByCategory[cpu.CatCompute] == 0 {
+		t.Error("consuming core did no compute")
 	}
 }
 
 func TestBalancedPoliciesMigrate(t *testing.T) {
 	for _, pol := range []irqsched.PolicyKind{irqsched.PolicyRoundRobin, irqsched.PolicyIrqbalance} {
 		r := newRig(t, pol, 4)
-		p := r.node.NewProc(0, 3)
+		p := r.node.NewProc(3)
 		r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 		r.eng.RunUntilIdle()
 		agg := r.node.Caches().Aggregate()
@@ -110,7 +122,7 @@ func TestBalancedPoliciesMigrate(t *testing.T) {
 
 func TestDedicatedPolicy(t *testing.T) {
 	r := newRig(t, irqsched.PolicyDedicated, 2)
-	p := r.node.NewProc(0, 3)
+	p := r.node.NewProc(3)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, 256*units.KiB, nil) })
 	r.eng.RunUntilIdle()
 	// All softirq work must have landed on core 0 (the default
@@ -133,7 +145,7 @@ func TestSAIsFasterThanBalanced(t *testing.T) {
 		procs := 4
 		var remaining = procs * 8 // transfers
 		for i := 0; i < procs; i++ {
-			p := r.node.NewProc(i, i)
+			p := r.node.NewProc(i)
 			var loop func(k int) sim.Event
 			loop = func(k int) sim.Event {
 				return func(units.Time) {
@@ -159,8 +171,8 @@ func TestSAIsFasterThanBalanced(t *testing.T) {
 
 func TestLayoutFetchedOncePerFile(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 2)
-	p := r.node.NewProc(0, 0)
-	q := r.node.NewProc(1, 1)
+	p := r.node.NewProc(0)
+	q := r.node.NewProc(1)
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 128*units.KiB, nil)
 		q.Read(1, 128*units.KiB, 128*units.KiB, nil) // same file, parked behind open
@@ -181,10 +193,10 @@ func TestMigrateDuringBlockDefeatsHints(t *testing.T) {
 	cfg := r.node.cfg
 	cfg.MigrateDuringBlock = 1
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 3)
+	p := r.node.NewProc(3)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
-	if p.Core() == 3 {
+	if p.core == 3 {
 		t.Error("process did not migrate")
 	}
 	agg := r.node.Caches().Aggregate()
@@ -195,7 +207,7 @@ func TestMigrateDuringBlockDefeatsHints(t *testing.T) {
 
 func TestConservationBytesRequestedEqualsConsumed(t *testing.T) {
 	r := newRig(t, irqsched.PolicyRoundRobin, 4)
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	const transfers = 5
 	size := 512 * units.KiB
 	issued := 0
@@ -226,7 +238,7 @@ func TestDeterminismFullStack(t *testing.T) {
 	run := func() (units.Time, uint64) {
 		r := newRig(t, irqsched.PolicyIrqbalance, 4)
 		for i := 0; i < 3; i++ {
-			p := r.node.NewProc(i, i)
+			p := r.node.NewProc(i)
 			i := i
 			r.eng.At(0, func(units.Time) {
 				p.Read(pfs.FileID(i+1), 0, units.MiB, nil)
@@ -274,12 +286,12 @@ func TestNewProcValidation(t *testing.T) {
 			t.Error("out-of-range proc core did not panic")
 		}
 	}()
-	r.node.NewProc(0, 99)
+	r.node.NewProc(99)
 }
 
 func TestCPUAccountingMatchesWork(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
 	total := r.node.CPU().TotalStats()
@@ -303,7 +315,7 @@ func TestCurrentCoreHintRescuesMigratedProcess(t *testing.T) {
 		cfg.MigrateDuringBlock = 1
 		cfg.CurrentCoreHint = currentCore
 		r.node.cfg = cfg
-		p := r.node.NewProc(0, 3)
+		p := r.node.NewProc(3)
 		r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 		r.eng.RunUntilIdle()
 		return r.node.Caches().Aggregate().RemoteTransfers
@@ -320,7 +332,7 @@ func TestCurrentCoreHintRescuesMigratedProcess(t *testing.T) {
 
 func TestWriteCompletes(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
-	p := r.node.NewProc(0, 2)
+	p := r.node.NewProc(2)
 	var doneAt units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Write(1, 0, units.MiB, func(now units.Time) { doneAt = now })
@@ -353,7 +365,7 @@ func TestWritesCauseNoDataMigration(t *testing.T) {
 	// issue. Acks are tiny; no strip data lands in any client cache.
 	for _, pol := range []irqsched.PolicyKind{irqsched.PolicyIrqbalance, irqsched.PolicySourceAware} {
 		r := newRig(t, pol, 4)
-		p := r.node.NewProc(0, 3)
+		p := r.node.NewProc(3)
 		r.eng.At(0, func(units.Time) { p.Write(1, 0, units.MiB, nil) })
 		r.eng.RunUntilIdle()
 		agg := r.node.Caches().Aggregate()
@@ -365,7 +377,7 @@ func TestWritesCauseNoDataMigration(t *testing.T) {
 
 func TestMixedReadWrite(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	var phase int
 	r.eng.At(0, func(units.Time) {
 		p.Write(1, 0, 512*units.KiB, func(units.Time) {
@@ -390,9 +402,9 @@ func TestIRQAffinityMaskRestrictsDelivery(t *testing.T) {
 	r := newRig(t, irqsched.PolicyRoundRobin, 4)
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyRoundRobin)
 	cfg.MDS = 50
-	node := MustNew(r.eng, r.fab, cfg)
+	node := mustNew(t, r.eng, r.fab, cfg)
 	node.IOAPIC().Program(DataVector, []int{0, 1})
-	p := node.NewProc(0, 3)
+	p := node.NewProc(3)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
 	for core := 2; core < 8; core++ {
@@ -409,9 +421,9 @@ func TestIRQAffinityMaskDefeatsSAIsHints(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 4)
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicySourceAware)
 	cfg.MDS = 50
-	node := MustNew(r.eng, r.fab, cfg)
+	node := mustNew(t, r.eng, r.fab, cfg)
 	node.IOAPIC().Program(DataVector, []int{0})
-	p := node.NewProc(0, 3) // hint points at core 3, outside the mask
+	p := node.NewProc(3) // hint points at core 3, outside the mask
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
 	// The hint (core 3) is outside the mask, so the source-aware router
@@ -431,7 +443,7 @@ func TestRetryRecoversLostStrips(t *testing.T) {
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 5
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	var doneAt units.Time
 	r.eng.At(0, func(units.Time) {
 		// Warm-up read resolves the layout before loss is injected.
@@ -469,7 +481,7 @@ func TestRetryGivesUpAfterMaxRetries(t *testing.T) {
 	cfg.RetryTimeout = 20 * units.Millisecond
 	cfg.MaxRetries = 2
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	completed := false
 	r.eng.At(0, func(units.Time) {
 		// Warm-up read resolves the layout; then total blackout.
@@ -497,7 +509,7 @@ func TestWriteRetryRecovers(t *testing.T) {
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 5
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	done := false
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm the layout
@@ -548,54 +560,6 @@ func TestMissingPlans(t *testing.T) {
 	}
 }
 
-func TestTransferBetween(t *testing.T) {
-	r := newRig(t, irqsched.PolicySourceAware, 2)
-	var sameDone, nearDone, farDone units.Time
-	r.eng.At(0, func(units.Time) {
-		r.node.TransferBetween(1, 1, 64*units.KiB, func(now units.Time) { sameDone = now })
-	})
-	r.eng.RunUntilIdle()
-	start := r.eng.Now()
-	r.eng.At(start, func(units.Time) {
-		r.node.TransferBetween(0, 1, 64*units.KiB, func(now units.Time) { nearDone = now - start })
-	})
-	r.eng.RunUntilIdle()
-	start2 := r.eng.Now()
-	r.eng.At(start2, func(units.Time) {
-		r.node.TransferBetween(0, 6, 64*units.KiB, func(now units.Time) { farDone = now - start2 })
-	})
-	r.eng.RunUntilIdle()
-	if sameDone <= 0 || nearDone <= 0 || farDone <= 0 {
-		t.Fatalf("transfers did not run: %v %v %v", sameDone, nearDone, farDone)
-	}
-	// Cross-socket (cores 0 and 6 with socket size 4) costs more than
-	// intra-socket, which costs more than a local pass.
-	if !(farDone > nearDone && nearDone > sameDone) {
-		t.Errorf("cost ordering violated: same=%v near=%v far=%v", sameDone, nearDone, farDone)
-	}
-	if r.node.Caches().Aggregate().RemoteTransfers == 0 {
-		t.Error("no remote lines charged")
-	}
-}
-
-func TestTransferBetweenValidation(t *testing.T) {
-	r := newRig(t, irqsched.PolicySourceAware, 2)
-	for _, f := range []func(){
-		func() { r.node.TransferBetween(0, 1, 0, nil) },
-		func() { r.node.TransferBetween(-1, 1, units.KiB, nil) },
-		func() { r.node.TransferBetween(0, 99, units.KiB, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 2)
 	if r.node.NIC() == nil || r.node.IOAPIC() == nil {
@@ -604,10 +568,7 @@ func TestAccessors(t *testing.T) {
 	if r.node.Config().Cores != 8 {
 		t.Errorf("config cores = %d", r.node.Config().Cores)
 	}
-	p := r.node.NewProc(7, 2)
-	if p.ID() != 7 {
-		t.Errorf("proc id = %d", p.ID())
-	}
+	p := r.node.NewProc(2)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, 128*units.KiB, nil) })
 	r.eng.RunUntilIdle()
 	if len(r.node.Latencies()) != 1 {
@@ -619,15 +580,12 @@ func TestHardwareRSSPinsFlowsToCores(t *testing.T) {
 	r := newRig(t, irqsched.PolicyIrqbalance, 4)
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyHardwareRSS)
 	cfg.MDS = 50
-	node := MustNew(r.eng, r.fab, cfg)
-	p := node.NewProc(0, 5)
+	node := mustNew(t, r.eng, r.fab, cfg)
+	p := node.NewProc(5)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
 	if node.Stats().BytesRead != units.MiB {
 		t.Fatalf("bytes = %v", node.Stats().BytesRead)
-	}
-	if node.NIC().RxQueueCount() != cfg.Cores {
-		t.Errorf("rx queues = %d, want one per core (%d)", node.NIC().RxQueueCount(), cfg.Cores)
 	}
 	// RSS pins each flow (four servers and the MDS) to one core chosen
 	// by flow hash, not by the consumer: at most five cores take
@@ -649,8 +607,8 @@ func TestHardwareRSSFlowStability(t *testing.T) {
 	r := newRig(t, irqsched.PolicyIrqbalance, 4)
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyHardwareRSS)
 	cfg.MDS = 50
-	node := MustNew(r.eng, r.fab, cfg)
-	p := node.NewProc(0, 7)
+	node := mustNew(t, r.eng, r.fab, cfg)
+	p := node.NewProc(7)
 	var first []units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 512*units.KiB, func(units.Time) {
@@ -691,7 +649,7 @@ func TestAbandonedReadReleasesBlocks(t *testing.T) {
 	cfg.RetryTimeout = 20 * units.Millisecond
 	cfg.MaxRetries = 1
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	r.eng.At(0, func(units.Time) {
 		// Warm the layout, then drop a strict subset of frames so some
 		// strips land (and occupy cache) before the transfer fails.
@@ -725,7 +683,7 @@ func TestCorruptedHeadersDroppedAndRecovered(t *testing.T) {
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 5
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	var done bool
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm layout
@@ -773,7 +731,7 @@ func TestRingDropRecovery(t *testing.T) {
 	cfg.NIC.CoalesceDelay = 500 * units.Microsecond
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 10
-	node := MustNew(eng, fab, cfg)
+	node := mustNew(t, eng, fab, cfg)
 
 	servers := make([]netsim.NodeID, 4)
 	rnd := rng.New(7)
@@ -789,7 +747,7 @@ func TestRingDropRecovery(t *testing.T) {
 	pfs.NewMetadataServer(eng, fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),
 		func(pfs.FileID) pfs.Layout { return layout })
 
-	p := node.NewProc(0, 1)
+	p := node.NewProc(1)
 	var doneAt units.Time
 	eng.At(0, func(units.Time) {
 		p.Read(1, 0, units.MiB, func(now units.Time) { doneAt = now })
@@ -820,7 +778,7 @@ func TestAbandonRecordsOpErrorAndLatency(t *testing.T) {
 	cfg.RetryTimeout = 20 * units.Millisecond
 	cfg.MaxRetries = 2
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	var issuedAt units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(now units.Time) { // warm the layout
@@ -873,7 +831,7 @@ func TestOpenRetryRecoversLostLayout(t *testing.T) {
 		}
 		return false
 	})
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	var doneAt units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 128*units.KiB, func(now units.Time) { doneAt = now })
@@ -905,7 +863,7 @@ func TestOpenRetryExhaustionFailsParkedOps(t *testing.T) {
 	cfg.MaxRetries = 2
 	r.node.cfg = cfg
 	r.fab.SetLoss(func(netsim.FrameKey) bool { return true })
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	completed := false
 	const second = 5 * units.Millisecond
 	r.eng.At(0, func(units.Time) {
@@ -1041,7 +999,7 @@ func TestTransferDeadlinePartialRead(t *testing.T) {
 	cfg.MaxRetries = 100
 	cfg.TransferDeadline = 200 * units.Millisecond
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 1)
+	p := r.node.NewProc(1)
 	var doneAt units.Time
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm the layout
@@ -1094,7 +1052,7 @@ func TestTransferDeadlinePartialWrite(t *testing.T) {
 	cfg.MaxRetries = 100
 	cfg.TransferDeadline = 200 * units.Millisecond
 	r.node.cfg = cfg
-	p := r.node.NewProc(0, 0)
+	p := r.node.NewProc(0)
 	done := false
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 64*units.KiB, func(units.Time) { // warm the layout
@@ -1141,7 +1099,7 @@ func TestTransferDeadlineAbandonsEmptyRead(t *testing.T) {
 			cfg.MaxRetries = 100
 			cfg.TransferDeadline = 100 * units.Millisecond
 			r.node.cfg = cfg
-			p := r.node.NewProc(0, 0)
+			p := r.node.NewProc(0)
 			op := p.Read
 			if write {
 				op = p.Write
@@ -1194,7 +1152,7 @@ func TestStripArrivalBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.layouts[1] = layout
-	p := n.NewProc(0, 0)
+	p := n.NewProc(0)
 	var readDone, writeDone bool
 	n.issue(n.newOp(p, false, 1, 0, 6*64*units.KiB, func(units.Time) { readDone = true })) // strips 0..5, tag 1
 	n.issue(n.newOp(p, true, 1, 0, 2*64*units.KiB, func(units.Time) { writeDone = true })) // strips 0..1, tag 2

@@ -14,8 +14,9 @@ import (
 // dropped and counted, and with tracing off neither allocates.
 func TestReadHeaderAllocFree(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 1)
-	opts, _ := netsim.Hint(5).OptionsBytes()
-	hdr, err := (&netsim.IPv4Header{TotalLen: 1500, TTL: 64, Protocol: 6, Options: opts}).Marshal()
+	op, _ := netsim.EncodeAffOption(5)
+	opts := []byte{op, 0, 0, 0} // the option, then EOL padding
+	hdr, err := (&netsim.IPv4Header{TotalLen: 1500, TTL: 64, Protocol: 6, Options: opts}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,11 +73,6 @@ type CoreStats struct {
 	Rotations  uint64 // timeslice expirations that rotated the run queue
 }
 
-// UnhaltedCycles converts busy time to CPU_CLK_UNHALTED at frequency f.
-func (s CoreStats) UnhaltedCycles(f units.Hertz) units.Cycles {
-	return f.CyclesIn(s.Busy)
-}
-
 // SpanHook observes every banked busy slice of a core: the slice ran on
 // core in category cat over [start, end). Used by the span tracer to
 // build per-core activity tracks; nil when tracing is off.
@@ -113,9 +108,6 @@ type Core struct {
 	stats CoreStats
 }
 
-// ID returns the core index.
-func (c *Core) ID() int { return c.id }
-
 // SetQuantum enables round-robin timeslicing of process-priority work:
 // a running process item is rotated to the back of the run queue after
 // d if other process work is waiting — the kernel scheduler's fairness
@@ -141,11 +133,6 @@ func (c *Core) Stats() CoreStats {
 		s.ByCategory[c.run.cat] += elapsed
 	}
 	return s
-}
-
-// Busy reports whether the core is executing or has queued work.
-func (c *Core) Busy() bool {
-	return c.running || c.QueueLen() > 0
 }
 
 // QueueLen returns the number of waiting (not running) work items.

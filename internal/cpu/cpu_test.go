@@ -124,12 +124,12 @@ func TestZeroDurationWork(t *testing.T) {
 func TestBusyAndQueueLen(t *testing.T) {
 	eng, c := newCore(t)
 	eng.At(0, func(units.Time) {
-		if c.Busy() {
+		if c.busy() {
 			t.Error("idle core reported busy")
 		}
 		c.Submit(PrioProcess, CatCompute, 10, nil)
 		c.Submit(PrioProcess, CatCompute, 10, nil)
-		if !c.Busy() {
+		if !c.busy() {
 			t.Error("core with work reported idle")
 		}
 		if c.QueueLen() != 1 {
@@ -137,7 +137,7 @@ func TestBusyAndQueueLen(t *testing.T) {
 		}
 	})
 	eng.RunUntilIdle()
-	if c.Busy() {
+	if c.busy() {
 		t.Error("drained core reported busy")
 	}
 }

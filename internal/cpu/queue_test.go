@@ -50,7 +50,10 @@ func (c *refCore) QueueLen() int {
 	return n
 }
 
-func (c *refCore) Busy() bool { return c.run != nil || c.QueueLen() > 0 }
+func (c *refCore) busy() bool { return c.run != nil || c.QueueLen() > 0 }
+
+// busy reports whether the core is executing or has queued work.
+func (c *Core) busy() bool { return c.running || c.QueueLen() > 0 }
 
 func (c *refCore) reschedule() {
 	next := c.peek()
@@ -150,7 +153,7 @@ type scheduler interface {
 	Submit(prio Priority, cat Category, d units.Time, done sim.Event)
 	Stats() CoreStats
 	QueueLen() int
-	Busy() bool
+	busy() bool
 }
 
 // schedOp is one generated work item: submitted at at from outside, or
@@ -220,7 +223,7 @@ func runOps(eng *sim.Engine, s scheduler, ops []schedOp, probeAt []units.Time) *
 	}
 	for _, at := range probeAt {
 		eng.At(at, func(now units.Time) {
-			log.probes = append(log.probes, fmt.Sprintf("%d: %+v q=%d busy=%v", now, s.Stats(), s.QueueLen(), s.Busy()))
+			log.probes = append(log.probes, fmt.Sprintf("%d: %+v q=%d busy=%v", now, s.Stats(), s.QueueLen(), s.busy()))
 		})
 	}
 	eng.RunUntilIdle()

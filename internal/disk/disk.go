@@ -115,10 +115,6 @@ func New(eng *sim.Engine, cfg Config, rnd *rng.Source) *Disk {
 // Stats returns a copy of the counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// QueueLen returns the number of requests waiting (excluding the one in
-// service).
-func (d *Disk) QueueLen() int { return d.queue.Len() }
-
 // Read enqueues a read of size bytes at lba; done fires at completion.
 func (d *Disk) Read(lba, size units.Bytes, done sim.Event) {
 	d.enqueue(lba, size, false, done)

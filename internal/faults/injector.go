@@ -58,7 +58,6 @@ type Stats struct {
 // fields: stall hooks, crash/revive events and storm ticks never run
 // concurrently, whichever shard's engine they fire on.
 type Injector struct {
-	plan *Plan
 	eng  *sim.Engine // timeline host (shard 0)
 	srvs []*pfs.Server
 
@@ -92,7 +91,6 @@ type storm struct {
 func (p *Plan) Arm(t Target) (*Injector, error) {
 	n := len(t.Servers)
 	inj := &Injector{
-		plan:       p,
 		srvs:       t.Servers,
 		down:       make([]bool, n),
 		downSince:  make([]units.Time, n),
@@ -288,6 +286,3 @@ func (inj *Injector) Finish(now units.Time) Stats {
 	}
 	return inj.snapshot()
 }
-
-// Stats returns a snapshot of the counters without closing intervals.
-func (inj *Injector) Stats() Stats { return inj.snapshot() }

@@ -142,7 +142,7 @@ func TestCorruptionHookDamagesFrames(t *testing.T) {
 	}
 	bad := 0
 	for _, f := range r.rx {
-		if _, _, err := netsim.UnmarshalIPv4(f.Header); err != nil {
+		if _, err := netsim.ReadHint(f); err != nil {
 			bad++
 		}
 	}

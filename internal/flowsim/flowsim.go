@@ -362,11 +362,6 @@ func NewStation(capacity units.Rate, step units.Time, flows []Flow) *Station {
 	}
 }
 
-// Step returns the rate-update period.
-//
-//saisvet:allocfree
-func (st *Station) Step() units.Time { return st.step }
-
 // AdvanceTo integrates the fluid state forward in whole steps, up to
 // the last step boundary at or before now. The sub-step remainder stays
 // pending, so the observed state is a pure function of now — not of how

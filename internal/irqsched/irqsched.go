@@ -219,7 +219,6 @@ func (b *Irqbalance) Route(_ apic.Vector, _ int, _ uint64, allowed []int, now un
 type SourceAware struct {
 	fallback apic.Router
 	hinted   uint64
-	unhinted uint64
 }
 
 // NewSourceAware builds the policy with the given fallback for
@@ -237,9 +236,6 @@ func (s *SourceAware) Name() string { return "sais" }
 // Hinted returns how many interrupts carried a usable hint.
 func (s *SourceAware) Hinted() uint64 { return s.hinted }
 
-// Unhinted returns how many interrupts fell back.
-func (s *SourceAware) Unhinted() uint64 { return s.unhinted }
-
 // Route implements apic.Router.
 func (s *SourceAware) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
 	if hint != apic.NoHint {
@@ -250,7 +246,6 @@ func (s *SourceAware) Route(vec apic.Vector, hint int, flow uint64, allowed []in
 			}
 		}
 	}
-	s.unhinted++
 	return s.fallback.Route(vec, hint, flow, allowed, now)
 }
 
@@ -286,8 +281,6 @@ type Hybrid struct {
 	loads     LoadReader
 	balance   *Irqbalance
 	threshold int
-	followed  uint64
-	diverted  uint64
 }
 
 // NewHybrid builds the policy. threshold is the hinted core's queue
@@ -306,26 +299,18 @@ func NewHybrid(loads LoadReader, period units.Time, threshold int) *Hybrid {
 // Name implements apic.Router.
 func (h *Hybrid) Name() string { return "hybrid" }
 
-// Followed returns interrupts delivered to their hinted core.
-func (h *Hybrid) Followed() uint64 { return h.followed }
-
-// Diverted returns interrupts diverted by the load threshold.
-func (h *Hybrid) Diverted() uint64 { return h.diverted }
-
 // Route implements apic.Router.
 func (h *Hybrid) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
 	if hint != apic.NoHint {
 		for _, c := range allowed {
 			if c == hint {
 				if h.loads.CoreQueue(c) < h.threshold {
-					h.followed++
 					return c
 				}
 				break
 			}
 		}
 	}
-	h.diverted++
 	return h.balance.Route(vec, hint, flow, allowed, now)
 }
 

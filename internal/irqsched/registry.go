@@ -62,15 +62,6 @@ func Describe(kind PolicyKind) (Descriptor, bool) {
 	return policies[kind], true
 }
 
-// Kinds returns every policy kind in ascending order.
-func Kinds() []PolicyKind {
-	ks := make([]PolicyKind, len(policies))
-	for i := range ks {
-		ks[i] = PolicyKind(i)
-	}
-	return ks
-}
-
 // Names returns every policy name, sorted.
 func Names() []string {
 	ns := make([]string, len(policies))

@@ -9,8 +9,17 @@ import (
 	"sais/internal/units"
 )
 
+// kinds returns every policy kind in table order.
+func kinds() []PolicyKind {
+	ks := make([]PolicyKind, len(policies))
+	for i := range ks {
+		ks[i] = PolicyKind(i)
+	}
+	return ks
+}
+
 func TestRegistryRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		name := k.String()
 		if strings.HasPrefix(name, "PolicyKind(") {
 			t.Fatalf("kind %d has no name", int(k))
@@ -24,8 +33,8 @@ func TestRegistryRoundTrip(t *testing.T) {
 			t.Errorf("Describe(%v) = %+v, %v", k, d, ok)
 		}
 	}
-	if len(Kinds()) != len(Names()) {
-		t.Errorf("Kinds/Names size mismatch: %d vs %d", len(Kinds()), len(Names()))
+	if len(kinds()) != len(Names()) {
+		t.Errorf("kinds/Names size mismatch: %d vs %d", len(kinds()), len(Names()))
 	}
 }
 
@@ -42,7 +51,7 @@ func TestParsePolicyErrorListsEveryName(t *testing.T) {
 }
 
 func TestRouterNamesMatchRegistry(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		r, err := New(k, Options{Cores: 4})
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
@@ -273,7 +282,7 @@ func TestStragglerAwareInheritsSourceAware(t *testing.T) {
 }
 
 func TestTxSteeredTraitMatchesInterface(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		d, _ := Describe(k)
 		r, err := New(k, Options{Cores: 4})
 		if err != nil {
@@ -293,7 +302,7 @@ func TestTxSteeredTraitMatchesInterface(t *testing.T) {
 func TestRoutersLeaveAllowedUntouched(t *testing.T) {
 	const cores = 8
 	loads := &fakeLoads{busy: make([]units.Time, cores), queue: make([]int, cores)}
-	for _, k := range Kinds() {
+	for _, k := range kinds() {
 		r, err := New(k, Options{Cores: cores, Loads: loads})
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)

@@ -150,21 +150,6 @@ func annotation(groups []*ast.CommentGroup, name string) (args string, ok bool) 
 	return "", false
 }
 
-// funcDeclsByObject maps every declared function/method object in the
-// package to its declaration — the skeleton the fact-computing
-// analyzers walk.
-func funcDeclsByObject(pass *analysis.Pass) map[*ast.FuncDecl]*ast.File {
-	decls := make(map[*ast.FuncDecl]*ast.File)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls[fd] = f
-			}
-		}
-	}
-	return decls
-}
-
 // staticCallee resolves the callee of a call expression to its
 // *types.Func: a named function or a method called through a concrete
 // (non-interface) receiver. It returns nil for builtins, conversions,

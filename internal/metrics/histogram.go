@@ -120,12 +120,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 { return h.max }
-
 // valueAtRank returns the representative value of the k-th smallest
 // observation (0-based), clamped to the observed [min, max] so the
 // extreme ranks are exact.

@@ -17,39 +17,18 @@ type Summary struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
 
-// N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
-
 // Mean returns the sample mean (0 with no observations).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
 
 // Variance returns the unbiased sample variance.
 func (s *Summary) Variance() float64 {
@@ -61,14 +40,6 @@ func (s *Summary) Variance() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// RelStddev returns Stddev/Mean, or 0 for a zero mean.
-func (s *Summary) RelStddev() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.Stddev() / math.Abs(s.mean)
-}
 
 // String renders "mean ± stddev".
 func (s *Summary) String() string {

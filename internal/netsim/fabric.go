@@ -18,8 +18,7 @@ type Fabric struct {
 	latency units.Time
 	// nics is indexed by NodeID over the whole id space of the run;
 	// nil marks an id attached to another shard's fabric, or to none.
-	nics     []*NIC
-	attached int
+	nics []*NIC
 	// loss injects random frame drops for failure testing; nil = none.
 	loss func(FrameKey) bool
 	// corrupt injects header bit-flips; nil = none.
@@ -30,7 +29,6 @@ type Fabric struct {
 	// latencyScale multiplies the forwarding latency when > 0 — the
 	// degraded-switch injection hook.
 	latencyScale float64
-	forwarded    uint64
 	dropped      uint64
 	corrupted    uint64
 	// framePool recycles Frame structs (and their Header capacity)
@@ -74,7 +72,6 @@ func (f *Fabric) Attach(n *NIC) {
 	n.fab = f
 	n.txSeq = make([]uint64, len(f.nics))
 	f.nics[n.id] = n
-	f.attached++
 }
 
 // NIC returns the attached NIC for id, or nil (also for an id outside
@@ -87,12 +84,6 @@ func (f *Fabric) NIC(id NodeID) *NIC {
 	}
 	return f.nics[id]
 }
-
-// Nodes returns the number of attached NICs.
-func (f *Fabric) Nodes() int { return f.attached }
-
-// Forwarded returns the number of frames the switch has forwarded.
-func (f *Fabric) Forwarded() uint64 { return f.forwarded }
 
 // Dropped returns frames dropped by injected loss or unknown
 // destinations (including ids outside the id space).
@@ -246,14 +237,12 @@ func (f *Fabric) forward(fr *Frame) {
 		inSpace := fr.Dst >= 0 && int(fr.Dst) < len(f.nics)
 		//lint:alloc cross-shard hook: its allocations belong to the composing executor
 		if inSpace && f.remote != nil && f.remote(fr, now, now+latency, key) {
-			f.forwarded++
 			return
 		}
 		f.dropped++
 		f.FreeFrame(fr)
 		return
 	}
-	f.forwarded++
 	// Origin-tagged so two sources' frames colliding on one delivery
 	// instant order by source identity, not by forwarding call order —
 	// the tie-break that survives sharding (DESIGN.md §12).

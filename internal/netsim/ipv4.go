@@ -45,12 +45,9 @@ type IPv4Header struct {
 // HeaderLen returns the encoded header length in bytes.
 func (h *IPv4Header) HeaderLen() int { return minHeaderLen + len(h.Options) }
 
-// Marshal encodes the header (with a correct checksum) into wire bytes.
-func (h *IPv4Header) Marshal() ([]byte, error) { return h.MarshalAppend(nil) }
-
-// MarshalAppend encodes the header onto the end of buf and returns the
-// extended slice — the allocation-free path for pooled frames, which
-// reuse a recycled frame's Header capacity.
+// MarshalAppend encodes the header (with a correct checksum) onto the
+// end of buf and returns the extended slice; pooled frames pass a
+// recycled frame's Header capacity, so the path allocates nothing.
 func (h *IPv4Header) MarshalAppend(buf []byte) ([]byte, error) {
 	if len(h.Options) > maxOptionsLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrOptionsLong, len(h.Options))
@@ -79,24 +76,10 @@ func (h *IPv4Header) MarshalAppend(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalIPv4 decodes and validates a header from wire bytes,
-// returning the header and the number of bytes it occupied. The
-// returned header owns its Options (they are copied out of b).
-func UnmarshalIPv4(b []byte) (*IPv4Header, int, error) {
-	h := &IPv4Header{}
-	n, err := decodeIPv4(b, h)
-	if err != nil {
-		return nil, 0, err
-	}
-	if h.Options != nil {
-		h.Options = append([]byte(nil), h.Options...)
-	}
-	return h, n, nil
-}
-
-// decodeIPv4 is UnmarshalIPv4 without allocation: it decodes into h
-// and leaves h.Options aliasing b (nil when the header has none), so h
-// is valid only while b is unchanged. On error h is unspecified.
+// decodeIPv4 decodes and validates a header from wire bytes into h and
+// returns the number of bytes it occupied. It allocates nothing: it
+// leaves h.Options aliasing b (nil when the header has none), so h is
+// valid only while b is unchanged. On error h is unspecified.
 func decodeIPv4(b []byte, h *IPv4Header) (int, error) {
 	if len(b) < minHeaderLen {
 		return 0, ErrShortHeader

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	opts, _ := Hint(11).OptionsBytes()
+	opts, _ := Hint(11).options(new([4]byte))
 	h := IPv4Header{
 		TotalLen: 1500,
 		ID:       42,
@@ -17,14 +17,15 @@ func TestHeaderRoundTrip(t *testing.T) {
 		DstIP:    0x0a000002,
 		Options:  opts,
 	}
-	b, err := h.Marshal()
+	b, err := h.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) != 24 {
 		t.Errorf("header length = %d, want 24 (20 + 4 options)", len(b))
 	}
-	got, n, err := UnmarshalIPv4(b)
+	var got IPv4Header
+	n, err := decodeIPv4(b, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +44,15 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestHeaderNoOptions(t *testing.T) {
 	h := IPv4Header{TotalLen: 100, TTL: 1, Protocol: 17}
-	b, err := h.Marshal()
+	b, err := h.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) != minHeaderLen {
 		t.Errorf("length = %d, want 20", len(b))
 	}
-	got, _, err := UnmarshalIPv4(b)
-	if err != nil {
+	var got IPv4Header
+	if _, err := decodeIPv4(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Options != nil {
@@ -61,42 +62,42 @@ func TestHeaderNoOptions(t *testing.T) {
 
 func TestMarshalRejectsBadOptions(t *testing.T) {
 	h := IPv4Header{TotalLen: 100, Options: make([]byte, 44)}
-	if _, err := h.Marshal(); !errors.Is(err, ErrOptionsLong) {
+	if _, err := h.MarshalAppend(nil); !errors.Is(err, ErrOptionsLong) {
 		t.Errorf("long options err = %v", err)
 	}
 	h = IPv4Header{TotalLen: 100, Options: make([]byte, 3)}
-	if _, err := h.Marshal(); !errors.Is(err, ErrOptionsAlign) {
+	if _, err := h.MarshalAppend(nil); !errors.Is(err, ErrOptionsAlign) {
 		t.Errorf("misaligned options err = %v", err)
 	}
 	h = IPv4Header{TotalLen: 10}
-	if _, err := h.Marshal(); !errors.Is(err, ErrLengthField) {
+	if _, err := h.MarshalAppend(nil); !errors.Is(err, ErrLengthField) {
 		t.Errorf("short total err = %v", err)
 	}
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	h := IPv4Header{TotalLen: 200, TTL: 64}
-	b, _ := h.Marshal()
+	b, _ := h.MarshalAppend(nil)
 
-	if _, _, err := UnmarshalIPv4(b[:10]); !errors.Is(err, ErrShortHeader) {
+	if _, err := decodeIPv4(b[:10], new(IPv4Header)); !errors.Is(err, ErrShortHeader) {
 		t.Errorf("short buffer err = %v", err)
 	}
 
 	bad := append([]byte(nil), b...)
 	bad[0] = 0x65 // version 6
-	if _, _, err := UnmarshalIPv4(bad); !errors.Is(err, ErrBadVersion) {
+	if _, err := decodeIPv4(bad, new(IPv4Header)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version err = %v", err)
 	}
 
 	bad = append([]byte(nil), b...)
 	bad[0] = 0x43 // IHL 3
-	if _, _, err := UnmarshalIPv4(bad); !errors.Is(err, ErrBadIHL) {
+	if _, err := decodeIPv4(bad, new(IPv4Header)); !errors.Is(err, ErrBadIHL) {
 		t.Errorf("bad IHL err = %v", err)
 	}
 
 	bad = append([]byte(nil), b...)
 	bad[15] ^= 0xff // flip a source-IP byte
-	if _, _, err := UnmarshalIPv4(bad); !errors.Is(err, ErrBadChecksum) {
+	if _, err := decodeIPv4(bad, new(IPv4Header)); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("corrupted header err = %v", err)
 	}
 }
@@ -105,20 +106,21 @@ func TestChecksumSelfVerifies(t *testing.T) {
 	err := quick.Check(func(id uint16, src, dst uint32, ttl, proto uint8, core uint8) bool {
 		var opts []byte
 		if core%2 == 0 {
-			opts, _ = Hint(int(core % MaxCores)).OptionsBytes()
+			opts, _ = Hint(int(core % MaxCores)).options(new([4]byte))
 		}
 		h := IPv4Header{
 			TotalLen: 576, ID: id, TTL: ttl, Protocol: proto,
 			SrcIP: src, DstIP: dst, Options: opts,
 		}
-		b, err := h.Marshal()
+		b, err := h.MarshalAppend(nil)
 		if err != nil {
 			return false
 		}
 		if checksum(b) != 0 {
 			return false
 		}
-		got, _, err := UnmarshalIPv4(b)
+		var got IPv4Header
+		_, err = decodeIPv4(b, &got)
 		return err == nil && got.SrcIP == src && got.DstIP == dst
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
@@ -134,22 +136,22 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
-// Property: UnmarshalIPv4 never panics and never succeeds on random
+// Property: decodeIPv4 never panics and never succeeds on random
 // garbage whose checksum was not computed — a driver parsing arbitrary
 // traffic must stay robust.
 func TestUnmarshalRobustOnRandomBytes(t *testing.T) {
 	err := quick.Check(func(raw []byte) bool {
 		defer func() {
 			if recover() != nil {
-				t.Fatal("UnmarshalIPv4 panicked")
+				t.Fatal("decodeIPv4 panicked")
 			}
 		}()
-		h, n, err := UnmarshalIPv4(raw)
+		n, err := decodeIPv4(raw, new(IPv4Header))
 		if err != nil {
-			return h == nil && n == 0
+			return n == 0
 		}
 		// An accidental success must at least be self-consistent.
-		return h != nil && n >= minHeaderLen && n <= len(raw)
+		return n >= minHeaderLen && n <= len(raw)
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Error(err)

@@ -142,6 +142,9 @@ func (c NICConfig) Validate() error {
 	if c.Ports < 0 {
 		return fmt.Errorf("netsim: negative port count")
 	}
+	if c.Bond != BondRoundRobin && c.Bond != BondFlowHash {
+		return fmt.Errorf("netsim: unknown bond mode %d", c.Bond)
+	}
 	if c.RxQueues < 0 {
 		return fmt.Errorf("netsim: negative rx queue count")
 	}
@@ -232,9 +235,6 @@ func NewNIC(eng *sim.Engine, id NodeID, cfg NICConfig) *NIC {
 	return n
 }
 
-// RxQueueCount returns the number of receive queues.
-func (n *NIC) RxQueueCount() int { return len(n.rings) }
-
 // queueFor flow-hashes a source onto a receive queue.
 func (n *NIC) queueFor(src NodeID) int {
 	if len(n.rings) == 1 {
@@ -266,23 +266,8 @@ func (n *NIC) pickPort(servers []*sim.Server, peer NodeID, rr *int) *sim.Server 
 	}
 }
 
-// ID returns the node this NIC belongs to.
-func (n *NIC) ID() NodeID { return n.id }
-
-// Config returns the NIC configuration.
-func (n *NIC) Config() NICConfig { return n.cfg }
-
 // Stats returns a copy of the traffic counters.
 func (n *NIC) Stats() NICStats { return n.stats }
-
-// RingLen returns the number of frames waiting across all rx rings.
-func (n *NIC) RingLen() int {
-	total := 0
-	for _, r := range n.rings {
-		total += len(r)
-	}
-	return total
-}
 
 // SetInterruptHandler installs the interrupt line callback: fn(q, now)
 // runs when receive queue q raises its interrupt, and the handler
@@ -322,12 +307,9 @@ func (n *NIC) serialize(port *sim.Server, wire units.Bytes, done sim.Event) {
 // the bytes as the authoritative carrier of aff_core_id (SrcParser
 // re-parses them on receive).
 func (n *NIC) buildHeader(buf []byte, payload units.Bytes, hint AffHint) []byte {
-	if hint.Valid {
-		op, err := EncodeAffOption(hint.Core)
-		if err != nil {
-			panic(err) // hint cores are validated upstream
-		}
-		n.optBuf = [4]byte{op, optionEOL, optionEOL, optionEOL}
+	opts, err := hint.options(&n.optBuf)
+	if err != nil {
+		panic(err) // hint cores are validated upstream
 	}
 	total := payload
 	if max := units.Bytes(65535 - 60); total > max {
@@ -339,9 +321,7 @@ func (n *NIC) buildHeader(buf []byte, payload units.Bytes, hint AffHint) []byte 
 		Protocol: 6, // TCP
 		SrcIP:    0x0a000000 | uint32(n.id),
 		DstIP:    0x0a000000,
-	}
-	if hint.Valid {
-		h.Options = n.optBuf[:]
+		Options:  opts,
 	}
 	h.TotalLen = uint16(int(total) + h.HeaderLen())
 	n.nextIPID++

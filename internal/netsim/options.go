@@ -72,10 +72,11 @@ func (h AffHint) String() string {
 	return fmt.Sprintf("aff_core=%d", h.Core)
 }
 
-// OptionsBytes returns the raw IP options field for the hint: the
+// options writes the raw IP options field for the hint into buf — the
 // aff_core_id option terminated by EOL and padded to the 32-bit
-// boundary the IP header requires, or nil when no hint is set.
-func (h AffHint) OptionsBytes() ([]byte, error) {
+// boundary the IP header requires — and returns it, or nil when no
+// hint is set.
+func (h AffHint) options(buf *[4]byte) ([]byte, error) {
 	if !h.Valid {
 		return nil, nil
 	}
@@ -83,8 +84,8 @@ func (h AffHint) OptionsBytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// option + EOL, padded to 4 bytes.
-	return []byte{op, optionEOL, optionEOL, optionEOL}, nil
+	*buf = [4]byte{op, optionEOL, optionEOL, optionEOL}
+	return buf[:], nil
 }
 
 // ParseOptions scans a raw IP options field for an aff_core_id hint,

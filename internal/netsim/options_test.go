@@ -47,7 +47,7 @@ func TestDecodeRejectsNonHint(t *testing.T) {
 func TestHintOptionsBytesRoundTrip(t *testing.T) {
 	err := quick.Check(func(coreRaw uint8) bool {
 		core := int(coreRaw % MaxCores)
-		opts, err := Hint(core).OptionsBytes()
+		opts, err := Hint(core).options(new([4]byte))
 		if err != nil || len(opts)%4 != 0 {
 			return false
 		}
@@ -60,9 +60,9 @@ func TestHintOptionsBytesRoundTrip(t *testing.T) {
 }
 
 func TestNoHintOptions(t *testing.T) {
-	opts, err := (AffHint{}).OptionsBytes()
+	opts, err := (AffHint{}).options(new([4]byte))
 	if err != nil || opts != nil {
-		t.Errorf("no-hint OptionsBytes = %v, %v", opts, err)
+		t.Errorf("no-hint options = %v, %v", opts, err)
 	}
 	if h := ParseOptions(nil); h.Valid {
 		t.Error("ParseOptions(nil) produced a hint")

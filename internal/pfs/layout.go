@@ -81,16 +81,6 @@ type ServerPlan struct {
 	Pieces    []Piece
 }
 
-// Extents maps a byte range [offset, offset+length) of the file onto
-// per-server plans. Arbitrary (unaligned) ranges are supported; the
-// evaluation workloads use strip-aligned transfers.
-func (l Layout) Extents(offset, length units.Bytes) ([]ServerPlan, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l.extents(offset, length)
-}
-
 // CheckedLayout is a Layout that has passed Validate. Planning through
 // it skips the per-call validation, so a client validates a layout
 // once, when it arrives, instead of on every transfer.
@@ -104,15 +94,13 @@ func (l Layout) Check() (CheckedLayout, error) {
 	return CheckedLayout{l}, nil
 }
 
-// Extents is Layout.Extents for a layout already validated.
-func (c CheckedLayout) Extents(offset, length units.Bytes) ([]ServerPlan, error) {
-	return c.extents(offset, length)
-}
-
-// extents plans a range over a valid layout. Every server's pieces
-// share one backing array, each server's share sized in advance, so a
-// plan costs two allocations however many servers it spans.
-func (l Layout) extents(offset, length units.Bytes) ([]ServerPlan, error) {
+// Extents maps a byte range [offset, offset+length) of the file onto
+// per-server plans. Arbitrary (unaligned) ranges are supported; the
+// evaluation workloads use strip-aligned transfers. Every server's
+// pieces share one backing array, each server's share sized in
+// advance, so a plan costs two allocations however many servers it
+// spans.
+func (l CheckedLayout) Extents(offset, length units.Bytes) ([]ServerPlan, error) {
 	if offset < 0 || length <= 0 {
 		return nil, fmt.Errorf("pfs: bad range offset=%d length=%d", offset, length)
 	}
@@ -157,14 +145,4 @@ func (l Layout) extents(offset, length units.Bytes) ([]ServerPlan, error) {
 		}
 	}
 	return out, nil
-}
-
-// StripCount returns the number of strips a range touches.
-func (l Layout) StripCount(offset, length units.Bytes) int {
-	if length <= 0 {
-		return 0
-	}
-	first := offset / l.StripSize
-	last := (offset + length - 1) / l.StripSize
-	return int(last-first) + 1
 }

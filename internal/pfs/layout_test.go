@@ -17,6 +17,26 @@ func testLayout(ns int) Layout {
 	return Layout{StripSize: 64 * units.KiB, Servers: servers}
 }
 
+// extents plans a range the way a client does: Check the layout once,
+// then CheckedLayout.Extents.
+func extents(l Layout, offset, length units.Bytes) ([]ServerPlan, error) {
+	c, err := l.Check()
+	if err != nil {
+		return nil, err
+	}
+	return c.Extents(offset, length)
+}
+
+// stripCount is the reference count of strips a range touches.
+func stripCount(l Layout, offset, length units.Bytes) int {
+	if length <= 0 {
+		return 0
+	}
+	first := offset / l.StripSize
+	last := (offset + length - 1) / l.StripSize
+	return int(last-first) + 1
+}
+
 func TestLayoutValidate(t *testing.T) {
 	if err := testLayout(4).Validate(); err != nil {
 		t.Errorf("valid layout rejected: %v", err)
@@ -36,7 +56,7 @@ func TestLayoutValidate(t *testing.T) {
 func TestExtentsAlignedTransfer(t *testing.T) {
 	l := testLayout(4)
 	// 1 MiB transfer at offset 0 = 16 strips over 4 servers, 4 each.
-	plans, err := l.Extents(0, units.MiB)
+	plans, err := extents(l, 0, units.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +87,7 @@ func TestExtentsWithOffset(t *testing.T) {
 	l := testLayout(2)
 	// Transfer starting at strip 3 (offset 192 KiB), length 128 KiB:
 	// strips 3 (server 1, local 1*64K) and 4 (server 0, local 2*64K).
-	plans, err := l.Extents(192*units.KiB, 128*units.KiB)
+	plans, err := extents(l, 192*units.KiB, 128*units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +115,7 @@ func TestExtentsUnaligned(t *testing.T) {
 	l := testLayout(2)
 	// 100 KiB starting 10 KiB into strip 0: piece A = 54 KiB of strip 0,
 	// piece B = 46 KiB of strip 1.
-	plans, err := l.Extents(10*units.KiB, 100*units.KiB)
+	plans, err := extents(l, 10*units.KiB, 100*units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,26 +132,26 @@ func TestExtentsUnaligned(t *testing.T) {
 
 func TestExtentsErrors(t *testing.T) {
 	l := testLayout(2)
-	if _, err := l.Extents(-1, 10); err == nil {
+	if _, err := extents(l, -1, 10); err == nil {
 		t.Error("negative offset accepted")
 	}
-	if _, err := l.Extents(0, 0); err == nil {
+	if _, err := extents(l, 0, 0); err == nil {
 		t.Error("zero length accepted")
 	}
-	if _, err := (Layout{}).Extents(0, 10); err == nil {
+	if _, err := extents(Layout{}, 0, 10); err == nil {
 		t.Error("invalid layout accepted")
 	}
 }
 
 func TestStripCount(t *testing.T) {
 	l := testLayout(4)
-	if got := l.StripCount(0, units.MiB); got != 16 {
-		t.Errorf("StripCount(0,1MiB) = %d, want 16", got)
+	if got := stripCount(l, 0, units.MiB); got != 16 {
+		t.Errorf("stripCount(0,1MiB) = %d, want 16", got)
 	}
-	if got := l.StripCount(63*units.KiB, 2*units.KiB); got != 2 {
+	if got := stripCount(l, 63*units.KiB, 2*units.KiB); got != 2 {
 		t.Errorf("straddling count = %d, want 2", got)
 	}
-	if got := l.StripCount(0, 0); got != 0 {
+	if got := stripCount(l, 0, 0); got != 0 {
 		t.Errorf("zero length count = %d", got)
 	}
 }
@@ -146,7 +166,7 @@ func TestExtentsPartitionProperty(t *testing.T) {
 		l := testLayout(ns)
 		offset := units.Bytes(r.Int63n(int64(4 * units.MiB)))
 		length := units.Bytes(r.Int63n(int64(4*units.MiB))) + 1
-		plans, err := l.Extents(offset, length)
+		plans, err := extents(l, offset, length)
 		if err != nil {
 			return false
 		}
@@ -172,17 +192,10 @@ func TestExtentsPartitionProperty(t *testing.T) {
 				total += piece.Size
 			}
 		}
-		return total == length && len(seen) == l.StripCount(offset, length)
+		return total == length && len(seen) == stripCount(l, offset, length)
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReadRequestTotalBytes(t *testing.T) {
-	r := ReadRequest{Pieces: []Piece{{Size: 10}, {Size: 20}}}
-	if r.TotalBytes() != 30 {
-		t.Errorf("TotalBytes = %d", r.TotalBytes())
 	}
 }
 
@@ -240,10 +253,9 @@ func refExtents(l Layout, offset, length units.Bytes) []ServerPlan {
 }
 
 // TestExtentsMatchesReference plans random (often unaligned) ranges
-// over random layouts through Layout.Extents and CheckedLayout.Extents
-// and requires the reference planner's plans, with every server's
-// pieces sized exactly, so appending to one can never overwrite
-// another's.
+// over random layouts through CheckedLayout.Extents and requires the
+// reference planner's plans, with every server's pieces sized exactly,
+// so appending to one can never overwrite another's.
 func TestExtentsMatchesReference(t *testing.T) {
 	r := rng.New(rng.Derive(0xe87, 0))
 	for i := 0; i < 2000; i++ {
@@ -252,27 +264,21 @@ func TestExtentsMatchesReference(t *testing.T) {
 		offset := units.Bytes(r.Intn(int(4 * units.MiB)))
 		length := units.Bytes(1 + r.Intn(int(3*units.MiB)))
 		want := refExtents(l, offset, length)
-		checked, err := l.Check()
+		got, err := extents(l, offset, length)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plan := range []func(units.Bytes, units.Bytes) ([]ServerPlan, error){l.Extents, checked.Extents} {
-			got, err := plan(offset, length)
-			if err != nil {
-				t.Fatal(err)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d plans, want %d", i, len(got), len(want))
+		}
+		for k := range got {
+			g, w := got[k], want[k]
+			if g.ServerIdx != w.ServerIdx || g.Server != w.Server || len(g.Pieces) != len(w.Pieces) || cap(g.Pieces) != len(g.Pieces) {
+				t.Fatalf("case %d plan %d: %+v, want %+v (cap %d)", i, k, g, w, cap(g.Pieces))
 			}
-			if len(got) != len(want) {
-				t.Fatalf("case %d: %d plans, want %d", i, len(got), len(want))
-			}
-			for k := range got {
-				g, w := got[k], want[k]
-				if g.ServerIdx != w.ServerIdx || g.Server != w.Server || len(g.Pieces) != len(w.Pieces) || cap(g.Pieces) != len(g.Pieces) {
-					t.Fatalf("case %d plan %d: %+v, want %+v (cap %d)", i, k, g, w, cap(g.Pieces))
-				}
-				for p := range g.Pieces {
-					if g.Pieces[p] != w.Pieces[p] {
-						t.Fatalf("case %d plan %d piece %d: %+v, want %+v", i, k, p, g.Pieces[p], w.Pieces[p])
-					}
+			for p := range g.Pieces {
+				if g.Pieces[p] != w.Pieces[p] {
+					t.Fatalf("case %d plan %d piece %d: %+v, want %+v", i, k, p, g.Pieces[p], w.Pieces[p])
 				}
 			}
 		}

@@ -31,15 +31,6 @@ type ReadRequest struct {
 	LocalEOF units.Bytes
 }
 
-// TotalBytes sums the piece sizes.
-func (r *ReadRequest) TotalBytes() units.Bytes {
-	var n units.Bytes
-	for _, p := range r.Pieces {
-		n += p.Size
-	}
-	return n
-}
-
 // StripData is one returned strip piece. The data bytes themselves are
 // represented by the frame payload size.
 type StripData struct {

@@ -23,21 +23,16 @@ func DefaultMetadataConfig(rate units.Rate) MetadataConfig {
 // MetadataServer answers layout queries at file open — the MDS hop that
 // contributes to TR, the paper's network-and-server time.
 type MetadataServer struct {
-	eng     *sim.Engine
-	node    netsim.NodeID
-	nic     *netsim.NIC
-	cpu     *sim.Server
-	layout  func(FileID) Layout
-	serve   func(*LayoutRequest)
-	queries uint64
+	nic    *netsim.NIC
+	cpu    *sim.Server
+	layout func(FileID) Layout
+	serve  func(*LayoutRequest)
 }
 
 // NewMetadataServer builds the MDS on node id; layout resolves a file's
 // striping (the simulator's stand-in for the PVFS metadata store).
 func NewMetadataServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg MetadataConfig, layout func(FileID) Layout) *MetadataServer {
 	m := &MetadataServer{
-		eng:    eng,
-		node:   id,
 		nic:    netsim.NewNIC(eng, id, cfg.NIC),
 		cpu:    sim.NewServer(eng),
 		layout: layout,
@@ -47,7 +42,6 @@ func NewMetadataServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cf
 	reqCPU := cfg.RequestCPU
 	m.serve = func(q *LayoutRequest) {
 		m.cpu.Submit(reqCPU, func(units.Time) {
-			m.queries++
 			m.nic.Send(q.Client, LayoutReplySize, netsim.AffHint{}, &LayoutReply{
 				Tag:    q.Tag,
 				File:   q.File,
@@ -57,12 +51,6 @@ func NewMetadataServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cf
 	}
 	return m
 }
-
-// Node returns the MDS fabric id.
-func (m *MetadataServer) Node() netsim.NodeID { return m.node }
-
-// Queries returns the number of layout queries served.
-func (m *MetadataServer) Queries() uint64 { return m.queries }
 
 func (m *MetadataServer) onInterrupt(q int, _ units.Time) {
 	for _, f := range m.nic.Drain(q) {

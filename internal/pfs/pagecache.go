@@ -33,8 +33,6 @@ type PageCache struct {
 	// are recycled, so a warm cache allocates nothing per lookup.
 	freeFills   []*fill
 	freeEntries []*pageEntry
-
-	hits, misses, merged uint64
 }
 
 // Window keys pack the file into the high bits and the window index
@@ -108,15 +106,6 @@ func NewPageCache(eng *sim.Engine, capacity, window units.Bytes) *PageCache {
 // Window returns the readahead window size.
 func (c *PageCache) Window() units.Bytes { return c.window }
 
-// Hits returns window lookups served from memory.
-func (c *PageCache) Hits() uint64 { return c.hits }
-
-// Misses returns window lookups that required disk I/O.
-func (c *PageCache) Misses() uint64 { return c.misses }
-
-// Merged returns window lookups that piggybacked on in-flight I/O.
-func (c *PageCache) Merged() uint64 { return c.merged }
-
 // Windows returns the window indices covering [offset, offset+size).
 func (c *PageCache) Windows(offset, size units.Bytes) (first, last int64) {
 	first = int64(offset / c.window)
@@ -139,17 +128,14 @@ func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done
 	key := packKey(file, win)
 	e := c.windows[key]
 	if e != nil && e.resident {
-		c.hits++
 		c.touch(e)
 		c.eng.Immediately(ready)
 		return
 	}
 	if e != nil {
-		c.merged++
 		e.fill.waiters = append(e.fill.waiters, ready)
 		return
 	}
-	c.misses++
 	var f *fill
 	if n := len(c.freeFills); n > 0 {
 		f = c.freeFills[n-1]
@@ -270,12 +256,6 @@ func (c *PageCache) unlink(e *pageEntry) {
 	}
 	e.prev, e.next = nil, nil
 }
-
-// Used returns resident bytes.
-func (c *PageCache) Used() units.Bytes { return c.used }
-
-// Len returns resident windows.
-func (c *PageCache) Len() int { return int(c.used / c.window) }
 
 // CheckInvariants validates list/table consistency for tests: the list
 // holds exactly the resident windows, every window in the table is

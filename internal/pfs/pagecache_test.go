@@ -39,9 +39,6 @@ func TestMissThenHitThenLRU(t *testing.T) {
 	if fetches != 4 {
 		t.Errorf("fetches = %d, want 4 (one hit)", fetches)
 	}
-	if pc.Hits() != 1 || pc.Misses() != 4 {
-		t.Errorf("hits=%d misses=%d", pc.Hits(), pc.Misses())
-	}
 	if err := pc.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
@@ -67,9 +64,6 @@ func TestInflightMerging(t *testing.T) {
 	if ready != 5 {
 		t.Errorf("ready callbacks = %d, want 5", ready)
 	}
-	if pc.Merged() != 4 {
-		t.Errorf("merged = %d, want 4", pc.Merged())
-	}
 }
 
 func TestZeroCapacityNeverStores(t *testing.T) {
@@ -86,8 +80,8 @@ func TestZeroCapacityNeverStores(t *testing.T) {
 	if fetches != 2 {
 		t.Errorf("fetches = %d, want 2 (nothing cached)", fetches)
 	}
-	if pc.Len() != 0 || pc.Used() != 0 {
-		t.Errorf("len=%d used=%v", pc.Len(), pc.Used())
+	if pc.used != 0 || pc.head != nil {
+		t.Errorf("used=%v with a resident window list", pc.used)
 	}
 }
 
@@ -135,11 +129,11 @@ func TestPutDuringFill(t *testing.T) {
 		pc.Get(1, 3, func(units.Time) { ready++ }, fetchAfter(eng, units.Millisecond, &fetches))
 	})
 	eng.RunUntilIdle()
-	if fetches != 1 || ready != 2 || pc.Hits() != 1 || pc.Misses() != 1 {
-		t.Errorf("fetches %d ready %d hits %d misses %d; want 1, 2, 1, 1", fetches, ready, pc.Hits(), pc.Misses())
+	if fetches != 1 || ready != 2 {
+		t.Errorf("fetches %d ready %d; want 1, 2", fetches, ready)
 	}
-	if pc.Len() != 1 {
-		t.Errorf("resident windows = %d, want 1", pc.Len())
+	if pc.used != pc.window {
+		t.Errorf("resident bytes = %v, want one window", pc.used)
 	}
 	if err := pc.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -177,14 +171,14 @@ func TestBadWindowPanics(t *testing.T) {
 }
 
 // Property: under random Get sequences the cache never exceeds capacity,
-// list and map stay consistent, and hits+misses+merged equals requests.
+// list and map stay consistent, and every request is answered once.
 func TestPageCacheInvariantsProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		eng := sim.NewEngine()
 		capWindows := r.Intn(6) + 1
 		pc := NewPageCache(eng, units.Bytes(capWindows)*64*units.KiB, 64*units.KiB)
-		requests := 0
+		requests, answered := 0, 0
 		n := r.Intn(200) + 1
 		for i := 0; i < n; i++ {
 			at := units.Time(r.Intn(1000)) * units.Microsecond
@@ -193,7 +187,7 @@ func TestPageCacheInvariantsProperty(t *testing.T) {
 			d := units.Time(r.Intn(50)) * units.Microsecond
 			eng.At(at, func(units.Time) {
 				requests++
-				pc.Get(file, win, func(units.Time) {}, func(done sim.Event) {
+				pc.Get(file, win, func(units.Time) { answered++ }, func(done sim.Event) {
 					eng.After(d, done)
 				})
 			})
@@ -202,10 +196,10 @@ func TestPageCacheInvariantsProperty(t *testing.T) {
 		if pc.CheckInvariants() != nil {
 			return false
 		}
-		if pc.Len() > capWindows {
+		if pc.used > units.Bytes(capWindows)*pc.window {
 			return false
 		}
-		return pc.Hits()+pc.Misses()+pc.Merged() == uint64(requests)
+		return answered == requests
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Error(err)

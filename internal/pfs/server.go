@@ -109,17 +109,11 @@ func NewServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg Server
 	return s
 }
 
-// Node returns the server's fabric id.
-func (s *Server) Node() netsim.NodeID { return s.node }
-
 // NIC returns the server's NIC, for statistics.
 func (s *Server) NIC() *netsim.NIC { return s.nic }
 
 // Disk returns the server's disk, for statistics.
 func (s *Server) Disk() *disk.Disk { return s.dsk }
-
-// Pages returns the server's buffer cache, for statistics.
-func (s *Server) Pages() *PageCache { return s.pages }
 
 // Stats returns a copy of the counters.
 func (s *Server) Stats() ServerStats { return s.stats }
@@ -131,9 +125,6 @@ func (s *Server) SetStall(fn func() units.Time) { s.stall = fn }
 // SetDown crashes (true) or revives (false) the server: while down it
 // drops every received frame, as a dead node would.
 func (s *Server) SetDown(down bool) { s.down = down }
-
-// Down reports the crash state.
-func (s *Server) Down() bool { return s.down }
 
 // SetSpanLog attaches the lifecycle span recorder; nil disables.
 func (s *Server) SetSpanLog(l *trace.SpanLog) { s.spans = l }

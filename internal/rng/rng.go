@@ -156,18 +156,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (r *Source) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Normal returns a normally distributed value with the given mean and
 // standard deviation, via the polar Box-Muller transform.
 func (r *Source) Normal(mean, stddev float64) float64 {

@@ -118,22 +118,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	const mean, n = 250.0, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(mean)
-	}
-	got := sum / n
-	if math.Abs(got-mean)/mean > 0.02 {
-		t.Errorf("Exp mean = %.2f, want ~%.2f", got, mean)
-	}
-	if r.Exp(0) != 0 || r.Exp(-1) != 0 {
-		t.Error("Exp with non-positive mean should be 0")
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(9)
 	const mean, sd, n = 40.0, 5.0, 200000
@@ -215,13 +199,6 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.Uint64()
-	}
-}
-
-func BenchmarkExp(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		r.Exp(100)
 	}
 }
 

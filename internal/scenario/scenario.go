@@ -125,13 +125,6 @@ func (s *Scenario) materialize(pol irqsched.PolicyKind) (cluster.Config, error) 
 	return cfg, nil
 }
 
-// Write serializes the scenario as indented JSON.
-func Write(w io.Writer, s *Scenario) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // Read parses and validates a scenario through ReadStudy, the one
 // decoder of scenario and study files; a study file is an error.
 func Read(r io.Reader) (*Scenario, error) {

@@ -126,7 +126,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		Assertions:  []Assertion{{Metric: "failed_ops", Op: "==", Value: 0}},
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(bytes.NewReader(buf.Bytes()))

@@ -86,8 +86,6 @@ func (e *StudyError) Error() string {
 	return strings.TrimSpace("study "+e.Study) + ": " + e.Err.Error()
 }
 
-func (e *StudyError) Unwrap() error { return e.Err }
-
 // Validate checks the study shape — seeds, columns, dims — and then
 // every point of the grid as a Scenario (Scenario.Validate), so a study
 // that validates cannot fail to start. Errors are *StudyError.

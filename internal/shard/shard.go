@@ -71,8 +71,6 @@ type Engine struct {
 
 	stop    func() bool
 	stopped bool
-	rounds  uint64
-	posted  uint64
 }
 
 // New builds an executor over engs. lookahead is the minimum
@@ -174,12 +172,6 @@ func (s *Engine) MaxNow() units.Time {
 	return max
 }
 
-// Rounds returns the number of synchronization rounds executed.
-func (s *Engine) Rounds() uint64 { return s.rounds }
-
-// Posted returns the number of cross-shard messages carried.
-func (s *Engine) Posted() uint64 { return s.posted }
-
 // Run executes rounds until every shard is idle and no messages are
 // in flight, or the stop condition fires. It returns the makespan
 // (latest shard clock).
@@ -200,7 +192,6 @@ func (s *Engine) Run() units.Time {
 		}
 		s.round(horizon)
 		s.collect()
-		s.rounds++
 	}
 }
 
@@ -222,7 +213,6 @@ func (s *Engine) deliver() {
 			eng.ScheduleRemote(m.At, m.SentAt, m.Origin, m.Fn)
 			box[i] = Msg{}
 		}
-		s.posted += uint64(len(box))
 		s.inbox[dst] = box[:0]
 	}
 }

@@ -101,7 +101,7 @@ func TestCompactionReapsCancelled(t *testing.T) {
 	// Order must survive compaction's re-heapify.
 	var last units.Time
 	fired := 0
-	for e.Step() {
+	for e.step() {
 		if e.Now() < last {
 			t.Fatalf("post-compaction order violated: %v after %v", e.Now(), last)
 		}
@@ -230,7 +230,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					liveRef = append(liveRef[:k], liveRef[k+1:]...)
 				}
 			default: // step
-				e.Step()
+				e.step()
 			}
 		}
 		// Drain; every remaining fire is checked inside the callbacks.

@@ -26,7 +26,7 @@ func BenchmarkEngineHotScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }
 
@@ -48,7 +48,7 @@ func BenchmarkEngineHotCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkEngineHotDeadlineScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }
 
@@ -86,7 +86,7 @@ func BenchmarkEngineHotImmediately(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.step()
 	}
 }
 

@@ -21,9 +21,7 @@ import (
 type Server struct {
 	eng    *Engine
 	busyTo units.Time
-	queue  int
-	busy   units.Time // accumulated busy time
-	served uint64
+	busy   units.Time         // accumulated busy time
 	done   deque.Deque[Event] // done callbacks of in-flight jobs, in finish order
 	// completeFn is s.complete, bound by the first submission so that
 	// building a server allocates no method value.
@@ -35,26 +33,15 @@ func NewServer(eng *Engine) *Server {
 	return &Server{eng: eng}
 }
 
-// Busy reports whether the server is serving or has queued work.
-func (s *Server) Busy() bool { return s.eng.Now() < s.busyTo }
-
-// QueueLen returns the number of jobs submitted but not yet started,
-// including the one in service.
-func (s *Server) QueueLen() int { return s.queue }
-
 // BusyTime returns total time spent serving jobs.
 func (s *Server) BusyTime() units.Time { return s.busy }
-
-// Served returns the number of completed jobs.
-func (s *Server) Served() uint64 { return s.served }
 
 // Submit enqueues a job taking cost time; done (optional) runs when the
 // job completes. It returns the completion time.
 //
 //saisvet:allocfree
 func (s *Server) Submit(cost units.Time, done Event) units.Time {
-	start := s.admit()
-	return s.schedule(start, cost, done)
+	return s.schedule(s.start(), cost, done)
 }
 
 // SubmitFunc enqueues a job whose cost is computed at dispatch time by
@@ -64,15 +51,14 @@ func (s *Server) Submit(cost units.Time, done Event) units.Time {
 // returned value is the scheduled completion of this job given current
 // queue contents.
 func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
-	start := s.admit()
+	start := s.start()
 	return s.schedule(start, costAt(start), done)
 }
 
-// admit counts a new job into the queue and returns its start time.
+// start returns the start time of a job submitted now.
 //
 //saisvet:allocfree
-func (s *Server) admit() units.Time {
-	s.queue++
+func (s *Server) start() units.Time {
 	return max(s.busyTo, s.eng.Now())
 }
 
@@ -99,8 +85,6 @@ func (s *Server) schedule(start, cost units.Time, done Event) units.Time {
 //
 //saisvet:allocfree
 func (s *Server) complete(now units.Time) {
-	s.queue--
-	s.served++
 	if done := s.done.PopFront(); done != nil {
 		//lint:alloc completion-callback invocation: the callback's allocations belong to its owner's budget
 		done(now)

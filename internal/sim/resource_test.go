@@ -65,17 +65,18 @@ func TestServerReturnsCompletionTime(t *testing.T) {
 func TestServerStats(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
+	served := 0
 	e.At(0, func(units.Time) {
-		s.Submit(10, nil)
-		s.Submit(10, nil)
-		s.Submit(10, nil)
+		for i := 0; i < 3; i++ {
+			s.Submit(10, func(units.Time) { served++ })
+		}
 	})
 	e.RunUntilIdle()
-	if s.Served() != 3 {
-		t.Errorf("Served = %d, want 3", s.Served())
+	if served != 3 {
+		t.Errorf("served = %d, want 3", served)
 	}
-	if s.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0 after drain", s.QueueLen())
+	if s.queueLen() != 0 || s.BusyTime() != 30 {
+		t.Errorf("queue = %d, busy = %v after drain, want 0 and 30", s.queueLen(), s.BusyTime())
 	}
 }
 
@@ -113,17 +114,23 @@ func TestBusy(t *testing.T) {
 	s := NewServer(e)
 	e.At(0, func(units.Time) {
 		s.Submit(10, nil)
-		if !s.Busy() {
+		if !s.busyNow() {
 			t.Error("server should be busy right after Submit")
 		}
 	})
 	e.At(11, func(units.Time) {
-		if s.Busy() {
+		if s.busyNow() {
 			t.Error("server should be idle after work drains")
 		}
 	})
 	e.RunUntilIdle()
 }
+
+// queueLen returns the number of jobs submitted but not yet finished.
+func (s *Server) queueLen() int { return s.done.Len() }
+
+// busyNow reports whether the server is serving or has queued work.
+func (s *Server) busyNow() bool { return s.eng.Now() < s.busyTo }
 
 // refServer is the reference the ring-based Server is checked against:
 // the same FIFO accounting with a completion closure per job.
@@ -132,7 +139,6 @@ type refServer struct {
 	busyTo units.Time
 	queue  int
 	busy   units.Time
-	served uint64
 }
 
 func (s *refServer) Submit(cost units.Time, done Event) units.Time {
@@ -155,7 +161,6 @@ func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) u
 	s.busy += cost
 	s.eng.At(finish, func(t units.Time) {
 		s.queue--
-		s.served++
 		if done != nil {
 			done(t)
 		}
@@ -163,17 +168,15 @@ func (s *refServer) SubmitFunc(costAt func(units.Time) units.Time, done Event) u
 	return finish
 }
 
-func (s *refServer) QueueLen() int        { return s.queue }
+func (s *refServer) queueLen() int        { return s.queue }
 func (s *refServer) BusyTime() units.Time { return s.busy }
-func (s *refServer) Served() uint64       { return s.served }
 
 // fifoServer is the surface the differential test drives.
 type fifoServer interface {
 	Submit(cost units.Time, done Event) units.Time
 	SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time
-	QueueLen() int
+	queueLen() int
 	BusyTime() units.Time
-	Served() uint64
 }
 
 // serverOp is one scripted submission: at time at, submit a job of
@@ -216,8 +219,8 @@ func genServerOps(r *rng.Source) []serverOp {
 func runServerOps(eng *Engine, s fifoServer, ops []serverOp, probes []units.Time) []string {
 	var log []string
 	snap := func(tag string, now units.Time) {
-		log = append(log, fmt.Sprintf("%s@%d q=%d busy=%d served=%d",
-			tag, now, s.QueueLen(), s.BusyTime(), s.Served()))
+		log = append(log, fmt.Sprintf("%s@%d q=%d busy=%d",
+			tag, now, s.queueLen(), s.BusyTime()))
 	}
 	for i, op := range ops {
 		i, op := i, op
@@ -335,7 +338,7 @@ func (l *serverLoop) cycle() {
 		l.s.Submit(units.Time(i%3), l.done)
 	}
 	l.s.Submit(5, nil)
-	l.depth = l.s.QueueLen()
+	l.depth = l.s.queueLen()
 	l.eng.RunUntilIdle()
 }
 
@@ -344,7 +347,7 @@ func TestServerSubmitAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, l.cycle); allocs != 0 {
 		t.Errorf("Submit→complete loop allocates %v per cycle, want 0", allocs)
 	}
-	if l.depth != 9 || l.s.QueueLen() != 0 {
-		t.Fatalf("loop did not queue: depth %d, len %d", l.depth, l.s.QueueLen())
+	if l.depth != 9 || l.s.queueLen() != 0 {
+		t.Fatalf("loop did not queue: depth %d, len %d", l.depth, l.s.queueLen())
 	}
 }

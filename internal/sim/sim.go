@@ -396,19 +396,6 @@ func (e *Engine) fire(fromFifo bool) {
 	fn(e.now)
 }
 
-// Step pops and executes the single earliest pending event. It reports
-// whether an event was executed (false means no live event remained).
-//
-//saisvet:allocfree
-func (e *Engine) Step() bool {
-	fromFifo, ok := e.next()
-	if !ok {
-		return false
-	}
-	e.fire(fromFifo)
-	return true
-}
-
 // --- step primitives ---
 //
 // These decompose Run's loop so an external executor (internal/shard)

@@ -157,8 +157,11 @@ func TestRunDeadline(t *testing.T) {
 
 func TestStepEmptyQueue(t *testing.T) {
 	e := NewEngine()
-	if e.Step() {
-		t.Error("Step on empty queue reported work")
+	if n := e.RunBefore(units.Forever); n != 0 {
+		t.Errorf("RunBefore on empty queue fired %d events", n)
+	}
+	if now := e.RunUntilIdle(); now != 0 {
+		t.Errorf("Run on empty queue advanced the clock to %v", now)
 	}
 }
 

@@ -6,8 +6,21 @@ import (
 	"sais/internal/units"
 )
 
-// TestStepPrimitives drives an engine event-by-event through the
-// peek/step pair and checks the observed schedule matches Run's.
+// step fires the single earliest live event and reports whether there
+// was one: the unit of work the event-by-event tests and the EngineHot
+// benchmarks drive.
+func (e *Engine) step() bool {
+	fromFifo, ok := e.next()
+	if !ok {
+		return false
+	}
+	e.fire(fromFifo)
+	return true
+}
+
+// TestStepPrimitives drives an engine instant by instant through the
+// peek/RunBefore pair the shard executor uses and checks the observed
+// schedule matches Run's.
 func TestStepPrimitives(t *testing.T) {
 	e := NewEngine()
 	var got []units.Time
@@ -15,22 +28,26 @@ func TestStepPrimitives(t *testing.T) {
 		at := at
 		e.At(at, func(now units.Time) { got = append(got, now) })
 	}
-	want := []units.Time{10, 10, 20, 30}
-	for i, w := range want {
+	instants := []struct {
+		at units.Time
+		n  int
+	}{{10, 2}, {20, 1}, {30, 1}}
+	for i, w := range instants {
 		at, ok := e.PeekNextEventTime()
-		if !ok || at != w {
-			t.Fatalf("peek %d: got (%v, %v), want (%v, true)", i, at, ok, w)
+		if !ok || at != w.at {
+			t.Fatalf("peek %d: got (%v, %v), want (%v, true)", i, at, ok, w.at)
 		}
-		if !e.Step() {
-			t.Fatalf("Step %d: no event", i)
+		if n := e.RunBefore(at + 1); n != w.n {
+			t.Fatalf("RunBefore(%v) fired %d events, want %d", at+1, n, w.n)
 		}
 	}
 	if _, ok := e.PeekNextEventTime(); ok {
 		t.Fatal("PeekNextEventTime found an event after drain")
 	}
-	if e.Step() {
-		t.Fatal("Step = true on empty queue")
+	if n := e.RunBefore(units.Forever); n != 0 {
+		t.Fatalf("RunBefore fired %d events on an empty queue", n)
 	}
+	want := []units.Time{10, 10, 20, 30}
 	for i, w := range want {
 		if got[i] != w {
 			t.Fatalf("fire order %v, want %v", got, want)

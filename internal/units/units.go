@@ -84,10 +84,7 @@ type Rate float64
 // Common rates. Network rates follow the decimal convention used on
 // datasheets (1 Gbit/s = 125e6 B/s); memory rates are quoted directly.
 const (
-	BytePerSecond Rate = 1
-	KBps          Rate = 1e3
-	MBps          Rate = 1e6
-	GBps          Rate = 1e9
+	MBps Rate = 1e6
 
 	// Gigabit is the payload rate of one 1-Gbit/s Ethernet port.
 	Gigabit Rate = 125 * MBps

@@ -58,7 +58,6 @@ type IOR struct {
 	remaining int
 	finished  units.Time
 	onDone    sim.Event
-	perProc   []units.Time // completion time of each process
 }
 
 // NewIOR builds the workload over node. onDone (optional) fires when
@@ -68,10 +67,9 @@ func NewIOR(node *client.Node, cfg IORConfig, onDone sim.Event) (*IOR, error) {
 		return nil, err
 	}
 	return &IOR{
-		cfg:     cfg,
-		node:    node,
-		onDone:  onDone,
-		perProc: make([]units.Time, cfg.Procs),
+		cfg:    cfg,
+		node:   node,
+		onDone: onDone,
 	}, nil
 }
 
@@ -80,7 +78,7 @@ func NewIOR(node *client.Node, cfg IORConfig, onDone sim.Event) (*IOR, error) {
 func (w *IOR) Start(eng *sim.Engine) {
 	w.remaining = w.cfg.Procs
 	for i := 0; i < w.cfg.Procs; i++ {
-		p := w.node.NewProc(i, (w.cfg.FirstCore+i)%w.node.Config().Cores)
+		p := w.node.NewProc((w.cfg.FirstCore + i) % w.node.Config().Cores)
 		l := &procLoop{w: w, proc: i, op: p.Read, order: make([]int, w.cfg.Transfers())}
 		if w.cfg.Write {
 			l.op = p.Write
@@ -117,7 +115,6 @@ func (l *procLoop) step(now units.Time) {
 		l.op(w.cfg.FirstFile+pfs.FileID(l.proc), units.Bytes(l.order[k])*w.cfg.TransferSize, w.cfg.TransferSize, l.next)
 		return
 	}
-	w.perProc[l.proc] = now
 	if w.remaining--; w.remaining == 0 {
 		w.finished = now
 		if w.onDone != nil {
@@ -129,9 +126,6 @@ func (l *procLoop) step(now units.Time) {
 // Finished returns the completion time of the last process (zero while
 // running).
 func (w *IOR) Finished() units.Time { return w.finished }
-
-// ProcFinished returns the completion time of process i.
-func (w *IOR) ProcFinished(i int) units.Time { return w.perProc[i] }
 
 // TotalBytes returns the byte budget across all processes.
 func (w *IOR) TotalBytes() units.Bytes {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sais/internal/client"
+	"sais/internal/cpu"
 	"sais/internal/irqsched"
 	"sais/internal/netsim"
 	"sais/internal/pfs"
@@ -19,7 +20,10 @@ func rig(t *testing.T) (*sim.Engine, *client.Node) {
 	fab := netsim.NewFabric(eng, 10*units.Microsecond, 256)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, irqsched.PolicySourceAware)
 	ccfg.MDS = 50
-	node := client.MustNew(eng, fab, ccfg)
+	node, err := client.New(eng, fab, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	servers := make([]netsim.NodeID, 4)
 	rnd := rng.New(3)
 	for i := range servers {
@@ -91,11 +95,6 @@ func TestIORRunsToCompletion(t *testing.T) {
 	if w.TotalBytes() != 6*units.MiB {
 		t.Errorf("TotalBytes = %v", w.TotalBytes())
 	}
-	for i := 0; i < cfg.Procs; i++ {
-		if w.ProcFinished(i) == 0 || w.ProcFinished(i) > doneAt {
-			t.Errorf("proc %d finished at %v", i, w.ProcFinished(i))
-		}
-	}
 }
 
 func TestProcsUseDistinctFilesAndCores(t *testing.T) {
@@ -116,12 +115,12 @@ func TestProcsUseDistinctFilesAndCores(t *testing.T) {
 	if got := node.Stats().MetadataTrips; got != 2 {
 		t.Errorf("metadata trips = %d, want 2", got)
 	}
-	// Both procs consumed on their own cores: cores 0 and 1 have cache
-	// accesses, others none.
+	// Both procs consumed on their own cores: cores 0 and 1 ran compute,
+	// others none.
 	for core := 0; core < 8; core++ {
-		acc := node.Caches().Stats(core).Accesses
+		acc := node.CPU().Core(core).Stats().ByCategory[cpu.CatCompute]
 		if core < 2 && acc == 0 {
-			t.Errorf("core %d has no accesses", core)
+			t.Errorf("core %d has no compute", core)
 		}
 		if core >= 2 && acc != 0 {
 			t.Errorf("core %d unexpectedly consumed data", core)
@@ -148,8 +147,14 @@ func TestStaggerDelaysStart(t *testing.T) {
 	w, _ := NewIOR(node, cfg, nil)
 	w.Start(eng)
 	eng.RunUntilIdle()
-	if w.ProcFinished(1)-w.ProcFinished(0) < 2*units.Millisecond {
-		t.Errorf("staggered procs finished %v apart", w.ProcFinished(1)-w.ProcFinished(0))
+	// The second process starts one stagger in, so the run cannot end
+	// before the stagger plus that process's one transfer.
+	lats := node.Latencies()
+	if len(lats) != 2 {
+		t.Fatalf("transfers = %d, want 2", len(lats))
+	}
+	if w.Finished() < cfg.Stagger+units.Time(min(lats[0], lats[1])) {
+		t.Errorf("staggered run finished at %v, before stagger %v plus a transfer", w.Finished(), cfg.Stagger)
 	}
 }
 

@@ -14,24 +14,28 @@ var unreachedOK = map[string]string{
 	"sais/internal/lint/analysistest": "the analyzers' test harness, imported only by their tests",
 }
 
+// goList runs `go list` in dir with args and returns its standard output.
+func goList(t *testing.T, dir string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list %s (in %s): %v", strings.Join(args, " "), dir, err)
+	}
+	return out
+}
+
 // TestEveryPackageServesACommand requires every module package with
 // non-test Go files to be built into some command under cmd/ — or to be
 // on unreachedOK with a reason. A mechanism that only its own tests
 // reach is code to delete, not to keep.
 func TestEveryPackageServesACommand(t *testing.T) {
-	list := func(args ...string) []string {
-		t.Helper()
-		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
-		if err != nil {
-			t.Fatalf("go list %s: %v", strings.Join(args, " "), err)
-		}
-		return strings.Fields(string(out))
-	}
 	reached := map[string]bool{}
-	for _, p := range list("-deps", "./cmd/...") {
+	for _, p := range strings.Fields(string(goList(t, ".", "-deps", "./cmd/..."))) {
 		reached[p] = true
 	}
-	for _, p := range list("-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./...") {
+	for _, p := range strings.Fields(string(goList(t, ".", "-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./..."))) {
 		if reached[p] || exempt(p) {
 			continue
 		}

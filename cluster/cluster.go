@@ -290,7 +290,6 @@ func (c Config) Validate() error {
 func (c Config) serverConfig() pfs.ServerConfig {
 	scfg := pfs.DefaultServerConfig(c.ServerNICRate)
 	scfg.Disk = c.Disk
-	scfg.EchoHints = true // harmless for baselines: their requests carry no hint
 	return scfg
 }
 
@@ -400,7 +399,7 @@ type Result struct {
 
 	// Interrupt path.
 	Interrupts  uint64
-	HintedIRQs  uint64
+	HintedIRQs  uint64 // interrupts delivered to the core their aff_core_id named
 	RingDrops   uint64
 	NetDrops    uint64 // frames lost in the fabric (loss injection)
 	HeaderDrops uint64 // frames rejected by IPv4 validation (corruption)

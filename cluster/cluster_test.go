@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -87,12 +90,91 @@ func TestHeadlineResultSAIsBeatsIrqbalance(t *testing.T) {
 	if base.RemoteLines == 0 {
 		t.Error("irqbalance produced no migrated lines")
 	}
-	if sais.HintedIRQs == 0 {
-		t.Error("SAIs recorded no hinted interrupts")
+}
+
+// TestHintedIRQsFollowUsesHints checks, for every policy, that an
+// interrupt counts as hinted exactly when the policy stamps hints: each
+// UsesHints policy steers some interrupts to their aff_core_id, and no
+// other policy's packets carry one.
+func TestHintedIRQsFollowUsesHints(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Servers = 16
+	for _, name := range irqsched.Names() {
+		p, err := irqsched.ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg.WithPolicy(p))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, _ := irqsched.Describe(p)
+		switch {
+		case d.UsesHints && res.HintedIRQs == 0:
+			t.Errorf("%s: no hinted interrupts", name)
+		case !d.UsesHints && res.HintedIRQs != 0:
+			t.Errorf("%s: %d hinted interrupts, want 0", name, res.HintedIRQs)
+		}
 	}
-	if base.HintedIRQs != 0 {
-		t.Errorf("irqbalance recorded %d hinted interrupts", base.HintedIRQs)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/policies/*.json from the current code")
+
+// TestPolicyResultsGolden pins every Result field of the default config
+// under each policy to testdata/policies/<name>.json; -update rewrites
+// the files.
+func TestPolicyResultsGolden(t *testing.T) {
+	for _, name := range irqsched.Names() {
+		p, err := irqsched.ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(DefaultConfig().WithPolicy(p))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, '\n')
+		path := filepath.Join("testdata", "policies", name+".json")
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (run go test -update to record it)", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Result differs from %s:\n%s", name, path, lineDiff(want, got))
+		}
 	}
+}
+
+// lineDiff lists the lines where got departs from want, by line number.
+func lineDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	var out strings.Builder
+	for i := range max(len(w), len(g)) {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&out, "%d: -%s\n%d: +%s\n", i+1, wl, i+1, gl)
+		}
+	}
+	return out.String()
 }
 
 func TestOneGigabitNICBottleneckCompressesGain(t *testing.T) {

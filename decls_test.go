@@ -19,11 +19,10 @@ import (
 // reason it stays. A key is the package path, a dot, and the name; a
 // method is named Type.Method.
 var unusedOK = map[string]string{
-	"sais/internal/analytic.MaxConcurrentRequests": "inequality (7) of the paper's §III model; cmd/analytic prints the other bounds, and this one needs a client bandwidth and request size that the command takes no input for",
-	"sais/internal/cache.System.CheckInvariants":   "test oracle: the block-cache property and differential tests check slab and LRU consistency after every step",
-	"sais/internal/cache.System.Used":              "test oracle: leak checks read per-core occupancy after an abandoned transfer; no run reports occupancy",
-	"sais/internal/pfs.PageCache.CheckInvariants":  "test oracle: the page-cache property tests check list, table and occupancy consistency",
-	"sais/internal/units.Hertz.Duration":           "the Cycles-over-Hertz conversion the unitsafety analyzer prescribes in its finding; no model converts cycles to time today",
+	"sais/internal/cache.System.CheckInvariants":  "test oracle: the block-cache property and differential tests check slab and LRU consistency after every step",
+	"sais/internal/cache.System.Used":             "test oracle: leak checks read per-core occupancy after an abandoned transfer; no run reports occupancy",
+	"sais/internal/pfs.PageCache.CheckInvariants": "test oracle: the page-cache property tests check list, table and occupancy consistency",
+	"sais/internal/units.Hertz.Duration":          "the Cycles-over-Hertz conversion the unitsafety analyzer prescribes in its finding; no model converts cycles to time today",
 }
 
 // TestEveryDeclHasACaller requires every package-level function, method,
@@ -31,13 +30,15 @@ var unusedOK = map[string]string{
 // reached from a command, a walkthrough under examples/ or perfbench —
 // or to be on unusedOK with a reason. Reach starts at main and init,
 // follows every identifier a reached declaration's source uses, and
-// counts a method as called when its receiver type is reached and the
-// method satisfies an interface declared in the module or the standard
-// library (String, MarshalJSON, Route). Struct fields are not checked:
-// encoding/json reads them. The exported declarations of a package on
-// unreachedOK count as called, since their callers are tests that list
-// already excuses. A declaration that only tests reach is a second path
-// beside the one that runs; delete it, or point its tests at the live one.
+// counts a method of a reached type as called when the method satisfies
+// an interface of the standard library or perfbench (String,
+// MarshalJSON), or an interface of the module whose method non-test
+// code calls (Route, but not a method only tests call through the
+// interface). Struct fields are not checked: encoding/json reads them.
+// The exported declarations of a package on unreachedOK count as
+// called, since their callers are tests that list already excuses. A
+// declaration that only tests reach is a second path beside the one
+// that runs; delete it, or point its tests at the live one.
 func TestEveryDeclHasACaller(t *testing.T) {
 	g := loadDeclGraph(t)
 	var listed []types.Object
@@ -74,6 +75,11 @@ type declGraph struct {
 	decls    map[types.Object]*declNode
 	byKey    map[string]types.Object
 	byMethod map[string][]*types.Interface // interfaces by their first method's name
+	// called holds the interface methods reached code calls, and types
+	// the reached named types; both outlive one reach call, so what an
+	// allowlisted declaration calls counts for every type reached before.
+	called map[types.Object]bool
+	types  []*types.Named
 }
 
 type declNode struct {
@@ -112,7 +118,7 @@ func loadDeclGraph(t *testing.T) *declGraph {
 		}
 	}
 
-	g := &declGraph{fset: token.NewFileSet(), root: root, decls: map[types.Object]*declNode{}, byKey: map[string]types.Object{}, byMethod: map[string][]*types.Interface{}}
+	g := &declGraph{fset: token.NewFileSet(), root: root, decls: map[types.Object]*declNode{}, byKey: map[string]types.Object{}, byMethod: map[string][]*types.Interface{}, called: map[types.Object]bool{}}
 	std := importer.ForCompiler(g.fset, "source", nil)
 	checked := map[string]*types.Package{}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
@@ -142,7 +148,7 @@ func loadDeclGraph(t *testing.T) *declGraph {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = tp
-		module := p.ImportPath == "sais" || strings.HasPrefix(p.ImportPath, "sais/") && !strings.HasPrefix(p.ImportPath, "sais/perfbench")
+		module := inModule(p.ImportPath)
 		library := exempt(p.ImportPath)
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
@@ -225,14 +231,17 @@ func origin(obj types.Object) types.Object {
 }
 
 // reach marks every declaration the roots reach, calling each method of
-// a reached type that an interface it implements requires.
+// a reached type that an interface it implements requires — for an
+// interface of the module, only once reached code calls that method.
 func (g *declGraph) reach(roots []types.Object) {
 	work := roots
-	var reachedTypes []*types.Named
 	for len(work) > 0 {
 		for len(work) > 0 {
 			obj := work[len(work)-1]
 			work = work[:len(work)-1]
+			if isInterfaceMethod(obj) {
+				g.called[obj] = true
+			}
 			d := g.decls[obj]
 			if d == nil || d.reached {
 				continue
@@ -241,11 +250,13 @@ func (g *declGraph) reach(roots []types.Object) {
 			work = append(work, d.uses...)
 			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
 				if named, ok := tn.Type().(*types.Named); ok && named.TypeParams() == nil && !types.IsInterface(named) {
-					reachedTypes = append(reachedTypes, named)
+					g.types = append(g.types, named)
 				}
 			}
 		}
-		for _, named := range reachedTypes {
+		// Every reached type is scanned again: a call reached since the
+		// last scan can make an earlier type's method called.
+		for _, named := range g.types {
 			for _, typ := range []types.Type{named, types.NewPointer(named)} {
 				ms := types.NewMethodSet(typ)
 				for i := 0; i < ms.Len(); i++ {
@@ -255,7 +266,11 @@ func (g *declGraph) reach(roots []types.Object) {
 						}
 						for j := 0; j < it.NumMethods(); j++ {
 							m := it.Method(j)
-							if obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name()); obj != nil {
+							if m.Pkg() != nil && inModule(m.Pkg().Path()) && !g.called[origin(m)] {
+								continue
+							}
+							obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name())
+							if d := g.decls[origin(obj)]; d != nil && !d.reached {
 								work = append(work, origin(obj))
 							}
 						}
@@ -263,8 +278,24 @@ func (g *declGraph) reach(roots []types.Object) {
 				}
 			}
 		}
-		reachedTypes = nil
 	}
+}
+
+// isInterfaceMethod reports whether obj is a method an interface
+// declares.
+func isInterfaceMethod(obj types.Object) bool {
+	f, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := f.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// inModule reports whether the package at path is the module's,
+// perfbench excluded.
+func inModule(path string) bool {
+	return path == "sais" || strings.HasPrefix(path, "sais/") && !strings.HasPrefix(path, "sais/perfbench")
 }
 
 // namedInterfaces returns the named interfaces with methods declared in

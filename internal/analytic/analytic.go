@@ -103,20 +103,6 @@ func (p Params) SourceAwareWins() bool {
 	return p.NC > 1 && p.M > p.P
 }
 
-// MaxConcurrentRequests is inequality (7): the largest NR such that
-// NR × NS × sizeReq stays within the client bandwidth budget per unit
-// time; beyond it, raising NS stops paying off because NR must drop.
-func MaxConcurrentRequests(bandwidth units.Rate, ns int, sizeReq units.Bytes) int {
-	if bandwidth <= 0 || ns <= 0 || sizeReq <= 0 {
-		return 0
-	}
-	perSecond := float64(bandwidth)
-	return int(perSecond / (float64(ns) * float64(sizeReq)) * float64(ns))
-	// Note: NR here counts requests per second across the client; the
-	// ns factor cancels — the constraint (7) binds NR×NS for fixed
-	// request size, so we report the client-wide request budget.
-}
-
 // SpeedupBound returns the model's predicted relative improvement
 // (T_balanced_lower − T_source-aware) / T_balanced_lower, clamped to
 // [0, 1). It quantifies how the benefit shrinks as TR grows — the

@@ -154,17 +154,3 @@ func TestSpeedupBoundZeroWhenBalancedWins(t *testing.T) {
 		t.Errorf("speedup bound = %v, want 0", got)
 	}
 }
-
-func TestMaxConcurrentRequests(t *testing.T) {
-	// 375 MB/s, 1 MiB requests: ~357 requests/s regardless of NS.
-	got := MaxConcurrentRequests(units.Rate(375e6), 16, units.MiB)
-	if got < 350 || got > 360 {
-		t.Errorf("request budget = %d, want ≈357", got)
-	}
-	if MaxConcurrentRequests(0, 16, units.MiB) != 0 {
-		t.Error("zero bandwidth should give zero budget")
-	}
-	if MaxConcurrentRequests(units.Rate(1e6), 0, units.MiB) != 0 {
-		t.Error("zero servers should give zero budget")
-	}
-}

@@ -9,7 +9,6 @@ package apic
 import (
 	"fmt"
 
-	"sais/internal/deque"
 	"sais/internal/sim"
 	"sais/internal/units"
 )
@@ -32,12 +31,11 @@ const NoHint = -1
 // not mutate it, and must not retain it past the call.
 type Router interface {
 	Route(vec Vector, hint int, flow uint64, allowed []int, now units.Time) int
-	Name() string
 }
 
 // Handler receives an interrupt delivered to core, so one handler can
 // serve every local APIC of a node.
-type Handler func(core int, vec Vector, now units.Time)
+type Handler func(core int, now units.Time)
 
 // LocalAPIC is one core's interrupt acceptance unit.
 type LocalAPIC struct {
@@ -46,10 +44,6 @@ type LocalAPIC struct {
 	latency units.Time
 	handler Handler
 
-	// inflight holds accepted vectors awaiting delivery, in acceptance
-	// order. The latency is constant, so deliveries fire in that same
-	// order and each one takes the ring's front vector.
-	inflight deque.Deque[Vector]
 	// deliverFn is l.deliver bound once, so Accept allocates no closure.
 	deliverFn sim.Event
 }
@@ -78,19 +72,17 @@ func (l *LocalAPIC) SetHandler(h Handler) { l.handler = h }
 // Accept takes an interrupt message destined for this core.
 //
 //saisvet:allocfree
-func (l *LocalAPIC) Accept(vec Vector) {
-	l.inflight.PushBack(vec)
+func (l *LocalAPIC) Accept() {
 	l.eng.After(l.latency, l.deliverFn)
 }
 
-// deliver hands the oldest in-flight vector to the handler.
+// deliver runs the handler for one accepted interrupt.
 //
 //saisvet:allocfree
 func (l *LocalAPIC) deliver(now units.Time) {
-	vec := l.inflight.PopFront()
 	if l.handler != nil {
 		//lint:alloc handler callback invocation: the handler's allocations belong to the kernel model's budget
-		l.handler(l.core, vec, now)
+		l.handler(l.core, now)
 	}
 }
 
@@ -180,6 +172,6 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 //saisvet:allocfree
 func (io *IOAPIC) Raise(vec Vector, hint int, flow uint64) int {
 	dest := io.RouteFor(vec, hint, flow)
-	io.locals[dest].Accept(vec)
+	io.locals[dest].Accept()
 	return dest
 }

@@ -11,7 +11,6 @@ import (
 type pickRouter struct{ core int }
 
 func (p pickRouter) Route(Vector, int, uint64, []int, units.Time) int { return p.core }
-func (p pickRouter) Name() string                                     { return "pick" }
 
 // hintRouter routes to the hint, or core 0.
 type hintRouter struct{}
@@ -22,7 +21,6 @@ func (hintRouter) Route(_ Vector, hint int, _ uint64, _ []int, _ units.Time) int
 	}
 	return hint
 }
-func (hintRouter) Name() string { return "hint" }
 
 func newSystem(t *testing.T, n int, latency units.Time) (*sim.Engine, *IOAPIC, []*LocalAPIC) {
 	t.Helper()
@@ -35,17 +33,15 @@ func TestDeliveryWithLatency(t *testing.T) {
 	eng, io, locals := newSystem(t, 2, 200)
 	io.SetRouter(pickRouter{core: 1})
 	var got []struct {
-		vec  Vector
 		core int
 		at   units.Time
 	}
 	for _, l := range locals {
-		l.SetHandler(func(core int, v Vector, now units.Time) {
+		l.SetHandler(func(core int, now units.Time) {
 			got = append(got, struct {
-				vec  Vector
 				core int
 				at   units.Time
-			}{v, core, now})
+			}{core, now})
 		})
 	}
 	eng.At(100, func(units.Time) {
@@ -54,7 +50,7 @@ func TestDeliveryWithLatency(t *testing.T) {
 		}
 	})
 	eng.RunUntilIdle()
-	if len(got) != 1 || got[0].vec != 33 || got[0].core != 1 || got[0].at != 300 {
+	if len(got) != 1 || got[0].core != 1 || got[0].at != 300 {
 		t.Errorf("delivered = %+v", got)
 	}
 }
@@ -64,7 +60,7 @@ func TestHintRouting(t *testing.T) {
 	io.SetRouter(hintRouter{})
 	counts := make([]int, 4)
 	for _, l := range locals {
-		l.SetHandler(func(core int, _ Vector, _ units.Time) { counts[core]++ })
+		l.SetHandler(func(core int, _ units.Time) { counts[core]++ })
 	}
 	eng.At(0, func(units.Time) {
 		io.Raise(1, 2, 0)
@@ -83,7 +79,7 @@ func TestRedirectionTableRestricts(t *testing.T) {
 	io.Program(7, []int{1, 3})
 	counts := make([]int, 4)
 	for _, l := range locals {
-		l.SetHandler(func(core int, _ Vector, _ units.Time) { counts[core]++ })
+		l.SetHandler(func(core int, _ units.Time) { counts[core]++ })
 	}
 	eng.At(0, func(units.Time) {
 		io.Raise(7, 2, 0) // hint outside allowed set -> misroute fallback
@@ -133,23 +129,18 @@ func TestNegativeLatencyPanics(t *testing.T) {
 	NewLocalAPICs(sim.NewEngine(), 1, -1)
 }
 
-// TestInFlightDeliveryOrder accepts interleaved vectors whose delivery
-// windows overlap; each delivery must carry the vector accepted in the
-// matching position, at acceptance time plus the latency.
+// TestInFlightDeliveryOrder accepts interrupts whose delivery windows
+// overlap; each must be delivered at its acceptance time plus the
+// latency, in acceptance order.
 func TestInFlightDeliveryOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLocalAPICs(eng, 1, 100)[0]
-	type delivery struct {
-		vec Vector
-		at  units.Time
-	}
-	var got, want []delivery
-	l.SetHandler(func(_ int, v Vector, now units.Time) { got = append(got, delivery{v, now}) })
+	var got, want []units.Time
+	l.SetHandler(func(_ int, now units.Time) { got = append(got, now) })
 	for i := 0; i < 40; i++ {
 		at := units.Time(i * 7)
-		vec := Vector(i*13 + 1)
-		want = append(want, delivery{vec, at + 100})
-		eng.At(at, func(units.Time) { l.Accept(vec) })
+		want = append(want, at+100)
+		eng.At(at, func(units.Time) { l.Accept() })
 	}
 	eng.RunUntilIdle()
 	if len(got) != len(want) {
@@ -157,7 +148,7 @@ func TestInFlightDeliveryOrder(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("delivery %d = %+v, want %+v", i, got[i], want[i])
+			t.Fatalf("delivery %d at %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -173,7 +164,6 @@ func (r *rrRouter) Route(_ Vector, hint int, _ uint64, allowed []int, _ units.Ti
 	r.next++
 	return allowed[r.next%len(allowed)]
 }
-func (r *rrRouter) Name() string { return "rr" }
 
 // raiseLoop is a warmed steady-state interrupt workload: an I/O APIC
 // over four local APICs with a delivery latency, raising a burst of
@@ -190,12 +180,12 @@ func newRaiseLoop() *raiseLoop {
 	l := &raiseLoop{eng: sim.NewEngine()}
 	l.locals = NewLocalAPICs(l.eng, 4, 50)
 	for _, lapic := range l.locals {
-		lapic.SetHandler(func(int, Vector, units.Time) { l.delivered++ })
+		lapic.SetHandler(func(int, units.Time) { l.delivered++ })
 	}
 	l.io = NewIOAPIC(l.eng, l.locals)
 	l.io.SetRouter(&rrRouter{})
 	l.io.Program(7, []int{1, 3})
-	l.run() // warm the in-flight rings and the engine arena
+	l.run() // warm the engine arena
 	return l
 }
 

@@ -4,7 +4,7 @@
 // interrupt-scheduling policy, and implements the full life cycle of a
 // parallel read:
 //
-//	syscall → HintMessager stamps aff_core_id → per-server requests →
+//	syscall → per-server requests stamped with the core's aff_core_id →
 //	strip data frames → NIC interrupt → policy picks handling core →
 //	softirq protocol processing deposits the strip in that core's cache →
 //	last strip wakes the process → the process consumes every strip
@@ -31,7 +31,8 @@ import (
 	"sais/internal/units"
 )
 
-// DataVector is the interrupt vector of the client NIC.
+// DataVector is the interrupt vector of the client NIC's receive queue
+// 0; queue q raises DataVector+q.
 const DataVector apic.Vector = 64
 
 // CostModel holds the client-side per-operation costs. The defaults
@@ -298,7 +299,7 @@ type Stats struct {
 	BytesWritten    units.Bytes
 	WriteTransfers  uint64
 	Interrupts      uint64
-	HintedIRQs      uint64
+	HintedIRQs      uint64 // interrupts delivered to the core their aff_core_id named
 	MetadataTrips   uint64
 	Retries         uint64
 	FailedTransfers uint64
@@ -513,8 +514,9 @@ type Node struct {
 	ioapic *apic.IOAPIC
 	locals []*apic.LocalAPIC
 	router apic.Router
-	msgr   irqsched.HintMessager
-	rnd    *rng.Source
+	// usesHints stamps every request with its issuing core's aff_core_id.
+	usesHints bool
+	rnd       *rng.Source
 	// txObs/idleObs are the router's optional learning hooks (Flow
 	// Director, A-TFC); nil for static policies.
 	txObs   irqsched.TxObserver
@@ -639,17 +641,15 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	}
 
 	n.locals = apic.NewLocalAPICs(eng, cfg.Cores, cfg.LAPICLatency)
-	irq := func(core int, _ apic.Vector, now units.Time) { n.handleIRQ(core, now) }
 	for _, l := range n.locals {
-		l.SetHandler(irq)
+		l.SetHandler(n.handleIRQ)
 	}
 	n.ioapic = apic.NewIOAPIC(eng, n.locals)
 	router, err := irqsched.New(cfg.Policy, irqsched.Options{
-		Loads:         loadAdapter{n.cpu},
-		Period:        cfg.IrqbalancePeriod,
-		SocketSize:    cfg.Costs.SocketSize,
-		Cores:         cfg.Cores,
-		RSSBaseVector: DataVector,
+		Loads:      loadAdapter{n.cpu},
+		Period:     cfg.IrqbalancePeriod,
+		SocketSize: cfg.Costs.SocketSize,
+		Cores:      cfg.Cores,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
@@ -657,13 +657,13 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	n.router = router
 	if desc.MSIX {
 		// Hardware RSS: one vector per queue, statically pinned via the
-		// redirection table — the same map the StaticTable router holds.
+		// redirection table, so the router never has a choice.
 		for q := 0; q < cfg.Cores; q++ {
 			n.ioapic.Program(DataVector+apic.Vector(q), []int{q})
 		}
 	}
 	n.ioapic.SetRouter(n.router)
-	n.msgr = irqsched.HintMessager{Enabled: desc.UsesHints}
+	n.usesHints = desc.UsesHints
 	n.txObs, _ = n.router.(irqsched.TxObserver)
 	n.idleObs, _ = n.router.(irqsched.FlowIdleObserver)
 	if n.idleObs != nil {
@@ -673,11 +673,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 	if n.reorderIssue {
 		n.srvLat = make([]latencyEWMA, n.ids)
 	}
-	if desc.MSIX {
-		n.nic.SetInterruptHandler(n.onNICQueueInterrupt)
-	} else {
-		n.nic.SetInterruptHandler(n.onNICInterrupt)
-	}
+	n.nic.SetInterruptHandler(n.onNICInterrupt)
 	return n, nil
 }
 
@@ -700,9 +696,6 @@ func (n *Node) Config() Config { return n.cfg }
 func (n *Node) Stats() Stats {
 	s := n.stats
 	s.Interrupts = n.nic.Stats().Interrupts
-	if h, ok := n.router.(interface{ Hinted() uint64 }); ok {
-		s.HintedIRQs = h.Hinted()
-	}
 	if cr, ok := n.router.(irqsched.CounterReporter); ok {
 		s.PolicyCounters = cr.Counters()
 	}
@@ -825,9 +818,10 @@ func (n *Node) issue(o *op) {
 		panic(fmt.Sprintf("client: extents: %v", err))
 	}
 	p := o.proc
-	hint, err := n.msgr.Annotate(p.core)
-	if err != nil {
-		panic(fmt.Sprintf("client: hint: %v", err))
+	var hint netsim.AffHint
+	if n.usesHints {
+		// Validate bounds Cores by netsim.MaxCores under hint policies.
+		hint = netsim.Hint(p.core)
 	}
 	// The request has been stamped with the issuing core; if the
 	// scheduler migrates a blocked reader now, policy (i)'s hint goes
@@ -996,26 +990,12 @@ func missingPlans(plans []pfs.ServerPlan, got *stripSet) []pfs.ServerPlan {
 	return out
 }
 
-// onNICQueueInterrupt is the MSI-X per-queue interrupt line (hardware
-// RSS): the queue's vector is raised and the redirection table — not a
-// software policy — decides the core. Hints are ignored, as static
-// vector assignment cannot follow them.
-func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
-	for _, f := range n.nic.Drain(q) {
-		if _, ok := n.readHeader(f); !ok {
-			n.nic.Free(f)
-			continue
-		}
-		dest := n.ioapic.Raise(DataVector+apic.Vector(q), apic.NoHint, uint64(f.Src))
-		n.recordTransit(f, now, dest)
-		n.frameq[dest].PushBack(f)
-	}
-}
-
-// onNICInterrupt is the NIC interrupt line of the software policies
-// (one rx queue): for every drained frame the I/O APIC (under the
-// installed policy) picks a handling core, and the frame is queued for
-// that core's local-APIC delivery.
+// onNICInterrupt is the NIC's interrupt line: for every frame drained
+// from queue q it raises the queue's vector (DataVector+q), the I/O
+// APIC picks a handling core — by redirection table under hardware
+// RSS, by the installed policy otherwise — and the frame is queued for
+// that core's local-APIC delivery. An interrupt counts as hinted when
+// it lands on the core its aff_core_id named.
 func (n *Node) onNICInterrupt(q int, now units.Time) {
 	for _, f := range n.nic.Drain(q) {
 		hint, ok := n.readHeader(f)
@@ -1036,7 +1016,10 @@ func (n *Node) onNICInterrupt(q int, now units.Time) {
 				}
 			}
 		}
-		dest := n.ioapic.Raise(DataVector, h, uint64(f.Src))
+		dest := n.ioapic.Raise(DataVector+apic.Vector(q), h, uint64(f.Src))
+		if h != apic.NoHint && dest == h {
+			n.stats.HintedIRQs++
+		}
 		n.recordTransit(f, now, dest)
 		n.frameq[dest].PushBack(f)
 	}

@@ -47,7 +47,6 @@ func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 		id := netsim.NodeID(100 + i)
 		servers[i] = id
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
-		scfg.EchoHints = true // servers always echo; baselines simply send no hint
 		scfg.Disk.RotationPeriod = 0
 		// Fast media keeps the rig client-bound: these tests exercise
 		// the client's interrupt path, not the storage substrate.

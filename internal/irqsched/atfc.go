@@ -34,9 +34,6 @@ func NewATFC() *ATFC {
 	}
 }
 
-// Name implements apic.Router.
-func (a *ATFC) Name() string { return "atfc" }
-
 // NoteTransmit implements TxObserver. A flow's first binding applies
 // immediately (nothing can be in flight yet); a change of binding is
 // staged until NoteFlowIdle; a transmit from the already-active core

@@ -35,19 +35,16 @@ type FlowDirector struct {
 }
 
 // NewFlowDirector builds the policy with the given flow-table capacity
-// (entries; < 1 means the default 1024).
+// (entries; < 1 means flowTable's 1024).
 func NewFlowDirector(capacity int) *FlowDirector {
 	if capacity < 1 {
-		capacity = 1024
+		capacity = flowTable
 	}
 	return &FlowDirector{
 		capacity: capacity,
 		table:    make(map[uint64]int, capacity),
 	}
 }
-
-// Name implements apic.Router.
-func (f *FlowDirector) Name() string { return "flowdirector" }
 
 // NoteTransmit implements TxObserver: record the transmitting core as
 // the flow's receive target, immediately — the reordering race.

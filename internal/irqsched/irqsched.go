@@ -8,16 +8,14 @@
 // entry of a static policy table indexed by PolicyKind (see
 // registry.go); the I/O APIC consults the router per raised interrupt,
 // and every consumer — cluster, scenario, saisim policy=NAME, config
-// files — resolves policies through that one table.
-//
-// The package also houses the SAIs protocol components that live
-// outside the APIC: HintMessager (client request side), HintCapsuler
-// (server reply side), and the SrcParser step is netsim.ParseHint.
+// files — resolves policies through that one table. The rest of the
+// SAIs chain lives where it runs: the client stamps aff_core_id into
+// requests (netsim.Hint), the pfs server echoes it on every reply, and
+// the client NIC driver parses it (netsim.ReadHint).
 package irqsched
 
 import (
 	"fmt"
-	"maps"
 
 	"sais/internal/apic"
 	"sais/internal/units"
@@ -42,9 +40,7 @@ const (
 	PolicySocketAware
 	// PolicyHardwareRSS steers with one MSI-X queue per core, each
 	// queue's vector statically pinned to its core via the redirection
-	// table; New builds the matching StaticTable router (the client
-	// additionally programs the I/O APIC vectors and enables per-queue
-	// NIC interrupts).
+	// table the client programs, so the router never has a choice.
 	PolicyHardwareRSS
 	// PolicyFlowDirector models Intel Flow Director's per-flow
 	// last-transmitting-core table, whose immediate table updates
@@ -121,9 +117,6 @@ type RoundRobin struct {
 // NewRoundRobin returns the policy.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
-// Name implements apic.Router.
-func (r *RoundRobin) Name() string { return "roundrobin" }
-
 // Route implements apic.Router.
 func (r *RoundRobin) Route(_ apic.Vector, _ int, _ uint64, allowed []int, _ units.Time) int {
 	c := allowed[r.next%len(allowed)]
@@ -139,9 +132,6 @@ type Dedicated struct {
 
 // NewDedicated returns the policy pinned to core.
 func NewDedicated(core int) *Dedicated { return &Dedicated{core: core} }
-
-// Name implements apic.Router.
-func (d *Dedicated) Name() string { return "dedicated" }
 
 // Route implements apic.Router.
 func (d *Dedicated) Route(_ apic.Vector, _ int, _ uint64, allowed []int, _ units.Time) int {
@@ -183,9 +173,6 @@ func NewIrqbalance(loads LoadReader, period units.Time) *Irqbalance {
 	}
 }
 
-// Name implements apic.Router.
-func (b *Irqbalance) Name() string { return "irqbalance" }
-
 func (b *Irqbalance) resample(now units.Time) {
 	for i := range b.delta {
 		busy := b.loads.CoreBusy(i)
@@ -214,34 +201,20 @@ func (b *Irqbalance) Route(_ apic.Vector, _ int, _ uint64, allowed []int, now un
 }
 
 // SourceAware is the SAIs policy: deliver to the aff_core_id carried in
-// the packet; interrupts without a hint fall back to a secondary policy
+// the packet; interrupts without a usable hint go round-robin
 // (non-PFS traffic still needs a home).
 type SourceAware struct {
-	fallback apic.Router
-	hinted   uint64
+	fallback RoundRobin
 }
 
-// NewSourceAware builds the policy with the given fallback for
-// hint-less interrupts; a nil fallback defaults to round-robin.
-func NewSourceAware(fallback apic.Router) *SourceAware {
-	if fallback == nil {
-		fallback = NewRoundRobin()
-	}
-	return &SourceAware{fallback: fallback}
-}
-
-// Name implements apic.Router.
-func (s *SourceAware) Name() string { return "sais" }
-
-// Hinted returns how many interrupts carried a usable hint.
-func (s *SourceAware) Hinted() uint64 { return s.hinted }
+// NewSourceAware returns the policy.
+func NewSourceAware() *SourceAware { return &SourceAware{} }
 
 // Route implements apic.Router.
 func (s *SourceAware) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
 	if hint != apic.NoHint {
 		for _, c := range allowed {
 			if c == hint {
-				s.hinted++
 				return c
 			}
 		}
@@ -259,9 +232,6 @@ type FlowHash struct{}
 
 // NewFlowHash returns the policy.
 func NewFlowHash() *FlowHash { return &FlowHash{} }
-
-// Name implements apic.Router.
-func (f *FlowHash) Name() string { return "flowhash" }
 
 // Route implements apic.Router.
 func (f *FlowHash) Route(_ apic.Vector, _ int, flow uint64, allowed []int, _ units.Time) int {
@@ -296,9 +266,6 @@ func NewHybrid(loads LoadReader, period units.Time, threshold int) *Hybrid {
 	}
 }
 
-// Name implements apic.Router.
-func (h *Hybrid) Name() string { return "hybrid" }
-
 // Route implements apic.Router.
 func (h *Hybrid) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
 	if hint != apic.NoHint {
@@ -322,23 +289,18 @@ func (h *Hybrid) Route(vec apic.Vector, hint int, flow uint64, allowed []int, no
 type SocketAware struct {
 	loads      LoadReader
 	socketSize int
-	fallback   apic.Router
+	fallback   RoundRobin
 	rr         int
 }
 
-// NewSocketAware builds the policy. socketSize is cores per socket.
-func NewSocketAware(loads LoadReader, socketSize int, fallback apic.Router) *SocketAware {
+// NewSocketAware builds the policy. socketSize is cores per socket;
+// interrupts without a hint go round-robin.
+func NewSocketAware(loads LoadReader, socketSize int) *SocketAware {
 	if socketSize < 1 {
 		panic("irqsched: socket size must be >= 1")
 	}
-	if fallback == nil {
-		fallback = NewRoundRobin()
-	}
-	return &SocketAware{loads: loads, socketSize: socketSize, fallback: fallback}
+	return &SocketAware{loads: loads, socketSize: socketSize}
 }
-
-// Name implements apic.Router.
-func (s *SocketAware) Name() string { return "sais-socket" }
 
 // Route implements apic.Router.
 func (s *SocketAware) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
@@ -370,49 +332,14 @@ func (s *SocketAware) Route(vec apic.Vector, hint int, flow uint64, allowed []in
 	return s.fallback.Route(vec, hint, flow, allowed, now)
 }
 
-// StaticTable routes each vector to a fixed core — the model of MSI-X
-// vectors programmed once via the redirection table (hardware RSS:
-// queue q's vector pins to core q). Unknown vectors fall back.
-type StaticTable struct {
-	table    map[apic.Vector]int
-	fallback apic.Router
-}
-
-// NewStaticTable builds the router; fallback (nil = round-robin)
-// handles unmapped vectors.
-func NewStaticTable(table map[apic.Vector]int, fallback apic.Router) *StaticTable {
-	if fallback == nil {
-		fallback = NewRoundRobin()
-	}
-	return &StaticTable{table: maps.Clone(table), fallback: fallback}
-}
-
-// Name implements apic.Router.
-func (s *StaticTable) Name() string { return "static-table" }
-
-// Route implements apic.Router.
-func (s *StaticTable) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
-	if core, ok := s.table[vec]; ok {
-		for _, c := range allowed {
-			if c == core {
-				return c
-			}
-		}
-	}
-	return s.fallback.Route(vec, hint, flow, allowed, now)
-}
-
 // Options collects the policy constructor inputs; zero values are valid
 // for policies that do not use them — every table constructor
 // substitutes a safe default, so New is total over parseable kinds.
 type Options struct {
-	Loads         LoadReader
-	Period        units.Time  // irqbalance/hybrid sampling period (default 10 ms)
-	SocketSize    int         // sais-socket granularity (default 4)
-	HybridQueue   int         // hybrid divert threshold (default 16)
-	Cores         int         // core count for table-building policies (rss/toeplitz)
-	RSSBaseVector apic.Vector // first per-queue vector for rss
-	FlowTable     int         // flowdirector table capacity (default 1024)
+	Loads      LoadReader
+	Period     units.Time // irqbalance/hybrid sampling period (default 10 ms)
+	SocketSize int        // sais-socket granularity (default 4)
+	Cores      int        // toeplitz's core count (default 1)
 }
 
 // New constructs a policy by kind through the policy table. Every kind

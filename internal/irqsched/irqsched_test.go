@@ -61,28 +61,22 @@ func TestDedicated(t *testing.T) {
 }
 
 func TestSourceAwareFollowsHint(t *testing.T) {
-	p := NewSourceAware(nil)
+	p := NewSourceAware()
 	for hint := 0; hint < 4; hint++ {
 		if got := p.Route(1, hint, 0, allowed(4), 0); got != hint {
 			t.Errorf("hint %d routed to %d", hint, got)
 		}
 	}
-	if p.Hinted() != 4 {
-		t.Errorf("hinted = %d, want 4", p.Hinted())
-	}
 }
 
 func TestSourceAwareFallsBack(t *testing.T) {
-	p := NewSourceAware(NewDedicated(2))
-	if got := p.Route(1, apic.NoHint, 0, allowed(4), 0); got != 2 {
-		t.Errorf("no-hint fallback = %d, want dedicated 2", got)
+	p, rr := NewSourceAware(), NewRoundRobin()
+	if got, want := p.Route(1, apic.NoHint, 0, allowed(4), 0), rr.Route(1, apic.NoHint, 0, allowed(4), 0); got != want {
+		t.Errorf("no-hint fallback = %d, want round-robin's %d", got, want)
 	}
 	// Hint outside the allowed set also falls back.
-	if got := p.Route(1, 7, 0, []int{1, 2}, 0); got != 2 {
-		t.Errorf("disallowed hint fallback = %d, want 2", got)
-	}
-	if p.Hinted() != 0 {
-		t.Errorf("hinted = %d, want 0 (both fell back)", p.Hinted())
+	if got, want := p.Route(1, 7, 0, []int{1, 2}, 0), rr.Route(1, 7, 0, []int{1, 2}, 0); got != want || got == 1 {
+		t.Errorf("disallowed hint fallback = %d, want round-robin's second pick %d", got, want)
 	}
 }
 
@@ -240,35 +234,6 @@ func TestNewConstructor(t *testing.T) {
 	}
 }
 
-func TestHintMessager(t *testing.T) {
-	off := HintMessager{}
-	h, err := off.Annotate(3)
-	if err != nil || h.Valid {
-		t.Errorf("disabled messager = %v, %v", h, err)
-	}
-	on := HintMessager{Enabled: true}
-	h, err = on.Annotate(3)
-	if err != nil || !h.Valid || h.Core != 3 {
-		t.Errorf("enabled messager = %v, %v", h, err)
-	}
-	if _, err = on.Annotate(32); err == nil {
-		t.Error("core 32 should not be addressable")
-	}
-	if _, err = on.Annotate(-1); err == nil {
-		t.Error("negative core should error")
-	}
-}
-
-func TestHintCapsuler(t *testing.T) {
-	req, _ := HintMessager{Enabled: true}.Annotate(5)
-	if got := (HintCapsuler{Enabled: true}).Echo(req); !got.Valid || got.Core != 5 {
-		t.Errorf("enabled capsuler = %v", got)
-	}
-	if got := (HintCapsuler{}).Echo(req); got.Valid {
-		t.Errorf("disabled capsuler leaked hint %v", got)
-	}
-}
-
 func TestFlowHashStickyPerFlow(t *testing.T) {
 	p := NewFlowHash()
 	for flow := uint64(100); flow < 120; flow++ {
@@ -341,7 +306,7 @@ func TestHybridThresholdValidation(t *testing.T) {
 
 func TestSocketAwareStaysOnSocket(t *testing.T) {
 	loads := &fakeLoads{busy: make([]units.Time, 8), queue: []int{0, 5, 0, 0, 0, 0, 0, 0}}
-	p := NewSocketAware(loads, 4, nil)
+	p := NewSocketAware(loads, 4)
 	// Hint core 1 (socket 0): must pick a socket-0 core, preferring the
 	// least-queued one (core 0, 2 or 3 — not 1 with queue 5).
 	got := p.Route(1, 1, 0, allowed(8), 0)
@@ -359,9 +324,11 @@ func TestSocketAwareStaysOnSocket(t *testing.T) {
 
 func TestSocketAwareFallsBackWithoutHint(t *testing.T) {
 	loads := &fakeLoads{busy: make([]units.Time, 8), queue: make([]int, 8)}
-	p := NewSocketAware(loads, 4, NewDedicated(7))
-	if got := p.Route(1, apic.NoHint, 0, allowed(8), 0); got != 7 {
-		t.Errorf("no-hint fallback = %d, want 7", got)
+	p, rr := NewSocketAware(loads, 4), NewRoundRobin()
+	for i := 0; i < 3; i++ {
+		if got, want := p.Route(1, apic.NoHint, 0, allowed(8), 0), rr.Route(1, apic.NoHint, 0, allowed(8), 0); got != want {
+			t.Errorf("no-hint fallback %d = %d, want round-robin's %d", i, got, want)
+		}
 	}
 }
 
@@ -371,26 +338,5 @@ func TestSocketAwareValidation(t *testing.T) {
 			t.Error("zero socket size accepted")
 		}
 	}()
-	NewSocketAware(nil, 0, nil)
-}
-
-func TestStaticTable(t *testing.T) {
-	p := NewStaticTable(map[apic.Vector]int{64: 2, 65: 3}, NewDedicated(0))
-	if got := p.Route(64, apic.NoHint, 0, allowed(4), 0); got != 2 {
-		t.Errorf("vector 64 -> %d, want 2", got)
-	}
-	if got := p.Route(65, 1, 0, allowed(4), 0); got != 3 {
-		t.Errorf("vector 65 -> %d, want 3 (hints ignored)", got)
-	}
-	// Unmapped vector falls back.
-	if got := p.Route(99, apic.NoHint, 0, allowed(4), 0); got != 0 {
-		t.Errorf("unmapped vector -> %d, want fallback 0", got)
-	}
-	// A mapped core outside the allowed set falls back too.
-	if got := p.Route(64, apic.NoHint, 0, []int{0, 1}, 0); got != 0 {
-		t.Errorf("restricted set -> %d, want fallback", got)
-	}
-	if p.Name() != "static-table" {
-		t.Errorf("name = %q", p.Name())
-	}
+	NewSocketAware(nil, 0)
 }

@@ -19,15 +19,12 @@ type Descriptor struct {
 	// New builds the router from Options. Constructors are total: every
 	// zero-valued Options field is replaced by a safe default.
 	New func(Options) (apic.Router, error)
-	// UsesHints means the client should attach SAIs affinity hints to
-	// requests (HintMessager) and size validation to MaxCores.
+	// UsesHints means the client stamps each request with the issuing
+	// core's aff_core_id and bounds its core count by netsim.MaxCores.
 	UsesHints bool
-	// MSIX means the client wires per-queue MSI-X vectors and programs
-	// the I/O APIC redirection table to match the router's static map.
+	// MSIX means the client gives the NIC one receive queue per core
+	// and pins queue q's vector to core q in the redirection table.
 	MSIX bool
-	// TxSteered means the router learns from transmissions (implements
-	// TxObserver) rather than from a static function of the flow.
-	TxSteered bool
 	// ReorderIssue means the client reorders strip issue order by
 	// observed per-server latency (straggler-aware scheduling).
 	ReorderIssue bool
@@ -107,24 +104,12 @@ func periodOr(opts Options) units.Time {
 	return 10 * units.Millisecond
 }
 
-func coresOr(opts Options) int {
-	if opts.Cores > 0 {
-		return opts.Cores
-	}
-	return 1
-}
-
-// RSSTable builds the hardware-RSS redirection map: one queue per
-// core, queue q's vector (base+q) pinned to core q. The client programs
-// the I/O APIC from the same map so router and hardware agree.
-func RSSTable(cores int, base apic.Vector) map[apic.Vector]int {
-	cores = max(cores, 1)
-	table := make(map[apic.Vector]int, cores)
-	for q := 0; q < cores; q++ {
-		table[base+apic.Vector(q)] = q
-	}
-	return table
-}
+// hybridQueue is hybrid's divert threshold and flowTable Flow
+// Director's table capacity.
+const (
+	hybridQueue = 16
+	flowTable   = 1024
+)
 
 // policies is the policy table, indexed by PolicyKind: ParsePolicy,
 // String, Describe and New all resolve a policy through it.
@@ -145,7 +130,7 @@ var policies = [...]Descriptor{
 	},
 	PolicySourceAware: {
 		Name: "sais", UsesHints: true,
-		New: func(Options) (apic.Router, error) { return NewSourceAware(nil), nil },
+		New: func(Options) (apic.Router, error) { return NewSourceAware(), nil },
 	},
 	PolicyFlowHash: {
 		Name: "flowhash",
@@ -154,11 +139,7 @@ var policies = [...]Descriptor{
 	PolicyHybrid: {
 		Name: "hybrid", UsesHints: true,
 		New: func(o Options) (apic.Router, error) {
-			q := o.HybridQueue
-			if q < 1 {
-				q = 16
-			}
-			return NewHybrid(loadsOr(o), periodOr(o), q), nil
+			return NewHybrid(loadsOr(o), periodOr(o), hybridQueue), nil
 		},
 	},
 	PolicySocketAware: {
@@ -168,35 +149,27 @@ var policies = [...]Descriptor{
 			if ss < 1 {
 				ss = 4
 			}
-			return NewSocketAware(o.Loads, ss, nil), nil
+			return NewSocketAware(o.Loads, ss), nil
 		},
 	},
 	PolicyHardwareRSS: {
 		Name: "rss", MSIX: true,
-		New: func(o Options) (apic.Router, error) {
-			return NewStaticTable(RSSTable(o.Cores, o.RSSBaseVector), nil), nil
-		},
+		New: func(Options) (apic.Router, error) { return NewRoundRobin(), nil },
 	},
 	PolicyFlowDirector: {
-		Name: "flowdirector", TxSteered: true,
-		New: func(o Options) (apic.Router, error) {
-			cap := o.FlowTable
-			if cap < 1 {
-				cap = 1024
-			}
-			return NewFlowDirector(cap), nil
-		},
+		Name: "flowdirector",
+		New:  func(Options) (apic.Router, error) { return NewFlowDirector(flowTable), nil },
 	},
 	PolicyToeplitz: {
 		Name: "toeplitz",
-		New:  func(o Options) (apic.Router, error) { return NewToeplitz(coresOr(o)), nil },
+		New:  func(o Options) (apic.Router, error) { return NewToeplitz(o.Cores), nil },
 	},
 	PolicyATFC: {
-		Name: "atfc", TxSteered: true,
-		New: func(Options) (apic.Router, error) { return NewATFC(), nil },
+		Name: "atfc",
+		New:  func(Options) (apic.Router, error) { return NewATFC(), nil },
 	},
 	PolicyStragglerAware: {
 		Name: "straggler", UsesHints: true, ReorderIssue: true,
-		New: func(Options) (apic.Router, error) { return NewStragglerAware(), nil },
+		New: func(Options) (apic.Router, error) { return NewSourceAware(), nil },
 	},
 }

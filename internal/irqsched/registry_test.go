@@ -50,44 +50,11 @@ func TestParsePolicyErrorListsEveryName(t *testing.T) {
 	}
 }
 
-func TestRouterNamesMatchRegistry(t *testing.T) {
-	for _, k := range kinds() {
-		r, err := New(k, Options{Cores: 4})
-		if err != nil {
-			t.Fatalf("New(%v): %v", k, err)
-		}
-		// rss constructs a StaticTable, whose generic name is the one
-		// exception to router.Name() == registry name.
-		if k == PolicyHardwareRSS {
-			continue
-		}
-		if r.Name() != k.String() {
-			t.Errorf("router name %q != registry name %q", r.Name(), k.String())
-		}
-	}
-}
-
-func TestRSSTable(t *testing.T) {
-	table := RSSTable(4, 64)
-	if len(table) != 4 {
-		t.Fatalf("table size = %d, want 4", len(table))
-	}
-	for q := 0; q < 4; q++ {
-		if got := table[64+apic.Vector(q)]; got != q {
-			t.Errorf("queue %d -> core %d, want %d", q, got, q)
-		}
-	}
-	// Degenerate inputs still produce a usable table.
-	if got := RSSTable(0, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("RSSTable(0, 0) = %v", got)
-	}
-}
-
 func TestSocketAwareRotatesEqualCores(t *testing.T) {
 	// Nil loads: every intra-socket core ties at queue 0. The fixed
 	// scan of the old code pinned all of these on core 0; the rotation
 	// must spread them over the whole socket.
-	p := NewSocketAware(nil, 4, nil)
+	p := NewSocketAware(nil, 4)
 	seen := map[int]bool{}
 	for i := 0; i < 16; i++ {
 		c := p.Route(1, 1, 0, allowed(8), 0)
@@ -264,33 +231,31 @@ func TestToeplitzRestrictedAllowedSet(t *testing.T) {
 	}
 }
 
-func TestStragglerAwareInheritsSourceAware(t *testing.T) {
-	p := NewStragglerAware()
-	if p.Name() != "straggler" {
-		t.Fatalf("name = %q", p.Name())
-	}
-	if got := p.Route(1, 3, 0, allowed(8), 0); got != 3 {
-		t.Fatalf("hint 3 routed to %d", got)
-	}
-	if p.Hinted() != 1 {
-		t.Errorf("Hinted() = %d", p.Hinted())
-	}
-	d, _ := Describe(PolicyStragglerAware)
-	if !d.UsesHints || !d.ReorderIssue {
-		t.Errorf("descriptor traits = %+v", d)
-	}
-}
-
+// TestTxSteeredTraitMatchesInterface checks that every router the
+// client feeds transmits (a TxObserver) steers by them: a flow's first
+// transmit binds its receive interrupts to the transmitting core.
 func TestTxSteeredTraitMatchesInterface(t *testing.T) {
+	observers := 0
 	for _, k := range kinds() {
-		d, _ := Describe(k)
 		r, err := New(k, Options{Cores: 4})
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
 		}
-		if _, ok := r.(TxObserver); ok != d.TxSteered {
-			t.Errorf("%v: TxObserver=%v but TxSteered=%v", k, ok, d.TxSteered)
+		tx, ok := r.(TxObserver)
+		if !ok {
+			continue
 		}
+		observers++
+		for core := range 8 {
+			flow := uint64(100 + core)
+			tx.NoteTransmit(flow, core)
+			if got := r.Route(1, apic.NoHint, flow, allowed(8), 0); got != core {
+				t.Errorf("%v: flow first sent from core %d routed to %d", k, core, got)
+			}
+		}
+	}
+	if observers == 0 {
+		t.Error("no policy observes transmits")
 	}
 }
 

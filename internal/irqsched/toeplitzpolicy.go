@@ -32,9 +32,6 @@ func NewToeplitz(cores int) *Toeplitz {
 	return t
 }
 
-// Name implements apic.Router.
-func (t *Toeplitz) Name() string { return "toeplitz" }
-
 // Route implements apic.Router.
 func (t *Toeplitz) Route(_ apic.Vector, _ int, flow uint64, allowed []int, _ units.Time) int {
 	target := t.indir[toeplitz.HashUint64(flow)&127]

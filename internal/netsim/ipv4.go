@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements a real IPv4 header codec so the SAIs hint path
-// (HintCapsuler on the server, SrcParser in the client NIC driver) runs
-// over genuine wire bytes, not just struct fields. Only the fields the
+// (the pfs server's echo on every reply, ReadHint in the client NIC
+// driver) runs over genuine wire bytes, not just struct fields. Only the fields the
 // simulator uses are interpreted; the rest round-trip.
 
 // Header field constants.

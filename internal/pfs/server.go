@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sais/internal/disk"
-	"sais/internal/irqsched"
 	"sais/internal/netsim"
 	"sais/internal/rng"
 	"sais/internal/sim"
@@ -18,7 +17,6 @@ type ServerConfig struct {
 	Disk        disk.Config
 	RequestCPU  units.Time  // request parse/dispatch cost
 	PerStripCPU units.Time  // per returned strip send-path cost
-	EchoHints   bool        // run the HintCapsuler (SAIs server component)
 	CacheBytes  units.Bytes // buffer (page) cache capacity; 0 disables
 	ReadAhead   units.Bytes // page-cache window read per miss
 	// PrefetchDepth is how many upcoming windows the server fetches in
@@ -58,15 +56,14 @@ type ServerStats struct {
 // disk. Its interrupt handling is a single dedicated path (server-side
 // scheduling is not the paper's subject), modeled as a FIFO CPU.
 type Server struct {
-	cfg      ServerConfig
-	eng      *sim.Engine
-	node     netsim.NodeID
-	nic      *netsim.NIC
-	cpu      *sim.Server
-	dsk      *disk.Disk
-	pages    *PageCache
-	capsuler irqsched.HintCapsuler
-	stats    ServerStats
+	cfg   ServerConfig
+	eng   *sim.Engine
+	node  netsim.NodeID
+	nic   *netsim.NIC
+	cpu   *sim.Server
+	dsk   *disk.Disk
+	pages *PageCache
+	stats ServerStats
 	// placement maps a file to the base LBA of this server's local
 	// portion.
 	placement func(FileID) units.Bytes
@@ -94,14 +91,13 @@ func NewServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg Server
 		window = 64 * units.KiB
 	}
 	s := &Server{
-		cfg:      cfg,
-		eng:      eng,
-		node:     id,
-		nic:      netsim.NewNIC(eng, id, cfg.NIC),
-		cpu:      sim.NewServer(eng),
-		dsk:      disk.New(eng, cfg.Disk, rnd.Split(fmt.Sprintf("disk%d", id))),
-		pages:    NewPageCache(eng, cfg.CacheBytes, window),
-		capsuler: irqsched.HintCapsuler{Enabled: cfg.EchoHints},
+		cfg:   cfg,
+		eng:   eng,
+		node:  id,
+		nic:   netsim.NewNIC(eng, id, cfg.NIC),
+		cpu:   sim.NewServer(eng),
+		dsk:   disk.New(eng, cfg.Disk, rnd.Split(fmt.Sprintf("disk%d", id))),
+		pages: NewPageCache(eng, cfg.CacheBytes, window),
 	}
 	s.placement = s.defaultPlacement
 	fab.Attach(s.nic)
@@ -195,7 +191,7 @@ type job struct {
 	req     *ReadRequest
 	write   *StripWrite
 	piece   Piece
-	hint    netsim.AffHint // the request's hint (request and write jobs) or its echo (piece jobs)
+	hint    netsim.AffHint // the request's hint, echoed on every reply (Figure 4)
 	pending int            // page-cache windows the piece still waits on
 
 	startFn, windowReadyFn, sendFn, writtenFn sim.Event
@@ -237,12 +233,11 @@ func (s *Server) handleWrite(w *StripWrite, hint netsim.AffHint) {
 
 // written acknowledges the strip once its CPU charge completes.
 func (j *job) written(units.Time) {
-	s, w := j.s, j.write
-	echo := s.capsuler.Echo(j.hint)
+	s, w, hint := j.s, j.write, j.hint
 	j.free()
 	s.stats.StripsWritten++
 	s.stats.BytesWritten += w.Size
-	s.nic.Send(w.Client, WriteAckSize, echo, &WriteAck{
+	s.nic.Send(w.Client, WriteAckSize, hint, &WriteAck{
 		File: w.File, Tag: w.Tag, GlobalStrip: w.GlobalStrip, Size: w.Size,
 	})
 	// The written bytes are now cache-resident: a subsequent read of
@@ -291,12 +286,11 @@ func (s *Server) handle(req *ReadRequest, hint netsim.AffHint) {
 // start runs when the request's CPU charge completes: every piece
 // starts reading.
 func (j *job) start(units.Time) {
-	s, req := j.s, j.req
-	echo := s.capsuler.Echo(j.hint)
+	s, req, hint := j.s, j.req, j.hint
 	j.free()
 	for _, p := range req.Pieces {
 		pj := s.newJob()
-		pj.req, pj.piece, pj.hint = req, p, echo
+		pj.req, pj.piece, pj.hint = req, p, hint
 		s.readPiece(pj)
 	}
 }
@@ -314,14 +308,14 @@ func (j *job) windowReady(units.Time) {
 
 // send returns the strip to the client with the echoed hint.
 func (j *job) send(now units.Time) {
-	s, req, p, echo := j.s, j.req, j.piece, j.hint
+	s, req, p, hint := j.s, j.req, j.piece, j.hint
 	j.free()
 	s.stats.StripsSent++
 	s.stats.BytesSent += p.Size
 	if s.spans != nil {
 		s.spans.End(trace.PhaseService, now, int(req.Client), req.Tag, p.GlobalStrip, -1)
 	}
-	s.nic.Send(req.Client, p.Size, echo, &StripData{
+	s.nic.Send(req.Client, p.Size, hint, &StripData{
 		File:        req.File,
 		Tag:         req.Tag,
 		GlobalStrip: p.GlobalStrip,

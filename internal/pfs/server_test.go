@@ -20,7 +20,7 @@ type harness struct {
 	rx     []*netsim.Frame
 }
 
-func newHarness(t *testing.T, echo bool) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
 	h.fab = netsim.NewFabric(h.eng, 10*units.Microsecond, 256)
@@ -30,7 +30,6 @@ func newHarness(t *testing.T, echo bool) *harness {
 		h.rx = append(h.rx, h.client.Drain(q)...)
 	})
 	scfg := DefaultServerConfig(units.Gigabit)
-	scfg.EchoHints = echo
 	scfg.Disk.RotationPeriod = 0 // determinism for asserts
 	h.srv = NewServer(h.eng, h.fab, 100, scfg, rng.New(1))
 	h.mds = NewMetadataServer(h.eng, h.fab, 50, DefaultMetadataConfig(units.Gigabit),
@@ -62,7 +61,7 @@ func strips(n int) []Piece {
 // TestReadRequestTotalBytes: a server sends back exactly the bytes of
 // the request's pieces, partial pieces included.
 func TestReadRequestTotalBytes(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.sendRequest(netsim.AffHint{}, []Piece{
 		{GlobalStrip: 0, ServerOffset: 0, Size: 10},
 		{GlobalStrip: 1, ServerOffset: 64 * units.KiB, Size: 20},
@@ -78,7 +77,7 @@ func TestReadRequestTotalBytes(t *testing.T) {
 }
 
 func TestServerReturnsAllStrips(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.sendRequest(netsim.Hint(3), strips(4))
 	h.eng.RunUntilIdle()
 	if len(h.rx) != 4 {
@@ -109,34 +108,26 @@ func TestServerReturnsAllStrips(t *testing.T) {
 	}
 }
 
+// TestServerEchoesHint: every data frame carries its request's hint,
+// and a request without one (a baseline policy's) gets none back.
 func TestServerEchoesHint(t *testing.T) {
-	h := newHarness(t, true)
-	h.sendRequest(netsim.Hint(5), strips(2))
-	h.eng.RunUntilIdle()
-	for _, f := range h.rx {
-		hint := netsim.ParseHint(f)
-		if !hint.Valid || hint.Core != 5 {
-			t.Errorf("data frame hint = %v, want aff_core=5", hint)
+	for _, want := range []netsim.AffHint{netsim.Hint(5), {}} {
+		h := newHarness(t)
+		h.sendRequest(want, strips(2))
+		h.eng.RunUntilIdle()
+		if len(h.rx) != 2 {
+			t.Fatalf("rx = %d", len(h.rx))
 		}
-	}
-}
-
-func TestServerWithoutCapsulerDropsHint(t *testing.T) {
-	h := newHarness(t, false)
-	h.sendRequest(netsim.Hint(5), strips(2))
-	h.eng.RunUntilIdle()
-	if len(h.rx) != 2 {
-		t.Fatalf("rx = %d", len(h.rx))
-	}
-	for _, f := range h.rx {
-		if netsim.ParseHint(f).Valid {
-			t.Error("hint echoed with capsuler disabled")
+		for _, f := range h.rx {
+			if got := netsim.ParseHint(f); got != want {
+				t.Errorf("data frame hint = %v, want %v", got, want)
+			}
 		}
 	}
 }
 
 func TestServerIgnoresStrayTraffic(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.eng.At(0, func(units.Time) {
 		h.client.Send(100, units.KiB, netsim.AffHint{}, "garbage")
 	})
@@ -147,11 +138,11 @@ func TestServerIgnoresStrayTraffic(t *testing.T) {
 }
 
 func TestServerStall(t *testing.T) {
-	fast := newHarness(t, true)
+	fast := newHarness(t)
 	fast.sendRequest(netsim.AffHint{}, strips(1))
 	fastEnd := func() units.Time { fast.eng.RunUntilIdle(); return fast.eng.Now() }()
 
-	slow := newHarness(t, true)
+	slow := newHarness(t)
 	slow.srv.SetStall(func() units.Time { return 5 * units.Millisecond })
 	slow.sendRequest(netsim.AffHint{}, strips(1))
 	slowEnd := func() units.Time { slow.eng.RunUntilIdle(); return slow.eng.Now() }()
@@ -165,7 +156,7 @@ func TestServerStall(t *testing.T) {
 }
 
 func TestMetadataRoundTrip(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.eng.At(0, func(units.Time) {
 		h.client.Send(50, LayoutRequestSize, netsim.AffHint{}, &LayoutRequest{File: 7, Tag: 9, Client: 1})
 	})
@@ -183,7 +174,7 @@ func TestMetadataRoundTrip(t *testing.T) {
 }
 
 func TestPlacementDistinctFiles(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	a := h.srv.placement(1)
 	b := h.srv.placement(2)
 	if a == b {
@@ -205,7 +196,7 @@ func TestPageCacheAbsorbsSequentialStrips(t *testing.T) {
 	// Strips within one request are contiguous on the local disk, so
 	// the page cache should fetch whole readahead windows: 8 strips of
 	// 64 KiB at a 256 KiB window = 2 disk reads, not 8.
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.sendRequest(netsim.AffHint{}, strips(8))
 	h.eng.RunUntilIdle()
 	if got := h.srv.Disk().Stats().Requests; got != 2 {
@@ -219,7 +210,7 @@ func TestPageCacheAbsorbsSequentialStrips(t *testing.T) {
 func TestPageCacheServesRereads(t *testing.T) {
 	// A second client (or run) reading the same range must not touch
 	// the disk again — the Figure-12 shared-file mechanism.
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.sendRequest(netsim.AffHint{}, strips(4))
 	h.eng.RunUntilIdle()
 	diskBefore := h.srv.Disk().Stats().Requests
@@ -240,7 +231,7 @@ func TestPageCacheServesRereads(t *testing.T) {
 func TestWritePopulatesPageCache(t *testing.T) {
 	// Write a range, then read it back: the read must be served from
 	// the buffer cache without a demand disk read.
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.eng.At(0, func(units.Time) {
 		for i := 0; i < 4; i++ {
 			h.client.Send(100, 64*units.KiB, netsim.AffHint{}, &StripWrite{
@@ -271,7 +262,7 @@ func TestWritePopulatesPageCache(t *testing.T) {
 }
 
 func TestServerDownDropsTraffic(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	h.srv.SetDown(true)
 	h.sendRequest(netsim.AffHint{}, strips(2))
 	h.eng.RunUntilIdle()
@@ -298,7 +289,7 @@ func TestServerDownDropsTraffic(t *testing.T) {
 }
 
 func TestServerAccessors(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	if h.srv.NIC() == nil || h.srv.Disk() == nil {
 		t.Error("nil accessors")
 	}

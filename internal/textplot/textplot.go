@@ -22,8 +22,10 @@ type Chart struct {
 	Title  string
 	Labels []string
 	Series []Series
-	Width  int // bar field width in runes; default 40
 }
+
+// barWidth is the bar field width in runes: the largest value's bar.
+const barWidth = 40
 
 // Validate checks structural consistency.
 func (c *Chart) Validate() error {
@@ -50,10 +52,6 @@ var glyphs = []rune{'█', '░', '▒', '▓'}
 func (c *Chart) Render() (string, error) {
 	if err := c.Validate(); err != nil {
 		return "", err
-	}
-	width := c.Width
-	if width <= 0 {
-		width = 40
 	}
 	maxVal := 0.0
 	for _, s := range c.Series {
@@ -87,7 +85,7 @@ func (c *Chart) Render() (string, error) {
 				prefix = fmt.Sprintf("%-*s", labelW, label)
 			}
 			v := s.Values[i]
-			bar := barOf(v, maxVal, width, glyphs[si%len(glyphs)])
+			bar := barOf(v, maxVal, glyphs[si%len(glyphs)])
 			fmt.Fprintf(&b, "%s  %-*s %s %.4g\n", prefix, nameW, s.Name, bar, v)
 		}
 	}
@@ -95,16 +93,16 @@ func (c *Chart) Render() (string, error) {
 }
 
 // barOf draws one bar of v against scale max.
-func barOf(v, max float64, width int, glyph rune) string {
+func barOf(v, max float64, glyph rune) string {
 	if max <= 0 || v <= 0 || math.IsNaN(v) {
 		return strings.Repeat("·", 1)
 	}
-	n := int(math.Round(v / max * float64(width)))
+	n := int(math.Round(v / max * barWidth))
 	if n < 1 {
 		n = 1
 	}
-	if n > width {
-		n = width
+	if n > barWidth {
+		n = barWidth
 	}
 	return strings.Repeat(string(glyph), n)
 }

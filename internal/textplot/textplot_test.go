@@ -13,7 +13,6 @@ func sample() *Chart {
 			{Name: "irqbalance", Values: []float64{190, 210}},
 			{Name: "sais", Values: []float64{205, 255}},
 		},
-		Width: 20,
 	}
 }
 
@@ -55,8 +54,8 @@ func TestBarsScaleToMax(t *testing.T) {
 			small = countBar(line, '█')
 		}
 	}
-	if full != 20 {
-		t.Errorf("max bar = %d glyphs, want full width 20", full)
+	if full != barWidth {
+		t.Errorf("max bar = %d glyphs, want full width %d", full, barWidth)
 	}
 	if small >= full || small < 1 {
 		t.Errorf("smaller bar = %d glyphs vs max %d", small, full)
@@ -91,10 +90,14 @@ func TestNonPositiveValues(t *testing.T) {
 }
 
 func TestDefaultWidth(t *testing.T) {
-	c := sample()
-	c.Width = 0
-	out, err := c.Render()
-	if err != nil || out == "" {
-		t.Fatalf("render failed: %v", err)
+	out, err := sample().Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n")[1:] {
+		bar := strings.Fields(line)[len(strings.Fields(line))-2]
+		if n := len([]rune(bar)); n < 1 || n > barWidth {
+			t.Errorf("bar %q is %d runes, want 1..%d", bar, n, barWidth)
+		}
 	}
 }

@@ -17,11 +17,10 @@ import (
 
 // IORConfig describes one client's process set.
 type IORConfig struct {
-	Procs        int         // application processes on the client
+	Procs        int         // application processes; process i is pinned to core i mod cores
 	TransferSize units.Bytes // bytes per read()/write() call
 	BytesPerProc units.Bytes // total bytes each process transfers
 	FirstFile    pfs.FileID  // process i uses FirstFile + i
-	FirstCore    int         // process i is pinned to (FirstCore+i) mod cores
 	Stagger      units.Time  // start offset between processes
 	Write        bool        // run the write workload instead of reads
 	// RandomAccess permutes each process's transfer order (IOR's random
@@ -78,7 +77,7 @@ func NewIOR(node *client.Node, cfg IORConfig, onDone sim.Event) (*IOR, error) {
 func (w *IOR) Start(eng *sim.Engine) {
 	w.remaining = w.cfg.Procs
 	for i := 0; i < w.cfg.Procs; i++ {
-		p := w.node.NewProc((w.cfg.FirstCore + i) % w.node.Config().Cores)
+		p := w.node.NewProc(i % w.node.Config().Cores)
 		l := &procLoop{w: w, proc: i, op: p.Read, order: make([]int, w.cfg.Transfers())}
 		if w.cfg.Write {
 			l.op = p.Write

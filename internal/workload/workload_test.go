@@ -29,7 +29,6 @@ func rig(t *testing.T) (*sim.Engine, *client.Node) {
 	for i := range servers {
 		servers[i] = netsim.NodeID(100 + i)
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
-		scfg.EchoHints = true
 		scfg.Disk.RotationPeriod = 0
 		pfs.NewServer(eng, fab, servers[i], scfg, rnd)
 	}

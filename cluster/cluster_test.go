@@ -118,7 +118,7 @@ func TestHintedIRQsFollowUsesHints(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/policies/*.json from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 // TestPolicyResultsGolden pins every Result field of the default config
 // under each policy to testdata/policies/<name>.json; -update rewrites
@@ -137,24 +137,29 @@ func TestPolicyResultsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, '\n')
-		path := filepath.Join("testdata", "policies", name+".json")
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		checkGolden(t, filepath.Join("testdata", "policies", name+".json"), append(got, '\n'))
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run go test -update to record it)", name, err)
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: Result differs from %s:\n%s", name, path, lineDiff(want, got))
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -update to record it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n%s", path, lineDiff(want, got))
 	}
 }
 

@@ -3,8 +3,13 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sais/cluster"
@@ -125,6 +130,138 @@ func TestHybridTraceIdentity(t *testing.T) {
 			t.Fatalf("shards=%d: trace export diverged (%d vs %d bytes)",
 				shards, len(got), len(ref))
 		}
+	}
+}
+
+// hybrid1mShape is the hybrid-1m benchmark workload's shape at a small
+// byte budget: 64 four-core clients, 16 servers and a million analytic
+// users in a streaming plus hot-server burst mix.
+func hybrid1mShape() cluster.Config {
+	cfg := cluster.DefaultConfig()
+	cfg.Clients = 64
+	cfg.Servers = 16
+	cfg.CoresPerClient = 4
+	cfg.ProcsPerClient = 1
+	cfg.TransferSize = 256 * units.KiB
+	cfg.BytesPerProc = 8 * units.MiB
+	cfg.BackgroundUsers = 1_000_000
+	cfg.TenantMix = []flowsim.TenantShare{
+		{Name: "stream", Share: 0.7, PerUserRate: 3000, Colocate: 0.15},
+		{Name: "burst", Share: 0.3, PerUserRate: 2500, Shape: "burst",
+			Period: 10 * units.Millisecond, Duty: 0.3, HotServers: 4},
+	}
+	return cfg
+}
+
+// noisyLoad returns the config of studies/noisy.json at the load dim's
+// label: the study's base config over the default, then the label's
+// delta, decoded as the study runner decodes them.
+func noisyLoad(t *testing.T, label string) cluster.Config {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "studies", "noisy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var study struct {
+		Config json.RawMessage
+		Dims   []struct {
+			Values []struct {
+				Label  string
+				Config json.RawMessage
+			}
+		}
+	}
+	if err := json.Unmarshal(b, &study); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig()
+	decode := func(raw json.RawMessage) {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(study.Config)
+	for _, v := range study.Dims[0].Values {
+		if v.Label != label {
+			continue
+		}
+		if v.Config != nil {
+			decode(v.Config)
+		}
+		return cfg
+	}
+	t.Fatalf("studies/noisy.json has no load %q", label)
+	return cfg
+}
+
+// TestHybridGolden pins hybrid runs byte for byte under
+// testdata/hybrid: the Result JSON of hybridBase under every policy at
+// one and two shards, of the noisy study's loads 1 and 2 under every
+// policy, of a hybrid-1m-shaped config under four policies and of
+// hybridBase with a timeslice quantum, plus the SHA-256 of spanned
+// hybridBase's Chrome trace under three policies. -update rewrites the
+// files.
+func TestHybridGolden(t *testing.T) {
+	type golden struct {
+		name   string
+		cfg    cluster.Config
+		traced bool
+	}
+	var cases []golden
+	policy := func(cfg cluster.Config, name string) cluster.Config {
+		p, err := irqsched.ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.WithPolicy(p)
+	}
+	load1, load2 := noisyLoad(t, "1"), noisyLoad(t, "2")
+	for _, name := range irqsched.Names() {
+		for _, shards := range []int{1, 2} {
+			cfg := policy(hybridBase(), name)
+			cfg.Shards = shards
+			cases = append(cases, golden{name: fmt.Sprintf("base-%s-shards%d", name, shards), cfg: cfg})
+		}
+		cases = append(cases,
+			golden{name: "noisy-load1-" + name, cfg: policy(load1, name)},
+			golden{name: "noisy-load2-" + name, cfg: policy(load2, name)})
+	}
+	for _, name := range []string{"sais", "irqbalance", "rss", "toeplitz"} {
+		cases = append(cases, golden{name: "h1m-" + name, cfg: policy(hybrid1mShape(), name)})
+	}
+	quantum := hybridBase()
+	quantum.TimesliceQuantum = 100 * units.Microsecond
+	cases = append(cases, golden{name: "base-quantum100us", cfg: quantum})
+	for _, name := range []string{"sais", "irqbalance", "rss"} {
+		cases = append(cases, golden{name: "trace-" + name, cfg: policy(hybridBase(), name), traced: true})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.traced {
+				_, log, err := cluster.RunSpannedContext(context.Background(), c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				if err := log.ExportChrome(h); err != nil {
+					t.Fatal(err)
+				}
+				sum := hex.EncodeToString(h.Sum(nil)) + "\n"
+				cluster.CheckGolden(t, filepath.Join("testdata", "hybrid", c.name+".sha256"), []byte(sum))
+				return
+			}
+			res, err := cluster.Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster.CheckGolden(t, filepath.Join("testdata", "hybrid", c.name+".json"), append(got, '\n'))
+		})
 	}
 }
 

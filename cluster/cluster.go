@@ -667,13 +667,14 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 	// stations at every loaded server and (for colocated tenants) every
 	// foreground client. Server stations are demand-stepped — the
 	// service-scale hooks advance them to the dispatch instant — so a
-	// server pays nothing when idle; client stations are advanced by a
-	// standing per-node rate-update tick that also converts the step's
-	// served fluid into aggregated IRQ/softirq pressure on the core the
-	// steering policy picks. Every hook and tick touches only its own
-	// node's state and queries at node-local event times, which is what
-	// keeps sharded layouts bit-identical (stations advance in whole
-	// steps: state is a pure function of the query time).
+	// server pays nothing when idle. Client stations are advanced by one
+	// standing rate tick per engine, which walks that engine's clients in
+	// client order and converts each step's served fluid into aggregated
+	// IRQ-entry plus softirq pressure, one two-phase job per tenant, on
+	// the core the steering policy picks. The tick touches each client's
+	// state only at the engine's own event times, which is what keeps
+	// sharded layouts bit-identical (stations advance in whole steps:
+	// state is a pure function of the query time).
 	var stations []*flowsim.Station
 	if cfg.BackgroundUsers > 0 {
 		step := rateUpdate
@@ -693,6 +694,14 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 		}
 		cflows := flowsim.ClientFlows(cfg.TenantMix, cfg.BackgroundUsers, cfg.Clients)
 		if flowsim.HasRate(cflows) {
+			// loaded is one foreground client under background load.
+			type loaded struct {
+				node  *client.Node
+				load  *workload.IOR
+				st    *flowsim.Station
+				flows []uint64 // per-tenant flow identities
+			}
+			byEngine := make([][]loaded, len(engines))
 			for i, node := range nodes {
 				st := flowsim.NewStation(cfg.ClientNICRate, step, cflows)
 				stations = append(stations, st)
@@ -706,36 +715,47 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 				// Per-tenant flow identities: stable functions of the
 				// node id, so flow-hashing policies (RSS) spread tenants
 				// over queues the same way in every layout.
-				flowIDs := make([]uint64, len(cfg.TenantMix))
-				for k := range flowIDs {
-					flowIDs[k] = rng.Derive(uint64(clientIDs[i]), uint64(k))
+				flows := make([]uint64, len(cfg.TenantMix))
+				for k := range flows {
+					flows[k] = rng.Derive(uint64(clientIDs[i]), uint64(k))
 				}
-				n, w, ne := node, loads[i], engines[clientShard(i)]
+				e := clientShard(i)
+				byEngine[e] = append(byEngine[e], loaded{node, loads[i], st, flows})
+			}
+			for e, cs := range byEngine {
+				if len(cs) == 0 {
+					continue
+				}
+				ne := engines[e]
 				var tick func(units.Time)
 				tick = func(now units.Time) {
-					if w.Finished() != 0 {
-						return // foreground done: stop loading this node
-					}
-					st.AdvanceTo(now)
-					for k := range flowIDs {
-						b := st.ServedLastStep(k)
-						if b <= 0 {
-							continue
+					live := false
+					for _, c := range cs {
+						if c.load.Finished() != 0 {
+							continue // foreground done: stop loading this node
 						}
-						// One routing decision per tenant per step: the
-						// policy sees the tenant's flow with no hint
-						// (background traffic carries no aff_core_id),
-						// then the chosen core absorbs the step's
-						// aggregated interrupt-entry and softirq cost.
-						dest := n.IOAPIC().RouteFor(client.DataVector, apic.NoHint, flowIDs[k])
-						core := n.CPU().Core(dest)
-						irqs := b / float64(cfg.StripSize)
-						core.Submit(cpu.PrioSoftirq, cpu.CatIRQ,
-							units.Time(irqs*float64(cfg.Costs.IRQEntry)), nil)
-						core.Submit(cpu.PrioSoftirq, cpu.CatSoftirq,
-							units.Time(b*cfg.Costs.SoftirqPerByte), nil)
+						live = true
+						c.st.AdvanceTo(now)
+						for k, flow := range c.flows {
+							b := c.st.ServedLastStep(k)
+							if b <= 0 {
+								continue
+							}
+							// One routing decision per tenant per step: the
+							// policy sees the tenant's flow with no hint
+							// (background traffic carries no aff_core_id),
+							// then the chosen core absorbs the step's
+							// aggregated interrupt-entry and softirq cost.
+							dest := c.node.IOAPIC().RouteFor(client.DataVector, apic.NoHint, flow)
+							irqs := b / float64(cfg.StripSize)
+							c.node.CPU().Core(dest).SubmitPair(cpu.PrioSoftirq,
+								cpu.CatIRQ, units.Time(irqs*float64(cfg.Costs.IRQEntry)),
+								cpu.CatSoftirq, units.Time(b*cfg.Costs.SoftirqPerByte))
+						}
 					}
-					ne.After(step, tick)
+					if live {
+						ne.After(step, tick)
+					}
 				}
 				ne.After(step, tick)
 			}

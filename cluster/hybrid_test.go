@@ -265,6 +265,26 @@ func TestHybridGolden(t *testing.T) {
 	}
 }
 
+// TestHybridEventsPerStrip pins the hybrid engine's event cost, so a
+// change that brings back per-client ticks or one job per phase fails:
+// hybridBase under sais fires at most 13 events per strip it moves. One
+// rate tick per engine and one two-phase softirq job per tenant give
+// 12.33; a tick per client and a job per phase gave 16.00.
+func TestHybridEventsPerStrip(t *testing.T) {
+	cfg := hybridBase()
+	var fired uint64
+	cfg.Progress = func(n uint64, _ int, _ units.Time) { fired = n }
+	res, err := cluster.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perStrip := float64(fired) / (float64(res.TotalBytes) / float64(cfg.StripSize))
+	t.Logf("%d events, %.2f per strip", fired, perStrip)
+	if perStrip > 13 {
+		t.Errorf("%.2f events per strip, want at most 13", perStrip)
+	}
+}
+
 // TestHybridValidationUniform (satellite 2): every invalid hybrid
 // config is rejected with the same typed error at every shard count —
 // the degrade-link<1 uniformity precedent. A shards=1 run must never

@@ -21,7 +21,7 @@ import (
 )
 
 // Priority of a work item. Lower value = higher priority.
-type Priority int
+type Priority int8
 
 // Priorities.
 const (
@@ -31,7 +31,7 @@ const (
 )
 
 // Category classifies busy time for the metrics breakdown.
-type Category int
+type Category int8
 
 // Busy-time categories.
 const (
@@ -56,12 +56,17 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", int(c))
 }
 
-// task is one schedulable work item.
+// task is one schedulable work item: one phase of cat, or a pair whose
+// second phase of cat2 follows the first. Narrow priority and category
+// fields keep it at 32 bytes.
 type task struct {
-	remaining units.Time
+	remaining units.Time // the current phase's remaining work
+	second    units.Time // a pair's second phase while the first runs, else 0
+	done      sim.Event
 	prio      Priority
 	cat       Category
-	done      sim.Event
+	cat2      Category
+	paired    bool // the first phase of a pair is still current
 }
 
 // CoreStats is the per-core accounting snapshot.
@@ -88,7 +93,10 @@ type Core struct {
 	// queues holds each priority's waiting tasks by value, so queueing,
 	// preempting and rotating work allocates nothing once a queue has
 	// grown to the core's peak depth.
-	queues  [numPriorities]deque.Deque[task]
+	queues [numPriorities]deque.Deque[task]
+	// pairs counts the queued or running pairs still in their first
+	// phase: each holds one more waiting work item, its second phase.
+	pairs   int
 	run     task // the executing task, valid while running
 	running bool
 	// runRotating records whether the current slice ends in a rotation
@@ -128,18 +136,29 @@ func (c *Core) SetSpanHook(h SpanHook) { c.spanHook = h }
 func (c *Core) Stats() CoreStats {
 	s := c.stats
 	if c.running {
-		elapsed := c.eng.Now() - c.ranAt
-		s.Busy += elapsed
-		s.ByCategory[c.run.cat] += elapsed
+		first, rest, crossed := c.split(c.eng.Now())
+		s.Busy += first + rest
+		s.ByCategory[c.run.cat] += first
+		if crossed {
+			s.ByCategory[c.run.cat2] += rest
+			s.Completed++
+		}
 	}
 	return s
 }
 
-// QueueLen returns the number of waiting (not running) work items.
+// QueueLen returns the number of waiting (not running) work items. A
+// pair counts as the two items it stands for: both while it waits, its
+// second phase while its first runs.
 func (c *Core) QueueLen() int {
-	n := 0
+	n := c.pairs
 	for i := range c.queues {
 		n += c.queues[i].Len()
+	}
+	if c.running {
+		if _, _, crossed := c.split(c.eng.Now()); crossed {
+			n-- // the running pair's second phase has begun
+		}
 	}
 	return n
 }
@@ -150,13 +169,37 @@ func (c *Core) QueueLen() int {
 //
 //saisvet:allocfree
 func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event) {
-	if prio < 0 || prio >= numPriorities {
-		panic(fmt.Sprintf("cpu: bad priority %d", prio))
+	c.enqueue(task{remaining: d, prio: prio, cat: cat, done: done})
+}
+
+// SubmitPair queues one work item of two phases with no completion
+// callback: d1 of cat1, then d2 of cat2. Busy time, spans, Preempts,
+// Completed and QueueLen match two back-to-back Submits of the phases
+// with nil callbacks, but the pair costs one completion event instead
+// of two. Only the event order at the instant the first phase ends or
+// the pair finishes can differ: an event due then fires before or after
+// the pair's own by the keys they were scheduled with. To a timeslice
+// quantum a process-priority pair is one item and rotates as one.
+//
+//saisvet:allocfree
+func (c *Core) SubmitPair(prio Priority, cat1 Category, d1 units.Time, cat2 Category, d2 units.Time) {
+	c.enqueue(task{remaining: d1, second: d2, prio: prio, cat: cat1, cat2: cat2, paired: true})
+}
+
+// enqueue validates t and queues it at the back of its priority.
+//
+//saisvet:allocfree
+func (c *Core) enqueue(t task) {
+	if t.prio < 0 || t.prio >= numPriorities {
+		panic(fmt.Sprintf("cpu: bad priority %d", t.prio))
 	}
-	if d < 0 {
+	if t.remaining < 0 || t.second < 0 {
 		panic("cpu: negative duration")
 	}
-	c.queues[prio].PushBack(task{remaining: d, prio: prio, cat: cat, done: done})
+	if t.paired {
+		c.pairs++
+	}
+	c.queues[t.prio].PushBack(t)
 	c.reschedule()
 }
 
@@ -191,19 +234,48 @@ func (c *Core) reschedule() {
 	c.start()
 }
 
+// split divides the running task's slice [ranAt, now) at its phase
+// boundary: first belongs to run.cat; rest, when the slice crossed the
+// end of a pair's first phase, to run.cat2. The first phase holds the
+// instant it ends, as the first of two Submits would until its
+// completion event fires.
+func (c *Core) split(now units.Time) (first, rest units.Time, crossed bool) {
+	elapsed := now - c.ranAt
+	if !c.run.paired || elapsed <= c.run.remaining {
+		return elapsed, 0, false
+	}
+	return c.run.remaining, elapsed - c.run.remaining, true
+}
+
 // bank charges the running task's slice [ranAt, now) to the accounting
-// and the span hook, and deducts it from the task's remaining work.
+// and the span hook, and deducts it from the task's remaining work. A
+// slice that crosses a pair's phase boundary is charged as two, and the
+// first phase counts as a completed item.
 //
 //saisvet:allocfree
 func (c *Core) bank(now units.Time) {
-	elapsed := now - c.ranAt
-	c.stats.Busy += elapsed
-	c.stats.ByCategory[c.run.cat] += elapsed
-	if c.spanHook != nil && elapsed > 0 {
-		//lint:alloc span-hook callback invocation: the tracer's allocations belong to its own budget
-		c.spanHook(c.id, c.run.cat, c.ranAt, now)
+	first, rest, crossed := c.split(now)
+	mid := c.ranAt + first
+	c.charge(c.run.cat, c.ranAt, mid)
+	c.run.remaining = max(c.run.remaining-first, 0)
+	if crossed {
+		c.stats.Completed++
+		c.pairs--
+		c.charge(c.run.cat2, mid, now)
+		c.run = task{remaining: max(c.run.second-rest, 0), prio: c.run.prio, cat: c.run.cat2}
 	}
-	c.run.remaining = max(c.run.remaining-elapsed, 0)
+}
+
+// charge books the busy slice [from, to) of category cat.
+//
+//saisvet:allocfree
+func (c *Core) charge(cat Category, from, to units.Time) {
+	c.stats.Busy += to - from
+	c.stats.ByCategory[cat] += to - from
+	if c.spanHook != nil && to > from {
+		//lint:alloc span-hook callback invocation: the tracer's allocations belong to its own budget
+		c.spanHook(c.id, cat, from, to)
+	}
 }
 
 // bankAndRequeueFront charges the elapsed slice of the running task and
@@ -240,7 +312,7 @@ func (c *Core) start() {
 	c.run = c.queues[p].PopFront()
 	c.running = true
 	c.ranAt = c.eng.Now()
-	slice := c.run.remaining
+	slice := c.run.remaining + c.run.second
 	c.runRotating = c.quantum > 0 && p == PrioProcess &&
 		c.queues[PrioProcess].Len() > 0 && slice > c.quantum
 	if c.runRotating {
@@ -279,6 +351,10 @@ func (c *Core) rotate(now units.Time) {
 //saisvet:allocfree
 func (c *Core) finish(now units.Time) {
 	c.bank(now)
+	if c.run.paired { // an empty second phase ends with its first
+		c.pairs--
+		c.stats.Completed++
+	}
 	done := c.run.done
 	c.stats.Completed++
 	c.running = false

@@ -32,6 +32,13 @@ func (c *refCore) Submit(prio Priority, cat Category, d units.Time, done sim.Eve
 	c.reschedule()
 }
 
+// SubmitPair is two back-to-back Submits with nil callbacks, the
+// sequence Core.SubmitPair must match.
+func (c *refCore) SubmitPair(prio Priority, cat1 Category, d1 units.Time, cat2 Category, d2 units.Time) {
+	c.Submit(prio, cat1, d1, nil)
+	c.Submit(prio, cat2, d2, nil)
+}
+
 func (c *refCore) Stats() CoreStats {
 	s := c.stats
 	if c.run != nil {
@@ -151,23 +158,29 @@ func (c *refCore) finish(now units.Time) {
 // scheduler is the surface the differential test drives on both cores.
 type scheduler interface {
 	Submit(prio Priority, cat Category, d units.Time, done sim.Event)
+	SubmitPair(prio Priority, cat1 Category, d1 units.Time, cat2 Category, d2 units.Time)
 	Stats() CoreStats
 	QueueLen() int
 	busy() bool
 }
 
 // schedOp is one generated work item: submitted at at from outside, or
-// (parent ≥ 0) from the completion callback of op parent.
+// (parent ≥ 0) from the completion callback of op parent. A pair op is
+// a softirq SubmitPair whose second phase is d2 of cat2; it has no
+// callback, so no op names it as parent.
 type schedOp struct {
 	at     units.Time
 	parent int
 	prio   Priority
 	cat    Category
 	d      units.Time
+	pair   bool
+	cat2   Category
+	d2     units.Time
 }
 
-// genOps draws a random workload mixing priorities, zero-duration work
-// and follow-up submissions from completion callbacks.
+// genOps draws a random workload mixing priorities, zero-duration work,
+// softirq pairs and follow-up submissions from completion callbacks.
 func genOps(r *rng.Source) []schedOp {
 	ops := make([]schedOp, r.Intn(60)+1)
 	for i := range ops {
@@ -183,6 +196,16 @@ func genOps(r *rng.Source) []schedOp {
 		}
 		if i > 0 && r.Bool(0.25) {
 			op.parent = r.Intn(i)
+			if ops[op.parent].pair {
+				op.parent = -1
+			}
+		}
+		if r.Bool(0.2) {
+			op.pair, op.prio = true, PrioSoftirq
+			op.cat2, op.d2 = Category(r.Intn(int(numCategories))), units.Time(r.Intn(40))
+			if r.Bool(0.15) {
+				op.d2 = 0
+			}
 		}
 		ops[i] = op
 	}
@@ -209,6 +232,10 @@ func runOps(eng *sim.Engine, s scheduler, ops []schedOp, probeAt []units.Time) *
 	var submit func(i int)
 	submit = func(i int) {
 		op := ops[i]
+		if op.pair {
+			s.SubmitPair(op.prio, op.cat, op.d, op.cat2, op.d2)
+			return
+		}
 		s.Submit(op.prio, op.cat, op.d, func(now units.Time) {
 			log.completions = append(log.completions, fmt.Sprintf("%d@%d", i, now))
 			for _, c := range children[i] {
@@ -231,12 +258,12 @@ func runOps(eng *sim.Engine, s scheduler, ops []schedOp, probeAt []units.Time) *
 	return log
 }
 
-// TestRunQueueMatchesReference runs random Submit/preempt/rotate
-// sequences through Core and the slice-of-pointers reference and
-// requires identical completion order and times, span-hook slices,
-// mid-run snapshots and final accounting.
+// TestRunQueueMatchesReference runs random Submit/SubmitPair/preempt/
+// rotate sequences through Core and the slice-of-pointers reference,
+// where a pair is two Submits, and requires identical completion order
+// and times, span-hook slices, mid-run snapshots and final accounting.
 func TestRunQueueMatchesReference(t *testing.T) {
-	var preempts, rotations, completed uint64
+	var preempts, rotations, completed, pairs uint64
 	for i := 0; i < 300; i++ {
 		r := rng.New(rng.Derive(0x5eed, uint64(i)))
 		var quantum units.Time
@@ -272,16 +299,23 @@ func TestRunQueueMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (quantum %v): Core diverges from reference\n got %+v\nwant %+v", i, quantum, got, want)
 		}
-		if len(got.completions) != len(ops) {
-			t.Fatalf("seed %d: %d of %d ops completed", i, len(got.completions), len(ops))
+		callbacks := len(ops)
+		for _, op := range ops {
+			if op.pair {
+				callbacks--
+				pairs++
+			}
+		}
+		if len(got.completions) != callbacks {
+			t.Fatalf("seed %d: %d of %d ops completed", i, len(got.completions), callbacks)
 		}
 		preempts += got.final.Preempts
 		rotations += got.final.Rotations
 		completed += got.final.Completed
 	}
 	// The generator must actually exercise the paths under test.
-	if preempts == 0 || rotations == 0 || completed == 0 {
-		t.Fatalf("generator too tame: preempts=%d rotations=%d completed=%d", preempts, rotations, completed)
+	if preempts == 0 || rotations == 0 || completed == 0 || pairs == 0 {
+		t.Fatalf("generator too tame: preempts=%d rotations=%d completed=%d pairs=%d", preempts, rotations, completed, pairs)
 	}
 }
 

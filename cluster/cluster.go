@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 
-	"sais/internal/apic"
 	"sais/internal/cache"
 	"sais/internal/client"
 	"sais/internal/cpu"
@@ -741,14 +740,13 @@ func run(ctx context.Context, cfg Config, spans *trace.SpanLog) (*Result, error)
 							if b <= 0 {
 								continue
 							}
-							// One routing decision per tenant per step: the
-							// policy sees the tenant's flow with no hint
-							// (background traffic carries no aff_core_id),
-							// then the chosen core absorbs the step's
-							// aggregated interrupt-entry and softirq cost.
-							dest := c.node.IOAPIC().RouteFor(client.DataVector, apic.NoHint, flow)
+							// One routing decision per tenant per step, on
+							// the foreground's path: the NIC's queue for
+							// the flow, then the policy with no hint. The
+							// chosen core absorbs the step's aggregated
+							// interrupt-entry and softirq cost.
 							irqs := b / float64(cfg.StripSize)
-							c.node.CPU().Core(dest).SubmitPair(cpu.PrioSoftirq,
+							c.node.CPU().Core(c.node.BackgroundCore(flow)).SubmitPair(cpu.PrioSoftirq,
 								cpu.CatIRQ, units.Time(irqs*float64(cfg.Costs.IRQEntry)),
 								cpu.CatSoftirq, units.Time(b*cfg.Costs.SoftirqPerByte))
 						}

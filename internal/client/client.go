@@ -686,8 +686,15 @@ func (n *Node) Caches() *cache.System { return n.caches }
 // NIC exposes the network interface for metric collection.
 func (n *Node) NIC() *netsim.NIC { return n.nic }
 
-// IOAPIC exposes the interrupt controller for metric collection.
-func (n *Node) IOAPIC() *apic.IOAPIC { return n.ioapic }
+// BackgroundCore is the core that takes a background flow's interrupt
+// load, picked the way a foreground frame's is: the NIC hashes the flow
+// onto a receive queue, and the I/O APIC routes that queue's vector
+// (DataVector+q) with no hint, since background traffic carries no
+// aff_core_id.
+func (n *Node) BackgroundCore(flow uint64) int {
+	q := n.nic.QueueFor(flow)
+	return n.ioapic.RouteFor(DataVector+apic.Vector(q), apic.NoHint, flow)
+}
 
 // Config returns the node configuration.
 func (n *Node) Config() Config { return n.cfg }

@@ -3,6 +3,7 @@ package client
 import (
 	"testing"
 
+	"sais/internal/apic"
 	"sais/internal/cpu"
 	"sais/internal/irqsched"
 	"sais/internal/netsim"
@@ -402,7 +403,7 @@ func TestIRQAffinityMaskRestrictsDelivery(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyRoundRobin)
 	cfg.MDS = 50
 	node := mustNew(t, r.eng, r.fab, cfg)
-	node.IOAPIC().Program(DataVector, []int{0, 1})
+	node.ioapic.Program(DataVector, []int{0, 1})
 	p := node.NewProc(3)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
@@ -421,7 +422,7 @@ func TestIRQAffinityMaskDefeatsSAIsHints(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicySourceAware)
 	cfg.MDS = 50
 	node := mustNew(t, r.eng, r.fab, cfg)
-	node.IOAPIC().Program(DataVector, []int{0})
+	node.ioapic.Program(DataVector, []int{0})
 	p := node.NewProc(3) // hint points at core 3, outside the mask
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
@@ -561,7 +562,7 @@ func TestMissingPlans(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	r := newRig(t, irqsched.PolicySourceAware, 2)
-	if r.node.NIC() == nil || r.node.IOAPIC() == nil {
+	if r.node.NIC() == nil {
 		t.Error("nil accessors")
 	}
 	if r.node.Config().Cores != 8 {
@@ -1208,5 +1209,52 @@ func TestStripArrivalBookkeeping(t *testing.T) {
 	}
 	if !writeDone || st.WriteTransfers != 1 || st.BytesWritten != 2*64*units.KiB {
 		t.Errorf("write done %v, transfers %d, bytes %v; want one write of 128 KiB", writeDone, st.WriteTransfers, st.BytesWritten)
+	}
+}
+
+// TestBackgroundCoreFollowsQueues: background flows take the
+// foreground's path to a core. Under hardware RSS the NIC hashes each
+// flow onto its own receive queue, so 64 flows reach all four cores
+// (routing queue 0's vector alone put all 64 on core 0). Under a
+// single-queue policy BackgroundCore is the policy's routing of
+// DataVector, decision for decision.
+func TestBackgroundCoreFollowsQueues(t *testing.T) {
+	flows := make([]uint64, 64)
+	for k := range flows {
+		flows[k] = rng.Derive(7, uint64(k))
+	}
+	node := func(policy irqsched.PolicyKind) *Node {
+		eng := sim.NewEngine()
+		cfg := DefaultConfig(1, 3*units.Gigabit, policy)
+		cfg.MDS = 50
+		cfg.Cores = 4
+		return mustNew(t, eng, netsim.NewFabric(eng, 20*units.Microsecond, 256), cfg)
+	}
+
+	rss := node(irqsched.PolicyHardwareRSS)
+	perCore := make([]int, 4)
+	for _, f := range flows {
+		perCore[rss.BackgroundCore(f)]++
+	}
+	for c, n := range perCore {
+		if n == 0 {
+			t.Errorf("rss: no background flow on core %d (flows per core %v)", c, perCore)
+		}
+	}
+
+	for _, name := range irqsched.Names() {
+		p, err := irqsched.ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := irqsched.Describe(p); d.MSIX {
+			continue
+		}
+		got, want := node(p), node(p)
+		for _, f := range flows {
+			if g, w := got.BackgroundCore(f), want.ioapic.RouteFor(DataVector, apic.NoHint, f); g != w {
+				t.Fatalf("%s: flow %#x: BackgroundCore %d, RouteFor(DataVector) %d", name, f, g, w)
+			}
+		}
 	}
 }

@@ -235,12 +235,16 @@ func NewNIC(eng *sim.Engine, id NodeID, cfg NICConfig) *NIC {
 	return n
 }
 
-// queueFor flow-hashes a source onto a receive queue.
-func (n *NIC) queueFor(src NodeID) int {
+// QueueFor is the NIC's one flow-to-queue hash: it maps a flow
+// identity onto a receive queue. A received frame's flow is its source
+// node.
+//
+//saisvet:allocfree
+func (n *NIC) QueueFor(flow uint64) int {
 	if len(n.rings) == 1 {
 		return 0
 	}
-	x := uint64(src)
+	x := flow
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -402,7 +406,7 @@ func (n *NIC) receive(f *Frame) {
 
 //saisvet:allocfree
 func (n *NIC) deliver(f *Frame, now units.Time) {
-	q := n.queueFor(f.Src)
+	q := n.QueueFor(uint64(f.Src))
 	if len(n.rings[q]) >= n.cfg.RingSize {
 		n.stats.RingDrops++
 		n.fab.FreeFrame(f)
